@@ -145,9 +145,11 @@ def _bisect(f, lo: float, hi: float, omegab: float):
 def solve_effective_frequency(omegab: float, model: Optional[FrictionModel]) -> tuple[float, float]:
     """Solve for mu on (0, omega_b]; returns (mu, residual).
 
-    Bisection on the guaranteed bracket followed by one Newton polish.
-    Peaked baths may admit several roots; all sign changes on a dense scan
-    are located, the largest root is returned and a warning is issued.
+    A ``PeakedFriction`` takes the largest root of its quartic; other
+    models bisect on the guaranteed bracket. One Newton polish follows.
+    A subclass of ``PeakedFriction`` that overrides the kernel may admit
+    several roots: all sign changes on a dense scan are located, the
+    largest root is returned and a warning is issued.
     """
     if omegab <= 0:
         raise DomainError("omega_b must be > 0")
@@ -158,12 +160,17 @@ def solve_effective_frequency(omegab: float, model: Optional[FrictionModel]) -> 
         return _mu_mismatch(mu, omegab, model)
 
     lo = 1e-12 * omegab
-    if isinstance(model, PeakedFriction):
+    # looked up per call, so a wrapper installed on the class still counts
+    # as the built-in kernel
+    if type(model).laplace_kernel is PeakedFriction.laplace_kernel:
+        mu = _peaked_mu_quartic(omegab, model, lo)
+    elif isinstance(model, PeakedFriction):
         grid = np.linspace(lo, omegab, 10_000)
         vals = np.array([f(x) for x in grid])
         sign_flips = np.nonzero(np.diff(np.signbit(vals)))[0]
         roots = [_bisect(f, grid[i], grid[i + 1], omegab) for i in sign_flips]
-        if vals[-1] == 0.0:
+        # a sign flip onto an exact zero at omega_b already bisected to it
+        if vals[-1] == 0.0 and omegab not in roots:
             roots.append(omegab)
         if not roots:
             raise SolverConvergenceError(
@@ -205,6 +212,25 @@ def solve_effective_frequency(omegab: float, model: Optional[FrictionModel]) -> 
                 bracket=(lo, omegab),
             )
     return mu, residual
+
+
+def _peaked_mu_quartic(omegab: float, model: PeakedFriction, lo: float) -> float:
+    # mu^2 + mu*gamma_hat(mu) = wb^2 times mu^2 + Gamma*mu + wr^2 is
+    # mu^4 + G mu^3 + (wr^2 - wb^2 + gr G) mu^2 - wb^2 G mu - wb^2 wr^2 = 0,
+    # solved for x = mu/wb so the coefficients are of order one.
+    # mu^2 + mu*gamma_hat(mu) increases with mu, so one root lies in (0, wb].
+    g, gr, wr = model.width / omegab, model.gamma_r / omegab, model.omega_r / omegab
+    roots = np.roots([1.0, g, wr * wr - 1.0 + gr * g, -g, -wr * wr])
+    real = [
+        r.real * omegab
+        for r in roots
+        if abs(r.imag) < 1e-9 and lo < r.real * omegab <= omegab * (1.0 + 1e-9)
+    ]
+    if not real:
+        raise SolverConvergenceError(
+            "Peaked quartic has no real root in (0, omega_b]", bracket=(lo, omegab)
+        )
+    return float(min(max(real), omegab))
 
 
 def _drude_mu_cubic(omegab: float, gamma: float, omega_d: float) -> float:

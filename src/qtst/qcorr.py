@@ -52,7 +52,6 @@ __all__ = [
 # Matsubara frequency per kelvin: nu_1 = kB*T/(hbar*c) in cm^-1.
 _NU_CM1_PER_K = 1.0 / units.CROSSOVER_K_PER_CM1
 
-_EXACT_KERNEL_TERMS = 512  # per-term kernel evaluations before the 1/z tail
 _MAX_TERMS = 50_000_000
 
 
@@ -101,26 +100,6 @@ def matsubara_frequency(n: int, T: float) -> float:
     return n * T * _NU_CM1_PER_K
 
 
-def _kernel_on_terms(model, x, n, tail_scale):
-    """Memory kernel at the term frequencies x = n*nu.
-
-    Vectorised models evaluate exactly everywhere. Models whose kernel
-    needs a quadrature are evaluated exactly for the first few hundred
-    terms and with their rigorous large-z asymptote K_e/(M z) beyond,
-    where the relative error is (feature/z)^2 and negligible.
-    """
-    if model is None:
-        return np.zeros_like(x)
-    if model.vectorized_kernel:
-        return np.asarray(model.laplace_kernel(x), dtype=float)
-    out = np.empty_like(x)
-    exact = n <= _EXACT_KERNEL_TERMS
-    for i in np.nonzero(exact)[0]:
-        out[i] = model.laplace_kernel(float(x[i]))
-    np.divide(tail_scale, x, out=out, where=~exact)
-    return out
-
-
 def correction_product(
     system: BarrierSystem,
     model: Optional[FrictionModel] = None,
@@ -145,9 +124,6 @@ def correction_product(
     omega0, omegab = system.omega0, system.omegab
     nu = matsubara_frequency(1, T)
     a = omega0 * omega0 + omegab * omegab
-    tail_scale = 0.0
-    if model is not None and not model.vectorized_kernel:
-        tail_scale = model.kernel_tail_scale()
 
     log_sum = 0.0
     n_used = 0
@@ -155,7 +131,7 @@ def correction_product(
     while True:
         n = np.arange(n_used + 1, n_used + chunk + 1, dtype=float)
         x = n * nu
-        g = _kernel_on_terms(model, x, n, tail_scale)
+        g = 0.0 if model is None else model.laplace_kernel(x)
         denom = x * x + x * g - omegab * omegab
         if np.any(denom <= 0.0):
             bad = int(n[np.argmax(denom <= 0.0)])
@@ -372,10 +348,8 @@ def weak_friction_margin(model: Optional[FrictionModel], T: float) -> float:
     """
     if model is None:
         return 0.0
-    nu = matsubara_frequency(1, T)
-    n = np.arange(1, 9, dtype=float)
-    g = np.array([model.laplace_kernel(float(k * nu)) for k in n])
-    return float(np.max(g / (n * nu)))
+    x = np.arange(1, 9, dtype=float) * matsubara_frequency(1, T)
+    return float(np.max(model.laplace_kernel(x) / x))
 
 
 def quantum_rate(

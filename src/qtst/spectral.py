@@ -5,16 +5,23 @@ Each model exposes the friction spectrum Re gamma(omega) = J(omega)/(M*omega)
 and the integral (2/pi) * int Re gamma(omega) d omega that fixes the
 environment-induced curvature K_e. Mass enters only multiplicatively where
 K_e itself is needed, so the models store the mass-free spectrum.
+
+Every built-in kernel is closed-form. The memory kernel gamma(omega) is
+analytic in the upper half plane, so by Kramers-Kronig its Laplace transform
+(2 z/pi) int_0^inf Re gamma(w)/(w^2 + z^2) dw is the continuation
+gamma_hat(z) = gamma(i z) to imaginary frequency, and
+int_0^inf Re gamma(w) dw = (pi/2) lim_{z->inf} z gamma_hat(z). Where a
+model is defined by its spectrum (the dielectric cavity), the continuation
+of that spectrum's response function gives the kernel exactly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
-from scipy import integrate
 from scipy.special import sici
 
 from . import units
@@ -38,34 +45,39 @@ __all__ = [
 # gives the dimensionless omega*tau of a Debye relaxation term.
 _OMEGA_TAU = units.CM1_TO_RAD_PER_S * 1e-12
 
-_QUAD_OPTS = dict(epsabs=0.0, epsrel=1e-11, limit=400)
-# the infinite tails carry ~1e-4 of the integral; absolute floor avoids
-# chasing roundoff there
-_TAIL_QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-9, limit=200)
+
+def _float_or_array(x):
+    # a Python float for scalar input, so scalar calls skip numpy's
+    # per-operation cost; a float array otherwise
+    if isinstance(x, (int, float)):
+        return float(x)
+    arr = np.asarray(x, dtype=float)
+    return float(arr) if arr.ndim == 0 else arr
 
 
-def _tail_integral(f, lower: float) -> float:
-    # int_lower^inf f(w) dw via w = lower/t, finite domain and smooth for
-    # the ~1/w^2 and faster tails these spectra have
-    def g(t):
-        w = lower / t
-        return f(w) * lower / (t * t)
-
-    val, _ = integrate.quad(g, 1e-12, 1.0, **_TAIL_QUAD_OPTS)
-    return val
+def _require_param(name: str, value, positive: bool = False) -> None:
+    # value, or every element of it, finite and >= 0 (> 0 if positive);
+    # NaN fails both comparisons, so it is rejected with the infinities
+    v = _float_or_array(value)
+    ok = (v > 0.0 if positive else v >= 0.0) & (v < math.inf)
+    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+        raise DomainError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value!r}")
 
 
-def _require_positive_z(z) -> np.ndarray | float:
-    if np.any(np.asarray(z) <= 0.0):
-        raise DomainError(f"Laplace variable z must be > 0, got {z}")
+def _require_positive_z(z):
+    _require_param("Laplace variable z", z, positive=True)
     return z
 
 
 class FrictionModel:
-    """Base class; subclasses are frozen dataclasses, safe to share."""
+    """Base class; subclasses are frozen dataclasses, safe to share.
 
-    #: True when laplace_kernel accepts numpy arrays natively.
-    vectorized_kernel = False
+    Contract for subclasses: ``laplace_kernel`` and ``friction_spectrum``
+    take a scalar or a numpy array and return a Python float for scalar
+    input and a float array of the same shape otherwise. ``laplace_kernel``
+    raises ``DomainError`` unless every z is finite and > 0. Constructors
+    reject NaN, infinite and out-of-range parameters with ``DomainError``.
+    """
 
     kind = "base"
 
@@ -74,33 +86,13 @@ class FrictionModel:
         raise NotImplementedError
 
     def laplace_kernel(self, z):
-        """gamma_hat(z) in cm^-1 for z > 0 (cm^-1).
-
-        Default: numerical transform
-        gamma_hat(z) = (2 z / pi) * int_0^inf Re gamma(w) / (w^2 + z^2) dw.
-        """
-        _require_positive_z(z)
-        z = float(z)
-        pts = [w for w in self._feature_frequencies() if w > 0.0]
-        upper = 50.0 * max([z] + pts + [1.0])
-
-        def f(w):
-            return self.friction_spectrum(w) / (w * w + z * z)
-
-        head, _ = integrate.quad(f, 0.0, upper, points=sorted(set(pts + [z])), **_QUAD_OPTS)
-        tail = _tail_integral(f, upper)
-        return 2.0 * z / math.pi * (head + tail)
+        """gamma_hat(z) = (2 z/pi) int_0^inf Re gamma(w)/(w^2 + z^2) dw, in
+        cm^-1, for z > 0 (cm^-1)."""
+        raise NotImplementedError
 
     def spectrum_integral(self) -> float:
         """int_0^inf Re gamma(omega) d omega in cm^-2, or raise if divergent."""
         raise NotImplementedError
-
-    def kernel_tail_scale(self) -> float:
-        """Large-z asymptote scale: gamma_hat(z) -> kernel_tail_scale()/z."""
-        return 2.0 / math.pi * self.spectrum_integral()
-
-    def _feature_frequencies(self) -> Sequence[float]:
-        return ()
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -111,12 +103,10 @@ class OhmicFriction(FrictionModel):
     """Memoryless friction: gamma_hat(z) = gamma, J(omega) = M*gamma*omega."""
 
     gamma: float
-    vectorized_kernel = True
     kind = "ohmic"
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise DomainError("gamma must be >= 0")
+        _require_param("gamma", self.gamma)
 
     def friction_spectrum(self, omega):
         if np.ndim(omega):
@@ -150,12 +140,11 @@ class DrudeFriction(FrictionModel):
 
     gamma: float
     omega_d: float
-    vectorized_kernel = True
     kind = "drude"
 
     def __post_init__(self):
-        if self.gamma < 0 or self.omega_d <= 0:
-            raise DomainError("need gamma >= 0 and omega_d > 0")
+        _require_param("gamma", self.gamma)
+        _require_param("omega_d", self.omega_d, positive=True)
 
     def friction_spectrum(self, omega):
         w = np.asarray(omega, dtype=float)
@@ -171,9 +160,6 @@ class DrudeFriction(FrictionModel):
     def spectrum_integral(self):
         # int gamma/(1+w^2/wd^2) dw = gamma*wd*pi/2, so K_e = M*gamma*wd
         return self.gamma * self.omega_d * math.pi / 2.0
-
-    def _feature_frequencies(self):
-        return (self.omega_d,)
 
     def to_json(self):
         return {"kind": self.kind, "gamma": self.gamma, "omega_d": self.omega_d}
@@ -192,12 +178,11 @@ class PeakedFriction(FrictionModel):
     gamma_r: float
     width: float
     omega_r: float
-    vectorized_kernel = True
     kind = "peaked"
 
     def __post_init__(self):
-        if min(self.gamma_r, self.width, self.omega_r) < 0:
-            raise DomainError("peaked-friction parameters must be >= 0")
+        for name in ("gamma_r", "width", "omega_r"):
+            _require_param(name, getattr(self, name))
 
     def friction_spectrum(self, omega):
         w = np.asarray(omega, dtype=float)
@@ -216,9 +201,6 @@ class PeakedFriction(FrictionModel):
         # int_0^inf w^2 dw / ((w^2-a^2)^2 + b^2 w^2) = pi/(2 b), any a;
         # hence the integral is pi*gamma_r*Gamma/2 and K_e = M*gamma_r*Gamma.
         return math.pi * self.gamma_r * self.width / 2.0
-
-    def _feature_frequencies(self):
-        return (self.omega_r, self.omega_r + self.width)
 
     def to_json(self):
         return {
@@ -245,12 +227,27 @@ class DebyeDielectricFriction(FrictionModel):
     friction spectrum follows from the reaction field of a cavity of
     radius ``cavity_radius`` (angstrom) carved in it:
 
-    Re gamma(w) = e^2 / (2 pi eps0 a^3 M w) * Im[(eps(w) - eps_c)/(2 eps(w) + eps_c)]
+    Re gamma(w) = pref/w * Im R(eps(w)),  R(e) = (e - eps_c)/(2 e + eps_c),
 
-    ``eps_c`` is the static dielectric constant of the cavity interior
-    (the local protein environment). ``eps_inf`` defaults to 1.54 so the
-    static limit is ~78.4, the value for liquid water; the tabulated
-    relaxation coefficients do not pin it down.
+    with pref = e^2/(2 pi eps0 a^3 M). ``eps_c`` is the static dielectric
+    constant of the cavity interior (the local protein environment).
+    ``eps_inf`` defaults to 1.54 so the static limit is ~78.4, the value
+    for liquid water; the tabulated relaxation coefficients do not pin it
+    down.
+
+    Closed forms. Each relaxation term is delta_eps/(1 - i a w - b w^2),
+    with a = tau and b = 1/omega_4^2 for the resonance (b = 0 for the Debye
+    terms). R(eps(w)) is analytic in the upper half plane, so continuing to
+    w = i z, where eps(i z) = eps_inf + sum delta_eps/(1 + a z + b z^2) is
+    real, gives
+
+    gamma_hat(z)        = pref * (R(eps(0)) - R(eps(i z))) / z,
+    int Re gamma(w) dw  = (pi/2) * pref * (R(eps(0)) - R(eps(i inf))).
+
+    The differences are evaluated as R(e1) - R(e2) =
+    3 eps_c (e1 - e2)/((2 e1 + eps_c)(2 e2 + eps_c)), and
+    Im R(e) = 3 eps_c Im e/|2 e + eps_c|^2, so no expression cancels and the
+    w -> 0 and z -> 0 limits need no special case.
     """
 
     cavity_radius: float
@@ -263,27 +260,31 @@ class DebyeDielectricFriction(FrictionModel):
     kind = "debye_dielectric"
 
     def __post_init__(self):
-        if self.cavity_radius <= 0:
-            raise DomainError("cavity radius must be > 0")
-        if self.mass <= 0:
-            raise DomainError("particle mass must be > 0")
+        _require_param("cavity_radius", self.cavity_radius, positive=True)
+        _require_param("mass", self.mass, positive=True)
+        _require_param("eps_c", self.eps_c, positive=True)
+        _require_param("eps_inf", self.eps_inf, positive=True)
+        _require_param("omega_4", self.omega_4)
         if len(self.delta_eps) != 4 or len(self.tau_ps) != 4:
             raise DomainError("expected 4 relaxation strengths and 4 times")
+        _require_param("delta_eps", self.delta_eps)
+        _require_param("tau_ps", self.tau_ps)
 
-    def epsilon(self, omega: float) -> complex:
+    def _terms(self):
+        # (delta_eps, a, b) of each term delta_eps/(1 - i a w - b w^2), with
+        # a in cm (tau times _OMEGA_TAU) and b in cm^2
+        b4 = self.omega_4**-2 if self.omega_4 > 0 else 0.0
+        a = [_OMEGA_TAU * tau for tau in self.tau_ps]
+        return tuple(zip(self.delta_eps, a, (0.0, 0.0, 0.0, b4)))
+
+    def epsilon(self, omega):
         """Complex dielectric function at omega (cm^-1, angular sense).
 
         The sign convention makes Im eps >= 0 for omega >= 0, as required
         for a dissipative medium.
         """
-        w = float(omega)
-        eps = complex(self.eps_inf)
-        for de, tau in zip(self.delta_eps[:3], self.tau_ps[:3]):
-            eps += de / (1.0 - 1j * _OMEGA_TAU * w * tau)
-        x4 = _OMEGA_TAU * w * self.tau_ps[3]
-        r2 = (w / self.omega_4) ** 2 if self.omega_4 > 0 else 0.0
-        eps += self.delta_eps[3] / (1.0 - 1j * x4 - r2)
-        return eps
+        w = _float_or_array(omega)
+        return self.eps_inf + sum(de / (1.0 - b * w * w - 1j * a * w) for de, a, b in self._terms())
 
     def _prefactor(self) -> float:
         # e^2/(2 pi eps0 a^3 M), expressed so division by omega[cm^-1]
@@ -295,37 +296,41 @@ class DebyeDielectricFriction(FrictionModel):
         )
         return pref_si / units.CM1_TO_RAD_PER_S**2
 
-    def _reaction_field_loss(self, omega: float) -> float:
-        eps = self.epsilon(omega)
-        return ((eps - self.eps_c) / (2.0 * eps + self.eps_c)).imag
+    def _static_scale(self) -> float:
+        # pref * 3 eps_c / (2 eps(0) + eps_c)
+        eps0 = self.eps_inf + sum(self.delta_eps)
+        return self._prefactor() * 3.0 * self.eps_c / (2.0 * eps0 + self.eps_c)
 
     def friction_spectrum(self, omega):
-        if np.ndim(omega):
-            return np.array([self.friction_spectrum(w) for w in np.asarray(omega, dtype=float)])
-        w = float(omega)
-        if w < 0:
-            raise DomainError("omega must be >= 0")
-        if w == 0.0:
-            # Im eps ~ omega as omega -> 0, so the limit is finite.
-            slope = _OMEGA_TAU * (
-                sum(de * tau for de, tau in zip(self.delta_eps[:3], self.tau_ps[:3]))
-                + self.delta_eps[3] * self.tau_ps[3]
-            )
-            eps0 = self.epsilon(0.0).real
-            loss_over_w = 3.0 * self.eps_c * slope / (2.0 * eps0 + self.eps_c) ** 2
-            return self._prefactor() * loss_over_w
-        return self._prefactor() * self._reaction_field_loss(w) / w
+        _require_param("omega", omega)
+        w = _float_or_array(omega)
+        eps = self.eps_inf + 0j
+        loss = 0.0  # Im eps(w) / w
+        for de, a, b in self._terms():
+            d = 1.0 - b * w * w - 1j * a * w
+            eps = eps + de / d
+            loss = loss + de * a / (d.real**2 + d.imag**2)
+        den = 2.0 * eps + self.eps_c
+        return self._prefactor() * 3.0 * self.eps_c * loss / (den.real**2 + den.imag**2)
+
+    def laplace_kernel(self, z):
+        _require_positive_z(z)
+        zz = _float_or_array(z)
+        eps = self.eps_inf  # eps(i z)
+        drop = 0.0  # (eps(0) - eps(i z)) / z
+        for de, a, b in self._terms():
+            # term = de/(1 + z s), and de - term = z * term * s
+            s = a + b * zz if b else a
+            term = de / (1.0 + zz * s)
+            eps = eps + term
+            drop = drop + term * s
+        return self._static_scale() * drop / (2.0 * eps + self.eps_c)
 
     def spectrum_integral(self):
-        pts = list(self._feature_frequencies())
-        upper = 50.0 * max(pts)
-        head, _ = integrate.quad(self.friction_spectrum, 0.0, upper, points=pts, **_QUAD_OPTS)
-        tail = _tail_integral(self.friction_spectrum, upper)
-        return head + tail
-
-    def _feature_frequencies(self):
-        relax = [1.0 / (_OMEGA_TAU * tau) for tau in self.tau_ps]
-        return tuple(sorted(relax + [self.omega_4]))
+        # a term with a = b = 0 never relaxes, so eps(i inf) keeps it
+        relaxing = sum(de for de, a, b in self._terms() if a > 0.0 or b > 0.0)
+        eps_hi = self.eps_inf + sum(self.delta_eps) - relaxing
+        return math.pi / 2.0 * self._static_scale() * relaxing / (2.0 * eps_hi + self.eps_c)
 
     def to_json(self):
         return {
@@ -356,14 +361,10 @@ class LinearProteinFriction(FrictionModel):
     kind = "linear_protein"
 
     def __post_init__(self):
-        if self.delta_gamma < 0 or self.slope < 0:
-            raise DomainError("need delta_gamma >= 0 and slope >= 0")
-        if self.cutoff is not None and self.cutoff <= 0:
-            raise DomainError("cutoff must be > 0 or None")
-
-    @property
-    def vectorized_kernel(self):
-        return self.cutoff is not None
+        _require_param("delta_gamma", self.delta_gamma)
+        _require_param("slope", self.slope)
+        if self.cutoff is not None:
+            _require_param("cutoff", self.cutoff, positive=True)
 
     def friction_spectrum(self, omega):
         w = np.asarray(omega, dtype=float)
@@ -398,9 +399,6 @@ class LinearProteinFriction(FrictionModel):
             )
         wc = self.cutoff
         return self.delta_gamma * wc + self.slope * wc * wc
-
-    def _feature_frequencies(self):
-        return (self.cutoff,) if self.cutoff is not None else ()
 
     def to_json(self):
         return {
@@ -451,15 +449,16 @@ def effective_curvature(model: FrictionModel, mass: float = 1.0) -> float:
     return 2.0 / math.pi * mass * model.spectrum_integral()
 
 
-def kernel_upper_bound(model: FrictionModel, z: float) -> float:
+def kernel_upper_bound(model: FrictionModel, z):
     """Rigorous bound on the memory kernel: gamma_hat(z) <= K_e/(M z).
 
     Follows from 1/(w^2+z^2) <= 1/z^2 inside the transform integral, i.e.
     gamma_hat(z) <= (2/(pi z)) int Re gamma(w) dw, which is K_e/(M z).
     The particle mass cancels. Propagates the divergent-integral error.
+    Takes a scalar (returns a float) or an array of z.
     """
     _require_positive_z(z)
-    return 2.0 / math.pi * model.spectrum_integral() / z
+    return 2.0 / math.pi * model.spectrum_integral() / _float_or_array(z)
 
 
 @dataclass(frozen=True)

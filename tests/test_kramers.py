@@ -109,6 +109,25 @@ def test_structured_bath_multiple_roots_returns_largest_with_warning():
     assert mu == pytest.approx(1000.0, rel=1e-6)
 
 
+@pytest.mark.parametrize("params", [(200.0, 0.0, 600.0), (0.0, 150.0, 600.0), (0.0, 0.0, 0.0)])
+def test_frictionless_peaked_bath_has_one_root(params):
+    # a zero kernel leaves f(mu) = mu - omega_b, whose only root is omega_b
+    import warnings
+    from dataclasses import dataclass
+
+    @dataclass(frozen=True)
+    class ScannedPeaked(PeakedFriction):
+        # same kernel, but an override sends the solve down the scan
+        def laplace_kernel(self, z):
+            return PeakedFriction.laplace_kernel(self, z)
+
+    for model in (PeakedFriction(*params), ScannedPeaked(*params)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mu, residual = solve_effective_frequency(1000.0, model)
+        assert mu == 1000.0 and residual == 0.0
+
+
 def test_invalid_omegab_rejected():
     with pytest.raises(DomainError):
         solve_effective_frequency(0.0, None)

@@ -25,6 +25,8 @@ from qtst import (
 )
 from qtst.errors import BelowCrossoverError, DomainError
 
+from oracles import product_exact_then_asymptote, quadrature_kernel
+
 SYSTEM = BarrierSystem(3000.0, 1000.0, 40.0)
 T0 = crossover_temperature(1000.0)
 
@@ -124,14 +126,13 @@ def test_product_with_drude_vs_richardson_long_product_oracle():
 
 
 def test_product_with_quadrature_model_matches_vector_path():
-    # Drude analytic path vs the generic exact-then-asymptote path used by
-    # quadrature-backed kernels, via an equivalent unvectorised wrapper
+    # the array-kernel product vs the exact-then-asymptote oracle sum once
+    # used for quadrature-backed kernels, fed by an equivalent scalar-only
+    # wrapper
     from dataclasses import dataclass
 
     @dataclass(frozen=True)
     class ScalarDrude(DrudeFriction):
-        vectorized_kernel = False
-
         def laplace_kernel(self, z):
             if np.ndim(z):
                 raise AssertionError("scalar path expected")
@@ -140,8 +141,27 @@ def test_product_with_quadrature_model_matches_vector_path():
     model_v = DrudeFriction(gamma=120.0, omega_d=400.0)
     model_s = ScalarDrude(gamma=120.0, omega_d=400.0)
     a = correction_product(SYSTEM, model_v, 310.0).c_qm
-    b = correction_product(SYSTEM, model_s, 310.0).c_qm
+    b = product_exact_then_asymptote(SYSTEM, model_s, 310.0)
     assert b == pytest.approx(a, rel=1e-8)
+
+
+def test_debye_product_matches_quadrature_kernel_oracle():
+    # the closed-form dielectric kernel in the product vs the route the
+    # product once took for it: a quadrature kernel per term for the first
+    # terms and the K_e/(M z) asymptote beyond
+    from dataclasses import dataclass
+
+    @dataclass(frozen=True)
+    class QuadratureDebye(DebyeDielectricFriction):
+        def laplace_kernel(self, z):
+            return quadrature_kernel(self, z)
+
+    model = DebyeDielectricFriction(cavity_radius=3.0)
+    got = correction_product(SYSTEM, model, 300.0).c_qm
+    oracle = product_exact_then_asymptote(
+        SYSTEM, QuadratureDebye(cavity_radius=3.0), 300.0, exact_terms=128
+    )
+    assert got == pytest.approx(oracle, rel=1e-9)
 
 
 def test_isotope_ordering_of_correction():

@@ -20,6 +20,8 @@ from qtst import (
 from qtst.errors import DivergentIntegralError, DomainError
 from qtst import units
 
+from oracles import quadrature_kernel
+
 ALL_FINITE_KE_MODELS = [
     DrudeFriction(gamma=100.0, omega_d=100.0),
     DrudeFriction(gamma=30.0, omega_d=600.0),
@@ -62,6 +64,77 @@ def test_kernel_rejects_nonpositive_z():
             m.laplace_kernel(-5.0)
 
 
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+def test_kernel_rejects_nonfinite_z(z):
+    for m in ALL_FINITE_KE_MODELS + [OhmicFriction(10.0)]:
+        with pytest.raises(DomainError):
+            m.laplace_kernel(z)
+        with pytest.raises(DomainError):
+            m.laplace_kernel(np.array([1.0, z]))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: OhmicFriction(math.nan),
+        lambda: OhmicFriction(math.inf),
+        lambda: DrudeFriction(math.nan, 100.0),
+        lambda: DrudeFriction(100.0, math.inf),
+        lambda: PeakedFriction(math.nan, 100.0, 500.0),
+        lambda: PeakedFriction(200.0, math.inf, 500.0),
+        lambda: PeakedFriction(200.0, 100.0, -math.inf),
+        lambda: LinearProteinFriction(delta_gamma=math.nan),
+        lambda: LinearProteinFriction(slope=math.inf),
+        lambda: LinearProteinFriction(cutoff=math.nan),
+        lambda: DebyeDielectricFriction(cavity_radius=math.nan),
+        lambda: DebyeDielectricFriction(cavity_radius=math.inf),
+        lambda: DebyeDielectricFriction(cavity_radius=3.0, mass=math.nan),
+        lambda: DebyeDielectricFriction(cavity_radius=3.0, omega_4=math.nan),
+        lambda: DebyeDielectricFriction(cavity_radius=3.0, delta_eps=(71.5, math.nan, 1.6, 0.92)),
+        lambda: DebyeDielectricFriction(cavity_radius=3.0, tau_ps=(8.3, 1.0, math.inf, 0.025)),
+    ],
+    ids=[
+        "ohmic-nan", "ohmic-inf", "drude-nan", "drude-inf", "peaked-nan", "peaked-inf",
+        "peaked-neg-inf", "linear-nan", "linear-inf", "linear-cutoff-nan", "debye-radius-nan",
+        "debye-radius-inf", "debye-mass-nan", "debye-omega4-nan", "debye-delta-nan",
+        "debye-tau-inf",
+    ],
+)
+def test_constructor_rejects_nonfinite_parameter(make):
+    with pytest.raises(DomainError):
+        make()
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"eps_c": 0.0},
+        {"eps_c": -2.0},
+        {"eps_inf": 0.0},
+        {"eps_inf": -1.0},
+        {"delta_eps": (71.5, -2.8, 1.6, 0.92)},
+        {"tau_ps": (8.3, 1.0, -0.1, 0.025)},
+    ],
+    ids=["eps_c-zero", "eps_c-negative", "eps_inf-zero", "eps_inf-negative",
+         "delta_eps-negative", "tau_ps-negative"],
+)
+def test_dielectric_rejects_unphysical_constants(kwargs):
+    # eps_c = -2 once gave a negative spectrum, breaking the kernel bound
+    with pytest.raises(DomainError):
+        DebyeDielectricFriction(cavity_radius=3.0, **kwargs)
+
+
+def test_kernel_bound_accepts_arrays():
+    m = PeakedFriction(gamma_r=200.0, width=150.0, omega_r=600.0)
+    zs = [1.0, 10.0, 250.0]
+    got = kernel_upper_bound(m, zs)
+    assert isinstance(got, np.ndarray) and got.shape == (3,)
+    assert list(got) == [kernel_upper_bound(m, z) for z in zs]
+    assert isinstance(kernel_upper_bound(m, 10.0), float)
+    with pytest.raises(DomainError):
+        kernel_upper_bound(m, [1.0, 0.0])
+
+
 def test_drude_approaches_ohmic_at_large_cutoff():
     z = 100.0
     drude = DrudeFriction(gamma=75.0, omega_d=1e6 * z)
@@ -69,10 +142,10 @@ def test_drude_approaches_ohmic_at_large_cutoff():
 
 
 def test_numeric_kernel_matches_analytic_for_drude():
-    # the base-class quadrature path, checked against the closed form
+    # the quadrature oracle, checked against the closed form
     m = DrudeFriction(gamma=120.0, omega_d=250.0)
     for z in (3.0, 70.0, 900.0):
-        numeric = super(DrudeFriction, m).laplace_kernel.__get__(m)(z)
+        numeric = quadrature_kernel(m, z)
         assert numeric == pytest.approx(m.laplace_kernel(z), rel=1e-8)
 
 
@@ -231,6 +304,25 @@ def test_cavity_friction_spot_value_vs_independent_oracle():
     rad_s_per_cm1 = 2.0 * math.pi * 2.99792458e10
     expected = pref * loss / (w * rad_s_per_cm1) / rad_s_per_cm1
     assert cavity_friction(m, w) == pytest.approx(expected, rel=1e-10)
+
+
+def test_dielectric_array_calls_match_scalar_calls():
+    m = DebyeDielectricFriction(cavity_radius=3.0)
+    w = np.geomspace(0.01, 3000.0, 40)
+    assert isinstance(m.epsilon(100.0), complex)
+    assert isinstance(m.friction_spectrum(100.0), float)
+    assert isinstance(m.laplace_kernel(100.0), float)
+    # numpy and Python complex division may round differently in the last bit
+    for f in (m.epsilon, m.friction_spectrum, m.laplace_kernel):
+        np.testing.assert_allclose(f(w), [f(float(x)) for x in w], rtol=1e-15, atol=0.0)
+
+
+def test_dielectric_spectrum_zero_frequency_limit():
+    # Im eps ~ omega as omega -> 0, so Re gamma has a finite limit at 0,
+    # reached with a relative error of order (omega*tau)^2
+    m = DebyeDielectricFriction(cavity_radius=3.0, eps_c=2.0)
+    assert m.friction_spectrum(0.0) == pytest.approx(cavity_friction(m, 1e-6), rel=1e-9)
+    assert np.isfinite(m.friction_spectrum(np.array([0.0, 1.0]))).all()
 
 
 def test_cavity_friction_rejects_bad_radius():
