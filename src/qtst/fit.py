@@ -23,7 +23,9 @@ from scipy.optimize import least_squares
 
 from . import units
 from .errors import DomainError, FitConvergenceError
-from .kie import ArrheniusParams, kie_qtst
+from .kie import ArrheniusParams, _log_kie
+from .kramers import crossover_temperature
+from .spectral import _require_param
 from .units import Isotope
 
 __all__ = [
@@ -56,16 +58,15 @@ class KIEDataset:
         y = np.asarray(self.kie, dtype=float)
         if T.ndim != 1 or T.shape != y.shape:
             raise DomainError("T_K and kie must be 1-d sequences of equal length")
-        if np.any(T <= 0):
-            raise DomainError("temperatures must be > 0")
+        _require_param("temperatures", T, positive=True)
         if np.unique(T).size != T.size:
             raise DomainError("temperatures must be distinct")
-        if np.any(y <= 0):
-            raise DomainError("KIE values must be > 0")
+        _require_param("KIE values", y, positive=True)
         if self.sigma is not None:
             s = np.asarray(self.sigma, dtype=float)
-            if s.shape != T.shape or np.any(s <= 0):
-                raise DomainError("sigma must match the data length and be > 0")
+            if s.shape != T.shape:
+                raise DomainError("sigma must match the data length")
+            _require_param("sigma", s, positive=True)
 
     def __len__(self) -> int:
         return len(self.T_K)
@@ -164,20 +165,17 @@ class FitResult:
 
 
 def _kie_model(T, omega0, omegab, light, heavy):
-    """KIE model value with a smooth below-crossover penalty.
+    """KIE model on the temperature array T, with a smooth below-crossover penalty.
 
     For trial omegab pushing T under the light isotope's crossover, the
     temperature is clamped just above it and the value is inflated
     quadratically in the violation, keeping the objective continuous so
     the damped least-squares iteration can retreat smoothly.
     """
-    T0 = units.CROSSOVER_K_PER_CM1 * omegab / math.sqrt(light.mass_number)
-    T_min = (1.0 + _CROSSOVER_MARGIN) * T0
-    if T > T_min:
-        return kie_qtst(omega0, omegab, T, light, heavy).ratio
-    u = (T_min - T) / T0
-    base = kie_qtst(omega0, omegab, T_min, light, heavy).ratio
-    return base * (1.0 + _PENALTY_SCALE * u * u)
+    T0 = crossover_temperature(units.isotope_frequency(omegab, light))
+    T_clamped = np.maximum(T, (1.0 + _CROSSOVER_MARGIN) * T0)
+    u = (T_clamped - T) / T0
+    return np.exp(_log_kie(omega0, omegab, T_clamped, light, heavy)) * (1.0 + _PENALTY_SCALE * u * u)
 
 
 def fit_kie(data: KIEDataset, config: Optional[FitConfig] = None) -> FitResult:
@@ -199,11 +197,7 @@ def fit_kie(data: KIEDataset, config: Optional[FitConfig] = None) -> FitResult:
 
     # Quick feasibility check: the smallest admissible omegab must leave
     # at least one point above the crossover.
-    T0_floor = (
-        units.CROSSOVER_K_PER_CM1
-        * config.omegab_bounds[0]
-        / math.sqrt(data.light.mass_number)
-    )
+    T0_floor = crossover_temperature(units.isotope_frequency(config.omegab_bounds[0], data.light))
     if np.max(T) <= (1.0 + _CROSSOVER_MARGIN) * T0_floor:
         raise FitConvergenceError(
             "all data points lie below the crossover temperature for every "
@@ -212,8 +206,7 @@ def fit_kie(data: KIEDataset, config: Optional[FitConfig] = None) -> FitResult:
 
     def residuals(params):
         om0, omb = params
-        model = np.array([_kie_model(t, om0, omb, data.light, data.heavy) for t in T])
-        return w * (model - y)
+        return w * (_kie_model(T, om0, omb, data.light, data.heavy) - y)
 
     lo = (config.omega0_bounds[0], config.omegab_bounds[0])
     hi = (config.omega0_bounds[1], config.omegab_bounds[1])
@@ -255,7 +248,7 @@ def fit_kie(data: KIEDataset, config: Optional[FitConfig] = None) -> FitResult:
     cov = np.linalg.pinv(jtj) * s2
     cov = 0.5 * (cov + cov.T)
     omega0, omegab = map(float, best.x)
-    implied_T0 = units.CROSSOVER_K_PER_CM1 * omegab
+    implied_T0 = crossover_temperature(omegab)
     return FitResult(
         omega0=omega0,
         omegab=omegab,

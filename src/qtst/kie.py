@@ -7,9 +7,12 @@ the barrier frequency omega_b (both quoted for hydrogen):
     k_l/k_h = sqrt(m_h/m_l) * sinh(x0/sqrt(m_l))/sinh(x0/sqrt(m_h))
                             * sin(xb/sqrt(m_h))/sin(xb/sqrt(m_l)),
 
-x = hbar*omega/(2 kB T). Expanding around a reference temperature gives
-apparent Arrhenius parameters that can be compared directly with the
-values extracted from experimental Arrhenius plots.
+x = hbar*omega/(2 kB T). That is sqrt(m_h/m_l) times the ratio of the two
+isotopes' zero-friction corrections (omega_b/omega_0) sinh(x0)/sin(xb), each
+at its own frequencies omega/sqrt(m); the closed form lives in
+``qtst.qcorr``. Expanding around a reference temperature gives apparent
+Arrhenius parameters that can be compared directly with the values
+extracted from experimental Arrhenius plots.
 """
 
 from __future__ import annotations
@@ -21,7 +24,10 @@ from importlib import resources
 
 from . import units
 from .errors import BelowCrossoverError, DomainError
-from .units import Isotope
+from .kramers import crossover_temperature
+from .qcorr import _log_closed
+from .spectral import _require_param
+from .units import Isotope, isotope_frequency
 
 __all__ = [
     "ArrheniusParams",
@@ -127,24 +133,28 @@ class ClassificationReport:
         }
 
 
-def _crossover_for(omegab_H: float, isotope: Isotope) -> float:
-    return units.CROSSOVER_K_PER_CM1 * units.isotope_frequency(omegab_H, isotope)
+def _require_kie_args(omega0_H, omegab_H, T, light: Isotope, heavy: Isotope) -> float:
+    """Check KIE arguments; return the light isotope's crossover, the one that binds."""
+    _require_param("omega0", omega0_H, positive=True)
+    _require_param("omegab", omegab_H, positive=True)
+    _require_param("temperature", T, positive=True)
+    if light.mass_number > heavy.mass_number:
+        raise DomainError("light isotope must not be heavier than heavy isotope")
+    T0_light = crossover_temperature(isotope_frequency(omegab_H, light))
+    if T <= T0_light:
+        raise BelowCrossoverError(T, T0_light, label=light.name)
+    return T0_light
 
 
-def _log_sinh(x: float) -> float:
-    if x > 20.0:
-        return x - math.log(2.0) + math.log1p(-math.exp(-2.0 * x))
-    return math.log(math.sinh(x))
+def _log_kie(omega0_H, omegab_H, T, light: Isotope, heavy: Isotope):
+    """log KIE = (1/2) log(m_h/m_l) + L(light) - L(heavy), with L the log of
+    the closed-form correction at the isotope's frequencies; T may be an
+    array, every entry above the light isotope's crossover."""
 
+    def log_closed(iso):
+        return _log_closed(isotope_frequency(omega0_H, iso), isotope_frequency(omegab_H, iso), T)
 
-def _sin_barrier(omegab_H: float, isotope: Isotope, T: float) -> float:
-    # sin(hbar*omega_b/(2 sqrt(m) kB T)). The crossover identity
-    # sin(pi*T0/T) = sin(pi*(T-T0)/T) keeps precision next to the
-    # isotope's own crossover; the direct form is exact far above it.
-    T0 = _crossover_for(omegab_H, isotope)
-    if T >= 2.0 * T0:
-        return math.sin(math.pi * T0 / T)
-    return math.sin(math.pi * (T - T0) / T)
+    return 0.5 * math.log(heavy.mass_number / light.mass_number) + log_closed(light) - log_closed(heavy)
 
 
 def kie_qtst(
@@ -159,28 +169,9 @@ def kie_qtst(
     Defined for T above the crossover of the light isotope, which crosses
     first since omega_b/sqrt(m) is largest for it.
     """
-    if omega0_H <= 0 or omegab_H <= 0:
-        raise DomainError("frequencies must be > 0")
-    if T <= 0:
-        raise DomainError("temperature must be > 0")
-    if light.mass_number > heavy.mass_number:
-        raise DomainError("light isotope must not be heavier than heavy isotope")
-    T0_light = _crossover_for(omegab_H, light)
-    if T <= T0_light:
-        raise BelowCrossoverError(T, T0_light, label=light.name)
-    if light is heavy:
-        return KIEPrediction(1.0, T, light, heavy, T0_light, T >= 1.05 * T0_light)
-    m_l, m_h = light.mass_number, heavy.mass_number
-    x0 = units.CM1_TO_K * omega0_H / (2.0 * T)
-    log_ratio = (
-        0.5 * math.log(m_h / m_l)
-        + _log_sinh(x0 / math.sqrt(m_l))
-        - _log_sinh(x0 / math.sqrt(m_h))
-        + math.log(_sin_barrier(omegab_H, heavy, T))
-        - math.log(_sin_barrier(omegab_H, light, T))
-    )
+    T0_light = _require_kie_args(omega0_H, omegab_H, T, light, heavy)
     return KIEPrediction(
-        ratio=math.exp(log_ratio),
+        ratio=math.exp(_log_kie(omega0_H, omegab_H, T, light, heavy)),
         T_K=T,
         light=light,
         heavy=heavy,
@@ -203,21 +194,10 @@ def apparent_arrhenius(
     hbar*omega_0 well above 2 kB T_R; ``expansion_ok`` is False when the
     heavy isotope violates hbar*omega_0/sqrt(m) >= 4 kB T_R.
     """
-    if omega0_H <= 0 or omegab_H <= 0:
-        raise DomainError("frequencies must be > 0")
-    if T_R <= 0:
-        raise DomainError("temperature must be > 0")
-    if light.mass_number > heavy.mass_number:
-        raise DomainError("light isotope must not be heavier than heavy isotope")
-    T0_light = _crossover_for(omegab_H, light)
-    if T_R <= T0_light:
-        raise BelowCrossoverError(T_R, T0_light, label=light.name)
+    _require_kie_args(omega0_H, omegab_H, T_R, light, heavy)
     expansion_ok = (
         units.CM1_TO_K * omega0_H / math.sqrt(heavy.mass_number) >= 4.0 * T_R
     )
-    if light is heavy:
-        return ApparentArrhenius(1.0, 0.0, T_R, expansion_ok)
-
     s_l = 1.0 / math.sqrt(light.mass_number)
     s_h = 1.0 / math.sqrt(heavy.mass_number)
     b = units.CM1_TO_K * omegab_H / (2.0 * T_R)  # = beta_R hbar omega_b / 2

@@ -31,7 +31,7 @@ from .kramers import (
     classical_rate,
     effective_barrier_frequency,
 )
-from .spectral import FrictionModel
+from .spectral import FrictionModel, _require_param
 from .units import Isotope
 
 __all__ = [
@@ -53,6 +53,8 @@ __all__ = [
 _NU_CM1_PER_K = 1.0 / units.CROSSOVER_K_PER_CM1
 
 _MAX_TERMS = 50_000_000
+
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -95,8 +97,7 @@ class CrossoverParams:
 
 def matsubara_frequency(n: int, T: float) -> float:
     """n-th bosonic thermal frequency 2*pi*n*kB*T/hbar, in cm^-1."""
-    if T <= 0:
-        raise DomainError("temperature must be > 0")
+    _require_param("temperature", T, positive=True)
     return n * T * _NU_CM1_PER_K
 
 
@@ -115,8 +116,7 @@ def correction_product(
     the post-tail truncation error far below 1e-8 while staying fast on
     dense temperature grids.
     """
-    if T <= 0:
-        raise DomainError("temperature must be > 0")
+    _require_param("temperature", T, positive=True)
     barrier = effective_barrier_frequency(system, model)
     if T <= barrier.T0_K:
         raise BelowCrossoverError(T, barrier.T0_K)
@@ -157,23 +157,35 @@ def correction_product(
     return CorrectionResult(c_qm=c_qm, regime=regime, terms_used=n_used, tail_estimate=tail)
 
 
-def _log_sinh(x: float) -> float:
-    # log(sinh x) without overflow for large x
-    if x <= 0:
-        raise DomainError("sinh argument must be > 0")
-    if x > 20.0:
-        return x - math.log(2.0) + math.log1p(-math.exp(-2.0 * x))
-    return math.log(math.sinh(x))
+def _log_sinh(x, xp):
+    # log(sinh x) = x - ln 2 + log(1 - exp(-2x)), xp = math or numpy: no overflow
+    return x - _LN2 + xp.log(-xp.expm1(-2.0 * x))
 
 
-def _sin_barrier(omegab: float, T: float) -> float:
-    # sin(hbar*omegab/(2 kB T)). Near the crossover the argument sits just
-    # under pi, so the identity sin(pi*T0/T) = sin(pi*(T-T0)/T) preserves
-    # precision; far above T0 the direct small argument is already exact.
+def _log_closed(omega0, omegab, T):
+    """log[(omega_b/omega_0) sinh(x0)/sin(xb)] with x = hbar*omega/(2 kB T),
+    for T (a scalar or an array) above T0 = crossover_temperature(omegab).
+
+    The one home of the closed form; ``correction_closed``, ``wigner_rate``
+    and the KIE all use it. Since sin(pi*T0/T) = sin(pi*(T - T0)/T), the
+    sine takes the smaller argument: T - T0 keeps precision next to T0, and
+    the direct argument is exact far above it. A scalar T is evaluated with
+    ``math``, which is several times faster than numpy on one number.
+    """
+    xp, minimum = (np, np.minimum) if isinstance(T, np.ndarray) else (math, min)
     T0 = crossover_temperature(omegab)
-    if T >= 2.0 * T0:
-        return math.sin(math.pi * T0 / T)
-    return math.sin(math.pi * (T - T0) / T)
+    x0 = units.CM1_TO_K * omega0 / (2.0 * T)
+    sin_xb = xp.sin(math.pi * minimum(T0, T - T0) / T)
+    return math.log(omegab / omega0) + _log_sinh(x0, xp) - xp.log(sin_xb)
+
+
+def _require_above_crossover(omegab: float, T: float) -> float:
+    # the closed form diverges as T -> T0+, so T within 1e-9 of T0 is rejected
+    _require_param("temperature", T, positive=True)
+    T0 = crossover_temperature(omegab)
+    if T <= T0 * (1.0 + 1e-9):
+        raise BelowCrossoverError(T, T0)
+    return T0
 
 
 def correction_closed(omega0: float, omegab: float, T: float) -> float:
@@ -183,15 +195,10 @@ def correction_closed(omega0: float, omegab: float, T: float) -> float:
     diverges as T -> T0+ (an artefact of the parabolic barrier top), so
     temperatures within 1e-9 of T0 are rejected.
     """
-    if omega0 <= 0 or omegab <= 0:
-        raise DomainError("frequencies must be > 0")
-    if T <= 0:
-        raise DomainError("temperature must be > 0")
-    T0 = crossover_temperature(omegab)
-    if T <= T0 * (1.0 + 1e-9):
-        raise BelowCrossoverError(T, T0)
-    x0 = units.CM1_TO_K * omega0 / (2.0 * T)
-    return math.exp(math.log(omegab / omega0) + _log_sinh(x0) - math.log(_sin_barrier(omegab, T)))
+    _require_param("omega0", omega0, positive=True)
+    _require_param("omegab", omegab, positive=True)
+    _require_above_crossover(omegab, T)
+    return math.exp(_log_closed(omega0, omegab, T))
 
 
 def wigner_rate(system: BarrierSystem, T: float) -> RateResult:
@@ -201,20 +208,10 @@ def wigner_rate(system: BarrierSystem, T: float) -> RateResult:
     classical-rate-times-product form by a factor of 2 in the prefactor
     convention (see ``quantum_rate``).
     """
-    if T <= 0:
-        raise DomainError("temperature must be > 0")
     omega0, omegab = system.omega0, system.omegab
-    T0 = crossover_temperature(omegab)
-    if T <= T0 * (1.0 + 1e-9):
-        raise BelowCrossoverError(T, T0)
-    x0 = units.CM1_TO_K * omega0 / (2.0 * T)
+    T0 = _require_above_crossover(omegab, T)
     beta_e = system.barrier_kJ_per_mol / (units.KB_KJ_PER_MOL_K * T)
-    log_rate_cm1 = (
-        math.log(omegab / (4.0 * math.pi))
-        + _log_sinh(x0)
-        - math.log(_sin_barrier(omegab, T))
-        - beta_e
-    )
+    log_rate_cm1 = math.log(omega0 / (4.0 * math.pi)) + _log_closed(omega0, omegab, T) - beta_e
     rate_cm1 = math.exp(log_rate_cm1)
     regime = "near_crossover" if T < 1.1 * T0 else "qtst"
     return RateResult(
@@ -230,8 +227,7 @@ def wigner_rate(system: BarrierSystem, T: float) -> RateResult:
 
 def semiclassical_rate(system: BarrierSystem, T: float) -> RateResult:
     """Zero-point-corrected activated rate (kB T/h) exp(-(E_b - hbar w0/2)/kB T)."""
-    if T <= 0:
-        raise DomainError("temperature must be > 0")
+    _require_param("temperature", T, positive=True)
     zero_point = 0.5 * system.omega0 * units.CM1_TO_KJ_PER_MOL
     exponent = -(system.barrier_kJ_per_mol - zero_point) / (units.KB_KJ_PER_MOL_K * T)
     rate_s = units.KB_OVER_H_PER_S_K * T * math.exp(exponent)
@@ -268,10 +264,8 @@ def correction_crossover(system: BarrierSystem, T: float, kappa_at_T0: float) ->
     exp(y^2)*erfc(y). Valid in the crossover neighbourhood and above,
     T > 0.9*T0.
     """
-    if kappa_at_T0 <= 0:
-        raise DomainError("kappa must be > 0")
-    if T <= 0:
-        raise DomainError("temperature must be > 0")
+    _require_param("kappa", kappa_at_T0, positive=True)
+    _require_param("temperature", T, positive=True)
     omega0, omegab = system.omega0, system.omegab
     T0 = crossover_temperature(omegab)
     if T <= 0.9 * T0:
@@ -285,7 +279,7 @@ def correction_crossover(system: BarrierSystem, T: float, kappa_at_T0: float) ->
     s = math.pi * eps / (1.0 - eps)
     q = (1.0 - 0.5 * eps) * (1.0 - eps) * kappa_at_T0 / math.pi * _scaled_sine_ratio(s)
     x0 = units.CM1_TO_K * omega0 / (2.0 * T)
-    prefactor = math.exp(math.log(omegab / omega0) + _log_sinh(x0))
+    prefactor = math.exp(math.log(omegab / omega0) + _log_sinh(x0, math))
     return prefactor * math.sqrt(math.pi) * q * float(erfcx(y))
 
 
@@ -328,8 +322,7 @@ def equilibrium_condition(
     very weak friction with a low barrier invalidates the equilibrium
     assumption behind the rate expressions.
     """
-    if T <= 0:
-        raise DomainError("temperature must be > 0")
+    _require_param("temperature", T, positive=True)
     if system.barrier_kJ_per_mol == 0:
         raise DomainError("equilibrium condition is undefined for a zero barrier")
     rhs = units.KB_KJ_PER_MOL_K * T / system.barrier_kJ_per_mol

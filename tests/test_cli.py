@@ -319,6 +319,18 @@ def test_domain_error_exit_code():
                 "--pair", "T:T"]) == 3
 
 
+@pytest.mark.parametrize("flag", ["--omega0", "--omegab"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_kie_predict_non_finite_frequency_is_domain_error(tmp_path, flag, value):
+    args = {"--omega0": "3000", "--omegab": "1000"}
+    args[flag] = value
+    out = tmp_path / "kie.csv"
+    rc = run(["kie-predict", "--omega0", args["--omega0"], "--omegab", args["--omegab"],
+              "--tmin", "275", "--tmax", "325", "--output", str(out)])
+    assert rc == 3
+    assert not out.exists()
+
+
 def test_help_lists_units_for_numeric_flags(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["kie-predict", "--help"])

@@ -9,6 +9,7 @@ from qtst import (
     Isotope,
     KIEDataset,
     apparent_arrhenius,
+    crossover_temperature,
     fit_arrhenius,
     fit_kie,
     kie_qtst,
@@ -44,6 +45,23 @@ def test_noisy_recovery_within_five_percent():
     res = fit_kie(synth_dataset(noise=0.02, seed=1234))
     assert res.omega0 == pytest.approx(3000.0, rel=0.05)
     assert res.omegab == pytest.approx(1000.0, rel=0.05)
+
+
+def test_kie_model_is_kie_qtst_above_the_clamp_and_penalised_below():
+    from qtst.fit import _kie_model
+
+    omega0, omegab = 3000.0, 1000.0
+    t0 = crossover_temperature(omegab)
+    T = np.linspace(0.9 * t0, 2.0 * t0, 23)
+    model = _kie_model(T, omega0, omegab, Isotope.H, Isotope.T)
+    T_min = 1.02 * t0
+    for t, value in zip(T, model):
+        if t > T_min:
+            expected = kie_qtst(omega0, omegab, float(t), Isotope.H, Isotope.T).ratio
+        else:
+            u = (T_min - t) / t0
+            expected = kie_qtst(omega0, omegab, T_min, Isotope.H, Isotope.T).ratio * (1.0 + 10.0 * u * u)
+        assert value == pytest.approx(expected, rel=1e-13)
 
 
 def test_fit_implied_crossover_and_validity():
@@ -151,6 +169,15 @@ def test_dataset_from_csv_file_with_sidecar(tmp_path):
     data = KIEDataset.from_csv(csv_path)
     assert data.light is Isotope.D and data.heavy is Isotope.T
     assert data.label == "demo"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["T_K", "kie", "sigma"])
+def test_dataset_rejects_non_finite_values(field, bad):
+    columns = {"T_K": [280.0, 300.0, 320.0], "kie": [9.0, 8.0, 7.0], "sigma": [0.1, 0.1, 0.1]}
+    columns[field][1] = bad
+    with pytest.raises(DomainError):
+        KIEDataset(tuple(columns["T_K"]), tuple(columns["kie"]), tuple(columns["sigma"]))
 
 
 def test_dataset_rejects_bad_csv():

@@ -7,6 +7,9 @@ from qtst import (
     Isotope,
     apparent_arrhenius,
     classify,
+    correction_closed,
+    crossover_temperature,
+    isotope_frequency,
     kie_qtst,
     load_barrier_frequencies,
     load_limits,
@@ -80,7 +83,49 @@ def test_kie_rejects_inverted_pair():
         kie_qtst(3000.0, 1000.0, 300.0, Isotope.T, Isotope.H)
 
 
+NON_FINITE_KIE_ARGS = [
+    (math.nan, 1000.0, 300.0),
+    (3000.0, math.nan, 300.0),
+    (3000.0, 1000.0, math.nan),
+    (math.inf, 1000.0, 300.0),
+    (3000.0, math.inf, 300.0),
+    (3000.0, 1000.0, math.inf),
+    (3000.0, 1000.0, -math.inf),
+]
+NON_FINITE_IDS = ["omega0-nan", "omegab-nan", "T-nan", "omega0-inf", "omegab-inf", "T-inf", "T-neg-inf"]
+
+
+@pytest.mark.parametrize("args", NON_FINITE_KIE_ARGS, ids=NON_FINITE_IDS)
+def test_kie_rejects_non_finite_input(args):
+    with pytest.raises(DomainError):
+        kie_qtst(*args, Isotope.H, Isotope.D)
+
+
+def test_kie_equals_ratio_of_closed_form_corrections():
+    # the KIE is sqrt(m_h/m_l) times the ratio of the two zero-friction
+    # corrections at each isotope's frequencies
+    for light, heavy in ((Isotope.H, Isotope.D), (Isotope.H, Isotope.T), (Isotope.D, Isotope.T)):
+        for omega0, omegab in ((3000.0, 1000.0), (1500.0, 400.0), (4500.0, 2500.0)):
+            t0 = crossover_temperature(isotope_frequency(omegab, light))
+            for T in t0 * np.geomspace(1.0 + 1e-6, 20.0, 15):
+                T = float(T)
+                closed = [
+                    correction_closed(isotope_frequency(omega0, iso), isotope_frequency(omegab, iso), T)
+                    for iso in (light, heavy)
+                ]
+                expected = math.sqrt(heavy.mass_number / light.mass_number) * closed[0] / closed[1]
+                assert kie_qtst(omega0, omegab, T, light, heavy).ratio == pytest.approx(
+                    expected, rel=1e-13
+                )
+
+
 # ---------------------------------------------------- apparent Arrhenius
+
+
+@pytest.mark.parametrize("args", NON_FINITE_KIE_ARGS, ids=NON_FINITE_IDS)
+def test_apparent_arrhenius_rejects_non_finite_input(args):
+    with pytest.raises(DomainError):
+        apparent_arrhenius(*args, Isotope.H, Isotope.D)
 
 
 def test_apparent_arrhenius_reference_values_H_T():

@@ -51,8 +51,8 @@ finite_ke_models = st.one_of(
         cutoff=st.floats(100.0, 1000.0),
     ),
 )
-# the linear-protein kernel loses digits to cancellation beyond z ~ 1e4*cutoff
-z_arrays = st.lists(_log_uniform(1e-2, 1e5), min_size=1, max_size=40).map(np.array)
+# up to the z ~ 1e8 that the Matsubara product reaches, and beyond
+z_arrays = st.lists(_log_uniform(1e-2, 1e9), min_size=1, max_size=40).map(np.array)
 
 
 @PROPERTY

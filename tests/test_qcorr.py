@@ -69,6 +69,23 @@ def test_closed_form_diverges_toward_crossover():
         correction_closed(3000.0, 1000.0, T0 * (1 + 1e-12))
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        (math.nan, 1000.0, 300.0),
+        (3000.0, math.nan, 300.0),
+        (3000.0, 1000.0, math.nan),
+        (math.inf, 1000.0, 300.0),
+        (3000.0, math.inf, 300.0),
+        (3000.0, 1000.0, math.inf),
+    ],
+    ids=["omega0-nan", "omegab-nan", "T-nan", "omega0-inf", "omegab-inf", "T-inf"],
+)
+def test_closed_form_rejects_non_finite_input(args):
+    with pytest.raises(DomainError):
+        correction_closed(*args)
+
+
 # ---------------------------------------------------------- product form
 
 
@@ -192,6 +209,46 @@ def test_wigner_rate_spot_value_frozen_oracle():
     r = wigner_rate(SYSTEM, 300.0)
     assert r.rate_per_s == pytest.approx(1599469170.1195802, rel=1e-11)
     assert r.rate_cm1 == pytest.approx(0.008491321844648368, rel=1e-11)
+
+
+@pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf])
+def test_wigner_rate_rejects_non_finite_temperature(T):
+    with pytest.raises(DomainError):
+        wigner_rate(SYSTEM, T)
+
+
+@pytest.mark.parametrize("T", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda T: matsubara_frequency(1, T),
+        lambda T: correction_product(SYSTEM, None, T),
+        lambda T: quantum_rate(SYSTEM, DrudeFriction(100.0, 100.0), T),
+        lambda T: semiclassical_rate(SYSTEM, T),
+        lambda T: correction_crossover(SYSTEM, T, 10.0),
+        lambda T: equilibrium_condition(SYSTEM, DrudeFriction(100.0, 100.0), T),
+    ],
+    ids=["matsubara", "product", "quantum_rate", "semiclassical", "crossover", "equilibrium"],
+)
+def test_non_finite_temperature_fails_fast(call, T):
+    # NaN passes every `T <= 0` test, and the product would then run to its term limit
+    with pytest.raises(DomainError):
+        call(T)
+
+
+def test_wigner_rate_is_closed_form_times_boltzmann_factor():
+    # rate = omega_0/(4 pi) * correction_closed * exp(-E_b/kB T)
+    kb_kj = 1.380649e-23 * 6.02214076e23 / 1000.0
+    for system in (SYSTEM, BarrierSystem(1500.0, 400.0, 25.0, Isotope.D)):
+        t0 = crossover_temperature(system.omegab)
+        for T in t0 * np.geomspace(1.001, 20.0, 12):
+            T = float(T)
+            expected = (
+                system.omega0 / (4.0 * math.pi)
+                * correction_closed(system.omega0, system.omegab, T)
+                * math.exp(-system.barrier_kJ_per_mol / (kb_kj * T))
+            )
+            assert wigner_rate(system, T).rate_cm1 == pytest.approx(expected, rel=1e-13)
 
 
 def test_wigner_rate_vanishes_with_huge_barrier():

@@ -224,6 +224,25 @@ def test_effective_curvature_vs_trapezoid_oracle(model):
     assert effective_curvature(model) == pytest.approx(2.0 / math.pi * integral, rel=1e-6)
 
 
+def test_linear_kernel_series_and_sici_forms_agree_at_switch():
+    from qtst.spectral import _SERIES_FROM, _fg_series, _fg_sici
+
+    x = np.array([_SERIES_FROM])
+    for near, far in zip(_fg_sici(x), _fg_series(x)):
+        np.testing.assert_allclose(far, near, rtol=1e-13, atol=0.0)
+
+
+def test_linear_kernel_within_bound_at_large_z():
+    # z/cutoff >= 1e4, where the sici form cancels to a few digits
+    m = LinearProteinFriction(0.0, 1.0, 100.0)
+    z = np.geomspace(1e6, 1e12, 25)
+    assert np.all(m.laplace_kernel(z) <= kernel_upper_bound(m, z) * (1.0 + 1e-15))
+    # gamma_hat = K_e/(M z) (1 - 6 (cutoff/z)^2 + O((cutoff/z)^4))
+    np.testing.assert_allclose(
+        m.laplace_kernel(z), kernel_upper_bound(m, z) * (1.0 - 6.0 * (100.0 / z) ** 2), rtol=1e-12
+    )
+
+
 # ------------------------------------------------------------ the bound
 
 
@@ -323,6 +342,45 @@ def test_dielectric_spectrum_zero_frequency_limit():
     m = DebyeDielectricFriction(cavity_radius=3.0, eps_c=2.0)
     assert m.friction_spectrum(0.0) == pytest.approx(cavity_friction(m, 1e-6), rel=1e-9)
     assert np.isfinite(m.friction_spectrum(np.array([0.0, 1.0]))).all()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: debye_dielectric(m, math.nan),
+        lambda m: debye_dielectric(m, math.inf),
+        lambda m: debye_dielectric(m, [1.0, math.nan]),
+        lambda m: cavity_friction(m, math.nan),
+        lambda m: cavity_friction(m, math.inf),
+        lambda m: cavity_friction(m, [1.0, 0.0]),
+        lambda m: effective_curvature(m, mass=math.nan),
+        lambda m: effective_curvature(m, mass=math.inf),
+    ],
+    ids=["dielectric-nan", "dielectric-inf", "dielectric-list-nan", "cavity-nan", "cavity-inf",
+         "cavity-list-zero", "curvature-mass-nan", "curvature-mass-inf"],
+)
+def test_dielectric_helpers_reject_non_finite_input(call):
+    with pytest.raises(DomainError):
+        call(DebyeDielectricFriction(cavity_radius=3.0))
+
+
+def test_debye_dielectric_takes_a_list():
+    m = DebyeDielectricFriction(cavity_radius=3.0)
+    w = [0.0, 10.0, 100.0]
+    np.testing.assert_array_equal(debye_dielectric(m, w), m.epsilon(np.array(w)))
+
+
+def test_cavity_friction_takes_a_list():
+    m = DebyeDielectricFriction(cavity_radius=3.0)
+    w = [1.0, 10.0, 100.0]
+    np.testing.assert_array_equal(cavity_friction(m, w), m.friction_spectrum(np.array(w)))
+
+
+def test_effective_curvature_takes_an_array_of_masses():
+    m = DrudeFriction(gamma=100.0, omega_d=200.0)
+    np.testing.assert_allclose(
+        effective_curvature(m, mass=[1.0, 2.0, 3.0]), [2e4, 4e4, 6e4], rtol=1e-12
+    )
 
 
 def test_cavity_friction_rejects_bad_radius():
