@@ -316,17 +316,13 @@ def cmd_spectral(args):
         raise ConfigError("a friction model is required (--friction or --gamma/--omega-d)")
     if args.zmin <= 0 or args.zmax < args.zmin or args.points < 1:
         raise ConfigError("need 0 < zmin <= zmax and points >= 1")
-    zs = np.geomspace(args.zmin, args.zmax, args.points)
-    rows = []
-    for z in zs:
-        z = float(z)
-        kernel = model.laplace_kernel(z)
-        spectrum = model.friction_spectrum(z)
-        try:
-            bound = spectral.kernel_upper_bound(model, z)
-        except DomainError:
-            bound = math.nan
-        rows.append((z, kernel, spectrum, bound))
+    z = np.geomspace(args.zmin, args.zmax, args.points)
+    try:
+        bound = spectral.kernel_upper_bound(model, z)
+    except DomainError:
+        bound = np.full_like(z, math.nan)
+    columns = (z, model.laplace_kernel(z), model.friction_spectrum(z), bound)
+    rows = zip(*(c.tolist() for c in columns))
     text = _csv_text(("z_cm1", "laplace_kernel_cm1", "friction_spectrum_cm1", "kernel_bound_cm1"), rows)
     _write_text(args.output, text)
     return EXIT_OK

@@ -9,6 +9,13 @@ equivalently mu^2 + mu*gamma_hat(mu) = omega_b^2. The crossover
 temperature below which deep tunneling becomes possible is
 T0 = hbar*mu/(2*pi*kB), and the classical rate carries the mu/omega_b
 transmission factor.
+
+The root has two solver paths. Every built-in model has exactly one root
+on (0, omega_b], because z*gamma_hat(z) = (2/pi) int Re gamma(w)
+z^2/(w^2 + z^2) dw increases with z for any positive spectrum; Brent's
+method solves it on the whole interval. Only a ``PeakedFriction``
+subclass that overrides the kernel may have several roots, and it takes a
+dense scan with Brent's method inside each sign change.
 """
 
 from __future__ import annotations
@@ -19,10 +26,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.optimize import brentq
 
 from . import units
-from .errors import DomainError, SolverConvergenceError
-from .spectral import DrudeFriction, FrictionModel, PeakedFriction
+from .errors import DomainError, QtstError, SolverConvergenceError
+from .spectral import FrictionModel, PeakedFriction, _require_param
 from .units import Isotope
 
 __all__ = [
@@ -52,10 +60,9 @@ class BarrierSystem:
     isotope: Isotope = Isotope.H
 
     def __post_init__(self):
-        if self.omega0_H <= 0 or self.omegab_H <= 0:
-            raise DomainError("well and barrier frequencies must be > 0")
-        if self.barrier_kJ_per_mol < 0:
-            raise DomainError("barrier height must be >= 0")
+        _require_param("omega0_H", self.omega0_H, positive=True)
+        _require_param("omegab_H", self.omegab_H, positive=True)
+        _require_param("barrier_kJ_per_mol", self.barrier_kJ_per_mol)
 
     @property
     def omega0(self) -> float:
@@ -112,47 +119,38 @@ class RateResult:
 
 
 def _mu_mismatch(mu: float, omegab: float, model: FrictionModel) -> float:
-    g = model.laplace_kernel(mu)
-    # sqrt(g^2/4 + wb^2) - g/2 rewritten to avoid cancellation at strong
-    # friction: equals wb^2 / (sqrt(g^2/4 + wb^2) + g/2)
-    rhs = omegab * omegab / (math.sqrt(0.25 * g * g + omegab * omegab) + 0.5 * g)
-    return mu - rhs
+    # sqrt(g^2/4 + wb^2) - g/2 rewritten as wb/(sqrt(1 + r^2/4) + r/2) with
+    # r = g/wb: nothing cancels at strong friction, and g = 0 gives wb exactly
+    r = model.laplace_kernel(mu) / omegab
+    return mu - omegab / (math.sqrt(1.0 + 0.25 * r * r) + 0.5 * r)
 
 
-def _bisect(f, lo: float, hi: float, omegab: float):
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
+def _brent(f, lo: float, hi: float) -> float:
+    # to relative machine precision; scipy's no-sign-change ValueError and
+    # no-convergence RuntimeError become a SolverConvergenceError, while a
+    # kernel's own DomainError (also a ValueError) passes through
+    try:
+        return brentq(f, lo, hi, xtol=1e-300)
+    except QtstError:
+        raise
+    except (ValueError, RuntimeError) as exc:
         raise SolverConvergenceError(
-            "effective-frequency equation has no sign change in bracket",
-            bracket=(lo, hi),
-        )
-    while hi - lo > 1e-12 * omegab:
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+            f"effective-frequency equation not solved: {exc}", bracket=(lo, hi)
+        ) from exc
 
 
 def solve_effective_frequency(omegab: float, model: Optional[FrictionModel]) -> tuple[float, float]:
     """Solve for mu on (0, omega_b]; returns (mu, residual).
 
-    A ``PeakedFriction`` takes the largest root of its quartic; other
-    models bisect on the guaranteed bracket. One Newton polish follows.
-    A subclass of ``PeakedFriction`` that overrides the kernel may admit
-    several roots: all sign changes on a dense scan are located, the
-    largest root is returned and a warning is issued.
+    mu^2 + mu*gamma_hat(mu) - omega_b^2 is negative near 0 and >= 0 at
+    omega_b, and z*gamma_hat(z) increases with z for any positive spectrum,
+    so every built-in model has exactly one root there; Brent's method
+    finds it on [1e-12*omega_b, omega_b]. A subclass of ``PeakedFriction``
+    that overrides the kernel may admit several roots: a 10,000-point scan
+    locates every sign change, Brent's method solves each, the largest
+    root is returned and a warning is issued.
     """
-    if omegab <= 0:
-        raise DomainError("omega_b must be > 0")
+    _require_param("omega_b", omegab, positive=True)
     if model is None:
         return omegab, 0.0
 
@@ -162,14 +160,13 @@ def solve_effective_frequency(omegab: float, model: Optional[FrictionModel]) -> 
     lo = 1e-12 * omegab
     # looked up per call, so a wrapper installed on the class still counts
     # as the built-in kernel
-    if type(model).laplace_kernel is PeakedFriction.laplace_kernel:
-        mu = _peaked_mu_quartic(omegab, model, lo)
-    elif isinstance(model, PeakedFriction):
+    overridden = type(model).laplace_kernel is not PeakedFriction.laplace_kernel
+    if isinstance(model, PeakedFriction) and overridden:
         grid = np.linspace(lo, omegab, 10_000)
         vals = np.array([f(x) for x in grid])
         sign_flips = np.nonzero(np.diff(np.signbit(vals)))[0]
-        roots = [_bisect(f, grid[i], grid[i + 1], omegab) for i in sign_flips]
-        # a sign flip onto an exact zero at omega_b already bisected to it
+        roots = [_brent(f, grid[i], grid[i + 1]) for i in sign_flips]
+        # a sign flip onto an exact zero at omega_b already solved to it
         if vals[-1] == 0.0 and omegab not in roots:
             roots.append(omegab)
         if not roots:
@@ -186,16 +183,7 @@ def solve_effective_frequency(omegab: float, model: Optional[FrictionModel]) -> 
             )
         mu = max(roots)
     else:
-        mu = _bisect(f, lo, omegab, omegab)
-
-    # One Newton polish with a numerical derivative.
-    h = 1e-7 * omegab
-    d = (f(min(mu + h, omegab)) - f(max(mu - h, lo))) / (min(mu + h, omegab) - max(mu - h, lo))
-    if d != 0.0:
-        step = f(mu) / d
-        polished = mu - step
-        if lo < polished <= omegab and abs(f(polished)) < abs(f(mu)):
-            mu = polished
+        mu = _brent(f, lo, omegab)
 
     residual = abs(f(mu))
     if residual > 1e-10 * omegab:
@@ -203,45 +191,7 @@ def solve_effective_frequency(omegab: float, model: Optional[FrictionModel]) -> 
             f"effective-frequency residual {residual:g} exceeds tolerance",
             bracket=(lo, omegab),
         )
-
-    if isinstance(model, DrudeFriction):
-        mu_cubic = _drude_mu_cubic(omegab, model.gamma, model.omega_d)
-        if abs(mu_cubic - mu) > 1e-8 * omegab:
-            raise SolverConvergenceError(
-                f"Drude cross-validation failed: iterative mu={mu:g} vs cubic mu={mu_cubic:g}",
-                bracket=(lo, omegab),
-            )
     return mu, residual
-
-
-def _peaked_mu_quartic(omegab: float, model: PeakedFriction, lo: float) -> float:
-    # mu^2 + mu*gamma_hat(mu) = wb^2 times mu^2 + Gamma*mu + wr^2 is
-    # mu^4 + G mu^3 + (wr^2 - wb^2 + gr G) mu^2 - wb^2 G mu - wb^2 wr^2 = 0,
-    # solved for x = mu/wb so the coefficients are of order one.
-    # mu^2 + mu*gamma_hat(mu) increases with mu, so one root lies in (0, wb].
-    g, gr, wr = model.width / omegab, model.gamma_r / omegab, model.omega_r / omegab
-    roots = np.roots([1.0, g, wr * wr - 1.0 + gr * g, -g, -wr * wr])
-    real = [
-        r.real * omegab
-        for r in roots
-        if abs(r.imag) < 1e-9 and lo < r.real * omegab <= omegab * (1.0 + 1e-9)
-    ]
-    if not real:
-        raise SolverConvergenceError(
-            "Peaked quartic has no real root in (0, omega_b]", bracket=(lo, omegab)
-        )
-    return float(min(max(real), omegab))
-
-
-def _drude_mu_cubic(omegab: float, gamma: float, omega_d: float) -> float:
-    # mu^2 - omega_b^2 + mu*omega_d*gamma/(omega_d + mu) = 0 cleared of its
-    # denominator is a cubic with exactly one positive real root.
-    coeffs = [1.0, omega_d, gamma * omega_d - omegab**2, -(omegab**2) * omega_d]
-    roots = np.roots(coeffs)
-    real = [r.real for r in roots if abs(r.imag) < 1e-9 * omegab and r.real > 0]
-    if not real:
-        raise SolverConvergenceError("Drude cubic has no positive real root")
-    return max(real)
 
 
 def effective_barrier_frequency(
@@ -266,8 +216,7 @@ def classical_rate(
 
     The rate is reported both in angular cm^-1 units and in s^-1.
     """
-    if T <= 0:
-        raise DomainError("temperature must be > 0")
+    _require_param("temperature", T, positive=True)
     barrier = effective_barrier_frequency(system, model)
     beta_e = system.barrier_kJ_per_mol / (units.KB_KJ_PER_MOL_K * T)
     rate_cm1 = (barrier.mu_cm1 / system.omegab) * system.omega0 / (2.0 * math.pi) * math.exp(-beta_e)

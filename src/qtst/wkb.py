@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 from scipy import integrate
 from scipy.interpolate import PchipInterpolator
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
 from . import units
 from .errors import DomainError
@@ -259,30 +259,13 @@ class TabulatedPotential(Potential1D):
         return cls(xs, us, mass=mass)
 
 
-def _bisect_energy(pot: Potential1D, E: float, lo: float, hi: float) -> float:
-    # root of U(x) - E with U(lo), U(hi) on opposite sides
-    f_lo = pot.energy(lo) - E
-    tol = 1e-12 * max(pot.length_scale, abs(lo), abs(hi))
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        f_mid = pot.energy(mid) - E
-        if f_mid == 0.0:
-            return mid
-        if (f_lo > 0) == (f_mid > 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def turning_points(pot: Potential1D, E: float) -> tuple[float, float]:
     """Classical turning points bracketing the barrier top at energy E.
 
-    Found by bisection to 1e-12 of the potential's length scale. Requires
-    0 < E < barrier height; raises a no-barrier error otherwise, and a
-    non-bracketing error when a tabulated potential never drops below E.
+    Found by Brent's method to 1e-12 of the potential's length scale.
+    Requires 0 < E < barrier height; raises a no-barrier error otherwise,
+    and a non-bracketing error when a tabulated potential never drops
+    below E.
     """
     if E >= pot.barrier_height:
         raise DomainError(
@@ -318,7 +301,8 @@ def turning_points(pot: Potential1D, E: float) -> tuple[float, float]:
                     f"going {'left' if direction < 0 else 'right'} of the barrier top"
                 )
         lo, hi = (outer, inner) if direction < 0 else (inner, outer)
-        roots.append(_bisect_energy(pot, E, lo, hi))
+        tol = 1e-12 * max(pot.length_scale, abs(lo), abs(hi))
+        roots.append(brentq(lambda x: pot.energy(x) - E, lo, hi, xtol=tol))
     return roots[0], roots[1]
 
 

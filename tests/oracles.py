@@ -6,6 +6,8 @@ quadrature, the Matsubara product with an exact kernel for the first terms
 and the K_e/(M z) asymptote beyond, and the effective frequency by a dense
 scan with root bracketing. They use only the model's ``friction_spectrum``
 (or a scalar ``laplace_kernel``) and stay independent of the closed forms.
+The Drude and Peaked effective frequencies also have polynomial oracles,
+built from the model parameters alone.
 """
 
 from __future__ import annotations
@@ -117,3 +119,29 @@ def mu_scan(omegab: float, model, points: int = 10_000) -> float:
     if vals[last + 1] == 0.0:
         return float(grid[last + 1])
     return optimize.brentq(f, grid[last], grid[last + 1], xtol=1e-14 * omegab, rtol=1e-15)
+
+
+def drude_mu_cubic(omegab: float, gamma: float, omega_d: float) -> float:
+    """The one positive root of the Drude mu equation cleared of its denominator.
+
+    mu^2 + mu*gamma*omega_d/(omega_d + mu) = omega_b^2 times omega_d + mu is
+    mu^3 + wd mu^2 + (gamma wd - wb^2) mu - wb^2 wd = 0, whose coefficients
+    change sign once; solved for x = mu/omega_b so they are of order one.
+    """
+    d, g = omega_d / omegab, gamma / omegab
+    roots = np.roots([1.0, d, g * d - 1.0, -d])
+    (x,) = [r.real for r in roots if abs(r.imag) < 1e-9 and r.real > 0.0]
+    return x * omegab
+
+
+def peaked_mu_quartic(omegab: float, model) -> float:
+    """Largest real root in (0, omega_b] of the Peaked mu equation as a quartic.
+
+    mu^2 + mu*gamma_hat(mu) = wb^2 times mu^2 + Gamma*mu + wr^2 is
+    mu^4 + G mu^3 + (wr^2 - wb^2 + gr G) mu^2 - wb^2 G mu - wb^2 wr^2 = 0,
+    solved for x = mu/omega_b so the coefficients are of order one.
+    """
+    g, gr, wr = model.width / omegab, model.gamma_r / omegab, model.omega_r / omegab
+    roots = np.roots([1.0, g, wr * wr - 1.0 + gr * g, -g, -wr * wr])
+    real = [r.real for r in roots if abs(r.imag) < 1e-9 and 0.0 < r.real <= 1.0 + 1e-9]
+    return min(max(real), 1.0) * omegab

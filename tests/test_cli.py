@@ -255,6 +255,19 @@ def test_spectral_grid_with_inline_json(tmp_path):
     assert float(rows[0][3]) == pytest.approx(100.0 * 100.0 / 100.0, rel=1e-9)
 
 
+def test_spectral_ohmic_bound_column_is_nan(tmp_path):
+    # an Ohmic spectrum has a divergent integral, hence no finite bound
+    out = tmp_path / "spec.csv"
+    rc = run(["spectral", "--gamma", "100", "--zmin", "1", "--zmax", "1e4", "--points", "5",
+              "--output", str(out)])
+    assert rc == 0
+    header, rows = read_csv(out)
+    assert header[3] == "kernel_bound_cm1" and len(rows) == 5
+    for r in rows:
+        assert float(r[1]) == pytest.approx(100.0, rel=1e-12)
+        assert r[3] == "nan"
+
+
 def test_spectral_requires_model():
     assert run(["spectral"]) == 2
 
@@ -317,6 +330,26 @@ def test_domain_error_exit_code():
                 "--kind", "classical", "--tmin", "-5", "--tmax", "300"]) == 2
     assert run(["classify", "--kie", "10", "--a-ratio", "1", "--delta-e", "1",
                 "--pair", "T:T"]) == 3
+
+
+def test_rate_with_zero_friction_succeeds(tmp_path):
+    # omega_b^2/sqrt(omega_b^2) rounds one ulp below this omega_b
+    out = tmp_path / "rate.csv"
+    rc = run(["rate", "--omega0", "3000", "--omegab", "771.4763345553004", "--barrier", "40",
+              "--gamma", "0", "--output", str(out)])
+    assert rc == 0
+    _, rows = read_csv(out)
+    assert rows and all(math.isfinite(float(r[1])) for r in rows)
+
+
+@pytest.mark.parametrize("flag,value", [("--omega0", "nan"), ("--omegab", "nan"),
+                                        ("--barrier", "inf"), ("--barrier", "nan")])
+def test_rate_non_finite_input_is_domain_error(tmp_path, flag, value):
+    args = {"--omega0": "3000", "--omegab": "1000", "--barrier": "40", flag: value}
+    out = tmp_path / "rate.csv"
+    rc = run(["rate", *[x for kv in args.items() for x in kv], "--output", str(out)])
+    assert rc == 3
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--omega0", "--omegab"])

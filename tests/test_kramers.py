@@ -7,6 +7,7 @@ from qtst import (
     BarrierSystem,
     DrudeFriction,
     Isotope,
+    LinearProteinFriction,
     OhmicFriction,
     PeakedFriction,
     classical_kie,
@@ -14,7 +15,7 @@ from qtst import (
     crossover_temperature,
     effective_barrier_frequency,
 )
-from qtst.errors import DomainError
+from qtst.errors import DomainError, SolverConvergenceError
 from qtst.kramers import solve_effective_frequency
 
 SYSTEM = BarrierSystem(omega0_H=3000.0, omegab_H=1000.0, barrier_kJ_per_mol=40.0)
@@ -42,6 +43,17 @@ def test_ohmic_mu_quadratic_oracle(gamma_over_wb):
     g = gamma_over_wb * wb
     mu, _ = solve_effective_frequency(wb, OhmicFriction(g))
     assert mu == pytest.approx(math.sqrt(0.25 * g * g + wb * wb) - 0.5 * g, rel=1e-11)
+
+
+@pytest.mark.parametrize("gamma_over_wb", [1e4, 1e6])
+def test_ohmic_mu_relative_precision_at_strong_friction(gamma_over_wb):
+    # mu ~ omega_b^2/gamma lies far below omega_b and is still solved to
+    # relative machine precision; the oracle is the quadratic's root in the
+    # form that does not cancel, which the test above cannot use here
+    wb = 1000.0
+    g = gamma_over_wb * wb
+    mu, _ = solve_effective_frequency(wb, OhmicFriction(g))
+    assert mu == pytest.approx(2.0 * wb * wb / (g + math.sqrt(g * g + 4.0 * wb * wb)), rel=1e-14)
 
 
 def test_drude_matches_ohmic_at_large_cutoff():
@@ -79,7 +91,7 @@ def test_peaked_builtin_kernel_has_unique_root_no_warning():
     import warnings
 
     # mu*(mu + gamma_hat(mu)) is strictly increasing for the built-in
-    # peaked kernel, so the scan finds exactly one crossing
+    # peaked kernel, so the solve finds exactly one crossing
     model = PeakedFriction(gamma_r=8000.0, width=30.0, omega_r=500.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -128,9 +140,55 @@ def test_frictionless_peaked_bath_has_one_root(params):
         assert mu == 1000.0 and residual == 0.0
 
 
+@pytest.mark.parametrize("model", [OhmicFriction(0.0), DrudeFriction(0.0, 300.0),
+                                   LinearProteinFriction(0.0, 0.0, 400.0)],
+                         ids=["ohmic", "drude", "linear_protein"])
+@pytest.mark.parametrize("omegab", [771.4763345553004, 768.8624060818676, 1542.525816914095,
+                                    2906.9859507814745, 1000.0])
+def test_zero_friction_mu_is_omegab(model, omegab):
+    # at the first four omega_b, omega_b^2/sqrt(omega_b^2) rounds one ulp
+    # below omega_b
+    mu, residual = solve_effective_frequency(omegab, model)
+    assert mu == omegab and residual == 0.0
+
+
+class NegativeKernel(OhmicFriction):
+    # mu^2 + mu*gamma_hat(mu) stays below omega_b^2 on the whole bracket
+    def laplace_kernel(self, z):
+        return -self.gamma
+
+
+class NegativePeakedKernel(PeakedFriction):
+    def laplace_kernel(self, z):
+        return -self.gamma_r
+
+
+@pytest.mark.parametrize("model", [NegativeKernel(500.0), NegativePeakedKernel(500.0, 1.0, 1.0)],
+                         ids=["brent", "scan"])
+def test_no_sign_change_raises_solver_error(model):
+    with pytest.raises(SolverConvergenceError) as exc:
+        solve_effective_frequency(1000.0, model)
+    assert exc.value.bracket == (1e-12 * 1000.0, 1000.0)
+
+
 def test_invalid_omegab_rejected():
     with pytest.raises(DomainError):
         solve_effective_frequency(0.0, None)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: BarrierSystem(math.nan, 1000.0, 40.0), id="omega0-nan"),
+    pytest.param(lambda: BarrierSystem(3000.0, math.inf, 40.0), id="omegab-inf"),
+    pytest.param(lambda: BarrierSystem(3000.0, 1000.0, math.nan), id="barrier-nan"),
+    pytest.param(lambda: BarrierSystem(3000.0, 1000.0, math.inf), id="barrier-inf"),
+    pytest.param(lambda: classical_rate(SYSTEM, None, math.nan), id="T-nan"),
+    pytest.param(lambda: classical_rate(SYSTEM, None, math.inf), id="T-inf"),
+    pytest.param(lambda: solve_effective_frequency(math.nan, OhmicFriction(10.0)), id="mu-omegab-nan"),
+    pytest.param(lambda: solve_effective_frequency(math.inf, None), id="mu-omegab-inf"),
+])
+def test_non_finite_input_rejected(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 # ------------------------------------------------- crossover temperature
