@@ -43,7 +43,7 @@ print()
 
 print("At 300 K the correction is substantial for a proton:")
 res = correction_product(system, None, 300.0)
-print(f"  c_qm(300 K) = {res.c_qm:.1f}  ({res.terms_used} product terms, "
-      f"analytic tail {res.tail_estimate:.1e})")
+print(f"  c_qm(300 K) = {res.c_qm:.1f}  ({res.terms_used} kernel points, "
+      f"Euler-Maclaurin tail {res.tail_estimate:.1e} in log c_qm)")
 print("so quantum fluctuations at the transition state enhance the rate by")
 print("over two orders of magnitude without any below-barrier tunneling.")

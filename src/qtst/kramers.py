@@ -217,7 +217,11 @@ def classical_rate(
     The rate is reported both in angular cm^-1 units and in s^-1.
     """
     _require_param("temperature", T, positive=True)
-    barrier = effective_barrier_frequency(system, model)
+    return _classical_rate(system, effective_barrier_frequency(system, model), T)
+
+
+def _classical_rate(system: BarrierSystem, barrier: EffectiveBarrier, T: float) -> RateResult:
+    # the classical rate for a barrier already solved, at a validated T
     beta_e = system.barrier_kJ_per_mol / (units.KB_KJ_PER_MOL_K * T)
     rate_cm1 = (barrier.mu_cm1 / system.omegab) * system.omega0 / (2.0 * math.pi) * math.exp(-beta_e)
     return RateResult(

@@ -11,6 +11,13 @@ enhance the rate. At zero friction the product collapses to the closed
 sinh/sin form, which diverges at the crossover; the non-parabolic
 crossover correction regularises that divergence with a scaled
 complementary error function.
+
+The product is summed in log space: the first N log-terms exactly, the
+rest by the midpoint Euler-Maclaurin formula with its integral by
+Gauss-Legendre quadrature, all in one array call of the model's kernel
+(see ``correction_product``). ``quantum_rate`` solves the effective
+frequency mu once and shares it between the product, the classical rate
+and the equilibrium check.
 """
 
 from __future__ import annotations
@@ -20,15 +27,16 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import erfcx, polygamma
+from scipy.special import erfcx
 
 from . import units
-from .errors import BelowCrossoverError, DomainError, SolverConvergenceError
+from .errors import BelowCrossoverError, DomainError
 from .kramers import (
     BarrierSystem,
+    EffectiveBarrier,
     RateResult,
+    _classical_rate,
     crossover_temperature,
-    classical_rate,
     effective_barrier_frequency,
 )
 from .spectral import FrictionModel, _require_param
@@ -52,7 +60,19 @@ __all__ = [
 # Matsubara frequency per kelvin: nu_1 = kB*T/(hbar*c) in cm^-1.
 _NU_CM1_PER_K = 1.0 / units.CROSSOVER_K_PER_CM1
 
-_MAX_TERMS = 50_000_000
+# The product's tail: at least _MIN_TERMS exact terms, then 24-node
+# Gauss-Legendre on t in (0, 1) for n = (N + 1/2)/t, kept as the node
+# factors 1/t and the weights w/t^2
+_MIN_TERMS = 16
+_t, _w = np.polynomial.legendre.leggauss(24)
+_GL_INV_T = 2.0 / (_t + 1.0)
+_GL_WEIGHTS = 0.5 * _w * _GL_INV_T**2
+del _t, _w
+# Leading error of the tail as a multiple of f^(5)(N + 1/2): the first
+# omitted Euler-Maclaurin term, 31/967680, plus the errors of the f'
+# stencil, (3/640)/24, and of the f''' stencil, (1/8)*7/5760
+_TAIL_ERROR = 31.0 / 967680.0 + 3.0 / 15360.0 + 7.0 / 46080.0
+_TOL_FLOOR = 1e-15
 
 _LN2 = math.log(2.0)
 
@@ -101,6 +121,50 @@ def matsubara_frequency(n: int, T: float) -> float:
     return n * T * _NU_CM1_PER_K
 
 
+def _exact_terms(c: float, term_tol: float) -> int:
+    # The log-terms tend to f(n) = c/n^2 (c = a/nu^2), whose fifth
+    # derivative at M = N + 1/2 is -720 c/M^7; a factor 4 leaves room for
+    # the next order and for a kernel still short of its asymptote at M*nu
+    bound = 4.0 * 720.0 * _TAIL_ERROR * c / max(term_tol, _TOL_FLOOR)
+    return max(_MIN_TERMS, math.ceil(bound ** (1.0 / 7.0) - 0.5))
+
+
+def _product(
+    system: BarrierSystem,
+    model: Optional[FrictionModel],
+    T: float,
+    barrier: EffectiveBarrier,
+    term_tol: float,
+) -> CorrectionResult:
+    # c_qm at a temperature for a barrier already solved; T and term_tol
+    # come validated
+    if T <= barrier.T0_K:
+        raise BelowCrossoverError(T, barrier.T0_K)
+    omega0, omegab = system.omega0, system.omegab
+    nu = matsubara_frequency(1, T)
+    a = omega0 * omega0 + omegab * omegab
+    N = _exact_terms(a / (nu * nu), term_tol)
+    M = N + 0.5
+    n = np.concatenate((np.arange(1.0, N + 3.0), M * _GL_INV_T))
+    x = n * nu
+    g = 0.0 if model is None else model.laplace_kernel(x)
+    denom = x * x + x * g - omegab * omegab
+    if np.any(denom <= 0.0):
+        bad = float(n[np.argmax(denom <= 0.0)])
+        raise DomainError(
+            f"non-positive product denominator at term n={bad:g}: "
+            "temperature is effectively at or below the crossover"
+        )
+    logs = np.log1p(a / denom)
+    fm1, f0, f1, f2 = logs[N - 2 : N + 2]  # f at N-1, N, N+1, N+2
+    d1 = (fm1 - 27.0 * f0 + 27.0 * f1 - f2) / 24.0  # f'(M)
+    d3 = f2 - 3.0 * f1 + 3.0 * f0 - fm1  # f'''(M)
+    tail = M * float(_GL_WEIGHTS @ logs[N + 2 :]) + d1 / 24.0 - 7.0 * d3 / 5760.0
+    c_qm = math.exp(float(logs[:N].sum()) + tail)
+    regime = "near_crossover" if T < 1.1 * barrier.T0_K else "high_T"
+    return CorrectionResult(c_qm=c_qm, regime=regime, terms_used=n.size, tail_estimate=tail)
+
+
 def correction_product(
     system: BarrierSystem,
     model: Optional[FrictionModel] = None,
@@ -109,52 +173,28 @@ def correction_product(
 ) -> CorrectionResult:
     """Evaluate the thermal-frequency product for c_qm.
 
-    Terms are accumulated (in log space) until the log-term falls below
-    ``term_tol``; the remaining tail is added analytically from the
-    first-order expansion of the log-term, log(term_n) ~ (w0^2+wb^2)/(n v)^2,
-    summed exactly with the trigamma function. The default tolerance keeps
-    the post-tail truncation error far below 1e-8 while staying fast on
-    dense temperature grids.
+    The log-terms f(n) = log(term_n) are summed exactly for n = 1..N, and
+    the rest by the midpoint Euler-Maclaurin formula
+
+        sum_{n>N} f(n) = int_{N+1/2}^inf f dn + f'(N+1/2)/24
+                         - 7 f'''(N+1/2)/5760 + ...,
+
+    with the integral by 24-node Gauss-Legendre quadrature after the change
+    of variable n = (N+1/2)/t, and f', f''' from 4-point stencils on
+    f(N-1..N+2). The N + 26 points take one array call of the model's own
+    kernel. N is the smallest count, and at least 16, for which four times
+    the leading error of the tail (the first omitted Euler-Maclaurin term
+    and the stencils' error) is at most ``term_tol``, so ``term_tol``
+    bounds the error of log c_qm; below 1e-15, which double precision
+    cannot resolve, it is taken as 1e-15. The bound assumes the kernel
+    has taken its large-z form by about (N+1/2) times the first thermal
+    frequency; a bath with strong friction out to thousands of times that
+    frequency can exceed it. ``terms_used`` counts the kernel points
+    evaluated and ``tail_estimate`` is the tail's contribution to log c_qm.
     """
     _require_param("temperature", T, positive=True)
-    barrier = effective_barrier_frequency(system, model)
-    if T <= barrier.T0_K:
-        raise BelowCrossoverError(T, barrier.T0_K)
-
-    omega0, omegab = system.omega0, system.omegab
-    nu = matsubara_frequency(1, T)
-    a = omega0 * omega0 + omegab * omegab
-
-    log_sum = 0.0
-    n_used = 0
-    chunk = 4096
-    while True:
-        n = np.arange(n_used + 1, n_used + chunk + 1, dtype=float)
-        x = n * nu
-        g = 0.0 if model is None else model.laplace_kernel(x)
-        denom = x * x + x * g - omegab * omegab
-        if np.any(denom <= 0.0):
-            bad = int(n[np.argmax(denom <= 0.0)])
-            raise DomainError(
-                f"non-positive product denominator at term n={bad}: "
-                "temperature is effectively at or below the crossover"
-            )
-        logs = np.log1p(a / denom)
-        log_sum += float(logs.sum())
-        n_used += chunk
-        if logs[-1] < term_tol:
-            break
-        if n_used >= _MAX_TERMS:
-            raise SolverConvergenceError(
-                f"product did not reach term tolerance within {_MAX_TERMS} terms"
-            )
-        chunk = min(2 * chunk, 262_144)
-
-    # sum_{n>N} a/(n v)^2 = a * psi'(N+1) / v^2
-    tail = a * float(polygamma(1, n_used + 1)) / (nu * nu)
-    c_qm = math.exp(log_sum + tail)
-    regime = "near_crossover" if T < 1.1 * barrier.T0_K else "high_T"
-    return CorrectionResult(c_qm=c_qm, regime=regime, terms_used=n_used, tail_estimate=tail)
+    _require_param("term_tol", term_tol, positive=True)
+    return _product(system, model, T, effective_barrier_frequency(system, model), term_tol)
 
 
 def _log_sinh(x, xp):
@@ -298,10 +338,11 @@ def kappa_parameter(
     For a smooth high barrier kappa is of order sqrt(E_b/(hbar omega_b)).
     """
     m = mass.mass_number if isinstance(mass, Isotope) else float(mass)
-    if m <= 0:
-        raise DomainError("mass must be > 0")
-    if omegab <= 0 or T0 <= 0:
-        raise DomainError("omega_b and T0 must be > 0")
+    _require_param("mass", m, positive=True)
+    _require_param("omega_b", omegab, positive=True)
+    _require_param("c3", c3, signed=True)
+    _require_param("c4", c4, signed=True)
+    _require_param("T0", T0, positive=True)
     B = 4.0 * c3 * c3 / (3.0 * omegab * omegab) + 3.0 * c4
     if B <= 0:
         raise DomainError(f"anharmonicity parameter B must be > 0, got {B:g}")
@@ -325,10 +366,17 @@ def equilibrium_condition(
     _require_param("temperature", T, positive=True)
     if system.barrier_kJ_per_mol == 0:
         raise DomainError("equilibrium condition is undefined for a zero barrier")
-    rhs = units.KB_KJ_PER_MOL_K * T / system.barrier_kJ_per_mol
+    return _equilibrium(system, model, effective_barrier_frequency(system, model), T)
+
+
+def _equilibrium(
+    system: BarrierSystem, model: Optional[FrictionModel], barrier: EffectiveBarrier, T: float
+) -> tuple[bool, float]:
+    # the equilibrium check for a barrier already solved, at a validated T
+    # and a nonzero barrier height
     if model is None:
         return False, 0.0
-    barrier = effective_barrier_frequency(system, model)
+    rhs = units.KB_KJ_PER_MOL_K * T / system.barrier_kJ_per_mol
     lhs = model.laplace_kernel(barrier.mu_cm1) / system.omegab
     return lhs > rhs, lhs / rhs
 
@@ -355,12 +403,17 @@ def quantum_rate(
 
     This product form is the normative rate output; ``wigner_rate`` is a
     frictionless diagnostic differing by a factor-2 prefactor convention.
+    The effective frequency mu is solved once and shared by the product,
+    the classical rate and the equilibrium check.
     """
-    corr = correction_product(system, model, T, term_tol=term_tol)
-    base = classical_rate(system, model, T)
+    _require_param("temperature", T, positive=True)
+    _require_param("term_tol", term_tol, positive=True)
+    barrier = effective_barrier_frequency(system, model)
+    corr = _product(system, model, T, barrier, term_tol)
+    base = _classical_rate(system, barrier, T)
     eq_ok = eq_margin = None
     if system.barrier_kJ_per_mol > 0:
-        eq_ok, eq_margin = equilibrium_condition(system, model, T)
+        eq_ok, eq_margin = _equilibrium(system, model, barrier, T)
     return RateResult(
         T_K=T,
         rate_cm1=base.rate_cm1 * corr.c_qm,

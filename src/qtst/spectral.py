@@ -55,13 +55,18 @@ def _float_or_array(x):
     return float(arr) if arr.ndim == 0 else arr
 
 
-def _require_param(name: str, value, positive: bool = False) -> None:
-    # value, or every element of it, finite and >= 0 (> 0 if positive);
-    # NaN fails both comparisons, so it is rejected with the infinities
+def _require_param(name: str, value, positive: bool = False, signed: bool = False) -> None:
+    # value, or every element of it, finite and >= 0 (> 0 if positive, of
+    # either sign if signed); NaN fails every comparison, so it is rejected
+    # with the infinities
     v = _float_or_array(value)
-    ok = (v > 0.0 if positive else v >= 0.0) & (v < math.inf)
+    if signed:
+        ok, want = abs(v) < math.inf, "finite"
+    else:
+        ok = (v > 0.0 if positive else v >= 0.0) & (v < math.inf)
+        want = f"finite and {'>' if positive else '>='} 0"
     if not (ok.all() if isinstance(ok, np.ndarray) else ok):
-        raise DomainError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value!r}")
+        raise DomainError(f"{name} must be {want}, got {value!r}")
 
 
 def _require_positive_z(z):

@@ -25,6 +25,7 @@ from scipy.optimize import brentq, minimize_scalar
 
 from . import units
 from .errors import DomainError
+from .spectral import _require_param
 
 __all__ = [
     "Potential1D",
@@ -83,8 +84,9 @@ class ParabolicBarrier(Potential1D):
     mass: float = 1.0
 
     def __post_init__(self):
-        if self.E_b <= 0 or self.omega_b <= 0 or self.mass <= 0:
-            raise DomainError("E_b, omega_b and mass must be > 0")
+        _require_param("E_b", self.E_b, positive=True)
+        _require_param("omega_b", self.omega_b, positive=True)
+        _require_param("mass", self.mass, positive=True)
 
     def energy(self, x):
         return self.E_b - 0.5 * _curvature(self.mass, self.omega_b) * x * x
@@ -111,8 +113,9 @@ class EckartBarrier(Potential1D):
     mass: float = 1.0
 
     def __post_init__(self):
-        if self.V0 <= 0 or self.width <= 0 or self.mass <= 0:
-            raise DomainError("V0, width and mass must be > 0")
+        _require_param("V0", self.V0, positive=True)
+        _require_param("width", self.width, positive=True)
+        _require_param("mass", self.mass, positive=True)
 
     def energy(self, x):
         return self.V0 / math.cosh(x / self.width) ** 2
@@ -144,8 +147,9 @@ class CubicBarrier(Potential1D):
     mass: float = 1.0
 
     def __post_init__(self):
-        if self.omega_0 <= 0 or self.E_b <= 0 or self.mass <= 0:
-            raise DomainError("omega_0, E_b and mass must be > 0")
+        _require_param("omega_0", self.omega_0, positive=True)
+        _require_param("E_b", self.E_b, positive=True)
+        _require_param("mass", self.mass, positive=True)
 
     def _k(self) -> float:
         return _curvature(self.mass, self.omega_0)
@@ -191,13 +195,14 @@ class TabulatedPotential(Potential1D):
         U = np.asarray(U, dtype=float)
         if x.ndim != 1 or x.size < 4 or x.shape != U.shape:
             raise DomainError("need matching 1-d arrays with at least 4 points")
+        _require_param("x", x, signed=True)
+        _require_param("U", U, signed=True)
         if np.any(np.diff(x) <= 0):
             order = np.argsort(x)
             x, U = x[order], U[order]
             if np.any(np.diff(x) <= 0):
                 raise DomainError("grid positions must be distinct")
-        if mass <= 0:
-            raise DomainError("mass must be > 0")
+        _require_param("mass", mass, positive=True)
         self.mass = float(mass)
         self._x = x
         self._U = U

@@ -3,7 +3,9 @@
 These are the generic numerical routes the library no longer takes: the
 memory kernel by quadrature of its spectrum, the spectrum integral by
 quadrature, the Matsubara product with an exact kernel for the first terms
-and the K_e/(M z) asymptote beyond, and the effective frequency by a dense
+and the K_e/(M z) asymptote beyond, the Matsubara product summed term by
+term to 10^5 terms and more (with a trigamma tail, or Richardson
+extrapolation of its partial sums), and the effective frequency by a dense
 scan with root bracketing. They use only the model's ``friction_spectrum``
 (or a scalar ``laplace_kernel``) and stay independent of the closed forms.
 The Drude and Peaked effective frequencies also have polynomial oracles,
@@ -19,13 +21,17 @@ from scipy import integrate, optimize
 from scipy.special import polygamma
 
 from qtst import (
+    CorrectionResult,
     DebyeDielectricFriction,
     DrudeFriction,
     LinearProteinFriction,
     PeakedFriction,
+    effective_barrier_frequency,
     matsubara_frequency,
 )
 from qtst import units
+from qtst.errors import BelowCrossoverError, DomainError, SolverConvergenceError
+from qtst.spectral import _require_param
 
 _QUAD_OPTS = dict(epsabs=0.0, epsrel=1e-11, limit=400)
 # the infinite tails carry ~1e-4 of the integral; absolute floor avoids
@@ -83,7 +89,7 @@ def product_exact_then_asymptote(system, model, T, term_tol=1e-9, exact_terms=51
     """c_qm with the kernel evaluated one scalar call at a time for the
     first ``exact_terms`` Matsubara terms and as K_e/(M z) beyond, where
     its relative error is (feature/z)^2; the remaining tail is added with
-    the trigamma function as in ``correction_product``."""
+    the trigamma function as in ``product_trigamma``."""
     omega0, omegab = system.omega0, system.omegab
     nu = matsubara_frequency(1, T)
     a = omega0 * omega0 + omegab * omegab
@@ -102,6 +108,78 @@ def product_exact_then_asymptote(system, model, T, term_tol=1e-9, exact_terms=51
             break
         chunk = min(2 * chunk, 262_144)
     return math.exp(log_sum + a * float(polygamma(1, n_used + 1)) / (nu * nu))
+
+
+_MAX_TERMS = 50_000_000
+
+
+def product_trigamma(system, model=None, T=300.0, term_tol=1e-9):
+    """The product as ``correction_product`` summed it before its few-term form.
+
+    Terms are accumulated (in log space) until the log-term falls below
+    ``term_tol``; the remaining tail is added analytically from the
+    first-order expansion of the log-term, log(term_n) ~ (w0^2+wb^2)/(n v)^2,
+    summed exactly with the trigamma function. The tail drops the
+    gamma_hat/x part of the log-term, so at strong Ohmic friction it is off
+    by about a*gamma/(2 N^2 nu^3).
+    """
+    _require_param("temperature", T, positive=True)
+    barrier = effective_barrier_frequency(system, model)
+    if T <= barrier.T0_K:
+        raise BelowCrossoverError(T, barrier.T0_K)
+
+    omega0, omegab = system.omega0, system.omegab
+    nu = matsubara_frequency(1, T)
+    a = omega0 * omega0 + omegab * omegab
+
+    log_sum = 0.0
+    n_used = 0
+    chunk = 4096
+    while True:
+        n = np.arange(n_used + 1, n_used + chunk + 1, dtype=float)
+        x = n * nu
+        g = 0.0 if model is None else model.laplace_kernel(x)
+        denom = x * x + x * g - omegab * omegab
+        if np.any(denom <= 0.0):
+            bad = int(n[np.argmax(denom <= 0.0)])
+            raise DomainError(
+                f"non-positive product denominator at term n={bad}: "
+                "temperature is effectively at or below the crossover"
+            )
+        logs = np.log1p(a / denom)
+        log_sum += float(logs.sum())
+        n_used += chunk
+        if logs[-1] < term_tol:
+            break
+        if n_used >= _MAX_TERMS:
+            raise SolverConvergenceError(
+                f"product did not reach term tolerance within {_MAX_TERMS} terms"
+            )
+        chunk = min(2 * chunk, 262_144)
+
+    # sum_{n>N} a/(n v)^2 = a * psi'(N+1) / v^2
+    tail = a * float(polygamma(1, n_used + 1)) / (nu * nu)
+    c_qm = math.exp(log_sum + tail)
+    regime = "near_crossover" if T < 1.1 * barrier.T0_K else "high_T"
+    return CorrectionResult(c_qm=c_qm, regime=regime, terms_used=n_used, tail_estimate=tail)
+
+
+def product_richardson(system, model, T, N=2**18):
+    """log c_qm from exactly rounded partial sums of the log-terms.
+
+    With S_k the sum of the first k*N terms (``math.fsum``), the 1/N and
+    1/N^2 terms of the truncation error are removed by
+    (8 S_4 - 6 S_2 + S_1)/3. No tail formula enters.
+    """
+    nu = matsubara_frequency(1, T)
+    omega0, omegab = system.omega0, system.omegab
+    x = np.arange(1, 4 * N + 1, dtype=float) * nu
+    g = 0.0 if model is None else model.laplace_kernel(x)
+    logs = np.log1p((omega0**2 + omegab**2) / (x * x + x * g - omegab**2))
+    s1 = math.fsum(logs[:N])
+    s2 = math.fsum([s1, math.fsum(logs[N : 2 * N])])
+    s4 = math.fsum([s2, math.fsum(logs[2 * N :])])
+    return (8.0 * s4 - 6.0 * s2 + s1) / 3.0
 
 
 def mu_scan(omegab: float, model, points: int = 10_000) -> float:

@@ -352,6 +352,20 @@ def test_rate_non_finite_input_is_domain_error(tmp_path, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "potential,flag,name",
+    [("parabolic", "--barrier", "E_b"), ("parabolic", "--omegab", "omega_b"),
+     ("eckart", "--width", "width"), ("cubic", "--omega0", "omega_0"),
+     ("parabolic", "--mass", "mass")],
+)
+def test_wkb_nan_parameter_is_domain_error(tmp_path, capsys, potential, flag, name):
+    out = tmp_path / "wkb.csv"
+    rc = run(["wkb", "--potential", potential, flag, "nan", "--points", "2", "--output", str(out)])
+    assert rc == 3
+    assert f"{name} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--omega0", "--omegab"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_kie_predict_non_finite_frequency_is_domain_error(tmp_path, flag, value):

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,12 +10,15 @@ from qtst import (
     DebyeDielectricFriction,
     DrudeFriction,
     Isotope,
+    LinearProteinFriction,
     OhmicFriction,
+    PeakedFriction,
     classical_rate,
     correction_closed,
     correction_crossover,
     correction_product,
     crossover_temperature,
+    effective_barrier_frequency,
     equilibrium_condition,
     kappa_parameter,
     matsubara_frequency,
@@ -23,9 +27,15 @@ from qtst import (
     weak_friction_margin,
     wigner_rate,
 )
+from qtst import kramers
 from qtst.errors import BelowCrossoverError, DomainError
 
-from oracles import product_exact_then_asymptote, quadrature_kernel
+from oracles import (
+    product_exact_then_asymptote,
+    product_richardson,
+    product_trigamma,
+    quadrature_kernel,
+)
 
 SYSTEM = BarrierSystem(3000.0, 1000.0, 40.0)
 T0 = crossover_temperature(1000.0)
@@ -122,7 +132,7 @@ def test_product_regime_flags():
 
 def test_product_with_drude_vs_richardson_long_product_oracle():
     # brute-force oracle: partial log-sums at N and 2N terms extrapolated
-    # against the 1/N tail (independent of the trigamma tail in the
+    # against the 1/N tail (independent of the Euler-Maclaurin tail in the
     # implementation)
     model = DrudeFriction(gamma=300.0, omega_d=500.0)
     T = 300.0
@@ -181,6 +191,82 @@ def test_debye_product_matches_quadrature_kernel_oracle():
     assert got == pytest.approx(oracle, rel=1e-9)
 
 
+@pytest.mark.parametrize("t_over_t0", [1.001, 1.03, 2.0])
+def test_product_at_strong_ohmic_friction_matches_richardson_oracle(t_over_t0):
+    # gamma = 6 omega_b, where a tail that drops the gamma/x part of the
+    # log-term (oracles.product_trigamma) is 1.7e-8 off
+    system, model = BarrierSystem(2500.0, 500.0, 40.0), OhmicFriction(3000.0)
+    T = t_over_t0 * effective_barrier_frequency(system, model).T0_K
+    got = correction_product(system, model, T)
+    assert abs(math.log(got.c_qm) - product_richardson(system, model, T)) <= 1e-10
+    assert got.terms_used <= 300
+
+
+# gamma_hat <= omega_b = 1000 cm^-1 throughout, where the trigamma tail holds
+TRIGAMMA_MODELS = [
+    None,
+    OhmicFriction(300.0),
+    DrudeFriction(300.0, 500.0),
+    PeakedFriction(200.0, 150.0, 600.0),
+    DebyeDielectricFriction(cavity_radius=8.0),
+    LinearProteinFriction(),
+]
+
+
+@pytest.mark.parametrize("model", TRIGAMMA_MODELS, ids=lambda m: getattr(m, "kind", "none"))
+def test_product_matches_trigamma_oracle(model):
+    T0m = effective_barrier_frequency(SYSTEM, model).T0_K
+    for f in (1.01, 1.1, 1.5, 3.0, 6.0):
+        got = correction_product(SYSTEM, model, f * T0m)
+        ref = product_trigamma(SYSTEM, model, f * T0m)
+        assert abs(math.log(got.c_qm / ref.c_qm)) <= 1e-9
+        assert got.regime == ref.regime
+
+
+RICHARDSON_CASES = [
+    (None, 1.01),
+    (OhmicFriction(300.0), 1.001),
+    (DrudeFriction(300.0, 500.0), 1.1),
+    (PeakedFriction(200.0, 150.0, 600.0), 1.5),
+    (DebyeDielectricFriction(cavity_radius=3.0), 1.03),
+    (LinearProteinFriction(), 2.0),
+]
+
+
+@pytest.mark.parametrize(
+    "model, t_over_t0", RICHARDSON_CASES, ids=lambda v: getattr(v, "kind", str(v))
+)
+def test_product_log_error_within_term_tol(model, t_over_t0):
+    T = t_over_t0 * effective_barrier_frequency(SYSTEM, model).T0_K
+    ref = product_richardson(SYSTEM, model, T)
+    for term_tol in (1e-6, 1e-9, 1e-12):
+        got = correction_product(SYSTEM, model, T, term_tol=term_tol)
+        assert abs(math.log(got.c_qm) - ref) <= term_tol
+        assert got.terms_used <= 300
+
+
+@pytest.mark.parametrize("term_tol", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("call", [correction_product, quantum_rate], ids=["product", "quantum_rate"])
+def test_bad_term_tol_fails_fast(call, term_tol):
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="term_tol"):
+        call(SYSTEM, DrudeFriction(100.0, 300.0), 300.0, term_tol=term_tol)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_quantum_rate_solves_mu_once(monkeypatch):
+    calls = []
+    solve = kramers.solve_effective_frequency
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(kramers, "solve_effective_frequency", counting)
+    quantum_rate(SYSTEM, DrudeFriction(150.0, 400.0), 305.0)
+    assert len(calls) == 1
+
+
 def test_isotope_ordering_of_correction():
     vals = {}
     for iso in (Isotope.H, Isotope.D, Isotope.T):
@@ -231,7 +317,7 @@ def test_wigner_rate_rejects_non_finite_temperature(T):
     ids=["matsubara", "product", "quantum_rate", "semiclassical", "crossover", "equilibrium"],
 )
 def test_non_finite_temperature_fails_fast(call, T):
-    # NaN passes every `T <= 0` test, and the product would then run to its term limit
+    # NaN passes every `T <= 0` test, so each entry point must reject it itself
     with pytest.raises(DomainError):
         call(T)
 
@@ -403,6 +489,15 @@ def test_kappa_for_cubic_barrier_scales_with_barrier_height():
     assert p.kappa == pytest.approx(27.501562113832227, rel=1e-8)
     # order sqrt(E_b / hbar*omega_b), well above 1 for a high barrier
     assert p.kappa > math.sqrt(40.0 / 11.9627)
+
+
+@pytest.mark.parametrize("position", range(5))
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_kappa_rejects_non_finite_input(position, bad):
+    args = [1.0, 1000.0, 0.0, 100.0, 230.0]
+    args[position] = bad
+    with pytest.raises(DomainError, match="must be finite"):
+        kappa_parameter(*args)
 
 
 def test_kappa_rejects_nonpositive_B():

@@ -183,3 +183,33 @@ def test_tabulated_from_csv(tmp_path):
 def test_tabulated_rejects_too_few_points():
     with pytest.raises(DomainError):
         TabulatedPotential.from_csv("x,U\n0,1\n1,2\n")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda v: ParabolicBarrier(v, 1000.0),
+        lambda v: ParabolicBarrier(40.0, v),
+        lambda v: ParabolicBarrier(40.0, 1000.0, mass=v),
+        lambda v: EckartBarrier(v, 0.45),
+        lambda v: EckartBarrier(40.0, v),
+        lambda v: CubicBarrier(v, 40.0),
+        lambda v: CubicBarrier(1000.0, v),
+        lambda v: TabulatedPotential([-1.0, 0.0, 1.0, 2.0], [0.0, 5.0, 1.0, 0.0], mass=v),
+    ],
+    ids=["parabolic-E_b", "parabolic-omega_b", "parabolic-mass", "eckart-V0", "eckart-width",
+         "cubic-omega_0", "cubic-E_b", "tabulated-mass"],
+)
+def test_potentials_reject_non_finite_and_non_positive_parameters(build, bad):
+    with pytest.raises(DomainError, match="must be finite"):
+        build(bad)
+
+
+@pytest.mark.parametrize("column", ["x", "U"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_tabulated_rejects_non_finite_samples(column, bad):
+    data = {"x": [-1.0, 0.0, 1.0, 2.0], "U": [0.0, 5.0, 1.0, 0.0]}
+    data[column][1] = bad
+    with pytest.raises(DomainError, match=f"{column} must be finite"):
+        TabulatedPotential(data["x"], data["U"])
