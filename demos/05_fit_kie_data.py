@@ -1,8 +1,9 @@
 """Fitting measured KIE temperature series with two parameters.
 
-The fit is a deterministic multi-start damped least squares over
-(omega_0, omega_b), with box constraints and a smooth penalty keeping
-trial crossover temperatures below the data. Bundled with the package is
+The fit screens a lattice over the (omega_0, omega_b) box in a few
+broadcast model calls, then polishes the best few local minima of the
+lattice by damped least squares, with a smooth penalty keeping trial
+crossover temperatures below the data. Bundled with the package is
 a reconstruction of an H/T dataset for a flavoenzyme amine oxidase; its
 fit lands at omega_0 ~ 2100 cm^-1 with a crossover near 240 K, squarely
 below the measurement window, so the description is self-consistent.
@@ -23,7 +24,7 @@ print()
 print(f"fit: omega_0 = {res.omega0:.0f} cm^-1, omega_b = {res.omegab:.0f} cm^-1")
 print(f"     implied crossover T0 = {res.implied_T0:.0f} K, valid = {res.valid}")
 print(f"     residual norm {res.residual_norm:.3f}, "
-      f"{res.n_starts_converged} of 72 starts converged")
+      f"{res.n_starts_converged} polishes from the screen converged")
 sd = np.sqrt(np.diag(np.array(res.covariance)))
 print(f"     1-sigma: omega_0 +/- {sd[0]:.0f}, omega_b +/- {sd[1]:.0f} cm^-1")
 print()

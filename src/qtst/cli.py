@@ -10,6 +10,7 @@ objects carrying a top-level ``"schema": "qtst/1"`` key. Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -386,7 +387,9 @@ def cmd_arrhenius(args):
 # ----------------------------------------------------------------- parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``qtst`` parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qtst",
         description="Quantum transition state theory for hydrogen-transfer kinetics.",
@@ -502,15 +505,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    subparsers = parser._subparsers._group_actions[0].choices
-    defaults = {
-        action.dest: action.default for action in subparsers[args.command]._actions
+@functools.cache
+def _command_defaults() -> dict:
+    # {command: {dest: parser default}}, what --config values may replace
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    return {
+        command: {action.dest: action.default for action in sub._actions}
+        for command, sub in subparsers.items()
     }
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     try:
-        args = _merge_config(args, defaults)
+        args = _merge_config(args, _command_defaults()[args.command])
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,11 +1,14 @@
 """Parameter estimation: KIE(T) curve fits and Arrhenius regression.
 
 The two-parameter KIE model (reactant-well frequency and barrier
-frequency, both hydrogen-referenced) is fit by damped least squares from
-a deterministic multi-start grid, with box constraints and a smooth
-quadratic penalty for trial parameters that push data points below the
-crossover temperature. Results are bit-reproducible: points are sorted
-canonically and the start order is fixed.
+frequency, both hydrogen-referenced) is fit in two stages. A screen
+evaluates the weighted cost in one broadcast model call per block of
+rows over a lattice spanning the box constraints; a damped least-squares
+polish then starts from each of the best few separate local minima of
+the lattice. A smooth quadratic penalty covers trial parameters that
+push data points below the crossover temperature. Results are
+bit-reproducible: points are sorted canonically, and the lattice and the
+order of the polishes are fixed.
 """
 
 from __future__ import annotations
@@ -39,6 +42,11 @@ __all__ = [
 
 _CROSSOVER_MARGIN = 0.02  # fractional clamp margin above T0 during the search
 _PENALTY_SCALE = 10.0
+_SCREEN_STEPS = (50.0, 25.0)  # lattice steps in omega0 and omegab (cm^-1)
+# omega0 rows per broadcast call of the screen: a chunk's arrays stay small,
+# where the whole default lattice at once adds megabytes to the peak
+_SCREEN_ROWS = 16
+_MAX_POLISHES = 3
 
 
 @dataclass(frozen=True)
@@ -129,7 +137,13 @@ class KIEDataset:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Multi-start grid, box constraints and solver knobs for fit_kie."""
+    """Box constraints, screened starts and solver knobs for fit_kie.
+
+    The screen's lattice spans the bounds at fixed steps of 50 cm^-1 in
+    omega0 and 25 cm^-1 in omegab; every omega0 and omegab start, clamped
+    to the bounds, is added to the lattice's axes, so the screen always
+    covers the starts' grid. The defaults lie on the default lattice.
+    """
 
     omega0_starts: tuple = tuple(range(1500, 4001, 500))
     omegab_starts: tuple = tuple(range(300, 2501, 200))
@@ -149,7 +163,7 @@ class FitResult:
     covariance: tuple  # 2x2, row tuples
     implied_T0: float
     valid: bool
-    n_starts_converged: int
+    n_starts_converged: int  # polishes that converged
 
     def to_json(self) -> dict:
         return {
@@ -167,10 +181,12 @@ class FitResult:
 def _kie_model(T, omega0, omegab, light, heavy):
     """KIE model on the temperature array T, with a smooth below-crossover penalty.
 
-    For trial omegab pushing T under the light isotope's crossover, the
-    temperature is clamped just above it and the value is inflated
-    quadratically in the violation, keeping the objective continuous so
-    the damped least-squares iteration can retreat smoothly.
+    omega0 and omegab may be arrays that broadcast with T (and each other)
+    in front of its axis. For trial omegab pushing T under the light
+    isotope's crossover, the temperature is clamped just above it and the
+    value is inflated quadratically in the violation, keeping the
+    objective continuous so the damped least-squares iteration can retreat
+    smoothly.
     """
     T0 = crossover_temperature(units.isotope_frequency(omegab, light))
     T_clamped = np.maximum(T, (1.0 + _CROSSOVER_MARGIN) * T0)
@@ -178,16 +194,60 @@ def _kie_model(T, omega0, omegab, light, heavy):
     return np.exp(_log_kie(omega0, omegab, T_clamped, light, heavy)) * (1.0 + _PENALTY_SCALE * u * u)
 
 
+def _lattice_axis(bounds, step, starts):
+    # bounds[0] + k*step up to bounds[1], the upper bound and the clamped starts
+    lo, hi = bounds
+    grid = lo + step * np.arange(math.floor((hi - lo) / step) + 1)
+    return np.unique(np.concatenate((grid, [hi], np.clip(starts, lo, hi))))
+
+
+def _screen(T, y, w, omega0, omegab, light, heavy):
+    """Least-squares cost 0.5*sum(r^2) of _kie_model on the lattice omega0 x
+    omegab, _SCREEN_ROWS omega0 rows per call; non-finite costs are inf."""
+    cost = np.empty((omega0.size, omegab.size))
+    for i in range(0, omega0.size, _SCREEN_ROWS):
+        rows = omega0[i : i + _SCREEN_ROWS, None, None]
+        r = w * (_kie_model(T, rows, omegab[:, None], light, heavy) - y)
+        cost[i : i + _SCREEN_ROWS] = 0.5 * (r * r).sum(axis=-1)
+    cost[~np.isfinite(cost)] = np.inf
+    return cost
+
+
+def _local_minima(cost):
+    """Flat indices of the separate local minima of a cost lattice, best first.
+
+    A cell is a minimum when its cost is finite, below each of its 8
+    neighbours that come before it in row-major order and not above those
+    after it, so a run of tied cells counts once. Ties in cost keep
+    row-major order.
+    """
+    m, n = cost.shape
+    padded = np.pad(cost, 1, constant_values=np.inf)
+    is_min = np.isfinite(cost)
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if di == dj == 0:
+                continue
+            nb = padded[1 + di : 1 + di + m, 1 + dj : 1 + dj + n]
+            is_min &= cost < nb if (di, dj) < (0, 0) else cost <= nb
+    idx = np.flatnonzero(is_min)
+    return idx[np.argsort(cost.ravel()[idx], kind="stable")]
+
+
 def fit_kie(data: KIEDataset, config: Optional[FitConfig] = None) -> FitResult:
     """Weighted least-squares fit of the two-parameter KIE model.
 
     Weights are 1/sigma^2 when uncertainties are present, unit otherwise.
-    Every (omega0, omegab) start on the configured grid is polished by a
-    trust-region damped least-squares solve (central-difference Jacobian);
-    the best converged minimum wins. The covariance comes from the
-    Gauss-Newton normal matrix at the optimum scaled by the residual
-    variance. ``valid`` requires the coldest datum to sit 5% above the
-    implied hydrogen-scaled crossover temperature.
+    A screen evaluates the cost on a lattice over the box constraints
+    (see ``FitConfig``). From the best cell of each of the best three
+    separate local minima of the lattice, a trust-region damped
+    least-squares solve (central-difference Jacobian) polishes the fit;
+    the best converged polish wins. A polish never ends above the cost it
+    starts from, so the fit's cost is at most the lattice's minimum
+    whenever the polish from the best cell converges. The covariance comes
+    from the Gauss-Newton normal matrix at the optimum scaled by the
+    residual variance. ``valid`` requires the coldest datum to sit 5% above
+    the implied hydrogen-scaled crossover temperature.
     """
     if len(data) < 3:
         raise DomainError("need at least 3 points for a 2-parameter fit")
@@ -208,39 +268,38 @@ def fit_kie(data: KIEDataset, config: Optional[FitConfig] = None) -> FitResult:
         om0, omb = params
         return w * (_kie_model(T, om0, omb, data.light, data.heavy) - y)
 
+    omega0_axis = _lattice_axis(config.omega0_bounds, _SCREEN_STEPS[0], config.omega0_starts)
+    omegab_axis = _lattice_axis(config.omegab_bounds, _SCREEN_STEPS[1], config.omegab_starts)
+    cost = _screen(T, y, w, omega0_axis, omegab_axis, data.light, data.heavy)
     lo = (config.omega0_bounds[0], config.omegab_bounds[0])
     hi = (config.omega0_bounds[1], config.omegab_bounds[1])
     best = None
     n_converged = 0
-    for om0_start in config.omega0_starts:
-        for omb_start in config.omegab_starts:
-            x0 = (
-                min(max(om0_start, lo[0]), hi[0]),
-                min(max(omb_start, lo[1]), hi[1]),
+    for k in _local_minima(cost)[:_MAX_POLISHES]:
+        i, j = divmod(int(k), omegab_axis.size)
+        try:
+            res = least_squares(
+                residuals,
+                x0=(omega0_axis[i], omegab_axis[j]),
+                bounds=(lo, hi),
+                method="trf",
+                jac="3-point",
+                diff_step=config.diff_step,
+                x_scale=(1000.0, 500.0),
+                ftol=1e-12,
+                xtol=1e-12,
+                gtol=1e-12,
+                max_nfev=config.max_nfev,
             )
-            try:
-                res = least_squares(
-                    residuals,
-                    x0=x0,
-                    bounds=(lo, hi),
-                    method="trf",
-                    jac="3-point",
-                    diff_step=config.diff_step,
-                    x_scale=(1000.0, 500.0),
-                    ftol=1e-12,
-                    xtol=1e-12,
-                    gtol=1e-12,
-                    max_nfev=config.max_nfev,
-                )
-            except (ValueError, FloatingPointError):
-                continue
-            if not res.success or not np.isfinite(res.cost):
-                continue
-            n_converged += 1
-            if best is None or res.cost < best.cost:
-                best = res
+        except (ValueError, FloatingPointError):
+            continue
+        if not res.success or not np.isfinite(res.cost):
+            continue
+        n_converged += 1
+        if best is None or res.cost < best.cost:
+            best = res
     if best is None:
-        raise FitConvergenceError("no multi-start point converged")
+        raise FitConvergenceError("no polish from the screened lattice converged")
 
     dof = max(len(T) - 2, 1)
     s2 = 2.0 * best.cost / dof

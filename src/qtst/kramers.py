@@ -202,10 +202,13 @@ def effective_barrier_frequency(
     return EffectiveBarrier(mu_cm1=mu, T0_K=crossover_temperature(mu), residual=residual)
 
 
-def crossover_temperature(mu: float) -> float:
-    """T0 = hbar*mu/(2*pi*kB) = 0.228988 K per cm^-1 of mu."""
-    if mu < 0:
-        raise DomainError("mu must be >= 0")
+def crossover_temperature(mu):
+    """T0 = hbar*mu/(2*pi*kB) = 0.228988 K per cm^-1 of mu, for a scalar or
+    an array mu; a negative or NaN mu, or any such entry, raises
+    ``DomainError``."""
+    ok = np.all(mu >= 0) if isinstance(mu, np.ndarray) else mu >= 0
+    if not ok:
+        raise DomainError(f"mu must be >= 0, got {mu}")
     return units.CROSSOVER_K_PER_CM1 * mu
 
 

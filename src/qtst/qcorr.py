@@ -75,6 +75,7 @@ _TAIL_ERROR = 31.0 / 967680.0 + 3.0 / 15360.0 + 7.0 / 46080.0
 _TOL_FLOOR = 1e-15
 
 _LN2 = math.log(2.0)
+_LOG_MAX = math.log(np.finfo(float).max)  # the largest log that exp() keeps finite
 
 
 @dataclass(frozen=True)
@@ -160,9 +161,11 @@ def _product(
     d1 = (fm1 - 27.0 * f0 + 27.0 * f1 - f2) / 24.0  # f'(M)
     d3 = f2 - 3.0 * f1 + 3.0 * f0 - fm1  # f'''(M)
     tail = M * float(_GL_WEIGHTS @ logs[N + 2 :]) + d1 / 24.0 - 7.0 * d3 / 5760.0
-    c_qm = math.exp(float(logs[:N].sum()) + tail)
+    log_c = float(logs[:N].sum()) + tail
+    if log_c > _LOG_MAX:
+        raise DomainError(f"log c_qm = {log_c:.6g} exceeds {_LOG_MAX:.6g}: c_qm overflows a double")
     regime = "near_crossover" if T < 1.1 * barrier.T0_K else "high_T"
-    return CorrectionResult(c_qm=c_qm, regime=regime, terms_used=n.size, tail_estimate=tail)
+    return CorrectionResult(c_qm=math.exp(log_c), regime=regime, terms_used=n.size, tail_estimate=tail)
 
 
 def correction_product(
@@ -191,6 +194,8 @@ def correction_product(
     frequency; a bath with strong friction out to thousands of times that
     frequency can exceed it. ``terms_used`` counts the kernel points
     evaluated and ``tail_estimate`` is the tail's contribution to log c_qm.
+    A log c_qm above 709.78, where c_qm overflows a double, raises
+    ``DomainError``.
     """
     _require_param("temperature", T, positive=True)
     _require_param("term_tol", term_tol, positive=True)
@@ -204,19 +209,24 @@ def _log_sinh(x, xp):
 
 def _log_closed(omega0, omegab, T):
     """log[(omega_b/omega_0) sinh(x0)/sin(xb)] with x = hbar*omega/(2 kB T),
-    for T (a scalar or an array) above T0 = crossover_temperature(omegab).
+    for T above T0 = crossover_temperature(omegab).
 
-    The one home of the closed form; ``correction_closed``, ``wigner_rate``
-    and the KIE all use it. Since sin(pi*T0/T) = sin(pi*(T - T0)/T), the
-    sine takes the smaller argument: T - T0 keeps precision next to T0, and
-    the direct argument is exact far above it. A scalar T is evaluated with
-    ``math``, which is several times faster than numpy on one number.
+    Each argument may be a scalar or an array, and arrays broadcast. The
+    one home of the closed form; ``correction_closed``, ``wigner_rate``,
+    the KIE and the fit's screen all use it. Since sin(pi*T0/T) =
+    sin(pi*(T - T0)/T), the sine takes the smaller argument: T - T0 keeps
+    precision next to T0, and the direct argument is exact far above it.
+    All-scalar input is evaluated with ``math``, which is several times
+    faster than numpy on one number.
     """
-    xp, minimum = (np, np.minimum) if isinstance(T, np.ndarray) else (math, min)
+    if isinstance(T, np.ndarray) or isinstance(omega0, np.ndarray) or isinstance(omegab, np.ndarray):
+        xp, minimum = np, np.minimum
+    else:
+        xp, minimum = math, min
     T0 = crossover_temperature(omegab)
     x0 = units.CM1_TO_K * omega0 / (2.0 * T)
     sin_xb = xp.sin(math.pi * minimum(T0, T - T0) / T)
-    return math.log(omegab / omega0) + _log_sinh(x0, xp) - xp.log(sin_xb)
+    return xp.log(omegab / omega0) + _log_sinh(x0, xp) - xp.log(sin_xb)
 
 
 def _require_above_crossover(omegab: float, T: float) -> float:

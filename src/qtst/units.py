@@ -15,6 +15,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, UnitCompatibilityError
 
 # CODATA 2018 (SI). Single source of truth.
@@ -116,13 +118,16 @@ class Isotope(enum.Enum):
             raise DomainError(f"unknown isotope label {label!r}; expected H, D or T") from None
 
 
-def isotope_frequency(omega_H: float, isotope: Isotope) -> float:
-    """Scale a hydrogen frequency (cm^-1) to the given isotope.
+def isotope_frequency(omega_H, isotope: Isotope):
+    """Scale a hydrogen frequency (cm^-1), a scalar or an array, to the
+    given isotope.
 
     Frequencies enter as omega/sqrt(m) with m the unitless mass number,
     so heavier isotopes oscillate slower. This is the single code path
-    for isotope scaling in the package.
+    for isotope scaling in the package. A negative or NaN frequency, or
+    any such entry of an array, raises ``DomainError``.
     """
-    if omega_H < 0:
+    ok = np.all(omega_H >= 0) if isinstance(omega_H, np.ndarray) else omega_H >= 0
+    if not ok:
         raise DomainError(f"frequency must be >= 0, got {omega_H}")
     return omega_H / math.sqrt(isotope.mass_number)

@@ -9,15 +9,18 @@ extrapolation of its partial sums), and the effective frequency by a dense
 scan with root bracketing. They use only the model's ``friction_spectrum``
 (or a scalar ``laplace_kernel``) and stay independent of the closed forms.
 The Drude and Peaked effective frequencies also have polynomial oracles,
-built from the model parameters alone.
+built from the model parameters alone. ``fit_multistart`` is the KIE fit
+as a least-squares polish from every configured start, with no screen.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 import numpy as np
 from scipy import integrate, optimize
+from scipy.optimize import least_squares
 from scipy.special import polygamma
 
 from qtst import (
@@ -30,7 +33,9 @@ from qtst import (
     matsubara_frequency,
 )
 from qtst import units
-from qtst.errors import BelowCrossoverError, DomainError, SolverConvergenceError
+from qtst.errors import BelowCrossoverError, DomainError, FitConvergenceError, SolverConvergenceError
+from qtst.fit import _CROSSOVER_MARGIN, FitConfig, FitResult, KIEDataset, _kie_model
+from qtst.kramers import crossover_temperature
 from qtst.spectral import _require_param
 
 _QUAD_OPTS = dict(epsabs=0.0, epsrel=1e-11, limit=400)
@@ -223,3 +228,85 @@ def peaked_mu_quartic(omegab: float, model) -> float:
     roots = np.roots([1.0, g, wr * wr - 1.0 + gr * g, -g, -wr * wr])
     real = [r.real for r in roots if abs(r.imag) < 1e-9 and 0.0 < r.real <= 1.0 + 1e-9]
     return min(max(real), 1.0) * omegab
+
+
+def fit_multistart(data: KIEDataset, config: Optional[FitConfig] = None) -> FitResult:
+    """Weighted least-squares fit of the two-parameter KIE model.
+
+    Weights are 1/sigma^2 when uncertainties are present, unit otherwise.
+    Every (omega0, omegab) start on the configured grid is polished by a
+    trust-region damped least-squares solve (central-difference Jacobian);
+    the best converged minimum wins. The covariance comes from the
+    Gauss-Newton normal matrix at the optimum scaled by the residual
+    variance. ``valid`` requires the coldest datum to sit 5% above the
+    implied hydrogen-scaled crossover temperature.
+    """
+    if len(data) < 3:
+        raise DomainError("need at least 3 points for a 2-parameter fit")
+    config = config or FitConfig()
+    T, y, sigma = data.sorted_arrays()
+    w = np.ones_like(T) if sigma is None else 1.0 / sigma
+
+    # Quick feasibility check: the smallest admissible omegab must leave
+    # at least one point above the crossover.
+    T0_floor = crossover_temperature(units.isotope_frequency(config.omegab_bounds[0], data.light))
+    if np.max(T) <= (1.0 + _CROSSOVER_MARGIN) * T0_floor:
+        raise FitConvergenceError(
+            "all data points lie below the crossover temperature for every "
+            "admissible barrier frequency"
+        )
+
+    def residuals(params):
+        om0, omb = params
+        return w * (_kie_model(T, om0, omb, data.light, data.heavy) - y)
+
+    lo = (config.omega0_bounds[0], config.omegab_bounds[0])
+    hi = (config.omega0_bounds[1], config.omegab_bounds[1])
+    best = None
+    n_converged = 0
+    for om0_start in config.omega0_starts:
+        for omb_start in config.omegab_starts:
+            x0 = (
+                min(max(om0_start, lo[0]), hi[0]),
+                min(max(omb_start, lo[1]), hi[1]),
+            )
+            try:
+                res = least_squares(
+                    residuals,
+                    x0=x0,
+                    bounds=(lo, hi),
+                    method="trf",
+                    jac="3-point",
+                    diff_step=config.diff_step,
+                    x_scale=(1000.0, 500.0),
+                    ftol=1e-12,
+                    xtol=1e-12,
+                    gtol=1e-12,
+                    max_nfev=config.max_nfev,
+                )
+            except (ValueError, FloatingPointError):
+                continue
+            if not res.success or not np.isfinite(res.cost):
+                continue
+            n_converged += 1
+            if best is None or res.cost < best.cost:
+                best = res
+    if best is None:
+        raise FitConvergenceError("no multi-start point converged")
+
+    dof = max(len(T) - 2, 1)
+    s2 = 2.0 * best.cost / dof
+    jtj = best.jac.T @ best.jac
+    cov = np.linalg.pinv(jtj) * s2
+    cov = 0.5 * (cov + cov.T)
+    omega0, omegab = map(float, best.x)
+    implied_T0 = crossover_temperature(omegab)
+    return FitResult(
+        omega0=omega0,
+        omegab=omegab,
+        residual_norm=float(np.linalg.norm(best.fun)),
+        covariance=tuple(tuple(float(v) for v in row) for row in cov),
+        implied_T0=float(implied_T0),
+        valid=bool(np.min(T) > 1.05 * implied_T0),
+        n_starts_converged=n_converged,
+    )

@@ -1,11 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qtst.cli import main
-from qtst import Isotope, kie_qtst
+from qtst.cli import build_parser, main
+from qtst import BarrierSystem, DebyeDielectricFriction, Isotope, effective_barrier_frequency, kie_qtst
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(args):
@@ -392,3 +398,75 @@ def test_fit_failure_exit_code(tmp_path):
     data = tmp_path / "cold.csv"
     data.write_text("T_K,kie\n10,5\n15,4\n20,3\n")
     assert run(["fit", "--input", str(data), "--pair", "H:D"]) == 4
+
+
+# ------------------------------------------------------- one parser per process
+
+
+def _fresh_run(argv):
+    """(exit code, stdout, stderr) of the command in a new interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qtst.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _in_process_run(argv, capsys):
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse rejects the command line
+        rc = exc.code
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+def test_parser_built_once_gives_fresh_run_outputs(tmp_path, capsys):
+    kie_cmd = ["kie-predict", "--omega0", "2800", "--omegab", "950", "--points", "6"]
+    wkb_cmd = ["wkb", "--potential", "eckart", "--barrier", "35", "--points", "4"]
+    rejected = ["rate", "--omega0", "3000", "--barrier", "40"]  # no --omegab: exit 2
+    session = [kie_cmd, wkb_cmd, rejected, kie_cmd]
+    fresh = {tuple(argv): _fresh_run(argv) for argv in session}
+    capsys.readouterr()
+    for argv in session:
+        assert _in_process_run(argv, capsys) == fresh[tuple(argv)]
+    assert fresh[tuple(rejected)][0] == 2
+    assert build_parser() is build_parser()
+
+    # --config still replaces only the values left at the parser defaults:
+    # tmin (default 275) takes the file's value, the explicit flags win
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"tmin": 280.0, "points": 4, "omegab": 1200.0}))
+    rc, out, _ = _in_process_run(kie_cmd + ["--config", str(cfg)], capsys)
+    assert rc == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [float(r[0]) for r in rows] == [280.0, 289.0, 298.0, 307.0, 316.0, 325.0]
+    assert float(rows[0][1]) == pytest.approx(kie_qtst(2800.0, 950.0, 280.0).ratio, rel=1e-9)
+
+
+# ---------------------------------------------------------------- overflow
+
+
+def test_correction_row_is_nan_where_the_product_overflows(tmp_path):
+    # strong Debye friction brings T0 down to 0.33 K; there log c_qm is
+    # about 2750, past what a double holds
+    system = BarrierSystem(2500.0, 500.0, 0.0)
+    friction = DebyeDielectricFriction(cavity_radius=1.0)
+    T = 1.03 * effective_barrier_frequency(system, friction).T0_K
+    out = tmp_path / "corr.csv"
+    rc = run([
+        "correction", "--omega0", "2500", "--omegab", "500",
+        "--friction", json.dumps(friction.to_json()),
+        "--tmin", repr(T), "--tmax", repr(T), "--points", "1", "--output", str(out),
+    ])
+    assert rc == 0
+    header, rows = read_csv(out)
+    assert header[:2] == ["T_K", "c_qm"]
+    assert rows[0][1] == "nan"
+    # the rate on the same barrier fails cleanly: exit 3, not a traceback
+    assert run([
+        "rate", "--omega0", "2500", "--omegab", "500", "--barrier", "40",
+        "--friction", json.dumps(friction.to_json()),
+        "--tmin", repr(T), "--tmax", repr(T), "--points", "1",
+    ]) == 3

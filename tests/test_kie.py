@@ -17,6 +17,7 @@ from qtst import (
     swain_schaad,
 )
 from qtst.errors import BelowCrossoverError, DomainError
+from qtst.kie import _log_kie
 
 KB_KJ = 1.380649e-23 * 6.02214076e23 / 1000.0
 
@@ -118,6 +119,44 @@ def test_kie_equals_ratio_of_closed_form_corrections():
                     expected, rel=1e-13
                 )
 
+
+
+PAIRS = [(Isotope.H, Isotope.D), (Isotope.H, Isotope.T), (Isotope.D, Isotope.T)]
+
+
+def _kie_grid(light):
+    # omega0 x omegab x T, with T above the light isotope's crossover, as
+    # the broadcast shapes (k, 1, 1), (m, 1) and (m, n)
+    rng = np.random.default_rng(9)
+    omega0 = rng.uniform(500.0, 5000.0, 13)
+    omegab = rng.uniform(100.0, 3000.0, 11)
+    T0 = crossover_temperature(isotope_frequency(omegab, light))
+    T = T0[:, None] * rng.uniform(1.0001, 3.0, (11, 7))
+    return omega0[:, None, None], omegab[:, None], T
+
+
+@pytest.mark.parametrize("light, heavy", PAIRS)
+def test_log_kie_on_arrays_equals_a_scalar_loop(light, heavy):
+    omega0, omegab, T = _kie_grid(light)
+    scalar = np.array([
+        [[_log_kie(float(a), float(b[0]), float(t), light, heavy) for t in row] for b, row in zip(omegab, T)]
+        for a in omega0.ravel()
+    ])
+    array = _log_kie(omega0, omegab, T, light, heavy)
+    # log KIE is a difference of two logs of order 1 to 10, and numpy's log
+    # and expm1 differ from math's by an ulp at times; where the difference
+    # is small (D:T) that ulp exceeds 1e-15 of it, so an absolute 1e-15 (the
+    # KIE itself to 1e-15 relative) also passes
+    np.testing.assert_allclose(array, scalar, rtol=1e-15, atol=1e-15)
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan])
+@pytest.mark.parametrize("which", ["omega0", "omegab"])
+def test_log_kie_rejects_a_bad_frequency_entry(which, bad):
+    omega0, omegab, T = _kie_grid(Isotope.H)
+    (omega0 if which == "omega0" else omegab)[2, 0] = bad
+    with pytest.raises(DomainError):
+        _log_kie(omega0, omegab, T, Isotope.H, Isotope.D)
 
 # ---------------------------------------------------- apparent Arrhenius
 

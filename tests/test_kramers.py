@@ -206,6 +206,23 @@ def test_crossover_rejects_negative():
         crossover_temperature(-1.0)
 
 
+def test_crossover_on_an_array_equals_a_scalar_loop():
+    mu = np.geomspace(1.0, 5000.0, 24).reshape(4, 6)
+    scalar = [[crossover_temperature(float(m)) for m in row] for row in mu]
+    np.testing.assert_allclose(crossover_temperature(mu), scalar, rtol=1e-15, atol=0.0)
+    assert crossover_temperature(np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan])
+def test_crossover_rejects_a_bad_entry_of_an_array(bad):
+    mu = np.full(5, 1000.0)
+    mu[3] = bad
+    with pytest.raises(DomainError):
+        crossover_temperature(mu)
+    with pytest.raises(DomainError):
+        crossover_temperature(bad)
+
+
 def test_crossover_temperature_nonincreasing_in_friction():
     wb = 1000.0
     for wd, flat in ((100.0 * wb, False), (0.01 * wb, True)):

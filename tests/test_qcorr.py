@@ -29,6 +29,7 @@ from qtst import (
 )
 from qtst import kramers
 from qtst.errors import BelowCrossoverError, DomainError
+from qtst.qcorr import _log_closed
 
 from oracles import (
     product_exact_then_asymptote,
@@ -97,6 +98,33 @@ def test_closed_form_rejects_non_finite_input(args):
 
 
 # ---------------------------------------------------------- product form
+
+
+def _closed_form_grid():
+    # omega0 x omegab x T, with T above each omegab's crossover, as the
+    # broadcast shapes (k, 1, 1), (m, 1) and (m, n)
+    rng = np.random.default_rng(5)
+    omega0 = rng.uniform(500.0, 5000.0, 13)
+    omegab = rng.uniform(100.0, 3000.0, 11)
+    T = crossover_temperature(omegab)[:, None] * rng.uniform(1.0001, 3.0, (11, 7))
+    return omega0[:, None, None], omegab[:, None], T
+
+
+def test_closed_form_on_arrays_equals_a_scalar_loop():
+    omega0, omegab, T = _closed_form_grid()
+    scalar = [
+        [[_log_closed(float(a), float(b[0]), float(t)) for t in row] for b, row in zip(omegab, T)]
+        for a in omega0.ravel()
+    ]
+    np.testing.assert_allclose(_log_closed(omega0, omegab, T), scalar, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan])
+def test_closed_form_rejects_a_bad_omegab_entry(bad):
+    omega0, omegab, T = _closed_form_grid()
+    omegab[4, 0] = bad
+    with pytest.raises(DomainError):
+        _log_closed(omega0, omegab, T)
 
 
 def test_product_matches_closed_form_without_friction():
@@ -408,6 +436,19 @@ def test_quantum_rate_monotone_in_temperature():
 def test_quantum_rate_below_crossover_raises():
     with pytest.raises(BelowCrossoverError):
         quantum_rate(SYSTEM, None, 0.9 * T0)
+
+
+# a barrier that strong friction brings down to T0 = 0.33 K: at 1.03*T0 the
+# product's log is about 2750, past the 709.78 where exp overflows a double
+OVERFLOW_SYSTEM = BarrierSystem(2500.0, 500.0, 40.0)
+OVERFLOW_MODEL = DebyeDielectricFriction(cavity_radius=1.0)
+
+
+@pytest.mark.parametrize("call", [correction_product, quantum_rate], ids=lambda f: f.__name__)
+def test_product_overflow_is_a_domain_error_naming_log_c_qm(call):
+    T = 1.03 * effective_barrier_frequency(OVERFLOW_SYSTEM, OVERFLOW_MODEL).T0_K
+    with pytest.raises(DomainError, match="log c_qm"):
+        call(OVERFLOW_SYSTEM, OVERFLOW_MODEL, T)
 
 
 # ---------------------------------------------------- crossover correction

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from qtst import Isotope, Quantity, Unit, convert, isotope_frequency
@@ -98,3 +99,20 @@ def test_isotope_frequency_decreasing_in_mass():
 def test_isotope_frequency_rejects_negative():
     with pytest.raises(DomainError):
         isotope_frequency(-1.0, Isotope.H)
+
+
+def test_isotope_frequency_on_an_array_equals_a_scalar_loop():
+    omega = np.linspace(0.0, 5000.0, 37).reshape(37, 1) * np.array([1.0, 0.37])
+    for iso in Isotope:
+        scalar = [[isotope_frequency(float(v), iso) for v in row] for row in omega]
+        np.testing.assert_allclose(isotope_frequency(omega, iso), scalar, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan])
+def test_isotope_frequency_rejects_a_bad_entry_of_an_array(bad):
+    omega = np.array([[1000.0, 2000.0], [3000.0, 4000.0]])
+    omega[1, 0] = bad
+    with pytest.raises(DomainError):
+        isotope_frequency(omega, Isotope.D)
+    with pytest.raises(DomainError):
+        isotope_frequency(bad, Isotope.D)
