@@ -211,7 +211,7 @@ def cmd_correction(args):
             c_prod, regime = math.nan, "invalid_below_T0"
         try:
             c_closed = qcorr.correction_closed(system.omega0, system.omegab, T)
-        except BelowCrossoverError:
+        except DomainError:
             c_closed = math.nan
         c_cross = math.nan
         if args.kappa is not None:

@@ -248,9 +248,14 @@ def classical_kie(
     """Classical kinetic isotope effect (mu/omega_b ratio of the isotopes).
 
     The barrier height cancels, so the result is temperature independent;
-    ``T`` is accepted for interface symmetry and ignored. Bounded by
-    1 <= KIE <= sqrt(m_heavy/m_light), the upper bound reached at strong
-    friction.
+    ``T`` is accepted for interface symmetry and ignored. Its ratio to
+    sqrt(m_heavy/m_light) is (mu_h + g(mu_h))/(mu_l + g(mu_l)), with g the
+    Laplace-transformed kernel. So it is at most sqrt(m_heavy/m_light),
+    the value reached at strong Ohmic friction, wherever z + g(z) does not
+    fall between the two mu. A kernel with g' < -1 there can exceed it: a
+    slow Drude bath (gamma > omega_d), or a Debye dielectric at small
+    omega_b. It is at least 1 wherever g(z)/z does not rise between the two
+    mu.
     """
     if light.mass_number >= heavy.mass_number:
         raise DomainError("light isotope must be lighter than heavy isotope")

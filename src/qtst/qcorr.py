@@ -122,6 +122,14 @@ def matsubara_frequency(n: int, T: float) -> float:
     return n * T * _NU_CM1_PER_K
 
 
+def _exp_of_log(name: str, log_value: float) -> float:
+    # exp(log_value), or a DomainError naming the log where the value
+    # overflows a double
+    if log_value > _LOG_MAX:
+        raise DomainError(f"log {name} = {log_value:.6g} exceeds {_LOG_MAX:.6g}: {name} overflows a double")
+    return math.exp(log_value)
+
+
 def _exact_terms(c: float, term_tol: float) -> int:
     # The log-terms tend to f(n) = c/n^2 (c = a/nu^2), whose fifth
     # derivative at M = N + 1/2 is -720 c/M^7; a factor 4 leaves room for
@@ -161,11 +169,9 @@ def _product(
     d1 = (fm1 - 27.0 * f0 + 27.0 * f1 - f2) / 24.0  # f'(M)
     d3 = f2 - 3.0 * f1 + 3.0 * f0 - fm1  # f'''(M)
     tail = M * float(_GL_WEIGHTS @ logs[N + 2 :]) + d1 / 24.0 - 7.0 * d3 / 5760.0
-    log_c = float(logs[:N].sum()) + tail
-    if log_c > _LOG_MAX:
-        raise DomainError(f"log c_qm = {log_c:.6g} exceeds {_LOG_MAX:.6g}: c_qm overflows a double")
+    c_qm = _exp_of_log("c_qm", float(logs[:N].sum()) + tail)
     regime = "near_crossover" if T < 1.1 * barrier.T0_K else "high_T"
-    return CorrectionResult(c_qm=math.exp(log_c), regime=regime, terms_used=n.size, tail_estimate=tail)
+    return CorrectionResult(c_qm=c_qm, regime=regime, terms_used=n.size, tail_estimate=tail)
 
 
 def correction_product(
@@ -243,12 +249,13 @@ def correction_closed(omega0: float, omegab: float, T: float) -> float:
 
     x = hbar*omega/(2 kB T). Only defined above T0 = 0.228988*omega_b;
     diverges as T -> T0+ (an artefact of the parabolic barrier top), so
-    temperatures within 1e-9 of T0 are rejected.
+    temperatures within 1e-9 of T0 are rejected. A log above 709.78, where
+    the value overflows a double, raises ``DomainError``.
     """
     _require_param("omega0", omega0, positive=True)
     _require_param("omegab", omegab, positive=True)
     _require_above_crossover(omegab, T)
-    return math.exp(_log_closed(omega0, omegab, T))
+    return _exp_of_log("c_closed", _log_closed(omega0, omegab, T))
 
 
 def wigner_rate(system: BarrierSystem, T: float) -> RateResult:
@@ -256,13 +263,14 @@ def wigner_rate(system: BarrierSystem, T: float) -> RateResult:
 
     Provided as a standalone diagnostic; it differs from the normative
     classical-rate-times-product form by a factor of 2 in the prefactor
-    convention (see ``quantum_rate``).
+    convention (see ``quantum_rate``). A log rate above 709.78, where the
+    rate overflows a double, raises ``DomainError``.
     """
     omega0, omegab = system.omega0, system.omegab
     T0 = _require_above_crossover(omegab, T)
     beta_e = system.barrier_kJ_per_mol / (units.KB_KJ_PER_MOL_K * T)
     log_rate_cm1 = math.log(omega0 / (4.0 * math.pi)) + _log_closed(omega0, omegab, T) - beta_e
-    rate_cm1 = math.exp(log_rate_cm1)
+    rate_cm1 = _exp_of_log("rate_cm1", log_rate_cm1)
     regime = "near_crossover" if T < 1.1 * T0 else "qtst"
     return RateResult(
         T_K=T,
@@ -312,7 +320,7 @@ def correction_crossover(system: BarrierSystem, T: float, kappa_at_T0: float) ->
     1 - 1/(2y^2) + O(y^-4), so the two agree within 5% only for
     y >= 2.94 (T >= 1.26*T0 at kappa = 10). erfcx avoids the overflow of
     exp(y^2)*erfc(y). Valid in the crossover neighbourhood and above,
-    T > 0.9*T0.
+    T > 0.9*T0. A prefactor that overflows a double raises ``DomainError``.
     """
     _require_param("kappa", kappa_at_T0, positive=True)
     _require_param("temperature", T, positive=True)
@@ -329,7 +337,7 @@ def correction_crossover(system: BarrierSystem, T: float, kappa_at_T0: float) ->
     s = math.pi * eps / (1.0 - eps)
     q = (1.0 - 0.5 * eps) * (1.0 - eps) * kappa_at_T0 / math.pi * _scaled_sine_ratio(s)
     x0 = units.CM1_TO_K * omega0 / (2.0 * T)
-    prefactor = math.exp(math.log(omegab / omega0) + _log_sinh(x0, math))
+    prefactor = _exp_of_log("(omega_b/omega_0) sinh(x0)", math.log(omegab / omega0) + _log_sinh(x0, math))
     return prefactor * math.sqrt(math.pi) * q * float(erfcx(y))
 
 

@@ -15,6 +15,7 @@ import csv
 import warnings
 import io
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -43,8 +44,8 @@ class Potential1D:
     """Base class for the model barriers. Immutable values."""
 
     mass: float
-    #: interpolated potentials have C1 kinks that cap the achievable
-    #: quadrature accuracy near 1e-8 relative
+    #: interpolated potentials have C1 kinks at their knots, which the
+    #: action's quadrature runs across; see ``wkb_action`` for the accuracy
     smooth = True
 
     def energy(self, x: float) -> float:
@@ -204,27 +205,37 @@ class TabulatedPotential(Potential1D):
                 raise DomainError("grid positions must be distinct")
         _require_param("mass", mass, positive=True)
         self.mass = float(mass)
-        self._x = x
         self._U = U
-        self._interp = PchipInterpolator(x, U, extrapolate=False)
+        # scipy builds the PCHIP coefficients once; each piece is then kept
+        # as (a0, a1, a2, a3) in powers of s = x - x_i
+        self._knots = x.tolist()
+        self._coefs = [tuple(col) for col in PchipInterpolator(x, U).c[::-1].T.tolist()]
         i_top = int(np.argmax(U))
         if i_top == 0 or i_top == x.size - 1:
             raise DomainError("tabulated potential has no interior barrier top")
         res = minimize_scalar(
-            lambda t: -float(self._interp(t)),
+            lambda t: -self.energy(t),
             bounds=(x[max(i_top - 1, 0)], x[min(i_top + 1, x.size - 1)]),
             method="bounded",
             options={"xatol": 1e-13 * (x[-1] - x[0])},
         )
         self._x_top = float(res.x)
-        self._U_top = float(self._interp(res.x))
+        self._U_top = self.energy(res.x)
 
     def energy(self, x):
-        if x < self._x[0] or x > self._x[-1]:
+        knots = self._knots
+        if x < knots[0] or x > knots[-1]:
             raise DomainError(
-                f"x = {x:g} outside the tabulated range [{self._x[0]:g}, {self._x[-1]:g}]"
+                f"x = {x:g} outside the tabulated range [{knots[0]:g}, {knots[-1]:g}]"
             )
-        return float(self._interp(x))
+        # the piece with x_i <= x < x_{i+1}, the last one closed at its end
+        i = bisect_right(knots, x, 1, len(knots) - 1) - 1
+        a0, a1, a2, a3 = self._coefs[i]
+        s = x - knots[i]
+        z = s * s
+        # scipy's own term order (a power sum, not Horner), so the value is
+        # bit for bit that of PchipInterpolator
+        return float(a0 + a1 * s + a2 * z + a3 * (z * s))
 
     @property
     def barrier_height(self):
@@ -236,10 +247,10 @@ class TabulatedPotential(Potential1D):
 
     @property
     def length_scale(self):
-        return float(self._x[-1] - self._x[0])
+        return self._knots[-1] - self._knots[0]
 
     def search_window(self):
-        return float(self._x[0]), float(self._x[-1])
+        return self._knots[0], self._knots[-1]
 
     @classmethod
     def from_csv(cls, path_or_text, mass: float = 1.0) -> "TabulatedPotential":
@@ -316,7 +327,13 @@ def wkb_action(pot: Potential1D, E: float) -> float:
 
     The integrand's inverse-square-root endpoint singularities are removed
     by the substitution x = x_mid + half_width * sin(theta), after which an
-    adaptive quadrature reaches 1e-8 relative accuracy comfortably.
+    adaptive quadrature asks for 1e-10 relative accuracy on a smooth
+    potential. On a tabulated one it asks for 1e-8, but the interpolant's
+    kinks at the knots, which the quadrature does not split at, cost more
+    deep below the top: on a 41-point Eckart table (40 kJ/mol, width
+    0.45 angstrom) the action is 1.8e-7 relative off at 0.05*E_b, 1.4e-9
+    at 0.5*E_b and 1.1e-11 at 0.95*E_b, against a quadrature split at the
+    knots to 1e-13.
     """
     x1, x2 = turning_points(pot, E)
     mid = 0.5 * (x1 + x2)

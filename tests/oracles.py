@@ -11,16 +11,20 @@ scan with root bracketing. They use only the model's ``friction_spectrum``
 The Drude and Peaked effective frequencies also have polynomial oracles,
 built from the model parameters alone. ``fit_multistart`` is the KIE fit
 as a least-squares polish from every configured start, with no screen.
+``PchipTable`` and ``wkb_action_pchip`` are the tabulated potential and its
+action with scipy's ``PchipInterpolator`` called at every point.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from typing import Optional
 
 import numpy as np
 from scipy import integrate, optimize
-from scipy.optimize import least_squares
+from scipy.interpolate import PchipInterpolator
+from scipy.optimize import least_squares, minimize_scalar
 from scipy.special import polygamma
 
 from qtst import (
@@ -29,14 +33,17 @@ from qtst import (
     DrudeFriction,
     LinearProteinFriction,
     PeakedFriction,
+    TabulatedPotential,
     effective_barrier_frequency,
     matsubara_frequency,
+    turning_points,
 )
 from qtst import units
 from qtst.errors import BelowCrossoverError, DomainError, FitConvergenceError, SolverConvergenceError
 from qtst.fit import _CROSSOVER_MARGIN, FitConfig, FitResult, KIEDataset, _kie_model
 from qtst.kramers import crossover_temperature
 from qtst.spectral import _require_param
+from qtst.wkb import Potential1D
 
 _QUAD_OPTS = dict(epsabs=0.0, epsrel=1e-11, limit=400)
 # the infinite tails carry ~1e-4 of the integral; absolute floor avoids
@@ -310,3 +317,73 @@ def fit_multistart(data: KIEDataset, config: Optional[FitConfig] = None) -> FitR
         valid=bool(np.min(T) > 1.05 * implied_T0),
         n_starts_converged=n_converged,
     )
+
+
+class PchipTable(Potential1D):
+    """A ``TabulatedPotential``'s samples, with every energy a call of scipy's
+    ``PchipInterpolator`` and the barrier top found on that interpolant."""
+
+    smooth = False
+
+    def __init__(self, pot: TabulatedPotential):
+        x, U = np.asarray(pot._knots), pot._U
+        self.mass = pot.mass
+        self._x = x
+        self.interp = PchipInterpolator(x, U, extrapolate=False)
+        i_top = int(np.argmax(U))
+        res = minimize_scalar(
+            lambda t: -float(self.interp(t)),
+            bounds=(x[max(i_top - 1, 0)], x[min(i_top + 1, x.size - 1)]),
+            method="bounded",
+            options={"xatol": 1e-13 * (x[-1] - x[0])},
+        )
+        self._x_top = float(res.x)
+        self._U_top = float(self.interp(res.x))
+
+    def energy(self, x):
+        if x < self._x[0] or x > self._x[-1]:
+            raise DomainError(
+                f"x = {x:g} outside the tabulated range [{self._x[0]:g}, {self._x[-1]:g}]"
+            )
+        return float(self.interp(x))
+
+    @property
+    def barrier_height(self):
+        return self._U_top
+
+    @property
+    def barrier_position(self):
+        return self._x_top
+
+    @property
+    def length_scale(self):
+        return float(self._x[-1] - self._x[0])
+
+    def search_window(self):
+        return float(self._x[0]), float(self._x[-1])
+
+
+def wkb_action_pchip(pot: TabulatedPotential, E: float) -> float:
+    """``wkb_action`` of a tabulated potential, with the scipy interpolant
+    evaluated at every turning-point and quadrature point."""
+    ref = PchipTable(pot)
+    x1, x2 = turning_points(ref, E)
+    mid = 0.5 * (x1 + x2)
+    half = 0.5 * (x2 - x1)
+    if half == 0.0:
+        return 0.0
+
+    def integrand(theta):
+        x = mid + half * math.sin(theta)
+        du = ref.energy(x) - E
+        if du < 0.0:
+            du = 0.0
+        return math.sqrt(du) * half * math.cos(theta)
+
+    floor = 1e-12 * half * math.sqrt(ref.barrier_height)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        val, _ = integrate.quad(
+            integrand, -0.5 * math.pi, 0.5 * math.pi, epsabs=floor, epsrel=1e-8, limit=300
+        )
+    return units.ACTION_HBAR_FACTOR * math.sqrt(ref.mass) * val

@@ -470,3 +470,18 @@ def test_correction_row_is_nan_where_the_product_overflows(tmp_path):
         "--friction", json.dumps(friction.to_json()),
         "--tmin", repr(T), "--tmax", repr(T), "--points", "1",
     ]) == 3
+
+
+def test_correction_row_is_nan_where_the_closed_form_overflows(tmp_path):
+    # omega_0/omega_b = 250: at 5 K the closed form's log is about 715, at
+    # 7.5 K it is finite
+    out = tmp_path / "corr.csv"
+    rc = run([
+        "correction", "--omega0", "5000", "--omegab", "20", "--tmin", "5", "--tmax", "10",
+        "--points", "3", "--kappa", "10", "--output", str(out),
+    ])
+    assert rc == 0
+    header, rows = read_csv(out)
+    assert header[:4] == ["T_K", "c_qm", "c_closed", "c_crossover"]
+    assert rows[0][2] == "nan" and rows[0][3] == "nan"
+    assert all(math.isfinite(float(r[2])) and math.isfinite(float(r[3])) for r in rows[1:])

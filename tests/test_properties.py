@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtst import units
 from qtst import (
+    BarrierSystem,
     DebyeDielectricFriction,
     DrudeFriction,
     FitConfig,
@@ -21,13 +23,16 @@ from qtst import (
     LinearProteinFriction,
     OhmicFriction,
     PeakedFriction,
+    correction_closed,
+    correction_product,
+    crossover_temperature,
     fit_kie,
     kernel_upper_bound,
     kie_qtst,
 )
 from qtst.fit import _kie_model
 from qtst.kie import load_dataset_csv
-from qtst.kramers import solve_effective_frequency
+from qtst.kramers import classical_kie, solve_effective_frequency
 
 from oracles import (
     drude_mu_cubic,
@@ -132,6 +137,78 @@ def test_kernel_within_bound_at_array_z(model, z):
 def test_scalar_and_array_kernels_agree(model, z):
     scalar = [model.laplace_kernel(float(x)) for x in z]
     np.testing.assert_allclose(model.laplace_kernel(z), scalar, rtol=1e-15, atol=0.0)
+
+
+# ------------------------------------------- c_qm and the classical KIE
+
+well_frequencies = st.floats(500.0, 4000.0)
+# temperatures from just above the frictionless crossover, which lies above
+# the crossover of any damped barrier, to three times it
+crossover_multiples = st.floats(1.05, 3.0)
+
+
+@PROPERTY
+@given(
+    omega0=well_frequencies,
+    omegab=st.floats(500.0, 2000.0),
+    factor=crossover_multiples,
+    omega_d=_log_uniform(100.0, 5000.0),
+    gammas=st.lists(st.floats(0.0, 5000.0), min_size=2, max_size=2),
+)
+def test_c_qm_at_least_one_and_not_rising_with_drude_gamma(omega0, omegab, factor, omega_d, gammas):
+    system = BarrierSystem(omega0, omegab, 40.0)
+    T = factor * crossover_temperature(omegab)
+    weak, strong = (correction_product(system, DrudeFriction(g, omega_d), T).c_qm for g in sorted(gammas))
+    assert weak >= 1.0 and strong >= 1.0
+    # each log carries at most term_tol = 1e-9 of error
+    assert math.log(strong) <= math.log(weak) + 2e-9
+
+
+isotope_pairs = st.sampled_from([(Isotope.H, Isotope.D), (Isotope.H, Isotope.T), (Isotope.D, Isotope.T)])
+
+
+def _classical_kie(omegab, model, light, heavy):
+    return classical_kie(BarrierSystem(2000.0, omegab, 40.0), model, light, heavy)
+
+
+@PROPERTY
+@given(omegab=barrier_frequencies, model=st.one_of(builtin_models, zero_friction_models), pair=isotope_pairs)
+def test_classical_kie_at_least_one_and_its_ratio_to_root_mass_ratio(omegab, model, pair):
+    # With mu^2 + mu*g(mu) = omega_b^2 for each isotope, the KIE over
+    # sqrt(m_h/m_l) is exactly (mu_h + g(mu_h))/(mu_l + g(mu_l)): at most 1
+    # where z + g(z) does not fall between the two mu
+    light, heavy = pair
+    kie = _classical_kie(omegab, model, light, heavy)
+    assert kie >= 1.0 - 1e-12
+    mu_l, mu_h = (solve_effective_frequency(units.isotope_frequency(omegab, iso), model)[0] for iso in pair)
+    ratio = (mu_h + model.laplace_kernel(mu_h)) / (mu_l + model.laplace_kernel(mu_l))
+    assert math.isclose(kie / math.sqrt(heavy.mass_number / light.mass_number), ratio, rel_tol=1e-9)
+
+
+@PROPERTY
+@given(omegab=barrier_frequencies, gamma=st.floats(0.0, 5000.0), pair=isotope_pairs)
+def test_ohmic_classical_kie_at_most_root_mass_ratio(omegab, gamma, pair):
+    light, heavy = pair
+    kie = _classical_kie(omegab, OhmicFriction(gamma), light, heavy)
+    assert 1.0 - 1e-12 <= kie <= math.sqrt(heavy.mass_number / light.mass_number) * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize(
+    "model, omegab",
+    [(DrudeFriction(4000.0, 200.0), 1000.0), (DebyeDielectricFriction(cavity_radius=2.0, eps_c=2.0), 100.0)],
+    ids=["drude", "debye"],
+)
+def test_classical_kie_exceeds_root_mass_ratio_where_friction_falls_steeply(model, omegab):
+    # a kernel falling faster than z rises (g' < -1) between the two mu
+    assert _classical_kie(omegab, model, Isotope.H, Isotope.D) > math.sqrt(2.0) * 1.02
+
+
+@PROPERTY
+@given(omega0=well_frequencies, omegab=barrier_frequencies, factor=crossover_multiples)
+def test_frictionless_product_equals_closed_form(omega0, omegab, factor):
+    T = factor * crossover_temperature(omegab)
+    c_qm = correction_product(BarrierSystem(omega0, omegab, 40.0), None, T).c_qm
+    assert math.isclose(c_qm, correction_closed(omega0, omegab, T), rel_tol=1e-9)
 
 
 # ------------------------------------------------------------------ fit_kie

@@ -451,6 +451,29 @@ def test_product_overflow_is_a_domain_error_naming_log_c_qm(call):
         call(OVERFLOW_SYSTEM, OVERFLOW_MODEL, T)
 
 
+# omega_0 = 5000 cm^-1 over omega_b = 20 cm^-1 (T0 = 4.58 K): at 5 K,
+# x0 = 719 and the closed form's log is about 715
+CLOSED_OVERFLOW_SYSTEM = BarrierSystem(5000.0, 20.0, 0.0)
+
+
+def test_closed_form_overflow_is_a_domain_error_naming_the_log():
+    with pytest.raises(DomainError, match="log c_closed"):
+        correction_closed(5000.0, 20.0, 5.0)
+    # just inside the range it is finite
+    assert math.isfinite(correction_closed(5000.0, 20.0, 7.5))
+
+
+def test_wigner_rate_overflow_is_a_domain_error_naming_the_log():
+    with pytest.raises(DomainError, match="log rate_cm1"):
+        wigner_rate(CLOSED_OVERFLOW_SYSTEM, 5.0)
+    assert math.isfinite(wigner_rate(CLOSED_OVERFLOW_SYSTEM, 7.5).rate_cm1)
+
+
+def test_crossover_prefactor_overflow_is_a_domain_error():
+    with pytest.raises(DomainError, match="overflows a double"):
+        correction_crossover(CLOSED_OVERFLOW_SYSTEM, 5.0, 10.0)
+
+
 # ---------------------------------------------------- crossover correction
 
 

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from qtst import (
     CubicBarrier,
@@ -13,6 +16,8 @@ from qtst import (
     wkb_action,
 )
 from qtst.errors import DomainError
+
+from oracles import PchipTable, wkb_action_pchip
 
 CM1_KJ = 0.011962656563869701
 CURV = 0.000357396117155  # kJ/mol per (mass cm^-2 A^2)
@@ -213,3 +218,58 @@ def test_tabulated_rejects_non_finite_samples(column, bad):
     data[column][1] = bad
     with pytest.raises(DomainError, match=f"{column} must be finite"):
         TabulatedPotential(data["x"], data["U"])
+
+
+# ------------------------------------------------- stored PCHIP evaluation
+
+
+@st.composite
+def tables(draw):
+    """(x, U): distinct sorted positions, and values with an interior maximum."""
+    n = draw(st.integers(4, 40))
+    steps = draw(st.lists(st.floats(1e-3, 1.0), min_size=n - 1, max_size=n - 1))
+    x = np.cumsum([draw(st.floats(-5.0, 5.0))] + steps)
+    U = np.array(draw(st.lists(st.floats(-50.0, 50.0), min_size=n, max_size=n)))
+    U[draw(st.integers(1, n - 2))] = U.max() + draw(st.floats(1e-3, 10.0))
+    return x, U
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(tables(), st.lists(st.floats(0.0, 1.0), min_size=20, max_size=20), st.randoms())
+def test_tabulated_energy_is_scipy_pchip_bit_for_bit(table, fractions, rnd):
+    x, U = table
+    reference = PchipInterpolator(x, U, extrapolate=False)
+    order = list(range(x.size))
+    rnd.shuffle(order)
+    # sorted input, and shuffled input that the constructor sorts back
+    for pot in (TabulatedPotential(x, U), TabulatedPotential(x[order], U[order])):
+        points = list(x) + [min(float(x[0] + f * (x[-1] - x[0])), x[-1]) for f in fractions]
+        for p in points:
+            assert pot.energy(float(p)) == float(reference(p))
+        for outside in (np.nextafter(x[0], -np.inf), np.nextafter(x[-1], np.inf)):
+            with pytest.raises(DomainError, match="outside the tabulated range"):
+                pot.energy(float(outside))
+
+
+def _benchmark_table(mass):
+    # the benchmark's tabulated barrier: Eckart, 40 kJ/mol, width 0.45 A, 41
+    # points written to CSV at 6 and 9 decimals
+    rows = "".join(
+        f"{x:.6f},{40.0 / math.cosh(x / 0.45) ** 2:.9f}\n" for x in np.linspace(-1.5, 1.5, 41)
+    )
+    return TabulatedPotential.from_csv("x_angstrom,U_kJ_per_mol\n" + rows, mass=mass)
+
+
+@pytest.mark.parametrize("mass", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("frac", [0.05, 0.5, 0.95])
+def test_tabulated_action_equals_scipy_pchip_oracle_exactly(mass, frac):
+    tab = _benchmark_table(mass)
+    E = frac * tab.barrier_height
+    assert wkb_action(tab, E) == wkb_action_pchip(tab, E)
+
+
+def test_tabulated_barrier_top_unchanged_from_scipy_pchip():
+    tab = _benchmark_table(1.0)
+    ref = PchipTable(tab)
+    assert tab.barrier_height == ref.barrier_height
+    assert tab.barrier_position == ref.barrier_position
