@@ -4,149 +4,20 @@ Classical Kramers rates with memory friction, quantum correction factors
 above the crossover temperature, kinetic isotope effect prediction and
 fitting, and friction/spectral-density models of a protein-solvent
 environment.
+
+The package exports exactly the names in its modules' ``__all__`` lists.
 """
 
-from .errors import (
-    BelowCrossoverError,
-    DivergentIntegralError,
-    DomainError,
-    FitConvergenceError,
-    QtstError,
-    SolverConvergenceError,
-    UnitCompatibilityError,
-)
-from .fit import ArrheniusFit, FitConfig, FitResult, KIEDataset, fit_arrhenius, fit_kie
-from .kie import (
-    ApparentArrhenius,
-    ArrheniusParams,
-    ClassificationReport,
-    KIEPrediction,
-    apparent_arrhenius,
-    classify,
-    kie_qtst,
-    load_barrier_frequencies,
-    load_limits,
-    load_table1,
-    swain_schaad,
-)
-from .kramers import (
-    BarrierSystem,
-    EffectiveBarrier,
-    RateResult,
-    classical_kie,
-    classical_rate,
-    crossover_temperature,
-    effective_barrier_frequency,
-)
-from .qcorr import (
-    CorrectionResult,
-    CrossoverParams,
-    correction_closed,
-    correction_crossover,
-    correction_product,
-    equilibrium_condition,
-    kappa_parameter,
-    matsubara_frequency,
-    quantum_rate,
-    semiclassical_rate,
-    weak_friction_margin,
-    wigner_rate,
-)
-from .spectral import (
-    ChromophoreEstimate,
-    DebyeDielectricFriction,
-    DrudeFriction,
-    FrictionModel,
-    LinearProteinFriction,
-    OhmicFriction,
-    PeakedFriction,
-    cavity_friction,
-    chromophore_estimate,
-    debye_dielectric,
-    effective_curvature,
-    friction_model_from_json,
-    kernel_upper_bound,
-)
-from .units import Isotope, Quantity, Unit, convert, isotope_frequency
-from .wkb import (
-    CubicBarrier,
-    EckartBarrier,
-    ParabolicBarrier,
-    TabulatedPotential,
-    transmission,
-    turning_points,
-    wkb_action,
-)
+from . import errors, fit, kie, kramers, qcorr, spectral, units, wkb
+from .errors import *  # noqa: F403
+from .fit import *  # noqa: F403
+from .kie import *  # noqa: F403
+from .kramers import *  # noqa: F403
+from .qcorr import *  # noqa: F403
+from .spectral import *  # noqa: F403
+from .units import *  # noqa: F403
+from .wkb import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ApparentArrhenius",
-    "ArrheniusFit",
-    "ArrheniusParams",
-    "BarrierSystem",
-    "BelowCrossoverError",
-    "ChromophoreEstimate",
-    "ClassificationReport",
-    "CorrectionResult",
-    "CrossoverParams",
-    "CubicBarrier",
-    "DebyeDielectricFriction",
-    "DivergentIntegralError",
-    "DomainError",
-    "DrudeFriction",
-    "EckartBarrier",
-    "EffectiveBarrier",
-    "FitConfig",
-    "FitConvergenceError",
-    "FitResult",
-    "FrictionModel",
-    "Isotope",
-    "KIEDataset",
-    "KIEPrediction",
-    "LinearProteinFriction",
-    "OhmicFriction",
-    "ParabolicBarrier",
-    "PeakedFriction",
-    "Quantity",
-    "QtstError",
-    "RateResult",
-    "SolverConvergenceError",
-    "TabulatedPotential",
-    "Unit",
-    "UnitCompatibilityError",
-    "apparent_arrhenius",
-    "cavity_friction",
-    "chromophore_estimate",
-    "classical_kie",
-    "classical_rate",
-    "classify",
-    "convert",
-    "correction_closed",
-    "correction_crossover",
-    "correction_product",
-    "crossover_temperature",
-    "debye_dielectric",
-    "effective_barrier_frequency",
-    "effective_curvature",
-    "equilibrium_condition",
-    "fit_arrhenius",
-    "fit_kie",
-    "friction_model_from_json",
-    "isotope_frequency",
-    "kappa_parameter",
-    "kernel_upper_bound",
-    "kie_qtst",
-    "load_barrier_frequencies",
-    "load_limits",
-    "load_table1",
-    "matsubara_frequency",
-    "quantum_rate",
-    "semiclassical_rate",
-    "swain_schaad",
-    "transmission",
-    "turning_points",
-    "weak_friction_margin",
-    "wigner_rate",
-    "wkb_action",
-]
+__all__ = [name for module in (errors, fit, kie, kramers, qcorr, spectral, units, wkb) for name in module.__all__]

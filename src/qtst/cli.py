@@ -1,7 +1,8 @@
 """Command-line interface: rate/KIE curves, fits, classification, sweeps.
 
 Every subcommand accepts its parameters as flags and, optionally, as a
-single JSON file via --config (flags win). Outputs are CSV (comma
+single JSON file via --config whose keys are the flag names; argparse
+checks both alike, and flags on the command line win. Outputs are CSV (comma
 separator, '.' decimal point, header row, LF line endings) or JSON
 objects carrying a top-level ``"schema": "qtst/1"`` key. Exit codes:
 0 ok, 2 configuration error, 3 domain error, 4 fit failure.
@@ -47,9 +48,7 @@ def _fmt(x) -> str:
     if x is None:
         return ""
     if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        return f"{x:.10g}"
+        return f"{x:.10g}"  # NaN of either sign prints as "nan"
     return str(x)
 
 
@@ -70,16 +69,19 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _gnuplot_text(csv_path, ycol, title, logy=False) -> str:
-    lines = [
-        "set datafile separator ','",
-        "set key autotitle columnhead",
-        f"set title '{title}'",
-    ]
-    if logy:
-        lines.append("set logscale y")
-    lines.append(f"plot '{csv_path}' using 1:{ycol} with linespoints")
-    return "\n".join(lines) + "\n"
+def _write_curve(args, header, rows, ycol, title, logy=False):
+    """Write the CSV curve to --output and, with --gnuplot, a script plotting column ycol."""
+    _write_text(args.output, _csv_text(header, rows))
+    if args.gnuplot:
+        lines = [
+            "set datafile separator ','",
+            "set key autotitle columnhead",
+            f"set title '{title}'",
+        ]
+        if logy:
+            lines.append("set logscale y")
+        lines.append(f"plot '{args.output or '-'}' using 1:{ycol} with linespoints")
+        _write_text(args.gnuplot, "\n".join(lines) + "\n")
 
 
 def _parse_pair(text: str) -> tuple[Isotope, Isotope]:
@@ -121,28 +123,16 @@ def _temperature_grid(args) -> np.ndarray:
         raise ConfigError("need 0 < tmin <= tmax")
     if args.points < 1:
         raise ConfigError("points must be >= 1")
-    if args.points == 1:
-        return np.array([args.tmin])
     return np.linspace(args.tmin, args.tmax, args.points)
 
 
-def _merge_config(args, parser_defaults):
-    """Overlay --config JSON under explicit flags; flags win."""
-    if not getattr(args, "config", None):
-        return args
+def _kie_row(omega0, omegab, T, light, heavy):
+    # (T, KIE, valid); the KIE is NaN at or below the light isotope's crossover
     try:
-        cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config file: {exc}")
-    if not isinstance(cfg, dict):
-        raise ConfigError("config file must hold a JSON object")
-    for key, value in cfg.items():
-        dest = key.replace("-", "_")
-        if not hasattr(args, dest):
-            raise ConfigError(f"unknown config key {key!r}")
-        if getattr(args, dest) == parser_defaults.get(dest):
-            setattr(args, dest, value)
-    return args
+        pred = kiemod.kie_qtst(omega0, omegab, T, light, heavy)
+        return T, pred.ratio, int(pred.valid)
+    except BelowCrossoverError:
+        return T, math.nan, 0
 
 
 # ---------------------------------------------------------------- commands
@@ -150,26 +140,14 @@ def _merge_config(args, parser_defaults):
 
 def cmd_kie_predict(args):
     light, heavy = _parse_pair(args.pair)
-    grid = _temperature_grid(args)
-    rows = []
-    any_below = False
-    for T in grid:
-        try:
-            pred = kiemod.kie_qtst(args.omega0, args.omegab, float(T), light, heavy)
-            rows.append((float(T), pred.ratio, int(pred.valid)))
-        except BelowCrossoverError:
-            rows.append((float(T), math.nan, 0))
-            any_below = True
-    if any_below:
+    rows = [_kie_row(args.omega0, args.omegab, T, light, heavy) for T in _temperature_grid(args).tolist()]
+    if any(math.isnan(kie) for _, kie, _ in rows):
         print(
             "warning: some temperatures lie below the light isotope's "
             "crossover; rows flagged with valid=0",
             file=sys.stderr,
         )
-    text = _csv_text(("T_K", "kie", "valid"), rows)
-    _write_text(args.output, text)
-    if args.gnuplot:
-        _write_text(args.gnuplot, _gnuplot_text(args.output or "-", 2, "KIE vs T", logy=True))
+    _write_curve(args, ("T_K", "kie", "valid"), rows, 2, "KIE vs T", logy=True)
     return EXIT_OK
 
 
@@ -177,22 +155,15 @@ def cmd_rate(args):
     iso = Isotope.from_label(args.isotope)
     system = BarrierSystem(args.omega0, args.omegab, args.barrier, iso)
     model = _friction_from_args(args)
-    grid = _temperature_grid(args)
+    rate = classical_rate if args.kind == "classical" else qcorr.quantum_rate
     rows = []
-    for T in grid:
-        if args.kind == "classical":
-            r = classical_rate(system, model, float(T))
-            rows.append((float(T), r.rate_per_s, r.c_qm, r.regime))
-        else:
-            try:
-                r = qcorr.quantum_rate(system, model, float(T))
-                rows.append((float(T), r.rate_per_s, r.c_qm, r.regime))
-            except BelowCrossoverError:
-                rows.append((float(T), math.nan, math.nan, "below_T0"))
-    text = _csv_text(("T_K", "k", "c_qm", "regime"), rows)
-    _write_text(args.output, text)
-    if args.gnuplot:
-        _write_text(args.gnuplot, _gnuplot_text(args.output or "-", 2, "rate vs T", logy=True))
+    for T in _temperature_grid(args).tolist():
+        try:
+            r = rate(system, model, T)
+            rows.append((T, r.rate_per_s, r.c_qm, r.regime))
+        except BelowCrossoverError:
+            rows.append((T, math.nan, math.nan, "below_T0"))
+    _write_curve(args, ("T_K", "k", "c_qm", "regime"), rows, 2, "rate vs T", logy=True)
     return EXIT_OK
 
 
@@ -200,10 +171,8 @@ def cmd_correction(args):
     iso = Isotope.from_label(args.isotope)
     system = BarrierSystem(args.omega0, args.omegab, 0.0, iso)
     model = _friction_from_args(args)
-    grid = _temperature_grid(args)
     rows = []
-    for T in grid:
-        T = float(T)
+    for T in _temperature_grid(args).tolist():
         try:
             prod = qcorr.correction_product(system, model, T)
             c_prod, regime = prod.c_qm, prod.regime
@@ -220,10 +189,7 @@ def cmd_correction(args):
             except DomainError:
                 pass
         rows.append((T, c_prod, c_closed, c_cross, regime))
-    text = _csv_text(("T_K", "c_qm", "c_closed", "c_crossover", "regime"), rows)
-    _write_text(args.output, text)
-    if args.gnuplot:
-        _write_text(args.gnuplot, _gnuplot_text(args.output or "-", 2, "quantum correction", logy=True))
+    _write_curve(args, ("T_K", "c_qm", "c_closed", "c_crossover", "regime"), rows, 2, "quantum correction", logy=True)
     return EXIT_OK
 
 
@@ -238,10 +204,8 @@ def cmd_crossover(args):
             model = None if g == 0.0 else spectral.DrudeFriction(g * args.omegab, omega_d)
             mu, _ = solve_effective_frequency(args.omegab, model)
             rows.append((float(g), float(omega_d), mu, crossover_temperature(mu)))
-    text = _csv_text(("gamma_over_omegab", "omega_d_cm1", "mu_cm1", "T0_K"), rows)
-    _write_text(args.output, text)
-    if args.gnuplot:
-        _write_text(args.gnuplot, _gnuplot_text(args.output or "-", 4, "crossover temperature vs friction"))
+    header = ("gamma_over_omegab", "omega_d_cm1", "mu_cm1", "T0_K")
+    _write_curve(args, header, rows, 4, "crossover temperature vs friction")
     return EXIT_OK
 
 
@@ -271,17 +235,18 @@ def cmd_classify(args):
     return EXIT_OK
 
 
+# bundled KIE series for `fit --input`: data file stem and isotope pair
+_BUNDLED_SERIES = {"fig3": ("fig3_mcm", "H:D"), "fig4": ("fig4_mao", "H:T")}
+
+
 def cmd_fit(args):
     light, heavy = (None, None)
     if args.pair:
         light, heavy = _parse_pair(args.pair)
-    if args.input == "fig3":
+    if args.input in _BUNDLED_SERIES:
+        name, pair = _BUNDLED_SERIES[args.input]
         data = fitmod.KIEDataset.from_csv_text(
-            kiemod.load_dataset_csv("fig3_mcm.csv"), pair="H:D", source="bundled fig3_mcm"
-        )
-    elif args.input == "fig4":
-        data = fitmod.KIEDataset.from_csv_text(
-            kiemod.load_dataset_csv("fig4_mao.csv"), pair="H:T", source="bundled fig4_mao"
+            kiemod.load_dataset_csv(f"{name}.csv"), pair=pair, source=f"bundled {name}"
         )
     else:
         path = Path(args.input)
@@ -299,14 +264,7 @@ def cmd_fit(args):
     if args.curve:
         T, _, _ = data.sorted_arrays()
         grid = np.linspace(float(T.min()), float(T.max()), 101)
-        rows = []
-        for t in grid:
-            try:
-                rows.append(
-                    (float(t), kiemod.kie_qtst(result.omega0, result.omegab, float(t), data.light, data.heavy).ratio)
-                )
-            except BelowCrossoverError:
-                rows.append((float(t), math.nan))
+        rows = [_kie_row(result.omega0, result.omegab, t, data.light, data.heavy)[:2] for t in grid.tolist()]
         _write_text(args.curve, _csv_text(("T_K", "kie_model"), rows))
     return EXIT_OK
 
@@ -336,12 +294,10 @@ def cmd_wkb(args):
         pot = wkb.EckartBarrier(args.barrier, args.width, args.mass)
     elif args.potential == "cubic":
         pot = wkb.CubicBarrier(args.omega0, args.barrier, args.mass)
-    elif args.potential == "tabulated":
+    else:  # tabulated; argparse admits only these four choices
         if not args.table:
             raise ConfigError("--table CSV required for a tabulated potential")
         pot = wkb.TabulatedPotential.from_csv(args.table, mass=args.mass)
-    else:
-        raise ConfigError(f"unknown potential {args.potential!r}")
     if not (0.0 < args.emin_frac < args.emax_frac < 1.0):
         raise ConfigError("need 0 < emin-frac < emax-frac < 1")
     fracs = np.linspace(args.emin_frac, args.emax_frac, args.points)
@@ -400,10 +356,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON file of parameters; explicit flags win")
         p.add_argument("--output", "-o", default=None, help="output path (default: stdout)")
 
+    def add_frequencies(p):
+        p.add_argument("--omega0", type=float, required=True, help="reactant-well frequency for H (cm^-1)")
+        p.add_argument("--omegab", type=float, required=True, help="barrier frequency for H (cm^-1)")
+
     def add_grid(p, tmin, tmax):
         p.add_argument("--tmin", type=float, default=tmin, help="lowest temperature (K)")
         p.add_argument("--tmax", type=float, default=tmax, help="highest temperature (K)")
         p.add_argument("--points", type=int, default=51, help="number of grid points")
+        p.add_argument("--gnuplot", help="also write a gnuplot script to this path")
 
     def add_friction(p):
         p.add_argument("--friction", help="friction model as JSON text or a JSON file path")
@@ -412,34 +373,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kie-predict", help="KIE(T) curve for an isotope pair")
     add_common(p)
-    p.add_argument("--omega0", type=float, required=True, help="reactant-well frequency for H (cm^-1)")
-    p.add_argument("--omegab", type=float, required=True, help="barrier frequency for H (cm^-1)")
+    add_frequencies(p)
     p.add_argument("--pair", default="H:D", help="isotope pair, light:heavy (e.g. H:D)")
     add_grid(p, 275.0, 325.0)
-    p.add_argument("--gnuplot", help="also write a gnuplot script to this path")
     p.set_defaults(func=cmd_kie_predict)
 
     p = sub.add_parser("rate", help="classical or quantum rate curve")
     add_common(p)
-    p.add_argument("--omega0", type=float, required=True, help="reactant-well frequency for H (cm^-1)")
-    p.add_argument("--omegab", type=float, required=True, help="barrier frequency for H (cm^-1)")
+    add_frequencies(p)
     p.add_argument("--barrier", type=float, required=True, help="activation barrier (kJ/mol)")
     p.add_argument("--isotope", default="H", help="transferred isotope: H, D or T")
     p.add_argument("--kind", choices=("classical", "quantum"), default="quantum", help="rate expression")
     add_friction(p)
     add_grid(p, 250.0, 350.0)
-    p.add_argument("--gnuplot", help="also write a gnuplot script to this path")
     p.set_defaults(func=cmd_rate)
 
     p = sub.add_parser("correction", help="quantum correction factor curves")
     add_common(p)
-    p.add_argument("--omega0", type=float, required=True, help="reactant-well frequency for H (cm^-1)")
-    p.add_argument("--omegab", type=float, required=True, help="barrier frequency for H (cm^-1)")
+    add_frequencies(p)
     p.add_argument("--isotope", default="H", help="transferred isotope: H, D or T")
     p.add_argument("--kappa", type=float, default=None, help="crossover parameter kappa(T0), dimensionless")
     add_friction(p)
     add_grid(p, 240.0, 400.0)
-    p.add_argument("--gnuplot", help="also write a gnuplot script to this path")
     p.set_defaults(func=cmd_correction)
 
     p = sub.add_parser("crossover", help="crossover temperature vs Drude friction strength")
@@ -505,20 +460,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _command_defaults() -> dict:
-    # {command: {dest: parser default}}, what --config values may replace
-    subparsers = build_parser()._subparsers._group_actions[0].choices
-    return {
-        command: {action.dest: action.default for action in sub._actions}
-        for command, sub in subparsers.items()
-    }
+# reads only --config, before the one full parse that the file's flags join
+_CONFIG_PARSER = argparse.ArgumentParser(prog="qtst", add_help=False)
+_CONFIG_PARSER.add_argument("--config")
+
+
+def _parse(argv) -> argparse.Namespace:
+    """Parse argv with the --config file's flags right after the subcommand,
+    where the flags on the command line, which argparse reads later, win."""
+    path = _CONFIG_PARSER.parse_known_args(argv)[0].config
+    if path is None:
+        return build_parser().parse_args(argv)
+    try:
+        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config file: {exc}")
+    if not isinstance(cfg, dict):
+        raise ConfigError("config file must hold a JSON object")
+    tokens = []
+    for key, value in cfg.items():
+        # key omega_d or omega-d is --omega-d; a list gives several values
+        tokens.append("--" + key.replace("_", "-"))
+        for v in value if isinstance(value, list) else [value]:
+            tokens.append(v if isinstance(v, str) else json.dumps(v))
+    args, extras = build_parser().parse_known_args([*argv[:1], *tokens, *argv[1:]])
+    if extras:
+        raise ConfigError(f"unrecognised arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _merge_config(args, _command_defaults()[args.command])
+        args = _parse(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "QtstError", "UnitCompatibilityError", "DomainError", "DivergentIntegralError",
+    "BelowCrossoverError", "SolverConvergenceError", "FitConvergenceError",
+]
+
 
 class QtstError(Exception):
     """Base class for every library-specific error."""

@@ -47,6 +47,8 @@ _SCREEN_STEPS = (50.0, 25.0)  # lattice steps in omega0 and omegab (cm^-1)
 # where the whole default lattice at once adds megabytes to the peak
 _SCREEN_ROWS = 16
 _MAX_POLISHES = 3
+_DIFF_STEP = 1e-4  # relative central-difference step for Jacobians
+_MAX_NFEV = 400
 
 
 @dataclass(frozen=True)
@@ -137,7 +139,7 @@ class KIEDataset:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Box constraints, screened starts and solver knobs for fit_kie.
+    """Box constraints and screened starts for fit_kie.
 
     The screen's lattice spans the bounds at fixed steps of 50 cm^-1 in
     omega0 and 25 cm^-1 in omegab; every omega0 and omegab start, clamped
@@ -149,8 +151,6 @@ class FitConfig:
     omegab_starts: tuple = tuple(range(300, 2501, 200))
     omega0_bounds: tuple = (500.0, 5000.0)
     omegab_bounds: tuple = (100.0, 3000.0)
-    diff_step: float = 1e-4  # relative central-difference step for Jacobians
-    max_nfev: int = 400
 
 
 @dataclass(frozen=True)
@@ -284,12 +284,12 @@ def fit_kie(data: KIEDataset, config: Optional[FitConfig] = None) -> FitResult:
                 bounds=(lo, hi),
                 method="trf",
                 jac="3-point",
-                diff_step=config.diff_step,
+                diff_step=_DIFF_STEP,
                 x_scale=(1000.0, 500.0),
                 ftol=1e-12,
                 xtol=1e-12,
                 gtol=1e-12,
-                max_nfev=config.max_nfev,
+                max_nfev=_MAX_NFEV,
             )
         except (ValueError, FloatingPointError):
             continue
@@ -349,8 +349,8 @@ def fit_arrhenius(T: Sequence[float], k: Sequence[float]) -> ArrheniusFit:
     k = np.asarray(k, dtype=float)
     if T.ndim != 1 or T.shape != k.shape or T.size < 2:
         raise DomainError("need at least two (T, k) points")
-    if np.any(T <= 0) or np.any(k <= 0):
-        raise DomainError("temperatures and rates must be > 0")
+    _require_param("temperatures", T, positive=True)
+    _require_param("rates", k, positive=True)
     if np.unique(T).size < 2:
         raise DomainError("degenerate design: all temperatures equal")
     x = 1.0 / T

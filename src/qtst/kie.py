@@ -53,8 +53,7 @@ class ArrheniusParams:
     E_kJ_per_mol: float
 
     def __post_init__(self):
-        if self.A <= 0:
-            raise DomainError("Arrhenius prefactor must be > 0")
+        _require_param("Arrhenius prefactor", self.A, positive=True)
 
 
 @dataclass(frozen=True)
@@ -222,8 +221,8 @@ def swain_schaad(kH: float, kD: float, kT: float) -> float:
     the unit-prefactor, zero-point-only limit at omega_0 ~ 3000 cm^-1 the
     value is 3.26.
     """
-    if min(kH, kD, kT) <= 0:
-        raise DomainError("all rates must be > 0")
+    for name, k in (("kH", kH), ("kD", kD), ("kT", kT)):
+        _require_param(name, k, positive=True)
     denom = math.log(kD / kT)
     if denom == 0.0:
         raise DomainError("degenerate denominator: ln(kD/kT) = 0")

@@ -101,8 +101,7 @@ class CrossoverParams:
     """Anharmonic barrier-top parameters controlling the crossover width.
 
     B = 4*c3^2/(3*omega_b^2) + 3*c4 with c3 in cm^-2/angstrom and c4 in
-    cm^-2/angstrom^2; kappa is dimensionless. epsilon = (T0 - T)/T0 is
-    negative above the crossover.
+    cm^-2/angstrom^2; kappa is dimensionless.
     """
 
     kappa: float
@@ -110,10 +109,6 @@ class CrossoverParams:
     c3: float
     c4: float
     T0_K: float
-    epsilon: Optional[float] = None
-
-    def epsilon_at(self, T: float) -> float:
-        return (self.T0_K - T) / self.T0_K
 
 
 def matsubara_frequency(n: int, T: float) -> float:
@@ -263,14 +258,16 @@ def wigner_rate(system: BarrierSystem, T: float) -> RateResult:
 
     Provided as a standalone diagnostic; it differs from the normative
     classical-rate-times-product form by a factor of 2 in the prefactor
-    convention (see ``quantum_rate``). A log rate above 709.78, where the
-    rate overflows a double, raises ``DomainError``.
+    convention (see ``quantum_rate``). A log rate, in cm^-1 or in 1/s,
+    above 709.78, where the rate overflows a double, raises ``DomainError``.
     """
     omega0, omegab = system.omega0, system.omegab
     T0 = _require_above_crossover(omegab, T)
     beta_e = system.barrier_kJ_per_mol / (units.KB_KJ_PER_MOL_K * T)
     log_rate_cm1 = math.log(omega0 / (4.0 * math.pi)) + _log_closed(omega0, omegab, T) - beta_e
     rate_cm1 = _exp_of_log("rate_cm1", log_rate_cm1)
+    # rate_per_s, CM1_TO_RAD_PER_S (about 1.9e11) times rate_cm1, overflows first
+    _exp_of_log("rate_per_s", log_rate_cm1 + math.log(units.CM1_TO_RAD_PER_S))
     regime = "near_crossover" if T < 1.1 * T0 else "qtst"
     return RateResult(
         T_K=T,

@@ -35,6 +35,8 @@ __all__ = [
     "DebyeDielectricFriction",
     "LinearProteinFriction",
     "ChromophoreEstimate",
+    "debye_dielectric",
+    "cavity_friction",
     "effective_curvature",
     "kernel_upper_bound",
     "chromophore_estimate",
@@ -526,12 +528,9 @@ def chromophore_estimate(
     gamma_hat(z)/z <= (z*/z)^2 with z*^2 = K_e/M. K_e is linear in E_R and
     in 1/delta_mu^2.
     """
-    if delta_mu <= 0:
-        raise DomainError("dipole change must be > 0")
-    if reorganisation_energy < 0:
-        raise DomainError("reorganisation energy must be >= 0")
-    if mass <= 0:
-        raise DomainError("mass must be > 0")
+    _require_param("dipole change", delta_mu, positive=True)
+    _require_param("reorganisation energy", reorganisation_energy)
+    _require_param("mass", mass, positive=True)
     dmu_si = delta_mu * units.DEBYE_C_M
     coupling_j = (units.HBAR_J_S * units.ELEMENTARY_CHARGE_C / dmu_si) ** 2 / (
         mass * units.PROTON_MASS_KG

@@ -19,6 +19,8 @@ import numpy as np
 
 from .errors import DomainError, UnitCompatibilityError
 
+__all__ = ["Unit", "Quantity", "convert", "Isotope", "isotope_frequency"]
+
 # CODATA 2018 (SI). Single source of truth.
 PLANCK_J_S = 6.62607015e-34
 BOLTZMANN_J_K = 1.380649e-23

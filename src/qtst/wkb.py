@@ -254,7 +254,7 @@ class TabulatedPotential(Potential1D):
 
     @classmethod
     def from_csv(cls, path_or_text, mass: float = 1.0) -> "TabulatedPotential":
-        """Read a two-column CSV (x_angstrom, U_kJ_per_mol) with header row."""
+        """Read a two-column CSV (x_angstrom, U_kJ_per_mol); only the first row may be a header."""
         if isinstance(path_or_text, str) and "\n" in path_or_text:
             fh = io.StringIO(path_or_text)
         else:
@@ -262,13 +262,15 @@ class TabulatedPotential(Potential1D):
         with fh:
             rows = list(csv.reader(fh))
         data = []
-        for row in rows:
+        for i, row in enumerate(rows):
             if not row:
                 continue
             try:
                 data.append((float(row[0]), float(row[1])))
-            except ValueError:
-                continue  # header
+            except (ValueError, IndexError):
+                if i == 0:
+                    continue  # header
+                raise DomainError(f"cannot parse row {i + 1} of the potential table: {','.join(row)!r}")
         if len(data) < 4:
             raise DomainError("CSV contains fewer than 4 numeric rows")
         xs, us = zip(*data)

@@ -40,7 +40,7 @@ from qtst import (
 )
 from qtst import units
 from qtst.errors import BelowCrossoverError, DomainError, FitConvergenceError, SolverConvergenceError
-from qtst.fit import _CROSSOVER_MARGIN, FitConfig, FitResult, KIEDataset, _kie_model
+from qtst.fit import _CROSSOVER_MARGIN, _DIFF_STEP, _MAX_NFEV, FitConfig, FitResult, KIEDataset, _kie_model
 from qtst.kramers import crossover_temperature
 from qtst.spectral import _require_param
 from qtst.wkb import Potential1D
@@ -284,12 +284,12 @@ def fit_multistart(data: KIEDataset, config: Optional[FitConfig] = None) -> FitR
                     bounds=(lo, hi),
                     method="trf",
                     jac="3-point",
-                    diff_step=config.diff_step,
+                    diff_step=_DIFF_STEP,
                     x_scale=(1000.0, 500.0),
                     ftol=1e-12,
                     xtol=1e-12,
                     gtol=1e-12,
-                    max_nfev=config.max_nfev,
+                    max_nfev=_MAX_NFEV,
                 )
             except (ValueError, FloatingPointError):
                 continue

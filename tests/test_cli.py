@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ from qtst.cli import build_parser, main
 from qtst import BarrierSystem, DebyeDielectricFriction, Isotope, effective_barrier_frequency, kie_qtst
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+README = SRC.parent / "README.md"
 
 
 def run(args):
@@ -109,6 +111,118 @@ def test_unknown_config_key_is_config_error(tmp_path):
     cfg.write_text(json.dumps({"omega_zero": 1.0}))
     rc = run(["kie-predict", "--omega0", "3000", "--omegab", "1000", "--config", str(cfg)])
     assert rc == 2
+
+
+KIE_FLAGS = ["kie-predict", "--omega0", "3000", "--omegab", "1000"]
+
+
+def _config_run(tmp_path, capsys, argv, cfg):
+    """(exit code, stdout rows, stderr) of argv with cfg written to a --config file."""
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    rc, out, err = _in_process_run([a.replace("CFG", str(path)) for a in argv], capsys)
+    return rc, [line.split(",") for line in out.splitlines()[1:]], err
+
+
+def test_config_loses_to_an_explicit_flag_equal_to_its_default(tmp_path, capsys):
+    # --tmin 275 is the parser default, and it still wins over the file
+    argv = KIE_FLAGS + ["--tmin", "275", "--config", "CFG"]
+    rc, rows, _ = _config_run(tmp_path, capsys, argv, {"tmin": 300, "points": 3})
+    assert rc == 0
+    assert [float(r[0]) for r in rows] == [275.0, 300.0, 325.0]
+
+
+def test_config_values_are_parsed_like_flags(tmp_path, capsys):
+    rc, rows, _ = _config_run(tmp_path, capsys, KIE_FLAGS + ["--config", "CFG"], {"points": "3"})
+    assert rc == 0 and len(rows) == 3
+    # a value the flag's choices exclude is rejected as on the command line
+    argv = ["rate", "--omega0", "3000", "--omegab", "1000", "--barrier", "40", "--config", "CFG"]
+    rc, _, err = _config_run(tmp_path, capsys, argv, {"kind": "bogus"})
+    assert rc == 2 and "invalid choice" in err and "bogus" in err
+    rc, _, err = _config_run(tmp_path, capsys, KIE_FLAGS + ["--config", "CFG"], {"points": "three"})
+    assert rc == 2 and "invalid int value" in err
+
+
+def test_config_supplies_required_flags(tmp_path, capsys):
+    cfg = {"omega0": 3000, "omegab": 1000, "points": 2}
+    for argv in (["kie-predict", "--config", "CFG"], ["kie-predict", "--config=CFG"]):
+        rc, rows, _ = _config_run(tmp_path, capsys, argv, cfg)
+        assert rc == 0
+        assert float(rows[0][1]) == pytest.approx(kie_qtst(3000.0, 1000.0, 275.0).ratio, rel=1e-9)
+
+
+def test_config_list_fills_a_multi_value_flag(tmp_path, capsys):
+    cfg = {"omegab": 1000, "omega-d": [10, 100000], "gamma_max": 3, "points": 2}
+    rc, rows, _ = _config_run(tmp_path, capsys, ["crossover", "--config", "CFG"], cfg)
+    assert rc == 0
+    assert [(float(r[0]), float(r[1])) for r in rows] == [(0.0, 10.0), (3.0, 10.0), (0.0, 1e5), (3.0, 1e5)]
+
+
+def test_config_file_errors_are_returned_as_exit_2(tmp_path, capsys):
+    # main returns exit 2 itself, with no SystemExit: a token argparse leaves
+    # over, a missing file, and a file that is not a JSON object
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"tmin": [280, 290]}))
+    assert main(KIE_FLAGS + ["--config", str(cfg)]) == 2
+    assert "290" in capsys.readouterr().err
+    assert main(KIE_FLAGS + ["--config", str(tmp_path / "missing.json")]) == 2
+    cfg.write_text("[1, 2]")
+    assert main(KIE_FLAGS + ["--config", str(cfg)]) == 2
+
+
+def _readme_commands():
+    """Each `qtst ...` line of README's command-line block, as argv."""
+    block = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.strip()]
+
+
+def _config_of(flags):
+    """The --config object for the flags after a subcommand: keys with '_',
+    numbers as JSON numbers, and a list where a flag takes several values."""
+    cfg = {}
+    for token in flags:
+        if token.startswith("--"):
+            values = cfg[token[2:].replace("-", "_")] = []
+            continue
+        try:
+            value = json.loads(token)
+        except json.JSONDecodeError:
+            value = token
+        values.append(value if isinstance(value, (int, float)) else token)
+    return {key: values[0] if len(values) == 1 else values for key, values in cfg.items()}
+
+
+README_COMMANDS = _readme_commands()
+
+
+def test_readme_shows_a_command_line_for_every_subcommand():
+    assert len({argv[0] for argv in README_COMMANDS}) == len(README_COMMANDS) == 10
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=lambda argv: argv[0])
+def test_readme_command_as_config_file_gives_identical_output(argv, tmp_path, monkeypatch):
+    # every file a run writes (--output, fit's --curve) is compared byte for byte
+    kies = [f"{T},{kie_qtst(3000.0, 1000.0, T, Isotope.H, Isotope.T).ratio:.8g}" for T in (280.0, 300.0, 320.0, 340.0)]
+    inputs = {"data.csv": "\n".join(["T_K,kie", *kies]) + "\n", "rates.csv": "T_K,k\n280,1.5e3\n300,4.1e3\n320,9.8e3\n"}
+    outputs = {}
+    for mode in ("flags", "config"):
+        work = tmp_path / mode
+        work.mkdir()
+        monkeypatch.chdir(work)
+        for name, text in inputs.items():
+            Path(name).write_text(text)
+        before = set(os.listdir())
+        if mode == "flags":
+            command = argv + ["--output", "out.txt"]
+        else:
+            Path("run.json").write_text(json.dumps(_config_of(argv[1:])))
+            command = argv[:1] + ["--config", "run.json", "--output", "out.txt"]
+            before.add("run.json")
+        assert main(command) == 0
+        outputs[mode] = {name: Path(name).read_bytes() for name in set(os.listdir()) - before}
+    assert "out.txt" in outputs["flags"]
+    assert outputs["config"] == outputs["flags"]
 
 
 def test_gnuplot_script_emitted(tmp_path):
@@ -309,6 +423,15 @@ def test_swain_schaad_command(tmp_path):
 
 def test_swain_schaad_degenerate_is_domain_error():
     assert run(["swain-schaad", "--kh", "3", "--kd", "2", "--kt", "2"]) == 3
+
+
+def test_non_finite_rates_are_domain_errors_not_nan_json(tmp_path):
+    out = tmp_path / "out.json"
+    assert run(["swain-schaad", "--kh", "nan", "--kd", "3", "--kt", "1", "--output", str(out)]) == 3
+    data = tmp_path / "rates.csv"
+    data.write_text("T_K,k\n280,1.5e3\n300,nan\n320,9.8e3\n")
+    assert run(["arrhenius", "--input", str(data), "--output", str(out)]) == 3
+    assert not out.exists()
 
 
 def test_arrhenius_command(tmp_path):

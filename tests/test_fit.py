@@ -231,6 +231,20 @@ def test_arrhenius_degenerate_design():
         fit_arrhenius([300.0], [1.0])
 
 
+@pytest.mark.parametrize(
+    "T, k",
+    [
+        ([300.0, math.nan, 320.0], [1.0, 2.0, 3.0]),
+        ([300.0, math.inf, 320.0], [1.0, 2.0, 3.0]),
+        ([300.0, 310.0, 320.0], [1.0, math.nan, 3.0]),
+        ([300.0, 310.0, 320.0], [1.0, math.inf, 3.0]),
+    ],
+)
+def test_arrhenius_non_finite_input_is_domain_error(T, k):
+    with pytest.raises(DomainError, match="finite"):
+        fit_arrhenius(T, k)
+
+
 def test_arrhenius_cross_checks_apparent_parameters():
     # regressing the KIE curve over the physiological window reproduces
     # the locally expanded activation-energy difference within 5%

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qtst import (
+    ArrheniusParams,
     Isotope,
     apparent_arrhenius,
     classify,
@@ -248,6 +249,20 @@ def test_swain_schaad_degenerate_denominator():
         swain_schaad(3.0, 2.0, 2.0)
     with pytest.raises(DomainError):
         swain_schaad(-1.0, 2.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "rates", [(math.nan, 1.0, 2.0), (3.0, math.inf, 2.0), (3.0, 2.0, math.nan), (math.inf, 2.0, 1.0)]
+)
+def test_swain_schaad_non_finite_rate_is_domain_error(rates):
+    with pytest.raises(DomainError, match="finite"):
+        swain_schaad(*rates)
+
+
+@pytest.mark.parametrize("A", [math.nan, math.inf, 0.0, -1.0])
+def test_arrhenius_params_reject_bad_prefactor(A):
+    with pytest.raises(DomainError, match="prefactor"):
+        ArrheniusParams(A, 3.0)
 
 
 # -------------------------------------------------------------- classify

@@ -27,7 +27,7 @@ from qtst import (
     weak_friction_margin,
     wigner_rate,
 )
-from qtst import kramers
+from qtst import kramers, units
 from qtst.errors import BelowCrossoverError, DomainError
 from qtst.qcorr import _log_closed
 
@@ -467,6 +467,16 @@ def test_wigner_rate_overflow_is_a_domain_error_naming_the_log():
     with pytest.raises(DomainError, match="log rate_cm1"):
         wigner_rate(CLOSED_OVERFLOW_SYSTEM, 5.0)
     assert math.isfinite(wigner_rate(CLOSED_OVERFLOW_SYSTEM, 7.5).rate_cm1)
+
+
+def test_wigner_rate_per_second_overflow_is_a_domain_error():
+    # at 5.1 K rate_cm1 = 5.0e306 is finite, but rate_per_s, 1.9e11 times
+    # larger, is not
+    with pytest.raises(DomainError, match="log rate_per_s"):
+        wigner_rate(CLOSED_OVERFLOW_SYSTEM, 5.1)
+    r = wigner_rate(CLOSED_OVERFLOW_SYSTEM, 7.5)
+    assert math.isfinite(r.rate_per_s)
+    assert r.rate_per_s == r.rate_cm1 * units.CM1_TO_RAD_PER_S
 
 
 def test_crossover_prefactor_overflow_is_a_domain_error():

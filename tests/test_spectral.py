@@ -428,6 +428,16 @@ def test_chromophore_rejects_nonpositive_dipole():
         chromophore_estimate(1000.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf), (1.0, 1.0, math.nan), (1.0, 1.0, math.inf)],
+    ids=["E_R-nan", "E_R-inf", "dmu-nan", "dmu-inf", "mass-nan", "mass-inf"],
+)
+def test_chromophore_non_finite_input_is_domain_error(args):
+    with pytest.raises(DomainError, match="finite"):
+        chromophore_estimate(*args)
+
+
 def test_chromophore_ke_is_mass_independent():
     # K_e in mass*cm^-2 units: the 1/M in the coupling cancels the M factor
     assert chromophore_estimate(800.0, 3.0, mass=1.0).K_e == pytest.approx(

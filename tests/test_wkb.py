@@ -190,6 +190,18 @@ def test_tabulated_rejects_too_few_points():
         TabulatedPotential.from_csv("x,U\n0,1\n1,2\n")
 
 
+@pytest.mark.parametrize("bad_row", ["0.5,2O", "0.5", "x,U"])
+def test_tabulated_rejects_unparsable_data_row(bad_row):
+    # only the first row may be a header; "2O" (letter O) must not silently
+    # drop its knot
+    rows = ["x_angstrom,U_kJ_per_mol", "-1,0", "0,10", bad_row, "1,0", "2,-5"]
+    with pytest.raises(DomainError, match="row 4"):
+        TabulatedPotential.from_csv("\n".join(rows) + "\n")
+    # the same table without the bad row loads
+    del rows[3]
+    assert TabulatedPotential.from_csv("\n".join(rows) + "\n").barrier_height == pytest.approx(10.0)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
 @pytest.mark.parametrize(
     "build",
