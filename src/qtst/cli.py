@@ -345,12 +345,17 @@ def cmd_arrhenius(args):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The ``qtst`` parser, built once per process; parsing leaves it unchanged."""
+    """The ``qtst`` parser, built once per process; parsing leaves it unchanged.
+
+    Flags are matched exactly, never by a prefix, on the command line and as
+    ``--config`` keys alike."""
     parser = argparse.ArgumentParser(
         prog="qtst",
         description="Quantum transition state theory for hydrogen-transfer kinetics.",
+        allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    exact = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=exact)
 
     def add_common(p):
         p.add_argument("--config", help="JSON file of parameters; explicit flags win")
@@ -461,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # reads only --config, before the one full parse that the file's flags join
-_CONFIG_PARSER = argparse.ArgumentParser(prog="qtst", add_help=False)
+_CONFIG_PARSER = argparse.ArgumentParser(prog="qtst", add_help=False, allow_abbrev=False)
 _CONFIG_PARSER.add_argument("--config")
 
 

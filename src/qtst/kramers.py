@@ -50,8 +50,10 @@ class BarrierSystem:
     """Reaction-coordinate parameters for a hydrogen-transfer barrier.
 
     Frequencies are quoted for the hydrogen isotope (cm^-1); the barrier
-    height is in kJ/mol. Isotope-scaled frequencies are derived through
-    ``units.isotope_frequency`` only.
+    height is in kJ/mol. The isotope-scaled frequencies ``omega0`` and
+    ``omegab`` are derived through ``units.isotope_frequency`` once, on
+    construction; they are not dataclass fields, so equality, hashing,
+    ``repr`` and ``dataclasses.replace`` see only the four fields.
     """
 
     omega0_H: float
@@ -63,14 +65,8 @@ class BarrierSystem:
         _require_param("omega0_H", self.omega0_H, positive=True)
         _require_param("omegab_H", self.omegab_H, positive=True)
         _require_param("barrier_kJ_per_mol", self.barrier_kJ_per_mol)
-
-    @property
-    def omega0(self) -> float:
-        return units.isotope_frequency(self.omega0_H, self.isotope)
-
-    @property
-    def omegab(self) -> float:
-        return units.isotope_frequency(self.omegab_H, self.isotope)
+        object.__setattr__(self, "omega0", units.isotope_frequency(self.omega0_H, self.isotope))
+        object.__setattr__(self, "omegab", units.isotope_frequency(self.omegab_H, self.isotope))
 
     def with_isotope(self, isotope: Isotope) -> "BarrierSystem":
         return BarrierSystem(self.omega0_H, self.omegab_H, self.barrier_kJ_per_mol, isotope)
@@ -148,9 +144,10 @@ def solve_effective_frequency(omegab: float, model: Optional[FrictionModel]) -> 
     finds it on [1e-12*omega_b, omega_b]. A subclass of ``PeakedFriction``
     that overrides the kernel may admit several roots: a 10,000-point scan
     locates every sign change, Brent's method solves each, the largest
-    root is returned and a warning is issued.
+    root is returned and a warning is issued. The kernel is called with a
+    Python float on either path.
     """
-    _require_param("omega_b", omegab, positive=True)
+    omegab = _require_param("omega_b", omegab, positive=True)
     if model is None:
         return omegab, 0.0
 
@@ -162,7 +159,7 @@ def solve_effective_frequency(omegab: float, model: Optional[FrictionModel]) -> 
     # as the built-in kernel
     overridden = type(model).laplace_kernel is not PeakedFriction.laplace_kernel
     if isinstance(model, PeakedFriction) and overridden:
-        grid = np.linspace(lo, omegab, 10_000)
+        grid = np.linspace(lo, omegab, 10_000).tolist()
         vals = np.array([f(x) for x in grid])
         sign_flips = np.nonzero(np.diff(np.signbit(vals)))[0]
         roots = [_brent(f, grid[i], grid[i + 1]) for i in sign_flips]

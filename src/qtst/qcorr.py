@@ -153,7 +153,7 @@ def _product(
     x = n * nu
     g = 0.0 if model is None else model.laplace_kernel(x)
     denom = x * x + x * g - omegab * omegab
-    if np.any(denom <= 0.0):
+    if denom.min() <= 0.0:
         bad = float(n[np.argmax(denom <= 0.0)])
         raise DomainError(
             f"non-positive product denominator at term n={bad:g}: "

@@ -57,10 +57,10 @@ def _float_or_array(x):
     return float(arr) if arr.ndim == 0 else arr
 
 
-def _require_param(name: str, value, positive: bool = False, signed: bool = False) -> None:
+def _require_param(name: str, value, positive: bool = False, signed: bool = False):
     # value, or every element of it, finite and >= 0 (> 0 if positive, of
     # either sign if signed); NaN fails every comparison, so it is rejected
-    # with the infinities
+    # with the infinities. Returns the value as _float_or_array converts it.
     v = _float_or_array(value)
     if signed:
         ok, want = abs(v) < math.inf, "finite"
@@ -69,11 +69,12 @@ def _require_param(name: str, value, positive: bool = False, signed: bool = Fals
         want = f"finite and {'>' if positive else '>='} 0"
     if not (ok.all() if isinstance(ok, np.ndarray) else ok):
         raise DomainError(f"{name} must be {want}, got {value!r}")
+    return v
 
 
 def _require_positive_z(z):
-    _require_param("Laplace variable z", z, positive=True)
-    return z
+    # the checked z: a Python float for scalar input, a float array otherwise
+    return _require_param("Laplace variable z", z, positive=True)
 
 
 class FrictionModel:
@@ -81,9 +82,13 @@ class FrictionModel:
 
     Contract for subclasses: ``laplace_kernel`` and ``friction_spectrum``
     take a scalar or a numpy array and return a Python float for scalar
-    input and a float array of the same shape otherwise. ``laplace_kernel``
-    raises ``DomainError`` unless every z is finite and > 0. Constructors
-    reject NaN, infinite and out-of-range parameters with ``DomainError``.
+    input (numpy parameters may give a numpy float) and a float array of
+    the same shape otherwise. ``laplace_kernel`` raises ``DomainError``
+    unless every z is finite and > 0. Constructors reject NaN, infinite and
+    out-of-range parameters with ``DomainError``.
+    The effective-frequency solve (``kramers.solve_effective_frequency``)
+    calls ``laplace_kernel`` with one Python float at a time, and the
+    Matsubara product with one float array.
     """
 
     kind = "base"
@@ -121,10 +126,10 @@ class OhmicFriction(FrictionModel):
         return self.gamma
 
     def laplace_kernel(self, z):
-        _require_positive_z(z)
-        if np.ndim(z):
-            return np.full(np.shape(z), self.gamma, dtype=float)
-        return self.gamma
+        zz = _require_positive_z(z)
+        if isinstance(zz, np.ndarray):
+            return np.full(zz.shape, self.gamma, dtype=float)
+        return float(self.gamma)
 
     def spectrum_integral(self):
         if self.gamma == 0.0:
@@ -159,10 +164,8 @@ class DrudeFriction(FrictionModel):
         return out if np.ndim(omega) else float(out)
 
     def laplace_kernel(self, z):
-        _require_positive_z(z)
-        zz = np.asarray(z, dtype=float)
-        out = self.gamma / (1.0 + zz / self.omega_d)
-        return out if np.ndim(z) else float(out)
+        zz = _require_positive_z(z)
+        return self.gamma / (1.0 + zz / self.omega_d)
 
     def spectrum_integral(self):
         # int gamma/(1+w^2/wd^2) dw = gamma*wd*pi/2, so K_e = M*gamma*wd
@@ -199,10 +202,8 @@ class PeakedFriction(FrictionModel):
         return out if np.ndim(omega) else float(out)
 
     def laplace_kernel(self, z):
-        _require_positive_z(z)
-        zz = np.asarray(z, dtype=float)
-        out = self.gamma_r * zz * self.width / (zz * zz + self.omega_r**2 + zz * self.width)
-        return out if np.ndim(z) else float(out)
+        zz = _require_positive_z(z)
+        return self.gamma_r * zz * self.width / (zz * zz + self.omega_r**2 + zz * self.width)
 
     def spectrum_integral(self):
         # int_0^inf w^2 dw / ((w^2-a^2)^2 + b^2 w^2) = pi/(2 b), any a;
@@ -309,8 +310,7 @@ class DebyeDielectricFriction(FrictionModel):
         return self._prefactor() * 3.0 * self.eps_c / (2.0 * eps0 + self.eps_c)
 
     def friction_spectrum(self, omega):
-        _require_param("omega", omega)
-        w = _float_or_array(omega)
+        w = _require_param("omega", omega)
         eps = self.eps_inf + 0j
         loss = 0.0  # Im eps(w) / w
         for de, a, b in self._terms():
@@ -321,8 +321,7 @@ class DebyeDielectricFriction(FrictionModel):
         return self._prefactor() * 3.0 * self.eps_c * loss / (den.real**2 + den.imag**2)
 
     def laplace_kernel(self, z):
-        _require_positive_z(z)
-        zz = _float_or_array(z)
+        zz = _require_positive_z(z)
         eps = self.eps_inf  # eps(i z)
         drop = 0.0  # (eps(0) - eps(i z)) / z
         for de, a, b in self._terms():
@@ -379,7 +378,7 @@ def _fg_series(x):
 def _auxiliary_fg(x):
     # the auxiliary functions f and g of LinearProteinFriction.laplace_kernel
     # at x > 0 (a float or an array); sici runs only on points below the switch
-    if np.ndim(x) == 0:
+    if not isinstance(x, np.ndarray):
         return _fg_sici(x) if x < _SERIES_FROM else _fg_series(x)
     f, g = np.empty_like(x), np.empty_like(x)
     near = x < _SERIES_FROM
@@ -417,7 +416,7 @@ class LinearProteinFriction(FrictionModel):
         return out if np.ndim(omega) else float(out)
 
     def laplace_kernel(self, z):
-        _require_positive_z(z)
+        zz = _require_positive_z(z)
         if self.cutoff is None:
             raise DivergentIntegralError(
                 "linear protein friction without a cutoff has no Laplace transform"
@@ -427,10 +426,9 @@ class LinearProteinFriction(FrictionModel):
         # int e^{-pw}/(w^2+z^2) dw  = f(p z)/z
         # int w e^{-pw}/(w^2+z^2) dw = g(p z)
         # so gamma_hat(z) = (2/pi) [delta_gamma f(pz) + slope * z * g(pz)].
-        zz = _float_or_array(z)
         f, g = _auxiliary_fg(zz / self.cutoff)
         out = 2.0 / math.pi * (self.delta_gamma * f + self.slope * zz * g)
-        return out if np.ndim(z) else float(out)
+        return out if isinstance(zz, np.ndarray) else float(out)
 
     def spectrum_integral(self):
         if self.cutoff is None:
@@ -484,8 +482,8 @@ def effective_curvature(model: FrictionModel, mass: float = 1.0) -> float:
     Returned in mass-number * cm^-2 units (so Drude gives M*gamma*omega_d).
     Raises ``DivergentIntegralError`` where the integral does not exist.
     """
-    _require_param("mass", mass, positive=True)
-    return 2.0 / math.pi * _float_or_array(mass) * model.spectrum_integral()
+    m = _require_param("mass", mass, positive=True)
+    return 2.0 / math.pi * m * model.spectrum_integral()
 
 
 def kernel_upper_bound(model: FrictionModel, z):
@@ -496,8 +494,8 @@ def kernel_upper_bound(model: FrictionModel, z):
     The particle mass cancels. Propagates the divergent-integral error.
     Takes a scalar (returns a float) or an array of z.
     """
-    _require_positive_z(z)
-    return 2.0 / math.pi * model.spectrum_integral() / _float_or_array(z)
+    zz = _require_positive_z(z)
+    return 2.0 / math.pi * model.spectrum_integral() / zz
 
 
 @dataclass(frozen=True)

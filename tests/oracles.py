@@ -6,7 +6,8 @@ quadrature, the Matsubara product with an exact kernel for the first terms
 and the K_e/(M z) asymptote beyond, the Matsubara product summed term by
 term to 10^5 terms and more (with a trigamma tail, or Richardson
 extrapolation of its partial sums), and the effective frequency by a dense
-scan with root bracketing. They use only the model's ``friction_spectrum``
+scan with root bracketing. ``mu_scan_float64`` is the library's multi-root
+scan with every kernel call at an ``np.float64`` point. They use only the model's ``friction_spectrum``
 (or a scalar ``laplace_kernel``) and stay independent of the closed forms.
 The Drude and Peaked effective frequencies also have polynomial oracles,
 built from the model parameters alone. ``fit_multistart`` is the KIE fit
@@ -41,7 +42,7 @@ from qtst import (
 from qtst import units
 from qtst.errors import BelowCrossoverError, DomainError, FitConvergenceError, SolverConvergenceError
 from qtst.fit import _CROSSOVER_MARGIN, _DIFF_STEP, _MAX_NFEV, FitConfig, FitResult, KIEDataset, _kie_model
-from qtst.kramers import crossover_temperature
+from qtst.kramers import _brent, _mu_mismatch, crossover_temperature
 from qtst.spectral import _require_param
 from qtst.wkb import Potential1D
 
@@ -209,6 +210,35 @@ def mu_scan(omegab: float, model, points: int = 10_000) -> float:
     if vals[last + 1] == 0.0:
         return float(grid[last + 1])
     return optimize.brentq(f, grid[last], grid[last + 1], xtol=1e-14 * omegab, rtol=1e-15)
+
+
+def mu_scan_float64(omegab: float, model) -> tuple[float, float]:
+    """(mu, residual) by the 10,000-point multi-root scan on np.float64 points.
+
+    Brent's method solves each sign change from np.float64 brackets, the
+    largest root is returned, and several roots give the library's warning.
+    """
+    def f(mu):
+        return _mu_mismatch(mu, omegab, model)
+
+    lo = 1e-12 * omegab
+    grid = np.linspace(lo, omegab, 10_000)
+    vals = np.array([f(x) for x in grid])
+    sign_flips = np.nonzero(np.diff(np.signbit(vals)))[0]
+    roots = [_brent(f, grid[i], grid[i + 1]) for i in sign_flips]
+    if vals[-1] == 0.0 and omegab not in roots:
+        roots.append(omegab)
+    if not roots:
+        raise SolverConvergenceError("no root of the effective-frequency equation found", bracket=(lo, omegab))
+    if len(roots) > 1:
+        warnings.warn(
+            f"effective-frequency equation has {len(roots)} roots for this "
+            "structured bath; returning the largest",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    mu = max(roots)
+    return mu, abs(f(mu))
 
 
 def drude_mu_cubic(omegab: float, gamma: float, omega_d: float) -> float:

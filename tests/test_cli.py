@@ -170,6 +170,23 @@ def test_config_file_errors_are_returned_as_exit_2(tmp_path, capsys):
     assert main(KIE_FLAGS + ["--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("key", ["poin", "omega"])
+def test_config_key_must_be_a_whole_flag(key, tmp_path, capsys):
+    # "poin" is a prefix of --points alone, "omega" of --omega0 and --omegab;
+    # neither is read as a flag, and main returns exit 2 with no SystemExit
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: 2}))
+    assert main(KIE_FLAGS + ["--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"--{key} 2" in err
+
+
+def test_command_line_flag_must_be_whole():
+    with pytest.raises(SystemExit) as exc:
+        main(KIE_FLAGS + ["--poin", "2"])
+    assert exc.value.code == 2
+
+
 def _readme_commands():
     """Each `qtst ...` line of README's command-line block, as argv."""
     block = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
@@ -557,8 +574,8 @@ def test_parser_built_once_gives_fresh_run_outputs(tmp_path, capsys):
     assert fresh[tuple(rejected)][0] == 2
     assert build_parser() is build_parser()
 
-    # --config still replaces only the values left at the parser defaults:
-    # tmin (default 275) takes the file's value, the explicit flags win
+    # --config still applies on a cached parser: tmin takes the file's
+    # value, and the flags the command line repeats (points, omegab) win
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"tmin": 280.0, "points": 4, "omegab": 1200.0}))
     rc, out, _ = _in_process_run(kie_cmd + ["--config", str(cfg)], capsys)

@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import FrozenInstanceError, asdict, dataclass, field, fields, replace
 
 import numpy as np
 import pytest
@@ -15,8 +17,11 @@ from qtst import (
     crossover_temperature,
     effective_barrier_frequency,
 )
+from qtst import units
 from qtst.errors import DomainError, SolverConvergenceError
 from qtst.kramers import solve_effective_frequency
+
+from oracles import mu_scan_float64
 
 SYSTEM = BarrierSystem(omega0_H=3000.0, omegab_H=1000.0, barrier_kJ_per_mol=40.0)
 
@@ -119,6 +124,68 @@ def test_structured_bath_multiple_roots_returns_largest_with_warning():
     assert multi, "expected a multiplicity warning for this bath"
     # the largest root sits where the bump has died off, mu ~ omega_b
     assert mu == pytest.approx(1000.0, rel=1e-6)
+
+
+@dataclass(frozen=True)
+class GaussianBump(PeakedFriction):
+    # a bump of height gamma_r and width `width` at omega_r; with omega_b =
+    # 1000 at omega_r = 900 and width 40, mu*(mu + g(mu)) = omega_b^2 has one
+    # root at height 100 and three at height 1000. `calls` keeps the type of
+    # every z the kernel is called with.
+    calls: list = field(default_factory=list, compare=False, repr=False)
+
+    def laplace_kernel(self, z):
+        self.calls.append(type(z))
+        return self.gamma_r * math.exp(-(((z - self.omega_r) / self.width) ** 2))
+
+
+@pytest.mark.parametrize("height, roots", [(100.0, 1), (1000.0, 3)])
+def test_multi_root_scan_equals_the_float64_scan_bit_for_bit(height, roots):
+    model, oracle_model = GaussianBump(height, 40.0, 900.0), GaussianBump(height, 40.0, 900.0)
+    with warnings.catch_warnings(record=True) as got:
+        warnings.simplefilter("always")
+        mu, residual = solve_effective_frequency(1000.0, model)
+    with warnings.catch_warnings(record=True) as want:
+        warnings.simplefilter("always")
+        assert (mu, residual) == mu_scan_float64(1000.0, oracle_model)
+    assert 998.0 < mu < 1000.0
+    assert [(w.category, str(w.message)) for w in got] == [(w.category, str(w.message)) for w in want]
+    assert len(got) == (roots > 1)
+    if roots > 1:
+        assert got[0].category is RuntimeWarning and f"has {roots} roots" in str(got[0].message)
+    # the user's kernel sees Python floats only, 10,000 scan points and more
+    assert set(model.calls) == {float} and len(model.calls) > 10_000
+    assert np.float64 in set(oracle_model.calls)
+
+
+@pytest.mark.parametrize("iso", list(Isotope))
+def test_barrier_frequencies_are_isotope_scaled_once(iso):
+    system = BarrierSystem(3000.0, 1000.0, 40.0, iso)
+    assert system.omega0 == units.isotope_frequency(3000.0, iso)
+    assert system.omegab == units.isotope_frequency(1000.0, iso)
+    # the two frequencies are not fields: equality, hash, repr and asdict
+    # see the four parameters only
+    assert [f.name for f in fields(system)] == ["omega0_H", "omegab_H", "barrier_kJ_per_mol", "isotope"]
+    twin = BarrierSystem(3000.0, 1000.0, 40.0, iso)
+    assert system == twin and hash(system) == hash(twin)
+    assert system != BarrierSystem(3000.0, 1000.0, 41.0, iso)
+    assert repr(system) == (
+        f"BarrierSystem(omega0_H=3000.0, omegab_H=1000.0, barrier_kJ_per_mol=40.0, isotope={iso!r})"
+    )
+    assert set(asdict(system)) == {"omega0_H", "omegab_H", "barrier_kJ_per_mol", "isotope"}
+    with pytest.raises(FrozenInstanceError):
+        system.omega0 = 1.0
+    # replace and with_isotope construct anew, so both frequencies follow
+    moved = replace(system, omega0_H=2800.0, omegab_H=900.0)
+    assert (moved.omega0, moved.omegab) == (
+        units.isotope_frequency(2800.0, iso), units.isotope_frequency(900.0, iso)
+    )
+    for other in Isotope:
+        swapped = system.with_isotope(other)
+        assert swapped == BarrierSystem(3000.0, 1000.0, 40.0, other)
+        assert (swapped.omega0, swapped.omegab) == (
+            units.isotope_frequency(3000.0, other), units.isotope_frequency(1000.0, other)
+        )
 
 
 @pytest.mark.parametrize("params", [(200.0, 0.0, 600.0), (0.0, 150.0, 600.0), (0.0, 0.0, 0.0)])

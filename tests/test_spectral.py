@@ -30,6 +30,21 @@ ALL_FINITE_KE_MODELS = [
     LinearProteinFriction(),
 ]
 
+# every built-in kernel, and the bound on the four with a finite K_e; Linear
+# protein's z reaches both sides of its sici/series switch (z = 18,000)
+KERNELS = [m.laplace_kernel for m in ALL_FINITE_KE_MODELS + [OhmicFriction(50.0)]] + [
+    lambda z, m=m: kernel_upper_bound(m, z) for m in ALL_FINITE_KE_MODELS
+]
+KERNEL_IDS = [type(m).__name__ for m in ALL_FINITE_KE_MODELS] + ["OhmicFriction"] + [
+    f"bound-{type(m).__name__}" for m in ALL_FINITE_KE_MODELS
+]
+CONTRACT_Z = np.concatenate((np.geomspace(1e-3, 1e7, 61), [7.0, 17_999.0, 18_000.0, 18_001.0]))
+
+
+def _bad_z_forms(bad):
+    """bad as a float and an np.float64, and as one entry of a list and a 2-D array."""
+    return bad, np.float64(bad), [1.0, bad, 2.0], np.array([[1.0, 2.0], [bad, 3.0]])
+
 
 # --------------------------------------------------------------- kernels
 
@@ -57,20 +72,20 @@ def test_peaked_kernel_hand_value_and_asymptote():
 
 
 def test_kernel_rejects_nonpositive_z():
-    for m in (OhmicFriction(10.0), DrudeFriction(10.0, 10.0)):
-        with pytest.raises(DomainError):
-            m.laplace_kernel(0.0)
-        with pytest.raises(DomainError):
-            m.laplace_kernel(-5.0)
+    # the Ohmic bound checks z before its divergent K_e
+    for kernel in KERNELS + [lambda z: kernel_upper_bound(OhmicFriction(10.0), z)]:
+        for bad in (0.0, 0, -5.0):
+            for z in _bad_z_forms(bad):
+                with pytest.raises(DomainError):
+                    kernel(z)
 
 
 @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
 def test_kernel_rejects_nonfinite_z(z):
-    for m in ALL_FINITE_KE_MODELS + [OhmicFriction(10.0)]:
-        with pytest.raises(DomainError):
-            m.laplace_kernel(z)
-        with pytest.raises(DomainError):
-            m.laplace_kernel(np.array([1.0, z]))
+    for kernel in KERNELS + [lambda z: kernel_upper_bound(OhmicFriction(10.0), z)]:
+        for bad in _bad_z_forms(z):
+            with pytest.raises(DomainError):
+                kernel(bad)
 
 
 @pytest.mark.parametrize(
@@ -122,6 +137,24 @@ def test_dielectric_rejects_unphysical_constants(kwargs):
     # eps_c = -2 once gave a negative spectrum, breaking the kernel bound
     with pytest.raises(DomainError):
         DebyeDielectricFriction(cavity_radius=3.0, **kwargs)
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
+def test_kernel_returns_a_float_for_every_scalar_form(kernel):
+    for z in (7.0, 7, np.float64(7.0), np.array(7.0), np.int64(7)):
+        out = kernel(z)
+        assert type(out) is float
+        assert out == kernel(7.0)
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
+def test_kernel_scalar_call_equals_array_element_bit_for_bit(kernel):
+    arr = kernel(CONTRACT_Z)
+    assert isinstance(arr, np.ndarray) and arr.dtype == float and arr.shape == CONTRACT_Z.shape
+    assert arr.tolist() == [kernel(z) for z in CONTRACT_Z.tolist()]
+    grid = CONTRACT_Z[:64].reshape(4, 16)
+    assert kernel(grid).shape == (4, 16)
+    assert kernel(grid).tolist() == kernel(grid.ravel()).reshape(4, 16).tolist()
+    assert kernel(CONTRACT_Z.tolist()).tolist() == arr.tolist()
 
 
 def test_kernel_bound_accepts_arrays():
