@@ -93,9 +93,11 @@ def _parse_pair(text: str) -> tuple[Isotope, Isotope]:
 
 
 def _friction_from_args(args) -> spectral.FrictionModel | None:
-    """Build a friction model from --friction JSON or shorthand flags."""
-    spec = getattr(args, "friction", None)
+    """--friction JSON, or the --gamma [--omega-d] shorthand; not both."""
+    spec = args.friction
     if spec:
+        if args.gamma is not None or args.omega_d is not None:
+            raise ConfigError("--friction cannot be combined with --gamma or --omega-d")
         text = spec
         p = Path(spec)
         if p.exists():
@@ -105,13 +107,13 @@ def _friction_from_args(args) -> spectral.FrictionModel | None:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"--friction is neither a file nor valid JSON: {exc}")
         return spectral.friction_model_from_json(obj)
-    gamma = getattr(args, "gamma", None)
-    if gamma is None:
+    if args.gamma is None:
+        if args.omega_d is not None:
+            raise ConfigError("--omega-d needs --gamma")
         return None
-    omega_d = getattr(args, "omega_d", None)
-    if omega_d is None:
-        return spectral.OhmicFriction(gamma)
-    return spectral.DrudeFriction(gamma, omega_d)
+    if args.omega_d is None:
+        return spectral.OhmicFriction(args.gamma)
+    return spectral.DrudeFriction(args.gamma, args.omega_d)
 
 
 class ConfigError(Exception):
@@ -298,8 +300,8 @@ def cmd_wkb(args):
         if not args.table:
             raise ConfigError("--table CSV required for a tabulated potential")
         pot = wkb.TabulatedPotential.from_csv(args.table, mass=args.mass)
-    if not (0.0 < args.emin_frac < args.emax_frac < 1.0):
-        raise ConfigError("need 0 < emin-frac < emax-frac < 1")
+    if not (0.0 < args.emin_frac < args.emax_frac < 1.0) or args.points < 1:
+        raise ConfigError("need 0 < emin-frac < emax-frac < 1 and points >= 1")
     fracs = np.linspace(args.emin_frac, args.emax_frac, args.points)
     rows = []
     for f in fracs:

@@ -30,7 +30,7 @@ from scipy.optimize import brentq
 
 from . import units
 from .errors import DomainError, QtstError, SolverConvergenceError
-from .spectral import FrictionModel, PeakedFriction, _require_param
+from .spectral import FrictionModel, PeakedFriction, _check_fields, _kernel_body, _require_param
 from .units import Isotope
 
 __all__ = [
@@ -50,10 +50,11 @@ class BarrierSystem:
     """Reaction-coordinate parameters for a hydrogen-transfer barrier.
 
     Frequencies are quoted for the hydrogen isotope (cm^-1); the barrier
-    height is in kJ/mol. The isotope-scaled frequencies ``omega0`` and
-    ``omegab`` are derived through ``units.isotope_frequency`` once, on
-    construction; they are not dataclass fields, so equality, hashing,
-    ``repr`` and ``dataclasses.replace`` see only the four fields.
+    height is in kJ/mol; all three are stored as Python floats. The
+    isotope-scaled frequencies ``omega0`` and ``omegab`` are derived
+    through ``units.isotope_frequency`` once, on construction; they are
+    not dataclass fields, so equality, hashing, ``repr`` and
+    ``dataclasses.replace`` see only the four fields.
     """
 
     omega0_H: float
@@ -62,9 +63,8 @@ class BarrierSystem:
     isotope: Isotope = Isotope.H
 
     def __post_init__(self):
-        _require_param("omega0_H", self.omega0_H, positive=True)
-        _require_param("omegab_H", self.omegab_H, positive=True)
-        _require_param("barrier_kJ_per_mol", self.barrier_kJ_per_mol)
+        _check_fields(self, "omega0_H", "omegab_H", positive=True)
+        _check_fields(self, "barrier_kJ_per_mol")
         object.__setattr__(self, "omega0", units.isotope_frequency(self.omega0_H, self.isotope))
         object.__setattr__(self, "omegab", units.isotope_frequency(self.omegab_H, self.isotope))
 
@@ -114,10 +114,10 @@ class RateResult:
         }
 
 
-def _mu_mismatch(mu: float, omegab: float, model: FrictionModel) -> float:
+def _mu_mismatch(mu: float, omegab: float, kernel) -> float:
     # sqrt(g^2/4 + wb^2) - g/2 rewritten as wb/(sqrt(1 + r^2/4) + r/2) with
     # r = g/wb: nothing cancels at strong friction, and g = 0 gives wb exactly
-    r = model.laplace_kernel(mu) / omegab
+    r = kernel(mu) / omegab
     return mu - omegab / (math.sqrt(1.0 + 0.25 * r * r) + 0.5 * r)
 
 
@@ -144,21 +144,23 @@ def solve_effective_frequency(omegab: float, model: Optional[FrictionModel]) -> 
     finds it on [1e-12*omega_b, omega_b]. A subclass of ``PeakedFriction``
     that overrides the kernel may admit several roots: a 10,000-point scan
     locates every sign change, Brent's method solves each, the largest
-    root is returned and a warning is issued. The kernel is called with a
-    Python float on either path.
+    root is returned and a warning is issued. Every z lies in the bracket
+    checked with ``omega_b``, so either path calls the model's ``_kernel``
+    (or a subclass's own ``laplace_kernel``), taken once per solve, with a
+    Python float.
     """
     omegab = _require_param("omega_b", omegab, positive=True)
     if model is None:
         return omegab, 0.0
+    kernel = _kernel_body(model)
 
     def f(mu):
-        return _mu_mismatch(mu, omegab, model)
+        return _mu_mismatch(mu, omegab, kernel)
 
     lo = 1e-12 * omegab
-    # looked up per call, so a wrapper installed on the class still counts
-    # as the built-in kernel
-    overridden = type(model).laplace_kernel is not PeakedFriction.laplace_kernel
-    if isinstance(model, PeakedFriction) and overridden:
+    # a PeakedFriction subclass with a kernel of its own takes the scan
+    own_kernel = getattr(kernel, "__func__", None) is not PeakedFriction._kernel
+    if isinstance(model, PeakedFriction) and own_kernel:
         grid = np.linspace(lo, omegab, 10_000).tolist()
         vals = np.array([f(x) for x in grid])
         sign_flips = np.nonzero(np.diff(np.signbit(vals)))[0]

@@ -39,7 +39,7 @@ from .kramers import (
     crossover_temperature,
     effective_barrier_frequency,
 )
-from .spectral import FrictionModel, _require_param
+from .spectral import FrictionModel, _kernel_body, _require_param
 from .units import Isotope
 
 __all__ = [
@@ -145,13 +145,13 @@ def _product(
     if T <= barrier.T0_K:
         raise BelowCrossoverError(T, barrier.T0_K)
     omega0, omegab = system.omega0, system.omegab
-    nu = matsubara_frequency(1, T)
+    nu = T * _NU_CM1_PER_K
     a = omega0 * omega0 + omegab * omegab
     N = _exact_terms(a / (nu * nu), term_tol)
     M = N + 0.5
     n = np.concatenate((np.arange(1.0, N + 3.0), M * _GL_INV_T))
     x = n * nu
-    g = 0.0 if model is None else model.laplace_kernel(x)
+    g = 0.0 if model is None else _kernel_body(model)(x)
     denom = x * x + x * g - omegab * omegab
     if denom.min() <= 0.0:
         bad = float(n[np.argmax(denom <= 0.0)])
@@ -160,7 +160,7 @@ def _product(
             "temperature is effectively at or below the crossover"
         )
     logs = np.log1p(a / denom)
-    fm1, f0, f1, f2 = logs[N - 2 : N + 2]  # f at N-1, N, N+1, N+2
+    fm1, f0, f1, f2 = logs[N - 2 : N + 2].tolist()  # f at N-1, N, N+1, N+2
     d1 = (fm1 - 27.0 * f0 + 27.0 * f1 - f2) / 24.0  # f'(M)
     d3 = f2 - 3.0 * f1 + 3.0 * f0 - fm1  # f'''(M)
     tail = M * float(_GL_WEIGHTS @ logs[N + 2 :]) + d1 / 24.0 - 7.0 * d3 / 5760.0
@@ -392,7 +392,7 @@ def _equilibrium(
     if model is None:
         return False, 0.0
     rhs = units.KB_KJ_PER_MOL_K * T / system.barrier_kJ_per_mol
-    lhs = model.laplace_kernel(barrier.mu_cm1) / system.omegab
+    lhs = _kernel_body(model)(barrier.mu_cm1) / system.omegab
     return lhs > rhs, lhs / rhs
 
 
@@ -402,10 +402,11 @@ def weak_friction_margin(model: Optional[FrictionModel], T: float) -> float:
     Small values justify the zero-friction closed form; the n = 1 term
     dominates for kernels that decay with z.
     """
+    _require_param("temperature", T, positive=True)
     if model is None:
         return 0.0
-    x = np.arange(1, 9, dtype=float) * matsubara_frequency(1, T)
-    return float(np.max(model.laplace_kernel(x) / x))
+    x = np.arange(1, 9, dtype=float) * (T * _NU_CM1_PER_K)
+    return float(np.max(_kernel_body(model)(x) / x))
 
 
 def quantum_rate(

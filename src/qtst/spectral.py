@@ -72,34 +72,45 @@ def _require_param(name: str, value, positive: bool = False, signed: bool = Fals
     return v
 
 
-def _require_positive_z(z):
-    # the checked z: a Python float for scalar input, a float array otherwise
-    return _require_param("Laplace variable z", z, positive=True)
+def _check_fields(obj, *names, positive=False):
+    # check each named parameter once and store it back as a Python float
+    # (a sequence as a tuple of floats)
+    for name in names:
+        v = _require_param(name, getattr(obj, name), positive=positive)
+        object.__setattr__(obj, name, tuple(v.tolist()) if isinstance(v, np.ndarray) else v)
 
 
 class FrictionModel:
     """Base class; subclasses are frozen dataclasses, safe to share.
 
-    Contract for subclasses: ``laplace_kernel`` and ``friction_spectrum``
-    take a scalar or a numpy array and return a Python float for scalar
-    input (numpy parameters may give a numpy float) and a float array of
-    the same shape otherwise. ``laplace_kernel`` raises ``DomainError``
-    unless every z is finite and > 0. Constructors reject NaN, infinite and
-    out-of-range parameters with ``DomainError``.
-    The effective-frequency solve (``kramers.solve_effective_frequency``)
-    calls ``laplace_kernel`` with one Python float at a time, and the
-    Matsubara product with one float array.
+    ``laplace_kernel`` and ``friction_spectrum`` take a scalar or a numpy
+    array, return a Python float for scalar input and a float array of the
+    same shape otherwise, and are the one place that checks their input:
+    ``DomainError`` unless every z is finite and > 0, every omega finite
+    and >= 0. Subclasses implement ``_kernel`` and ``_spectrum`` on the
+    checked value (a Python float or a float array); constructors reject
+    NaN, infinite and out-of-range parameters with ``DomainError`` and store
+    each as a Python float. The effective-frequency solve
+    (``kramers.solve_effective_frequency``, one Python float at a time) and
+    the Matsubara product (one float array) call ``_kernel`` on checked
+    values, or, where a subclass overrides ``laplace_kernel``, that code.
     """
 
     kind = "base"
 
     def friction_spectrum(self, omega):
         """Re gamma(omega) in cm^-1 for omega >= 0 (cm^-1)."""
-        raise NotImplementedError
+        return self._spectrum(_require_param("omega", omega))
 
     def laplace_kernel(self, z):
         """gamma_hat(z) = (2 z/pi) int_0^inf Re gamma(w)/(w^2 + z^2) dw, in
         cm^-1, for z > 0 (cm^-1)."""
+        return self._kernel(_require_param("Laplace variable z", z, positive=True))
+
+    def _spectrum(self, omega):
+        raise NotImplementedError
+
+    def _kernel(self, z):
         raise NotImplementedError
 
     def spectrum_integral(self) -> float:
@@ -110,6 +121,14 @@ class FrictionModel:
         raise NotImplementedError
 
 
+def _kernel_body(model: FrictionModel):
+    # the kernel for a z already checked: the model's _kernel, or its own
+    # laplace_kernel where a subclass overrides the checked entry
+    if type(model).laplace_kernel is FrictionModel.laplace_kernel:
+        return model._kernel
+    return model.laplace_kernel
+
+
 @dataclass(frozen=True)
 class OhmicFriction(FrictionModel):
     """Memoryless friction: gamma_hat(z) = gamma, J(omega) = M*gamma*omega."""
@@ -118,18 +137,12 @@ class OhmicFriction(FrictionModel):
     kind = "ohmic"
 
     def __post_init__(self):
-        _require_param("gamma", self.gamma)
+        _check_fields(self, "gamma")
 
-    def friction_spectrum(self, omega):
-        if np.ndim(omega):
-            return np.full(np.shape(omega), self.gamma, dtype=float)
-        return self.gamma
+    def _kernel(self, z):
+        return np.full(z.shape, self.gamma) if isinstance(z, np.ndarray) else self.gamma
 
-    def laplace_kernel(self, z):
-        zz = _require_positive_z(z)
-        if isinstance(zz, np.ndarray):
-            return np.full(zz.shape, self.gamma, dtype=float)
-        return float(self.gamma)
+    _spectrum = _kernel
 
     def spectrum_integral(self):
         if self.gamma == 0.0:
@@ -155,17 +168,14 @@ class DrudeFriction(FrictionModel):
     kind = "drude"
 
     def __post_init__(self):
-        _require_param("gamma", self.gamma)
-        _require_param("omega_d", self.omega_d, positive=True)
+        _check_fields(self, "gamma")
+        _check_fields(self, "omega_d", positive=True)
 
-    def friction_spectrum(self, omega):
-        w = np.asarray(omega, dtype=float)
-        out = self.gamma / (1.0 + (w / self.omega_d) ** 2)
-        return out if np.ndim(omega) else float(out)
+    def _spectrum(self, w):
+        return self.gamma / (1.0 + (w / self.omega_d) ** 2)
 
-    def laplace_kernel(self, z):
-        zz = _require_positive_z(z)
-        return self.gamma / (1.0 + zz / self.omega_d)
+    def _kernel(self, z):
+        return self.gamma / (1.0 + z / self.omega_d)
 
     def spectrum_integral(self):
         # int gamma/(1+w^2/wd^2) dw = gamma*wd*pi/2, so K_e = M*gamma*wd
@@ -191,19 +201,17 @@ class PeakedFriction(FrictionModel):
     kind = "peaked"
 
     def __post_init__(self):
-        for name in ("gamma_r", "width", "omega_r"):
-            _require_param(name, getattr(self, name))
+        _check_fields(self, "gamma_r", "width", "omega_r")
 
-    def friction_spectrum(self, omega):
-        w = np.asarray(omega, dtype=float)
+    def _spectrum(self, w):
         num = self.gamma_r * (w * self.width) ** 2
         den = (w * w - self.omega_r**2) ** 2 + (w * self.width) ** 2
-        out = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
-        return out if np.ndim(omega) else float(out)
+        if isinstance(den, np.ndarray):
+            return np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
+        return num / den if den > 0.0 else 0.0
 
-    def laplace_kernel(self, z):
-        zz = _require_positive_z(z)
-        return self.gamma_r * zz * self.width / (zz * zz + self.omega_r**2 + zz * self.width)
+    def _kernel(self, z):
+        return self.gamma_r * z * self.width / (z * z + self.omega_r**2 + z * self.width)
 
     def spectrum_integral(self):
         # int_0^inf w^2 dw / ((w^2-a^2)^2 + b^2 w^2) = pi/(2 b), any a;
@@ -268,22 +276,29 @@ class DebyeDielectricFriction(FrictionModel):
     kind = "debye_dielectric"
 
     def __post_init__(self):
-        _require_param("cavity_radius", self.cavity_radius, positive=True)
-        _require_param("mass", self.mass, positive=True)
-        _require_param("eps_c", self.eps_c, positive=True)
-        _require_param("eps_inf", self.eps_inf, positive=True)
-        _require_param("omega_4", self.omega_4)
+        _check_fields(self, "cavity_radius", "mass", "eps_c", "eps_inf", positive=True)
+        _check_fields(self, "omega_4")
         if len(self.delta_eps) != 4 or len(self.tau_ps) != 4:
             raise DomainError("expected 4 relaxation strengths and 4 times")
-        _require_param("delta_eps", self.delta_eps)
-        _require_param("tau_ps", self.tau_ps)
-
-    def _terms(self):
+        _check_fields(self, "delta_eps", "tau_ps")
         # (delta_eps, a, b) of each term delta_eps/(1 - i a w - b w^2), with
         # a in cm (tau times _OMEGA_TAU) and b in cm^2
         b4 = self.omega_4**-2 if self.omega_4 > 0 else 0.0
         a = [_OMEGA_TAU * tau for tau in self.tau_ps]
-        return tuple(zip(self.delta_eps, a, (0.0, 0.0, 0.0, b4)))
+        terms = tuple(zip(self.delta_eps, a, (0.0, 0.0, 0.0, b4)))
+        # e^2/(2 pi eps0 a^3 M), expressed so division by omega[cm^-1]
+        # yields Re gamma in cm^-1
+        a_m, m_kg = self.cavity_radius * 1e-10, self.mass * units.PROTON_MASS_KG
+        pref_si = units.ELEMENTARY_CHARGE_C**2 / (
+            2.0 * math.pi * units.VACUUM_PERMITTIVITY_F_M * a_m**3 * m_kg
+        )
+        prefactor = pref_si / units.CM1_TO_RAD_PER_S**2
+        # pref * 3 eps_c / (2 eps(0) + eps_c)
+        eps0 = self.eps_inf + sum(self.delta_eps)
+        static_scale = prefactor * 3.0 * self.eps_c / (2.0 * eps0 + self.eps_c)
+        # derived once; not fields, so ==, hash and repr see the parameters only
+        for name, value in (("_terms", terms), ("_prefactor", prefactor), ("_static_scale", static_scale)):
+            object.__setattr__(self, name, value)
 
     def epsilon(self, omega):
         """Complex dielectric function at omega (cm^-1, angular sense).
@@ -292,51 +307,34 @@ class DebyeDielectricFriction(FrictionModel):
         for a dissipative medium.
         """
         w = _float_or_array(omega)
-        return self.eps_inf + sum(de / (1.0 - b * w * w - 1j * a * w) for de, a, b in self._terms())
+        return self.eps_inf + sum(de / (1.0 - b * w * w - 1j * a * w) for de, a, b in self._terms)
 
-    def _prefactor(self) -> float:
-        # e^2/(2 pi eps0 a^3 M), expressed so division by omega[cm^-1]
-        # yields Re gamma in cm^-1.
-        a_m = self.cavity_radius * 1e-10
-        m_kg = self.mass * units.PROTON_MASS_KG
-        pref_si = units.ELEMENTARY_CHARGE_C**2 / (
-            2.0 * math.pi * units.VACUUM_PERMITTIVITY_F_M * a_m**3 * m_kg
-        )
-        return pref_si / units.CM1_TO_RAD_PER_S**2
-
-    def _static_scale(self) -> float:
-        # pref * 3 eps_c / (2 eps(0) + eps_c)
-        eps0 = self.eps_inf + sum(self.delta_eps)
-        return self._prefactor() * 3.0 * self.eps_c / (2.0 * eps0 + self.eps_c)
-
-    def friction_spectrum(self, omega):
-        w = _require_param("omega", omega)
+    def _spectrum(self, w):
         eps = self.eps_inf + 0j
         loss = 0.0  # Im eps(w) / w
-        for de, a, b in self._terms():
+        for de, a, b in self._terms:
             d = 1.0 - b * w * w - 1j * a * w
             eps = eps + de / d
             loss = loss + de * a / (d.real**2 + d.imag**2)
         den = 2.0 * eps + self.eps_c
-        return self._prefactor() * 3.0 * self.eps_c * loss / (den.real**2 + den.imag**2)
+        return self._prefactor * 3.0 * self.eps_c * loss / (den.real**2 + den.imag**2)
 
-    def laplace_kernel(self, z):
-        zz = _require_positive_z(z)
+    def _kernel(self, z):
         eps = self.eps_inf  # eps(i z)
         drop = 0.0  # (eps(0) - eps(i z)) / z
-        for de, a, b in self._terms():
+        for de, a, b in self._terms:
             # term = de/(1 + z s), and de - term = z * term * s
-            s = a + b * zz if b else a
-            term = de / (1.0 + zz * s)
+            s = a + b * z if b else a
+            term = de / (1.0 + z * s)
             eps = eps + term
             drop = drop + term * s
-        return self._static_scale() * drop / (2.0 * eps + self.eps_c)
+        return self._static_scale * drop / (2.0 * eps + self.eps_c)
 
     def spectrum_integral(self):
         # a term with a = b = 0 never relaxes, so eps(i inf) keeps it
-        relaxing = sum(de for de, a, b in self._terms() if a > 0.0 or b > 0.0)
+        relaxing = sum(de for de, a, b in self._terms if a > 0.0 or b > 0.0)
         eps_hi = self.eps_inf + sum(self.delta_eps) - relaxing
-        return math.pi / 2.0 * self._static_scale() * relaxing / (2.0 * eps_hi + self.eps_c)
+        return math.pi / 2.0 * self._static_scale * relaxing / (2.0 * eps_hi + self.eps_c)
 
     def to_json(self):
         return {
@@ -376,7 +374,7 @@ def _fg_series(x):
 
 
 def _auxiliary_fg(x):
-    # the auxiliary functions f and g of LinearProteinFriction.laplace_kernel
+    # the auxiliary functions f and g of LinearProteinFriction._kernel
     # at x > 0 (a float or an array); sici runs only on points below the switch
     if not isinstance(x, np.ndarray):
         return _fg_sici(x) if x < _SERIES_FROM else _fg_series(x)
@@ -403,20 +401,17 @@ class LinearProteinFriction(FrictionModel):
     kind = "linear_protein"
 
     def __post_init__(self):
-        _require_param("delta_gamma", self.delta_gamma)
-        _require_param("slope", self.slope)
+        _check_fields(self, "delta_gamma", "slope")
         if self.cutoff is not None:
-            _require_param("cutoff", self.cutoff, positive=True)
+            _check_fields(self, "cutoff", positive=True)
 
-    def friction_spectrum(self, omega):
-        w = np.asarray(omega, dtype=float)
+    def _spectrum(self, w):
         out = self.delta_gamma + self.slope * w
         if self.cutoff is not None:
             out = out * np.exp(-w / self.cutoff)
-        return out if np.ndim(omega) else float(out)
+        return out if isinstance(w, np.ndarray) else float(out)
 
-    def laplace_kernel(self, z):
-        zz = _require_positive_z(z)
+    def _kernel(self, z):
         if self.cutoff is None:
             raise DivergentIntegralError(
                 "linear protein friction without a cutoff has no Laplace transform"
@@ -426,9 +421,9 @@ class LinearProteinFriction(FrictionModel):
         # int e^{-pw}/(w^2+z^2) dw  = f(p z)/z
         # int w e^{-pw}/(w^2+z^2) dw = g(p z)
         # so gamma_hat(z) = (2/pi) [delta_gamma f(pz) + slope * z * g(pz)].
-        f, g = _auxiliary_fg(zz / self.cutoff)
-        out = 2.0 / math.pi * (self.delta_gamma * f + self.slope * zz * g)
-        return out if isinstance(zz, np.ndarray) else float(out)
+        f, g = _auxiliary_fg(z / self.cutoff)
+        out = 2.0 / math.pi * (self.delta_gamma * f + self.slope * z * g)
+        return out if isinstance(z, np.ndarray) else float(out)
 
     def spectrum_integral(self):
         if self.cutoff is None:
@@ -494,7 +489,7 @@ def kernel_upper_bound(model: FrictionModel, z):
     The particle mass cancels. Propagates the divergent-integral error.
     Takes a scalar (returns a float) or an array of z.
     """
-    zz = _require_positive_z(z)
+    zz = _require_param("Laplace variable z", z, positive=True)
     return 2.0 / math.pi * model.spectrum_integral() / zz
 
 

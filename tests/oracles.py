@@ -219,7 +219,7 @@ def mu_scan_float64(omegab: float, model) -> tuple[float, float]:
     largest root is returned, and several roots give the library's warning.
     """
     def f(mu):
-        return _mu_mismatch(mu, omegab, model)
+        return _mu_mismatch(mu, omegab, model.laplace_kernel)
 
     lo = 1e-12 * omegab
     grid = np.linspace(lo, omegab, 10_000)

@@ -409,6 +409,31 @@ def test_spectral_requires_model():
     assert run(["spectral"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["correction", "--omega0", "3000", "--omegab", "1000"],
+        ["rate", "--omega0", "3000", "--omegab", "1000", "--barrier", "40"],
+        ["spectral"],
+    ],
+    ids=["correction", "rate", "spectral"],
+)
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--omega-d", "50"], "--omega-d needs --gamma"),
+        (["--friction", '{"kind": "ohmic", "gamma": 5}', "--gamma", "900"], "cannot be combined"),
+        (["--friction", '{"kind": "ohmic", "gamma": 5}', "--omega-d", "50"], "cannot be combined"),
+    ],
+    ids=["omega-d-alone", "friction-and-gamma", "friction-and-omega-d"],
+)
+def test_friction_flags_that_would_be_ignored_are_config_errors(tmp_path, capsys, argv, flags, message):
+    out = tmp_path / "out.csv"
+    assert run([*argv, *flags, "--output", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------- wkb
 
 
@@ -425,6 +450,14 @@ def test_wkb_parabolic_table(tmp_path):
         assert S == pytest.approx(math.pi * (40.0 - E) / (0.011962656563869701 * 1000.0), rel=1e-8)
         # S is printed at 10 significant digits, so match at that level
         assert P == pytest.approx(math.exp(-2 * S), rel=1e-8)
+
+
+@pytest.mark.parametrize("points", ["0", "-1"])
+def test_wkb_points_below_one_is_config_error(tmp_path, capsys, points):
+    out = tmp_path / "wkb.csv"
+    assert run(["wkb", "--points", points, "--output", str(out)]) == 2
+    assert "points >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ------------------------------------------------- swain-schaad, arrhenius

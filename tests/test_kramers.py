@@ -158,6 +158,28 @@ def test_multi_root_scan_equals_the_float64_scan_bit_for_bit(height, roots):
     assert np.float64 in set(oracle_model.calls)
 
 
+@dataclass(frozen=True)
+class GaussianBumpBody(PeakedFriction):
+    # GaussianBump's kernel as the unchecked body, behind the checked entry
+    def _kernel(self, z):
+        return self.gamma_r * math.exp(-(((z - self.omega_r) / self.width) ** 2))
+
+
+def test_peaked_subclass_with_its_own_kernel_body_takes_the_scan():
+    model = GaussianBumpBody(1000.0, 40.0, 900.0)
+    with warnings.catch_warnings(record=True) as got:
+        warnings.simplefilter("always")
+        mu, residual = solve_effective_frequency(1000.0, model)
+    assert [str(w.message) for w in got] == [
+        "effective-frequency equation has 3 roots for this structured bath; returning the largest"
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert (mu, residual) == mu_scan_float64(1000.0, GaussianBump(1000.0, 40.0, 900.0))
+    with pytest.raises(DomainError):
+        model.laplace_kernel(0.0)
+
+
 @pytest.mark.parametrize("iso", list(Isotope))
 def test_barrier_frequencies_are_isotope_scaled_once(iso):
     system = BarrierSystem(3000.0, 1000.0, 40.0, iso)
@@ -186,6 +208,14 @@ def test_barrier_frequencies_are_isotope_scaled_once(iso):
         assert (swapped.omega0, swapped.omegab) == (
             units.isotope_frequency(3000.0, other), units.isotope_frequency(1000.0, other)
         )
+
+
+def test_barrier_numbers_are_stored_as_floats():
+    system = BarrierSystem(np.float64(3000.0), np.int64(1000), np.array(40.0), Isotope.D)
+    assert [type(getattr(system, f.name)) for f in fields(system)[:3]] == [float] * 3
+    assert type(system.omega0) is float and type(system.omegab) is float
+    assert system == BarrierSystem(3000.0, 1000.0, 40.0, Isotope.D)
+    assert repr(system) == repr(BarrierSystem(3000.0, 1000.0, 40.0, Isotope.D))
 
 
 @pytest.mark.parametrize("params", [(200.0, 0.0, 600.0), (0.0, 150.0, 600.0), (0.0, 0.0, 0.0)])

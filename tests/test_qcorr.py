@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 
 import numpy as np
@@ -614,6 +615,40 @@ def test_weak_friction_margin():
     nu = matsubara_frequency(1, 300.0)
     assert m == pytest.approx(DrudeFriction(100.0, 200.0).laplace_kernel(nu) / nu, rel=1e-12)
     assert m < 1.0
+
+
+@pytest.mark.parametrize("model", [None, DrudeFriction(100.0, 200.0)], ids=["none", "drude"])
+@pytest.mark.parametrize("T", [-5.0, 0.0, math.nan, math.inf])
+def test_weak_friction_margin_checks_temperature_first(model, T):
+    with pytest.raises(DomainError):
+        weak_friction_margin(model, T)
+
+
+@pytest.mark.parametrize("model", [DrudeFriction(100.0, 300.0), DebyeDielectricFriction(cavity_radius=3.0)],
+                         ids=["drude", "debye"])
+def test_quantum_rate_checks_each_input_once(model):
+    # T, term_tol and omega_b; the mu solve, the product and the equilibrium
+    # check call the kernel body on values already checked
+    from qtst import spectral
+
+    code, checked = spectral._require_param.__code__, []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            checked.append(frame.f_locals["name"])
+
+    sys.setprofile(profile)
+    try:
+        quantum_rate(SYSTEM, model, 300.0)
+    finally:
+        sys.setprofile(None)
+    assert sorted(checked) == ["omega_b", "temperature", "term_tol"]
+
+
+def test_tail_estimate_is_a_python_float():
+    for model in (None, DrudeFriction(100.0, 300.0)):
+        corr = correction_product(SYSTEM, model, 300.0)
+        assert type(corr.tail_estimate) is float and type(corr.c_qm) is float
 
 
 # ---------------------------------------------------------- serialization

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -155,6 +156,46 @@ def test_kernel_scalar_call_equals_array_element_bit_for_bit(kernel):
     assert kernel(grid).shape == (4, 16)
     assert kernel(grid).tolist() == kernel(grid.ravel()).reshape(4, 16).tolist()
     assert kernel(CONTRACT_Z.tolist()).tolist() == arr.tolist()
+
+
+# each built-in model built from numpy scalars (and a numpy array for the
+# Debye relaxation strengths), beside its twin built from Python floats
+NUMPY_PARAM_MODELS = [
+    (OhmicFriction(np.float64(50.0)), OhmicFriction(50.0)),
+    (DrudeFriction(np.float64(30.0), np.int64(600)), DrudeFriction(30.0, 600.0)),
+    (PeakedFriction(np.float64(200.0), np.array(150.0), np.int64(600)), PeakedFriction(200.0, 150.0, 600.0)),
+    (DebyeDielectricFriction(np.float64(3.0), eps_c=np.int64(2), mass=np.float64(2.0),
+                             delta_eps=np.array([71.5, 2.8, 1.6, 0.92]),
+                             tau_ps=tuple(np.float64(t) for t in (8.3, 1.0, 0.1, 0.025))),
+     DebyeDielectricFriction(3.0, eps_c=2.0, mass=2.0)),
+    (LinearProteinFriction(np.float64(20.0), np.float64(0.38), np.int64(400)), LinearProteinFriction()),
+]
+
+
+@pytest.mark.parametrize("model, twin", NUMPY_PARAM_MODELS,
+                         ids=[type(m).__name__ for m, _ in NUMPY_PARAM_MODELS])
+def test_numpy_scalar_parameters_are_stored_and_returned_as_floats(model, twin):
+    for f in fields(model):
+        value = getattr(model, f.name)
+        if isinstance(value, tuple):
+            assert [type(v) for v in value] == [float] * 4, f.name
+        else:
+            assert type(value) is float, f.name
+    assert model == twin and hash(model) == hash(twin) and model.to_json() == twin.to_json()
+    for x in (7.0, 600.0, 17_999.0, 18_001.0):
+        for method in ("laplace_kernel", "friction_spectrum"):
+            out = getattr(model, method)(x)
+            assert type(out) is float and out == getattr(twin, method)(x), method
+
+
+@pytest.mark.parametrize("model", ALL_FINITE_KE_MODELS + [OhmicFriction(50.0)],
+                         ids=[type(m).__name__ for m in ALL_FINITE_KE_MODELS] + ["OhmicFriction"])
+@pytest.mark.parametrize("omega", [-1.0, -math.inf, math.inf, math.nan])
+def test_spectrum_rejects_negative_and_nonfinite_omega(model, omega):
+    assert type(model.friction_spectrum(0.0)) is float
+    for bad in _bad_z_forms(omega):
+        with pytest.raises(DomainError):
+            model.friction_spectrum(bad)
 
 
 def test_kernel_bound_accepts_arrays():
