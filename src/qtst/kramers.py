@@ -15,7 +15,9 @@ on (0, omega_b], because z*gamma_hat(z) = (2/pi) int Re gamma(w)
 z^2/(w^2 + z^2) dw increases with z for any positive spectrum; Brent's
 method solves it on the whole interval. Only a ``PeakedFriction``
 subclass that overrides the kernel may have several roots, and it takes a
-dense scan with Brent's method inside each sign change.
+dense scan with Brent's method inside each sign change. The scan makes one
+pass of the user's kernel over its grid and evaluates the mismatch as one
+array expression, bit for bit the scalar form.
 """
 
 from __future__ import annotations
@@ -120,6 +122,16 @@ def _mu_mismatch(mu: float, omegab: float, kernel) -> float:
     return mu - omegab / (math.sqrt(1.0 + 0.25 * r * r) + 0.5 * r)
 
 
+def _mu_mismatch_array(mu: np.ndarray, g: np.ndarray, omegab: float) -> np.ndarray:
+    # _mu_mismatch on arrays of points and kernel values: the same operations
+    # in the same order, each correctly rounded in numpy as in math, so every
+    # element equals the scalar form bit for bit. Python floats overflow to
+    # inf and nan without a warning, and so does this.
+    with np.errstate(all="ignore"):
+        r = g / omegab
+        return mu - omegab / (np.sqrt(1.0 + 0.25 * r * r) + 0.5 * r)
+
+
 def _brent(f, lo: float, hi: float) -> float:
     from scipy.optimize import brentq
     # to relative machine precision; scipy's no-sign-change ValueError and
@@ -144,7 +156,10 @@ def solve_effective_frequency(omegab: float, model: Optional[FrictionModel]) -> 
     finds it on [1e-12*omega_b, omega_b]. A subclass of ``PeakedFriction``
     that overrides the kernel may admit several roots: a 10,000-point scan
     locates every sign change, Brent's method solves each, the largest
-    root is returned and a warning is issued. Every z lies in the bracket
+    root is returned and a warning is issued. The scan calls the kernel
+    once per grid point, in order, and evaluates the mismatch on the grid
+    as one array expression whose every element equals the scalar
+    mismatch bit for bit. Every z lies in the bracket
     checked with ``omega_b``, so either path calls the model's ``_kernel``
     (or a subclass's own ``laplace_kernel``), taken once per solve, with a
     Python float.
@@ -161,8 +176,9 @@ def solve_effective_frequency(omegab: float, model: Optional[FrictionModel]) -> 
     # a PeakedFriction subclass with a kernel of its own takes the scan
     own_kernel = getattr(kernel, "__func__", None) is not PeakedFriction._kernel
     if isinstance(model, PeakedFriction) and own_kernel:
-        grid = np.linspace(lo, omegab, 10_000).tolist()
-        vals = np.array([f(x) for x in grid])
+        points = np.linspace(lo, omegab, 10_000)
+        grid = points.tolist()
+        vals = _mu_mismatch_array(points, np.fromiter(map(kernel, grid), float, len(grid)), omegab)
         sign_flips = np.nonzero(np.diff(np.signbit(vals)))[0]
         roots = [_brent(f, grid[i], grid[i + 1]) for i in sign_flips]
         # a sign flip onto an exact zero at omega_b already solved to it

@@ -264,7 +264,9 @@ class DebyeDielectricFriction(FrictionModel):
     The differences are evaluated as R(e1) - R(e2) =
     3 eps_c (e1 - e2)/((2 e1 + eps_c)(2 e2 + eps_c)), and
     Im R(e) = 3 eps_c Im e/|2 e + eps_c|^2, so no expression cancels and the
-    w -> 0 and z -> 0 limits need no special case.
+    w -> 0 and z -> 0 limits need no special case. The spectrum is computed
+    in real arithmetic, so a scalar call equals the array element bit for
+    bit; the spectrum integral is computed once, on construction.
     """
 
     cavity_radius: float
@@ -297,8 +299,14 @@ class DebyeDielectricFriction(FrictionModel):
         # pref * 3 eps_c / (2 eps(0) + eps_c)
         eps0 = self.eps_inf + sum(self.delta_eps)
         static_scale = prefactor * 3.0 * self.eps_c / (2.0 * eps0 + self.eps_c)
+        # int Re gamma dw; a term with a = b = 0 never relaxes, so eps(i inf)
+        # keeps it
+        relaxing = sum(de for de, a, b in terms if a > 0.0 or b > 0.0)
+        eps_hi = self.eps_inf + sum(self.delta_eps) - relaxing
+        integral = math.pi / 2.0 * static_scale * relaxing / (2.0 * eps_hi + self.eps_c)
         # derived once; not fields, so ==, hash and repr see the parameters only
-        for name, value in (("_terms", terms), ("_prefactor", prefactor), ("_static_scale", static_scale)):
+        for name, value in (("_terms", terms), ("_prefactor", prefactor), ("_static_scale", static_scale),
+                            ("_spectrum_integral", integral)):
             object.__setattr__(self, name, value)
 
     def epsilon(self, omega):
@@ -311,14 +319,17 @@ class DebyeDielectricFriction(FrictionModel):
         return self.eps_inf + sum(de / (1.0 - b * w * w - 1j * a * w) for de, a, b in self._terms)
 
     def _spectrum(self, w):
-        eps = self.eps_inf + 0j
+        # in real arithmetic: de/(dr - i di) = de (dr + i di)/(dr^2 + di^2)
+        eps_re, eps_im = self.eps_inf, 0.0
         loss = 0.0  # Im eps(w) / w
         for de, a, b in self._terms:
-            d = 1.0 - b * w * w - 1j * a * w
-            eps = eps + de / d
-            loss = loss + de * a / (d.real**2 + d.imag**2)
-        den = 2.0 * eps + self.eps_c
-        return self._prefactor * 3.0 * self.eps_c * loss / (den.real**2 + den.imag**2)
+            dr, di = 1.0 - b * w * w, a * w
+            q = de / (dr * dr + di * di)
+            eps_re = eps_re + q * dr
+            eps_im = eps_im + q * di
+            loss = loss + q * a
+        den_re, den_im = 2.0 * eps_re + self.eps_c, 2.0 * eps_im
+        return self._prefactor * 3.0 * self.eps_c * loss / (den_re * den_re + den_im * den_im)
 
     def _kernel(self, z):
         eps = self.eps_inf  # eps(i z)
@@ -332,10 +343,7 @@ class DebyeDielectricFriction(FrictionModel):
         return self._static_scale * drop / (2.0 * eps + self.eps_c)
 
     def spectrum_integral(self):
-        # a term with a = b = 0 never relaxes, so eps(i inf) keeps it
-        relaxing = sum(de for de, a, b in self._terms if a > 0.0 or b > 0.0)
-        eps_hi = self.eps_inf + sum(self.delta_eps) - relaxing
-        return math.pi / 2.0 * self._static_scale * relaxing / (2.0 * eps_hi + self.eps_c)
+        return self._spectrum_integral
 
     def to_json(self):
         return {

@@ -19,7 +19,7 @@ from qtst import (
 )
 from qtst import units
 from qtst.errors import DomainError, SolverConvergenceError
-from qtst.kramers import solve_effective_frequency
+from qtst.kramers import _mu_mismatch, _mu_mismatch_array, solve_effective_frequency
 
 from oracles import mu_scan_float64
 
@@ -178,6 +178,77 @@ def test_peaked_subclass_with_its_own_kernel_body_takes_the_scan():
         assert (mu, residual) == mu_scan_float64(1000.0, GaussianBump(1000.0, 40.0, 900.0))
     with pytest.raises(DomainError):
         model.laplace_kernel(0.0)
+
+
+@dataclass(frozen=True)
+class CountingBump(PeakedFriction):
+    # GaussianBump's kernel; `zs` keeps every z it is called with, in order
+    zs: list = field(default_factory=list, compare=False, repr=False)
+
+    def laplace_kernel(self, z):
+        self.zs.append(z)
+        return self.gamma_r * math.exp(-(((z - self.omega_r) / self.width) ** 2))
+
+
+def test_scan_calls_the_kernel_once_per_grid_point_in_order():
+    model = CountingBump(1000.0, 40.0, 900.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        solve_effective_frequency(1000.0, model)
+    grid = np.linspace(1e-12 * 1000.0, 1000.0, 10_000).tolist()
+    assert model.zs[:10_000] == grid
+    # the rest are Brent's method in the three sign changes and the residual
+    assert 10_000 < len(model.zs) < 10_200
+
+
+@pytest.mark.parametrize("r", [0.0, 1e-3, 1.0, 100.0, 1e8, 1e300])
+@pytest.mark.parametrize("omegab", [1000.0, 700.0, 1e-3])
+def test_scan_mismatch_array_equals_the_scalar_mismatch_bit_for_bit(r, omegab):
+    # on the grid of the scan, a bump of peak r = gamma_hat/omega_b sweeps
+    # every kernel value from 0 up to r; at r = 1e300, r*r overflows to inf
+    # without a warning, as it does in Python floats
+    kernel = CountingBump(r * omegab, 0.3 * omegab, 0.9 * omegab).laplace_kernel
+    points = np.linspace(1e-12 * omegab, omegab, 10_000)
+    grid = points.tolist()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _mu_mismatch_array(points, np.array([kernel(x) for x in grid]), omegab)
+    assert got.tolist() == [_mu_mismatch(x, omegab, kernel) for x in grid]
+
+
+@dataclass(frozen=True)
+class TypedBump(PeakedFriction):
+    # GaussianBump's kernel returning an int or an np.float64
+    cast: type = float
+
+    def laplace_kernel(self, z):
+        return self.cast(round(self.gamma_r * math.exp(-(((z - self.omega_r) / self.width) ** 2))))
+
+
+@pytest.mark.parametrize("cast", [int, np.float64])
+def test_scan_takes_a_kernel_returning_an_int_or_a_numpy_float(cast):
+    model, oracle = TypedBump(1000.0, 40.0, 900.0, cast), TypedBump(1000.0, 40.0, 900.0, float)
+    with warnings.catch_warnings(record=True) as got:
+        warnings.simplefilter("always")
+        mu, residual = solve_effective_frequency(1000.0, model)
+    assert "has 3 roots" in str(got[0].message)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert (mu, residual) == mu_scan_float64(1000.0, oracle)
+
+
+class FailingBump(PeakedFriction):
+    # a user kernel that rejects the upper half of the grid
+    def laplace_kernel(self, z):
+        if z > 500.0:
+            raise DomainError(f"z = {z} out of range")
+        return 0.0
+
+
+def test_scan_passes_a_kernel_domain_error_through():
+    with pytest.raises(DomainError) as exc:
+        solve_effective_frequency(1000.0, FailingBump(1.0, 1.0, 1.0))
+    assert type(exc.value) is DomainError
 
 
 @pytest.mark.parametrize("iso", list(Isotope))

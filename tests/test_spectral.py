@@ -171,12 +171,17 @@ SPECTRUM_MODELS = ALL_FINITE_KE_MODELS + [OhmicFriction(50.0), PeakedFriction(1.
 def test_spectrum_scalar_call_equals_array_element(model):
     arr = model.friction_spectrum(SPECTRUM_OMEGA)
     scalar = [model.friction_spectrum(w) for w in SPECTRUM_OMEGA.tolist()]
-    if isinstance(model, DebyeDielectricFriction):
-        # Python's complex division and numpy's round differently (up to 7
-        # ulps on this grid), so only the Debye spectrum is not bit for bit
-        np.testing.assert_allclose(arr, scalar, rtol=1e-15, atol=0.0)
-    else:
-        assert arr.tolist() == scalar
+    assert arr.tolist() == scalar
+
+
+def test_debye_spectrum_integral_keeps_a_term_that_never_relaxes():
+    # tau = 0 with omega_4 = 0 makes the resonance a constant 0.92, the same
+    # bath as eps_inf raised by 0.92
+    frozen = DebyeDielectricFriction(3.0, tau_ps=(8.3, 1.0, 0.1, 0.0), omega_4=0.0)
+    shifted = DebyeDielectricFriction(3.0, eps_inf=1.54 + 0.92, delta_eps=(71.5, 2.8, 1.6, 0.0))
+    assert type(frozen.spectrum_integral()) is float
+    assert frozen.spectrum_integral() == pytest.approx(shifted.spectrum_integral(), rel=1e-14)
+    assert frozen.spectrum_integral() < DebyeDielectricFriction(3.0).spectrum_integral()
 
 
 # each built-in model built from numpy scalars (and a numpy array for the
