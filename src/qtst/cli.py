@@ -84,14 +84,6 @@ def _write_curve(args, header, rows, ycol, title, logy=False):
         _write_text(args.gnuplot, "\n".join(lines) + "\n")
 
 
-def _parse_pair(text: str) -> tuple[Isotope, Isotope]:
-    cleaned = text.replace("/", ":")
-    a, sep, b = cleaned.partition(":")
-    if not sep:
-        raise DomainError(f"cannot parse isotope pair {text!r}; expected e.g. H:D")
-    return Isotope.from_label(a), Isotope.from_label(b)
-
-
 def _friction_from_args(args) -> spectral.FrictionModel | None:
     """--friction JSON, or the --gamma [--omega-d] shorthand; not both."""
     spec = args.friction
@@ -141,7 +133,7 @@ def _kie_row(omega0, omegab, T, light, heavy):
 
 
 def cmd_kie_predict(args):
-    light, heavy = _parse_pair(args.pair)
+    light, heavy = Isotope.pair(args.pair)
     rows = [_kie_row(args.omega0, args.omegab, T, light, heavy) for T in _temperature_grid(args).tolist()]
     if any(math.isnan(kie) for _, kie, _ in rows):
         print(
@@ -244,7 +236,7 @@ _BUNDLED_SERIES = {"fig3": ("fig3_mcm", "H:D"), "fig4": ("fig4_mao", "H:T")}
 def cmd_fit(args):
     light, heavy = (None, None)
     if args.pair:
-        light, heavy = _parse_pair(args.pair)
+        light, heavy = Isotope.pair(args.pair)
     if args.input in _BUNDLED_SERIES:
         name, pair = _BUNDLED_SERIES[args.input]
         data = fitmod.KIEDataset.from_csv_text(

@@ -1,6 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one input check that
+raises them."""
 
 from __future__ import annotations
+
+import math
+
+import numpy as np
 
 __all__ = [
     "QtstError", "UnitCompatibilityError", "DomainError", "DivergentIntegralError",
@@ -62,3 +67,35 @@ class SolverConvergenceError(QtstError, RuntimeError):
 
 class FitConvergenceError(QtstError, RuntimeError):
     """Nonlinear fitting failed (no convergent start, or unusable data)."""
+
+
+def _float_or_array(x):
+    # a Python float for scalar input, so scalar calls skip numpy's
+    # per-operation cost; a float array otherwise
+    if isinstance(x, (int, float)):
+        return float(x)
+    arr = np.asarray(x, dtype=float)
+    return float(arr) if arr.ndim == 0 else arr
+
+
+def _require_param(name: str, value, positive: bool = False, signed: bool = False):
+    # value, or every element of it, finite and >= 0 (> 0 if positive, of
+    # either sign if signed); NaN fails every comparison, so it is rejected
+    # with the infinities. Returns the value as _float_or_array converts it.
+    v = _float_or_array(value)
+    if signed:
+        ok = abs(v) < math.inf
+    else:
+        ok = (v > 0.0 if positive else v >= 0.0) & (v < math.inf)
+    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+        want = "finite" if signed else f"finite and {'>' if positive else '>='} 0"
+        raise DomainError(f"{name} must be {want}, got {value!r}")
+    return v
+
+
+def _check_fields(obj, *names, positive=False):
+    # check each named field of a frozen dataclass once and store it back as
+    # a Python float (a sequence as a tuple of floats)
+    for name in names:
+        v = _require_param(name, getattr(obj, name), positive=positive)
+        object.__setattr__(obj, name, tuple(v.tolist()) if isinstance(v, np.ndarray) else v)

@@ -24,10 +24,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import units
-from .errors import DomainError, FitConvergenceError
+from .errors import DomainError, FitConvergenceError, _require_param
 from .kie import ArrheniusParams, _log_kie
 from .kramers import crossover_temperature
-from .spectral import _require_param
 from .units import Isotope
 
 __all__ = [
@@ -114,8 +113,7 @@ class KIEDataset:
         cls, text: str, light=None, heavy=None, label="", source="", pair=None
     ) -> "KIEDataset":
         if pair and light is None and heavy is None:
-            a, _, b = pair.partition(":")
-            light, heavy = Isotope.from_label(a), Isotope.from_label(b)
+            light, heavy = Isotope.pair(pair)
         light = light or Isotope.H
         heavy = heavy or Isotope.D
         reader = csv.reader(io.StringIO(text))

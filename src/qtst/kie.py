@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 
 from . import units
-from .errors import BelowCrossoverError, DomainError
+from .errors import BelowCrossoverError, DomainError, _require_param
 from .kramers import crossover_temperature
 from .qcorr import _log_closed
-from .spectral import _require_param
 from .units import Isotope, isotope_frequency
 
 __all__ = [
@@ -85,12 +84,7 @@ class ApparentArrhenius:
     expansion_ok: bool
 
     def to_json(self) -> dict:
-        return {
-            "a_ratio": self.a_ratio,
-            "delta_E_kJ_per_mol": self.delta_E_kJ_per_mol,
-            "T_R": self.T_R,
-            "expansion_ok": self.expansion_ok,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -244,10 +238,7 @@ def classify(
     on each side. Thresholds are read from the bundled limits table.
     """
     if isinstance(pair, str):
-        names = pair.replace(":", "").replace("/", "").upper()
-        if len(names) != 2:
-            raise DomainError(f"cannot parse isotope pair {pair!r}")
-        pair = (Isotope.from_label(names[0]), Isotope.from_label(names[1]))
+        pair = Isotope.pair(pair)
     key = f"{pair[0].name}{pair[1].name}"
     limits = load_limits()
     if key not in limits["bell_prefactor_ranges"]["ranges"]:

@@ -24,14 +24,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import units
-from .errors import DomainError, QtstError, SolverConvergenceError
-from .spectral import FrictionModel, PeakedFriction, _check_fields, _kernel_body, _require_param
+from .errors import DomainError, QtstError, SolverConvergenceError, _check_fields, _require_param
+from .spectral import FrictionModel, PeakedFriction, _kernel_body
 from .units import Isotope
 
 __all__ = [
@@ -82,7 +82,7 @@ class EffectiveBarrier:
     residual: float
 
     def to_json(self) -> dict:
-        return {"mu_cm1": self.mu_cm1, "T0_K": self.T0_K, "residual": self.residual}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -101,25 +101,17 @@ class RateResult:
     terms_used: Optional[int] = None
 
     def to_json(self) -> dict:
-        return {
-            "T_K": self.T_K,
-            "rate_cm1": self.rate_cm1,
-            "rate_per_s": self.rate_per_s,
-            "c_qm": self.c_qm,
-            "mu_cm1": self.mu_cm1,
-            "T0_K": self.T0_K,
-            "regime": self.regime,
-            "equilibrium_ok": self.equilibrium_ok,
-            "equilibrium_margin": self.equilibrium_margin,
-            "terms_used": self.terms_used,
-        }
+        return asdict(self)
 
 
 def _mu_mismatch(mu: float, omegab: float, kernel) -> float:
-    # sqrt(g^2/4 + wb^2) - g/2 rewritten as wb/(sqrt(1 + r^2/4) + r/2) with
-    # r = g/wb: nothing cancels at strong friction, and g = 0 gives wb exactly
+    # sqrt(g^2/4 + wb^2) - g/2 rewritten as wb/(s + r/2) with r = g/wb and
+    # s = sqrt(1 + r^2/4): nothing cancels at strong friction, and g = 0
+    # gives wb exactly. A negative kernel takes the equal wb*(s - r/2),
+    # which does not cancel to 0 either
     r = kernel(mu) / omegab
-    return mu - omegab / (math.sqrt(1.0 + 0.25 * r * r) + 0.5 * r)
+    s = math.sqrt(1.0 + 0.25 * r * r)
+    return mu - (omegab * (s - 0.5 * r) if r < 0.0 else omegab / (s + 0.5 * r))
 
 
 def _mu_mismatch_array(mu: np.ndarray, g: np.ndarray, omegab: float) -> np.ndarray:
@@ -129,7 +121,8 @@ def _mu_mismatch_array(mu: np.ndarray, g: np.ndarray, omegab: float) -> np.ndarr
     # inf and nan without a warning, and so does this.
     with np.errstate(all="ignore"):
         r = g / omegab
-        return mu - omegab / (np.sqrt(1.0 + 0.25 * r * r) + 0.5 * r)
+        s = np.sqrt(1.0 + 0.25 * r * r)
+        return mu - np.where(r < 0.0, omegab * (s - 0.5 * r), omegab / (s + 0.5 * r))
 
 
 def _brent(f, lo: float, hi: float) -> float:
@@ -258,16 +251,14 @@ def classical_kie(
     model: Optional[FrictionModel],
     light: Isotope,
     heavy: Isotope,
-    T: Optional[float] = None,
 ) -> float:
     """Classical kinetic isotope effect (mu/omega_b ratio of the isotopes).
 
-    The barrier height cancels, so the result is temperature independent;
-    ``T`` is accepted for interface symmetry and ignored. Its ratio to
-    sqrt(m_heavy/m_light) is (mu_h + g(mu_h))/(mu_l + g(mu_l)), with g the
-    Laplace-transformed kernel. So it is at most sqrt(m_heavy/m_light),
-    the value reached at strong Ohmic friction, wherever z + g(z) does not
-    fall between the two mu. A kernel with g' < -1 there can exceed it: a
+    The barrier height cancels, so the result is temperature independent.
+    Its ratio to sqrt(m_heavy/m_light) is (mu_h + g(mu_h))/(mu_l + g(mu_l)),
+    with g the Laplace-transformed kernel. So it is at most
+    sqrt(m_heavy/m_light), the value reached at strong Ohmic friction,
+    wherever z + g(z) does not fall between the two mu. A kernel with g' < -1 there can exceed it: a
     slow Drude bath (gamma > omega_d), or a Debye dielectric at small
     omega_b. It is at least 1 wherever g(z)/z does not rise between the two
     mu.

@@ -23,13 +23,13 @@ and the equilibrium check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import units
-from .errors import BelowCrossoverError, DomainError
+from .errors import BelowCrossoverError, DomainError, _require_param
 from .kramers import (
     BarrierSystem,
     EffectiveBarrier,
@@ -38,7 +38,7 @@ from .kramers import (
     crossover_temperature,
     effective_barrier_frequency,
 )
-from .spectral import FrictionModel, _kernel_body, _require_param
+from .spectral import FrictionModel, _kernel_body
 from .units import Isotope
 
 __all__ = [
@@ -87,12 +87,7 @@ class CorrectionResult:
     tail_estimate: float
 
     def to_json(self) -> dict:
-        return {
-            "c_qm": self.c_qm,
-            "regime": self.regime,
-            "terms_used": self.terms_used,
-            "tail_estimate": self.tail_estimate,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

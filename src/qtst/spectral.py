@@ -18,13 +18,13 @@ of that spectrum's response function gives the kernel exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from . import units
-from .errors import DivergentIntegralError, DomainError
+from .errors import DivergentIntegralError, DomainError, _check_fields, _float_or_array, _require_param
 
 __all__ = [
     "FrictionModel",
@@ -47,38 +47,6 @@ __all__ = [
 _OMEGA_TAU = units.CM1_TO_RAD_PER_S * 1e-12
 
 
-def _float_or_array(x):
-    # a Python float for scalar input, so scalar calls skip numpy's
-    # per-operation cost; a float array otherwise
-    if isinstance(x, (int, float)):
-        return float(x)
-    arr = np.asarray(x, dtype=float)
-    return float(arr) if arr.ndim == 0 else arr
-
-
-def _require_param(name: str, value, positive: bool = False, signed: bool = False):
-    # value, or every element of it, finite and >= 0 (> 0 if positive, of
-    # either sign if signed); NaN fails every comparison, so it is rejected
-    # with the infinities. Returns the value as _float_or_array converts it.
-    v = _float_or_array(value)
-    if signed:
-        ok, want = abs(v) < math.inf, "finite"
-    else:
-        ok = (v > 0.0 if positive else v >= 0.0) & (v < math.inf)
-        want = f"finite and {'>' if positive else '>='} 0"
-    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
-        raise DomainError(f"{name} must be {want}, got {value!r}")
-    return v
-
-
-def _check_fields(obj, *names, positive=False):
-    # check each named parameter once and store it back as a Python float
-    # (a sequence as a tuple of floats)
-    for name in names:
-        v = _require_param(name, getattr(obj, name), positive=positive)
-        object.__setattr__(obj, name, tuple(v.tolist()) if isinstance(v, np.ndarray) else v)
-
-
 class FrictionModel:
     """Base class; subclasses are frozen dataclasses, safe to share.
 
@@ -93,6 +61,8 @@ class FrictionModel:
     (``kramers.solve_effective_frequency``, one Python float at a time) and
     the Matsubara product (one float array) call ``_kernel`` on checked
     values, or, where a subclass overrides ``laplace_kernel``, that code.
+    ``to_json`` comes from the fields: the ``kind``, then each dataclass
+    field in order, a tuple written as a list.
     """
 
     kind = "base"
@@ -117,7 +87,8 @@ class FrictionModel:
         raise NotImplementedError
 
     def to_json(self) -> dict:
-        raise NotImplementedError
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {"kind": self.kind, **{k: list(v) if isinstance(v, tuple) else v for k, v in values}}
 
 
 def _kernel_body(model: FrictionModel):
@@ -150,8 +121,6 @@ class OhmicFriction(FrictionModel):
             "Ohmic friction has no finite spectrum integral; K_e diverges"
         )
 
-    def to_json(self):
-        return {"kind": self.kind, "gamma": self.gamma}
 
 
 @dataclass(frozen=True)
@@ -181,8 +150,6 @@ class DrudeFriction(FrictionModel):
         # int gamma/(1+w^2/wd^2) dw = gamma*wd*pi/2, so K_e = M*gamma*wd
         return self.gamma * self.omega_d * math.pi / 2.0
 
-    def to_json(self):
-        return {"kind": self.kind, "gamma": self.gamma, "omega_d": self.omega_d}
 
 
 @dataclass(frozen=True)
@@ -219,13 +186,6 @@ class PeakedFriction(FrictionModel):
         # hence the integral is pi*gamma_r*Gamma/2 and K_e = M*gamma_r*Gamma.
         return math.pi * self.gamma_r * self.width / 2.0
 
-    def to_json(self):
-        return {
-            "kind": self.kind,
-            "gamma_r": self.gamma_r,
-            "width": self.width,
-            "omega_r": self.omega_r,
-        }
 
 
 # Water dielectric relaxation at 298 K: three Debye terms plus one damped
@@ -345,17 +305,6 @@ class DebyeDielectricFriction(FrictionModel):
     def spectrum_integral(self):
         return self._spectrum_integral
 
-    def to_json(self):
-        return {
-            "kind": self.kind,
-            "cavity_radius": self.cavity_radius,
-            "eps_c": self.eps_c,
-            "mass": self.mass,
-            "eps_inf": self.eps_inf,
-            "delta_eps": list(self.delta_eps),
-            "tau_ps": list(self.tau_ps),
-            "omega_4": self.omega_4,
-        }
 
 
 # From x = 45 on, _auxiliary_fg sums 14 terms of the asymptotic series, which
@@ -443,13 +392,6 @@ class LinearProteinFriction(FrictionModel):
         wc = self.cutoff
         return self.delta_gamma * wc + self.slope * wc * wc
 
-    def to_json(self):
-        return {
-            "kind": self.kind,
-            "delta_gamma": self.delta_gamma,
-            "slope": self.slope,
-            "cutoff": self.cutoff,
-        }
 
 
 _KINDS = {
@@ -474,11 +416,7 @@ def friction_model_from_json(obj: dict) -> FrictionModel:
         cls = _KINDS[kind]
     except KeyError:
         raise DomainError(f"unknown friction model kind {kind!r}") from None
-    kwargs = {k: v for k, v in obj.items() if k != "kind"}
-    for key in ("delta_eps", "tau_ps"):
-        if key in kwargs:
-            kwargs[key] = tuple(kwargs[key])
-    return cls(**kwargs)
+    return cls(**{k: v for k, v in obj.items() if k != "kind"})
 
 
 def effective_curvature(model: FrictionModel, mass: float = 1.0) -> float:

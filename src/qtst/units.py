@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import enum
 import math
+import re
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import DomainError, UnitCompatibilityError
+from .errors import DomainError, UnitCompatibilityError, _require_param
 
 __all__ = ["Unit", "Quantity", "convert", "Isotope", "isotope_frequency"]
 
@@ -119,6 +118,16 @@ class Isotope(enum.Enum):
         except KeyError:
             raise DomainError(f"unknown isotope label {label!r}; expected H, D or T") from None
 
+    @classmethod
+    def pair(cls, text: str) -> tuple["Isotope", "Isotope"]:
+        """(light, heavy) from "H:D", "H/D" or "HD", in any case, with
+        whitespace around the labels; which pairs it allows is the caller's
+        rule."""
+        m = re.fullmatch(r"\s*(\w)\s*[:/]?\s*(\w)\s*", text)
+        if m is None:
+            raise DomainError(f"cannot parse isotope pair {text!r}; expected e.g. H:D, H/D or HD")
+        return cls.from_label(m[1]), cls.from_label(m[2])
+
 
 def isotope_frequency(omega_H, isotope: Isotope):
     """Scale a hydrogen frequency (cm^-1), a scalar or an array, to the
@@ -126,10 +135,7 @@ def isotope_frequency(omega_H, isotope: Isotope):
 
     Frequencies enter as omega/sqrt(m) with m the unitless mass number,
     so heavier isotopes oscillate slower. This is the single code path
-    for isotope scaling in the package. A negative or NaN frequency, or
-    any such entry of an array, raises ``DomainError``.
+    for isotope scaling in the package. A negative, infinite or NaN
+    frequency, or any such entry of an array, raises ``DomainError``.
     """
-    ok = np.all(omega_H >= 0) if isinstance(omega_H, np.ndarray) else omega_H >= 0
-    if not ok:
-        raise DomainError(f"frequency must be >= 0, got {omega_H}")
-    return omega_H / math.sqrt(isotope.mass_number)
+    return _require_param("frequency", omega_H) / math.sqrt(isotope.mass_number)

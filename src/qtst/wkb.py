@@ -22,8 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import units
-from .errors import DomainError
-from .spectral import _require_param
+from .errors import DomainError, _check_fields, _require_param
 
 __all__ = [
     "Potential1D",
@@ -82,9 +81,7 @@ class ParabolicBarrier(Potential1D):
     mass: float = 1.0
 
     def __post_init__(self):
-        _require_param("E_b", self.E_b, positive=True)
-        _require_param("omega_b", self.omega_b, positive=True)
-        _require_param("mass", self.mass, positive=True)
+        _check_fields(self, "E_b", "omega_b", "mass", positive=True)
 
     def energy(self, x):
         return self.E_b - 0.5 * _curvature(self.mass, self.omega_b) * x * x
@@ -111,9 +108,7 @@ class EckartBarrier(Potential1D):
     mass: float = 1.0
 
     def __post_init__(self):
-        _require_param("V0", self.V0, positive=True)
-        _require_param("width", self.width, positive=True)
-        _require_param("mass", self.mass, positive=True)
+        _check_fields(self, "V0", "width", "mass", positive=True)
 
     def energy(self, x):
         return self.V0 / math.cosh(x / self.width) ** 2
@@ -145,9 +140,7 @@ class CubicBarrier(Potential1D):
     mass: float = 1.0
 
     def __post_init__(self):
-        _require_param("omega_0", self.omega_0, positive=True)
-        _require_param("E_b", self.E_b, positive=True)
-        _require_param("mass", self.mass, positive=True)
+        _check_fields(self, "omega_0", "E_b", "mass", positive=True)
 
     def _k(self) -> float:
         return _curvature(self.mass, self.omega_0)

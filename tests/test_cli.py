@@ -59,6 +59,17 @@ def test_kie_predict_degenerate_pair_constant_one(tmp_path):
     assert all(float(r[1]) == 1.0 for r in rows)
 
 
+def test_kie_predict_pair_syntaxes_give_the_same_curve(tmp_path):
+    texts = []
+    for i, pair in enumerate(("H:D", "HD", "h/d")):
+        out = tmp_path / f"kie{i}.csv"
+        rc = run(["kie-predict", "--omega0", "3000", "--omegab", "1000", "--pair", pair,
+                  "--tmin", "280", "--tmax", "320", "--points", "5", "--output", str(out)])
+        assert rc == 0
+        texts.append(out.read_text())
+    assert texts[1] == texts[0] and texts[2] == texts[0]
+
+
 def test_kie_predict_below_crossover_rows_flagged(tmp_path, capsys):
     out = tmp_path / "cold.csv"
     rc = run([
@@ -365,6 +376,12 @@ def test_fit_bundled_fig4(tmp_path):
     res = json.loads(out.read_text())
     assert 1900.0 <= res["omega0_cm1"] <= 2300.0
     assert res["pair"] == "H:T"
+
+
+def test_fit_bundled_takes_a_pair_without_a_separator(tmp_path):
+    out = tmp_path / "fig4.json"
+    assert run(["fit", "--input", "fig4", "--pair", "HT", "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["pair"] == "H:T"
 
 
 def test_fit_empty_file_is_config_error(tmp_path):

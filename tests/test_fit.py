@@ -187,6 +187,14 @@ def test_dataset_from_csv_file_with_sidecar(tmp_path):
     assert data.label == "demo"
 
 
+def test_dataset_sidecar_pair_with_a_slash(tmp_path):
+    csv_path = tmp_path / "kie.csv"
+    csv_path.write_text("T_K,kie\n280,20.5\n300,15.2\n320,12.0\n")
+    (tmp_path / "kie.json").write_text(json.dumps({"pair": "H/T"}))
+    data = KIEDataset.from_csv(csv_path)
+    assert (data.light, data.heavy) == (Isotope.H, Isotope.T)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("field", ["T_K", "kie", "sigma"])
 def test_dataset_rejects_non_finite_values(field, bad):

@@ -296,6 +296,17 @@ def test_classify_unsupported_pair():
         classify(10.0, 1.0, 1.0, (Isotope.T, Isotope.T))
 
 
+@pytest.mark.parametrize("text", ["HT", "h/t", " H : T "])
+def test_classify_reads_a_pair_in_any_syntax(text):
+    assert classify(22.0, 0.13, 13.0, text) == classify(22.0, 0.13, 13.0, (Isotope.H, Isotope.T))
+
+
+@pytest.mark.parametrize("text", ["HH", "H:H", "D/H"])
+def test_classify_still_rejects_a_pair_outside_its_tables(text):
+    with pytest.raises(DomainError):
+        classify(10.0, 1.0, 1.0, text)
+
+
 # ---------------------------------------------------------- bundled data
 
 

@@ -18,7 +18,7 @@ from qtst import (
     effective_barrier_frequency,
 )
 from qtst import units
-from qtst.errors import DomainError, SolverConvergenceError
+from qtst.errors import DomainError, QtstError, SolverConvergenceError
 from qtst.kramers import _mu_mismatch, _mu_mismatch_array, solve_effective_frequency
 
 from oracles import mu_scan_float64
@@ -201,19 +201,42 @@ def test_scan_calls_the_kernel_once_per_grid_point_in_order():
     assert 10_000 < len(model.zs) < 10_200
 
 
-@pytest.mark.parametrize("r", [0.0, 1e-3, 1.0, 100.0, 1e8, 1e300])
+@pytest.mark.parametrize("r", [0.0, 1e-3, 1.0, 100.0, 1e8, 1e300, -1e-3, -1.0, -100.0, -1e8, -1e12, -1e300])
 @pytest.mark.parametrize("omegab", [1000.0, 700.0, 1e-3])
 def test_scan_mismatch_array_equals_the_scalar_mismatch_bit_for_bit(r, omegab):
     # on the grid of the scan, a bump of peak r = gamma_hat/omega_b sweeps
-    # every kernel value from 0 up to r; at r = 1e300, r*r overflows to inf
-    # without a warning, as it does in Python floats
-    kernel = CountingBump(r * omegab, 0.3 * omegab, 0.9 * omegab).laplace_kernel
+    # every kernel value from 0 up to r; at |r| = 1e300, r*r overflows to inf
+    # without a warning, as it does in Python floats. A negative peak, which
+    # no built-in model has, takes the other form of the mismatch
+    bump = CountingBump(abs(r) * omegab, 0.3 * omegab, 0.9 * omegab).laplace_kernel
+    kernel = bump if r >= 0.0 else lambda z: -bump(z)
     points = np.linspace(1e-12 * omegab, omegab, 10_000)
     grid = points.tolist()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = _mu_mismatch_array(points, np.array([kernel(x) for x in grid]), omegab)
     assert got.tolist() == [_mu_mismatch(x, omegab, kernel) for x in grid]
+
+
+@dataclass(frozen=True)
+class FarNegativeOhmic(OhmicFriction):
+    # a user kernel of -2e11 at every z: at omega_b = 1000 the mismatch form
+    # for r >= 0, wb/(sqrt(1 + r^2/4) + r/2), would divide by an exact 0
+    def _kernel(self, z):
+        return -2e11
+
+
+@dataclass(frozen=True)
+class FarNegativePeaked(PeakedFriction):
+    def laplace_kernel(self, z):
+        return -2e11
+
+
+@pytest.mark.parametrize("model", [FarNegativeOhmic(0.0), FarNegativePeaked(0.0, 1.0, 1.0)],
+                         ids=["brent", "scan"])
+def test_a_far_negative_user_kernel_raises_a_qtst_error(model):
+    with pytest.raises(QtstError):
+        solve_effective_frequency(1000.0, model)
 
 
 @dataclass(frozen=True)

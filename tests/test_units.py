@@ -85,6 +85,22 @@ def test_isotope_mass_numbers_fixed():
         Isotope.from_label("X")
 
 
+@pytest.mark.parametrize("text", ["H:D", "h/d", "HD", " H : D ", "H/D", "hd"])
+def test_isotope_pair_reads_each_syntax(text):
+    assert Isotope.pair(text) == (Isotope.H, Isotope.D)
+
+
+@pytest.mark.parametrize("text", ["HDT", "H:", "X:D", "", "H::D", "H:D:T"])
+def test_isotope_pair_rejects_what_is_not_two_labels(text):
+    with pytest.raises(DomainError):
+        Isotope.pair(text)
+
+
+def test_isotope_pair_leaves_the_choice_of_pair_to_the_caller():
+    assert Isotope.pair("T:H") == (Isotope.T, Isotope.H)
+    assert Isotope.pair("H:H") == (Isotope.H, Isotope.H)
+
+
 def test_isotope_frequency_values():
     assert isotope_frequency(3000.0, Isotope.H) == 3000.0
     assert isotope_frequency(3000.0, Isotope.D) == pytest.approx(3000.0 / math.sqrt(2), rel=1e-14)

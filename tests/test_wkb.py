@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -24,6 +25,15 @@ CURV = 0.000357396117155  # kJ/mol per (mass cm^-2 A^2)
 ACTION = 2.23492152358  # (S/hbar) per sqrt(mass * kJ/mol) A
 
 PARABOLA = ParabolicBarrier(E_b=40.0, omega_b=1000.0)
+
+
+@pytest.mark.parametrize("cls,args", [(ParabolicBarrier, (40.0, 1000.0)), (EckartBarrier, (40.0, 0.45)),
+                                      (CubicBarrier, (1000.0, 40.0))], ids=["parabolic", "eckart", "cubic"])
+def test_analytic_barriers_store_python_floats(cls, args):
+    # a numpy scalar, a 0-d array and an int in; Python floats out
+    pot = cls(np.float64(args[0]), np.array(args[1]), mass=2)
+    assert pot == cls(*args, mass=2.0)
+    assert all(type(getattr(pot, f.name)) is float for f in fields(cls))
 
 
 # --------------------------------------------------------- turning points
