@@ -15,6 +15,7 @@ import functools
 import json
 import math
 import sys
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from .errors import (
     DomainError,
     FitConvergenceError,
     QtstError,
+    _read_table,
 )
 from .kramers import (
     BarrierSystem,
@@ -229,8 +231,8 @@ def cmd_classify(args):
     return EXIT_OK
 
 
-# bundled KIE series for `fit --input`: data file stem and isotope pair
-_BUNDLED_SERIES = {"fig3": ("fig3_mcm", "H:D"), "fig4": ("fig4_mao", "H:T")}
+# bundled KIE series for `fit --input`: the stem of the data file and its sidecar
+_BUNDLED_SERIES = {"fig3": "fig3_mcm", "fig4": "fig4_mao"}
 
 
 def cmd_fit(args):
@@ -238,26 +240,20 @@ def cmd_fit(args):
     if args.pair:
         light, heavy = Isotope.pair(args.pair)
     if args.input in _BUNDLED_SERIES:
-        name, pair = _BUNDLED_SERIES[args.input]
-        data = fitmod.KIEDataset.from_csv_text(
-            kiemod.load_dataset_csv(f"{name}.csv"), pair=pair, source=f"bundled {name}"
-        )
+        path = resources.files("qtst.data") / f"{_BUNDLED_SERIES[args.input]}.csv"
     else:
         path = Path(args.input)
-        if not path.exists():
-            raise ConfigError(f"input file not found: {args.input}")
-        try:
-            data = fitmod.KIEDataset.from_csv(path, light=light, heavy=heavy)
-        except DomainError as exc:
-            raise ConfigError(str(exc))
+    try:
+        data = fitmod.KIEDataset.from_csv(path, light=light, heavy=heavy)
+    except DomainError as exc:
+        raise ConfigError(f"{args.input}: {exc}")
     result = fitmod.fit_kie(data)
     payload = result.to_json()
     payload["pair"] = f"{data.light.name}:{data.heavy.name}"
     payload["n_points"] = len(data)
     _write_text(args.output, _json_text(payload))
     if args.curve:
-        T, _, _ = data.sorted_arrays()
-        grid = np.linspace(float(T.min()), float(T.max()), 101)
+        grid = np.linspace(min(data.T_K), max(data.T_K), 101)
         rows = [_kie_row(result.omega0, result.omegab, t, data.light, data.heavy)[:2] for t in grid.tolist()]
         _write_text(args.curve, _csv_text(("T_K", "kie_model"), rows))
     return EXIT_OK
@@ -312,23 +308,11 @@ def cmd_swain_schaad(args):
 
 
 def cmd_arrhenius(args):
-    path = Path(args.input)
-    if not path.exists():
-        raise ConfigError(f"input file not found: {args.input}")
-    T, k = [], []
-    for i, line in enumerate(path.read_text(encoding="utf-8").splitlines()):
-        parts = [p.strip() for p in line.split(",")]
-        if not parts or not parts[0]:
-            continue
-        try:
-            T.append(float(parts[0]))
-            k.append(float(parts[1]))
-        except (ValueError, IndexError):
-            if i == 0:
-                continue  # header
-            raise ConfigError(f"cannot parse line {i + 1} of {args.input}")
-    if len(T) < 2:
-        raise ConfigError("need at least two (T_K, k) rows")
+    text = Path(args.input).read_text(encoding="utf-8")
+    try:
+        _, (T, k) = _read_table(text, "rate table", 2, 2)
+    except DomainError as exc:
+        raise ConfigError(f"{args.input}: {exc}")
     result = fitmod.fit_arrhenius(T, k)
     _write_text(args.output, _json_text(result.to_json()))
     return EXIT_OK
@@ -493,7 +477,7 @@ def main(argv=None) -> int:
     try:
         args = _parse(argv)
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, FileNotFoundError) as exc:  # a missing input file included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except FitConvergenceError as exc:

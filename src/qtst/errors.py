@@ -1,8 +1,9 @@
-"""Exception types shared across the package, and the one input check that
-raises them."""
+"""Exception types shared across the package, the one input check that
+raises them, and the one reader of input tables."""
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -99,3 +100,26 @@ def _check_fields(obj, *names, positive=False):
     for name in names:
         v = _require_param(name, getattr(obj, name), positive=positive)
         object.__setattr__(obj, name, tuple(v.tolist()) if isinstance(v, np.ndarray) else v)
+
+
+def _read_table(text: str, what: str, ncols: int, min_rows: int, optional: int = 0):
+    """(header, columns) of the CSV table ``text``, by the one rule for every
+    input table: blank rows are skipped; the first other row, if it does not
+    parse, is the header (stripped, lowercased); every later row gives a float
+    in each of its first ``ncols`` cells, the last ``optional`` of them None
+    where empty, or ``DomainError`` names the row (1-based); later cells are
+    ignored. Fewer than ``min_rows`` (>= 1) rows raise ``DomainError``."""
+    header, rows = None, []
+    for i, row in enumerate(csv.reader(text.splitlines()), 1):
+        cells = [c.strip().lower() for c in row] + [""] * ncols
+        if not any(cells):
+            continue
+        try:
+            rows.append(tuple(None if j >= ncols - optional and not cells[j] else float(cells[j]) for j in range(ncols)))
+        except ValueError:
+            if header is not None or rows:
+                raise DomainError(f"cannot parse row {i} of the {what}: {','.join(row)!r}") from None
+            header = cells[: len(row)]
+    if len(rows) < min_rows:
+        raise DomainError(f"the {what} needs at least {min_rows} rows of numbers, got {len(rows)}")
+    return header, tuple(zip(*rows))

@@ -13,8 +13,6 @@ order of the polishes are fixed.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -24,9 +22,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import units
-from .errors import DomainError, FitConvergenceError, _require_param
+from .errors import DomainError, FitConvergenceError, _check_fields, _read_table, _require_param
 from .kie import ArrheniusParams, _log_kie
-from .kramers import crossover_temperature
+from .kramers import _crossover_temperature, crossover_temperature
 from .units import Isotope
 
 __all__ = [
@@ -62,19 +60,16 @@ class KIEDataset:
     source: str = ""
 
     def __post_init__(self):
-        T = np.asarray(self.T_K, dtype=float)
-        y = np.asarray(self.kie, dtype=float)
-        if T.ndim != 1 or T.shape != y.shape:
+        _check_fields(self, "T_K", "kie", positive=True)
+        T = np.asarray(self.T_K)
+        if T.ndim != 1 or T.shape != np.shape(self.kie):
             raise DomainError("T_K and kie must be 1-d sequences of equal length")
-        _require_param("temperatures", T, positive=True)
         if np.unique(T).size != T.size:
             raise DomainError("temperatures must be distinct")
-        _require_param("KIE values", y, positive=True)
         if self.sigma is not None:
-            s = np.asarray(self.sigma, dtype=float)
-            if s.shape != T.shape:
+            _check_fields(self, "sigma", positive=True)
+            if np.shape(self.sigma) != T.shape:
                 raise DomainError("sigma must match the data length")
-            _require_param("sigma", s, positive=True)
 
     def __len__(self) -> int:
         return len(self.T_K)
@@ -89,16 +84,19 @@ class KIEDataset:
 
     @classmethod
     def from_csv(cls, path, light=None, heavy=None, label="", source="") -> "KIEDataset":
-        """Read a ``T_K,kie,sigma`` CSV (sigma column optional).
-
-        A sidecar JSON next to the file (same name, .json) may carry
-        ``pair`` (e.g. "H:T"), ``label`` and ``source`` metadata.
-        """
+        """A series read by ``from_csv_text``, with the JSON object in the
+        sidecar next to it (same name, .json), if any: its ``pair`` (e.g.
+        "H:T"), which ``light`` and ``heavy`` override, ``label`` and ``source``."""
         path = Path(path)
         meta = {}
         sidecar = path.with_suffix(".json")
         if sidecar.exists():
-            meta = json.loads(sidecar.read_text(encoding="utf-8"))
+            try:
+                meta = json.loads(sidecar.read_text(encoding="utf-8"))
+            except json.JSONDecodeError as exc:
+                raise DomainError(f"sidecar {sidecar.name} is not valid JSON: {exc}") from None
+            if not isinstance(meta, dict):
+                raise DomainError(f"sidecar {sidecar.name} must hold a JSON object")
         return cls.from_csv_text(
             path.read_text(encoding="utf-8"),
             light=light,
@@ -112,26 +110,21 @@ class KIEDataset:
     def from_csv_text(
         cls, text: str, light=None, heavy=None, label="", source="", pair=None
     ) -> "KIEDataset":
+        """A series from a ``T_K,kie[,sigma]`` table of at least 3 points; a
+        sigma column empty in every row means unit weights, in some only an error."""
         if pair and light is None and heavy is None:
             light, heavy = Isotope.pair(pair)
         light = light or Isotope.H
         heavy = heavy or Isotope.D
-        reader = csv.reader(io.StringIO(text))
-        rows = [r for r in reader if r and any(cell.strip() for cell in r)]
-        if not rows:
-            raise DomainError("empty dataset file")
-        header = [c.strip().lower() for c in rows[0]]
-        if header[:2] != ["t_k", "kie"]:
+        header, (T, y, s) = _read_table(text, "KIE series", 3, 3, optional=1)
+        if header is None or header[:2] != ["t_k", "kie"]:
             raise DomainError("expected CSV header 'T_K,kie[,sigma]'")
-        has_sigma = len(header) > 2 and header[2] == "sigma"
-        T, y, s = [], [], []
-        for r in rows[1:]:
-            T.append(float(r[0]))
-            y.append(float(r[1]))
-            if has_sigma and len(r) > 2 and r[2].strip():
-                s.append(float(r[2]))
-        sigma = tuple(s) if (has_sigma and len(s) == len(T)) else None
-        return cls(tuple(T), tuple(y), sigma, light, heavy, label, source)
+        sigma = None
+        if header[2:3] == ["sigma"] and any(v is not None for v in s):
+            if None in s:
+                raise DomainError("sigma must be given in every row or in none")
+            sigma = s
+        return cls(T, y, sigma, light, heavy, label, source)
 
 
 @dataclass(frozen=True)
@@ -185,7 +178,7 @@ def _kie_model(T, omega0, omegab, light, heavy):
     objective continuous so the damped least-squares iteration can retreat
     smoothly.
     """
-    T0 = crossover_temperature(units.isotope_frequency(omegab, light))
+    T0 = _crossover_temperature(units._isotope_scaled(omegab, light))
     T_clamped = np.maximum(T, (1.0 + _CROSSOVER_MARGIN) * T0)
     u = (T_clamped - T) / T0
     return np.exp(_log_kie(omega0, omegab, T_clamped, light, heavy)) * (1.0 + _PENALTY_SCALE * u * u)

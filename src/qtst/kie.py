@@ -24,9 +24,9 @@ from importlib import resources
 
 from . import units
 from .errors import BelowCrossoverError, DomainError, _require_param
-from .kramers import crossover_temperature
+from .kramers import _crossover_temperature
 from .qcorr import _log_closed
-from .units import Isotope, isotope_frequency
+from .units import Isotope, _isotope_scaled
 
 __all__ = [
     "ArrheniusParams",
@@ -133,7 +133,7 @@ def _require_kie_args(omega0_H, omegab_H, T, light: Isotope, heavy: Isotope) -> 
     _require_param("temperature", T, positive=True)
     if light.mass_number > heavy.mass_number:
         raise DomainError("light isotope must not be heavier than heavy isotope")
-    T0_light = crossover_temperature(isotope_frequency(omegab_H, light))
+    T0_light = _crossover_temperature(_isotope_scaled(omegab_H, light))
     if T <= T0_light:
         raise BelowCrossoverError(T, T0_light, label=light.name)
     return T0_light
@@ -145,7 +145,7 @@ def _log_kie(omega0_H, omegab_H, T, light: Isotope, heavy: Isotope):
     array, every entry above the light isotope's crossover."""
 
     def log_closed(iso):
-        return _log_closed(isotope_frequency(omega0_H, iso), isotope_frequency(omegab_H, iso), T)
+        return _log_closed(_isotope_scaled(omega0_H, iso), _isotope_scaled(omegab_H, iso), T)
 
     return 0.5 * math.log(heavy.mass_number / light.mass_number) + log_closed(light) - log_closed(heavy)
 

@@ -53,7 +53,7 @@ class BarrierSystem:
     Frequencies are quoted for the hydrogen isotope (cm^-1); the barrier
     height is in kJ/mol; all three are stored as Python floats. The
     isotope-scaled frequencies ``omega0`` and ``omegab`` are derived
-    through ``units.isotope_frequency`` once, on construction; they are
+    from the checked fields once, on construction; they are
     not dataclass fields, so equality, hashing, ``repr`` and
     ``dataclasses.replace`` see only the four fields.
     """
@@ -66,8 +66,8 @@ class BarrierSystem:
     def __post_init__(self):
         _check_fields(self, "omega0_H", "omegab_H", positive=True)
         _check_fields(self, "barrier_kJ_per_mol")
-        object.__setattr__(self, "omega0", units.isotope_frequency(self.omega0_H, self.isotope))
-        object.__setattr__(self, "omegab", units.isotope_frequency(self.omegab_H, self.isotope))
+        object.__setattr__(self, "omega0", units._isotope_scaled(self.omega0_H, self.isotope))
+        object.__setattr__(self, "omegab", units._isotope_scaled(self.omegab_H, self.isotope))
 
     def with_isotope(self, isotope: Isotope) -> "BarrierSystem":
         return BarrierSystem(self.omega0_H, self.omegab_H, self.barrier_kJ_per_mol, isotope)
@@ -207,16 +207,18 @@ def effective_barrier_frequency(
 ) -> EffectiveBarrier:
     """Friction-renormalised barrier frequency and crossover temperature."""
     mu, residual = solve_effective_frequency(system.omegab, model)
-    return EffectiveBarrier(mu_cm1=mu, T0_K=crossover_temperature(mu), residual=residual)
+    return EffectiveBarrier(mu_cm1=mu, T0_K=_crossover_temperature(mu), residual=residual)
 
 
 def crossover_temperature(mu):
     """T0 = hbar*mu/(2*pi*kB) = 0.228988 K per cm^-1 of mu, for a scalar or
-    an array mu; a negative or NaN mu, or any such entry, raises
+    an array mu; a negative, infinite or NaN mu, or any such entry, raises
     ``DomainError``."""
-    ok = np.all(mu >= 0) if isinstance(mu, np.ndarray) else mu >= 0
-    if not ok:
-        raise DomainError(f"mu must be >= 0, got {mu}")
+    return _crossover_temperature(_require_param("mu", mu))
+
+
+def _crossover_temperature(mu):
+    # crossover_temperature's body, for a mu already checked or solved
     return units.CROSSOVER_K_PER_CM1 * mu
 
 

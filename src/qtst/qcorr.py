@@ -35,7 +35,7 @@ from .kramers import (
     EffectiveBarrier,
     RateResult,
     _classical_rate,
-    crossover_temperature,
+    _crossover_temperature,
     effective_barrier_frequency,
 )
 from .spectral import FrictionModel, _kernel_body
@@ -214,11 +214,16 @@ def _log_closed(omega0, omegab, T):
     All-scalar input is evaluated with ``math``, which is several times
     faster than numpy on one number.
     """
+    # scalar frequencies come checked from the public callers; arrays (the
+    # fit's lattice) are checked here, once for all their entries
+    if isinstance(omega0, np.ndarray) or isinstance(omegab, np.ndarray):
+        omega0 = _require_param("omega0", omega0)
+        omegab = _require_param("omegab", omegab)
     if isinstance(T, np.ndarray) or isinstance(omega0, np.ndarray) or isinstance(omegab, np.ndarray):
         xp, minimum = np, np.minimum
     else:
         xp, minimum = math, min
-    T0 = crossover_temperature(omegab)
+    T0 = _crossover_temperature(omegab)
     x0 = units.CM1_TO_K * omega0 / (2.0 * T)
     sin_xb = xp.sin(math.pi * minimum(T0, T - T0) / T)
     return xp.log(omegab / omega0) + _log_sinh(x0, xp) - xp.log(sin_xb)
@@ -227,7 +232,7 @@ def _log_closed(omega0, omegab, T):
 def _require_above_crossover(omegab: float, T: float) -> float:
     # the closed form diverges as T -> T0+, so T within 1e-9 of T0 is rejected
     _require_param("temperature", T, positive=True)
-    T0 = crossover_temperature(omegab)
+    T0 = _crossover_temperature(omegab)
     if T <= T0 * (1.0 + 1e-9):
         raise BelowCrossoverError(T, T0)
     return T0
@@ -286,7 +291,7 @@ def semiclassical_rate(system: BarrierSystem, T: float) -> RateResult:
         rate_per_s=rate_s,
         c_qm=math.nan,
         mu_cm1=system.omegab,
-        T0_K=crossover_temperature(system.omegab),
+        T0_K=_crossover_temperature(system.omegab),
         regime="classical",
     )
 
@@ -317,7 +322,7 @@ def correction_crossover(system: BarrierSystem, T: float, kappa_at_T0: float) ->
     _require_param("kappa", kappa_at_T0, positive=True)
     _require_param("temperature", T, positive=True)
     omega0, omegab = system.omega0, system.omegab
-    T0 = crossover_temperature(omegab)
+    T0 = _crossover_temperature(omegab)
     if T <= 0.9 * T0:
         raise DomainError(
             f"crossover correction is stated for T > 0.9*T0 = {0.9 * T0:g} K; got T = {T:g} K"

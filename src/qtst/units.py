@@ -138,4 +138,9 @@ def isotope_frequency(omega_H, isotope: Isotope):
     for isotope scaling in the package. A negative, infinite or NaN
     frequency, or any such entry of an array, raises ``DomainError``.
     """
-    return _require_param("frequency", omega_H) / math.sqrt(isotope.mass_number)
+    return _isotope_scaled(_require_param("frequency", omega_H), isotope)
+
+
+def _isotope_scaled(omega_H, isotope: Isotope):
+    # isotope_frequency's body, for frequencies already checked
+    return omega_H / math.sqrt(isotope.mass_number)

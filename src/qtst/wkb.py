@@ -11,18 +11,17 @@ in hydrogen mass numbers; the action is returned in units of hbar.
 
 from __future__ import annotations
 
-import csv
-import warnings
-import io
 import math
+import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from . import units
-from .errors import DomainError, _check_fields, _require_param
+from .errors import DomainError, _check_fields, _read_table, _require_param
 
 __all__ = [
     "Potential1D",
@@ -246,26 +245,13 @@ class TabulatedPotential(Potential1D):
 
     @classmethod
     def from_csv(cls, path_or_text, mass: float = 1.0) -> "TabulatedPotential":
-        """Read a two-column CSV (x_angstrom, U_kJ_per_mol); only the first row may be a header."""
+        """The knots of a table (x_angstrom, U_kJ_per_mol) of at least 4 rows,
+        given as a path or as text with a newline."""
         if isinstance(path_or_text, str) and "\n" in path_or_text:
-            fh = io.StringIO(path_or_text)
+            text = path_or_text
         else:
-            fh = open(path_or_text, "r", encoding="utf-8", newline="")
-        with fh:
-            rows = list(csv.reader(fh))
-        data = []
-        for i, row in enumerate(rows):
-            if not row:
-                continue
-            try:
-                data.append((float(row[0]), float(row[1])))
-            except (ValueError, IndexError):
-                if i == 0:
-                    continue  # header
-                raise DomainError(f"cannot parse row {i + 1} of the potential table: {','.join(row)!r}")
-        if len(data) < 4:
-            raise DomainError("CSV contains fewer than 4 numeric rows")
-        xs, us = zip(*data)
+            text = Path(path_or_text).read_text(encoding="utf-8")
+        _, (xs, us) = _read_table(text, "potential table", 2, 4)
         return cls(xs, us, mass=mass)
 
 

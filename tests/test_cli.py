@@ -394,6 +394,63 @@ def test_fit_missing_file_is_config_error():
     assert run(["fit", "--input", "/nonexistent/data.csv"]) == 2
 
 
+@pytest.mark.parametrize("argv", [["arrhenius", "--input"], ["wkb", "--potential", "tabulated", "--table"]])
+def test_missing_table_file_is_config_error(argv, capsys):
+    assert run([*argv, "/nonexistent/table.csv"]) == 2
+    assert "/nonexistent/table.csv" in capsys.readouterr().err
+
+
+def test_fit_bundled_pair_overrides_the_sidecar(tmp_path):
+    out = tmp_path / "fig4.json"
+    assert run(["fit", "--input", "fig4", "--pair", "HD", "--output", str(out)]) == 0
+    hd = json.loads(out.read_text())
+    assert run(["fit", "--input", "fig4", "--output", str(out)]) == 0
+    ht = json.loads(out.read_text())
+    assert (hd["pair"], ht["pair"]) == ("H:D", "H:T")
+    assert hd["omega0_cm1"] != ht["omega0_cm1"]
+
+
+@pytest.mark.parametrize("sidecar", ["{\"pair\": ", '["H:T"]'], ids=["malformed", "not-an-object"])
+def test_fit_bad_sidecar_is_config_error(sidecar, tmp_path, capsys):
+    data = tmp_path / "kie.csv"
+    data.write_text("T_K,kie\n280,20.5\n300,15.2\n320,12.0\n")
+    (tmp_path / "kie.json").write_text(sidecar)
+    assert run(["fit", "--input", str(data)]) == 2
+    assert "kie.json" in capsys.readouterr().err
+
+
+def test_fit_sigma_missing_in_one_row_is_config_error(tmp_path, capsys):
+    data = tmp_path / "kie.csv"
+    data.write_text("T_K,kie,sigma\n280,20.5,1.0\n300,15.2,\n320,12.0,0.6\n")
+    assert run(["fit", "--input", str(data)]) == 2
+    assert "sigma" in capsys.readouterr().err
+
+
+# the three commands that read a table, each a valid table and its exit code
+# for a bad input file
+_TABLES = {
+    "fit": (["fit", "--input"], ["T_K,kie", "280,40", "290,35", "300,30", "310,25"], 2),
+    "arrhenius": (["arrhenius", "--input"], ["T_K,k", "280,1.0", "290,2.0", "300,3.0"], 2),
+    "wkb": (["wkb", "--potential", "tabulated", "--table"], ["x,U", "-1,0", "-0.5,20", "0,40", "0.5,20", "1,0"], 3),
+}
+
+
+@pytest.mark.parametrize(
+    "bad_row", ["300,abc", "300", ",5", "T,value"],
+    ids=["non-numeric-cell", "missing-cell", "empty-first-cell", "late-header"],
+)
+@pytest.mark.parametrize("command", sorted(_TABLES))
+def test_malformed_table_row_is_named_by_every_command(command, bad_row, tmp_path, capsys):
+    # one rule for every table: the bad third row fails the command, with
+    # its exit code and a one-line message naming the row
+    argv, rows, code = _TABLES[command]
+    table = tmp_path / "table.csv"
+    table.write_text("\n".join([*rows[:2], bad_row, *rows[2:]]) + "\n")
+    assert run([*argv, str(table)]) == code
+    err = capsys.readouterr().err
+    assert "row 3" in err and len(err.splitlines()) == 1
+
+
 # --------------------------------------------------------------- spectral
 
 

@@ -204,6 +204,26 @@ def test_dataset_rejects_non_finite_values(field, bad):
         KIEDataset(tuple(columns["T_K"]), tuple(columns["kie"]), tuple(columns["sigma"]))
 
 
+def test_dataset_csv_skips_blank_rows_and_ignores_extra_cells():
+    text = "T_K,kie,sigma,note\n\n280,20.5,1.0,a\n,,\n300,15.2,0.8,b\n320,12.0,0.6\n"
+    data = KIEDataset.from_csv_text(text)
+    assert data.T_K == (280.0, 300.0, 320.0) and data.sigma == (1.0, 0.8, 0.6)
+
+
+def test_dataset_sigma_empty_in_only_some_rows_is_rejected():
+    with pytest.raises(DomainError, match="sigma"):
+        KIEDataset.from_csv_text("T_K,kie,sigma\n280,20.5,1.0\n300,15.2,\n320,12.0,0.6\n")
+
+
+def test_bundled_fig3_loads_with_unit_weights_and_its_sidecar_pair():
+    # fig3's sigma column is empty in every row
+    from importlib import resources
+
+    data = KIEDataset.from_csv(resources.files("qtst.data") / "fig3_mcm.csv")
+    assert data.sigma is None
+    assert (data.light, data.heavy) == (Isotope.H, Isotope.D)
+
+
 def test_dataset_rejects_bad_csv():
     with pytest.raises(DomainError):
         KIEDataset.from_csv_text("")

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -101,6 +102,25 @@ NON_FINITE_IDS = ["omega0-nan", "omegab-nan", "T-nan", "omega0-inf", "omegab-inf
 def test_kie_rejects_non_finite_input(args):
     with pytest.raises(DomainError):
         kie_qtst(*args, Isotope.H, Isotope.D)
+
+
+def test_kie_qtst_checks_each_input_once():
+    # omega0, omegab and T at the entry; the isotope scaling, the crossover
+    # and the closed form run on the checked values
+    from qtst import errors
+
+    code, checked = errors._require_param.__code__, []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            checked.append(frame.f_locals["name"])
+
+    sys.setprofile(profile)
+    try:
+        kie_qtst(3000.0, 1000.0, 300.0, Isotope.H, Isotope.T)
+    finally:
+        sys.setprofile(None)
+    assert checked == ["omega0", "omegab", "temperature"]
 
 
 def test_kie_equals_ratio_of_closed_form_corrections():

@@ -404,7 +404,7 @@ def test_crossover_on_an_array_equals_a_scalar_loop():
     assert crossover_temperature(np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
 
 
-@pytest.mark.parametrize("bad", [-1.0, math.nan])
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
 def test_crossover_rejects_a_bad_entry_of_an_array(bad):
     mu = np.full(5, 1000.0)
     mu[3] = bad
