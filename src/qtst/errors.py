@@ -94,11 +94,11 @@ def _require_param(name: str, value, positive: bool = False, signed: bool = Fals
     return v
 
 
-def _check_fields(obj, *names, positive=False):
+def _check_fields(obj, *names, positive=False, signed=False):
     # check each named field of a frozen dataclass once and store it back as
     # a Python float (a sequence as a tuple of floats)
     for name in names:
-        v = _require_param(name, getattr(obj, name), positive=positive)
+        v = _require_param(name, getattr(obj, name), positive=positive, signed=signed)
         object.__setattr__(obj, name, tuple(v.tolist()) if isinstance(v, np.ndarray) else v)
 
 

@@ -2,8 +2,8 @@
 
 The two-parameter KIE model (reactant-well frequency and barrier
 frequency, both hydrogen-referenced) is fit in two stages. A screen
-evaluates the weighted cost in one broadcast model call per block of
-rows over a lattice spanning the box constraints; a damped least-squares
+evaluates the weighted cost on a lattice spanning the box constraints,
+from log KIE's separate omega0 and omegab terms; a damped least-squares
 polish then starts from each of the best few separate local minima of
 the lattice. A smooth quadratic penalty covers trial parameters that
 push data points below the crossover temperature. Results are
@@ -39,9 +39,6 @@ __all__ = [
 _CROSSOVER_MARGIN = 0.02  # fractional clamp margin above T0 during the search
 _PENALTY_SCALE = 10.0
 _SCREEN_STEPS = (50.0, 25.0)  # lattice steps in omega0 and omegab (cm^-1)
-# omega0 rows per broadcast call of the screen: a chunk's arrays stay small,
-# where the whole default lattice at once adds megabytes to the peak
-_SCREEN_ROWS = 16
 _MAX_POLISHES = 3
 _DIFF_STEP = 1e-4  # relative central-difference step for Jacobians
 _MAX_NFEV = 400
@@ -135,12 +132,24 @@ class FitConfig:
     omega0 and 25 cm^-1 in omegab; every omega0 and omegab start, clamped
     to the bounds, is added to the lattice's axes, so the screen always
     covers the starts' grid. The defaults lie on the default lattice.
+    Each bound pair must be finite and positive with lo < hi, and the
+    starts a sequence of finite numbers, or ``DomainError`` is raised.
     """
 
     omega0_starts: tuple = tuple(range(1500, 4001, 500))
     omegab_starts: tuple = tuple(range(300, 2501, 200))
     omega0_bounds: tuple = (500.0, 5000.0)
     omegab_bounds: tuple = (100.0, 3000.0)
+
+    def __post_init__(self):
+        _check_fields(self, "omega0_starts", "omegab_starts", signed=True)
+        _check_fields(self, "omega0_bounds", "omegab_bounds", positive=True)
+        for axis in ("omega0", "omegab"):
+            starts, bounds = getattr(self, f"{axis}_starts"), getattr(self, f"{axis}_bounds")
+            if np.ndim(starts) != 1:
+                raise DomainError(f"{axis}_starts must be a sequence of numbers, got {starts!r}")
+            if np.shape(bounds) != (2,) or not bounds[0] < bounds[1]:
+                raise DomainError(f"{axis}_bounds must be a pair (lo, hi) with lo < hi, got {bounds!r}")
 
 
 @dataclass(frozen=True)
@@ -193,12 +202,38 @@ def _lattice_axis(bounds, step, starts):
 
 def _screen(T, y, w, omega0, omegab, light, heavy):
     """Least-squares cost 0.5*sum(r^2) of _kie_model on the lattice omega0 x
-    omegab, _SCREEN_ROWS omega0 rows per call; non-finite costs are inf."""
-    cost = np.empty((omega0.size, omegab.size))
-    for i in range(0, omega0.size, _SCREEN_ROWS):
-        rows = omega0[i : i + _SCREEN_ROWS, None, None]
-        r = w * (_kie_model(T, rows, omegab[:, None], light, heavy) - y)
-        cost[i : i + _SCREEN_ROWS] = 0.5 * (r * r).sum(axis=-1)
+    omegab (each axis ascending); non-finite costs are inf.
+
+    log KIE is an omega0 term plus an omegab term, so above the clamp the
+    model is exp(A[i, t]) * exp(B[j, t]): A on the omega0 axis at the smallest
+    omegab, which is unclamped wherever any column is, and B the change from
+    that omegab to each other one. Where column j is clamped, at T < tau[j] =
+    1.02*T0[j], the model is exp(C[i, j]) times the penalty, C being log KIE
+    at tau. The cost is summed one data point at a time, each an I x J array;
+    the square is not expanded into matrix products, whose terms cancel
+    near the minimum.
+    """
+    T0 = _crossover_temperature(units._isotope_scaled(omegab, light))
+    tau = (1.0 + _CROSSOVER_MARGIN) * T0
+    T_clamped = np.maximum(T, tau[:, None])
+    u = (T_clamped - T) / T0[:, None]
+    penalty = 1.0 + _PENALTY_SCALE * u * u
+    exp_a = np.exp(_log_kie(omega0[:, None], omegab[0], T_clamped[0], light, heavy))
+    exp_b = np.exp(
+        _log_kie(omega0[0], omegab[:, None], T_clamped, light, heavy)
+        - _log_kie(omega0[0], omegab[0], T_clamped[0], light, heavy)
+    )
+    exp_c = np.exp(_log_kie(omega0[:, None], omegab, tau, light, heavy))
+    # tau ascends with omegab: the first n_free[t] columns are unclamped at T[t]
+    n_free = np.searchsorted(tau, T, side="right")
+    cost = np.zeros((omega0.size, omegab.size))
+    model = np.empty_like(cost)
+    for t, k in enumerate(n_free):
+        np.multiply(exp_a[:, t, None], exp_b[:k, t], out=model[:, :k])
+        np.multiply(exp_c[:, k:], penalty[k:, t], out=model[:, k:])
+        r = w[t] * (model - y[t])
+        cost += r * r
+    cost *= 0.5
     cost[~np.isfinite(cost)] = np.inf
     return cost
 
@@ -253,7 +288,7 @@ def fit_kie(data: KIEDataset, config: Optional[FitConfig] = None) -> FitResult:
 
     # Quick feasibility check: the smallest admissible omegab must leave
     # at least one point above the crossover.
-    T0_floor = crossover_temperature(units.isotope_frequency(config.omegab_bounds[0], data.light))
+    T0_floor = _crossover_temperature(units._isotope_scaled(config.omegab_bounds[0], data.light))
     if np.max(T) <= (1.0 + _CROSSOVER_MARGIN) * T0_floor:
         raise FitConvergenceError(
             "all data points lie below the crossover temperature for every "

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import units
 from .errors import DomainError, QtstError, SolverConvergenceError, _check_fields, _require_param
-from .spectral import FrictionModel, PeakedFriction, _kernel_body
+from .spectral import FrictionModel, PeakedFriction, _kernel_body, _scipy
 from .units import Isotope
 
 __all__ = [
@@ -126,12 +126,11 @@ def _mu_mismatch_array(mu: np.ndarray, g: np.ndarray, omegab: float) -> np.ndarr
 
 
 def _brent(f, lo: float, hi: float) -> float:
-    from scipy.optimize import brentq
     # to relative machine precision; scipy's no-sign-change ValueError and
     # no-convergence RuntimeError become a SolverConvergenceError, while a
     # kernel's own DomainError (also a ValueError) passes through
     try:
-        return brentq(f, lo, hi, xtol=1e-300)
+        return _scipy("optimize").brentq(f, lo, hi, xtol=1e-300)
     except QtstError:
         raise
     except (ValueError, RuntimeError) as exc:
@@ -269,7 +268,7 @@ def classical_kie(
         raise DomainError("light isotope must be lighter than heavy isotope")
     ratios = []
     for iso in (light, heavy):
-        omegab = units.isotope_frequency(system.omegab_H, iso)
+        omegab = units._isotope_scaled(system.omegab_H, iso)
         mu, _ = solve_effective_frequency(omegab, model)
         ratios.append(mu / omegab)
     return ratios[0] / ratios[1]

@@ -17,6 +17,8 @@ of that spectrum's response function gives the kernel exactly.
 
 from __future__ import annotations
 
+import functools
+import importlib
 import math
 from dataclasses import dataclass, fields
 from typing import Optional
@@ -45,6 +47,13 @@ __all__ = [
 # omega[rad/ps] = _OMEGA_TAU * omega[cm^-1];  multiplied by tau in ps it
 # gives the dimensionless omega*tau of a Debye relaxation term.
 _OMEGA_TAU = units.CM1_TO_RAD_PER_S * 1e-12
+
+
+@functools.cache
+def _scipy(module: str):
+    # scipy.<module>, imported at its first use, so import qtst loads no
+    # scipy; cached, so a hot path pays a dict lookup, not an import statement
+    return importlib.import_module(f"scipy.{module}")
 
 
 class FrictionModel:
@@ -317,8 +326,7 @@ _SERIES = [((-1) ** k * math.factorial(2 * k), (-1) ** k * math.factorial(2 * k 
 
 
 def _fg_sici(x):
-    from scipy.special import sici
-    si, ci = sici(x)
+    si, ci = _scipy("special").sici(x)
     s, c, a = np.sin(x), np.cos(x), math.pi / 2.0 - si
     return ci * s + a * c, a * s - ci * c
 

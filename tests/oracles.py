@@ -11,7 +11,9 @@ scan with every kernel call at an ``np.float64`` point. They use only the model'
 (or a scalar ``laplace_kernel``) and stay independent of the closed forms.
 The Drude and Peaked effective frequencies also have polynomial oracles,
 built from the model parameters alone. ``fit_multistart`` is the KIE fit
-as a least-squares polish from every configured start, with no screen.
+as a least-squares polish from every configured start, with no screen;
+``screen_broadcast`` is the fit's screen as one broadcast model call over
+the whole omega0 x omegab x T lattice.
 ``PchipTable`` and ``wkb_action_pchip`` are the tabulated potential and its
 action with scipy's ``PchipInterpolator`` called at every point.
 """
@@ -265,6 +267,16 @@ def peaked_mu_quartic(omegab: float, model) -> float:
     roots = np.roots([1.0, g, wr * wr - 1.0 + gr * g, -g, -wr * wr])
     real = [r.real for r in roots if abs(r.imag) < 1e-9 and 0.0 < r.real <= 1.0 + 1e-9]
     return min(max(real), 1.0) * omegab
+
+
+def screen_broadcast(T, y, w, omega0, omegab, light, heavy):
+    """Least-squares cost 0.5*sum(r^2) of the fit's model on the lattice
+    omega0 x omegab, in one unchunked broadcast call over every data point;
+    non-finite costs are inf."""
+    r = w * (_kie_model(T, omega0[:, None, None], omegab[:, None], light, heavy) - y)
+    cost = 0.5 * np.sum(r * r, axis=-1)
+    cost[~np.isfinite(cost)] = np.inf
+    return cost
 
 
 def fit_multistart(data: KIEDataset, config: Optional[FitConfig] = None) -> FitResult:

@@ -141,6 +141,33 @@ def test_polishes_run_through_the_module_level_solver_name(monkeypatch):
     assert len(calls) >= res.n_starts_converged > 0
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"omega0_bounds": (500.0, math.nan)},  # once a bare ValueError from the lattice
+        {"omegab_bounds": (100.0, math.inf)},  # once a bare OverflowError
+        {"omegab_bounds": (0.0, 3000.0)},
+        {"omega0_bounds": (5000.0, 500.0)},
+        {"omegab_bounds": (100.0,)},
+        {"omegab_starts": (700.0, math.nan)},
+        {"omega0_starts": (-math.inf,)},
+        {"omega0_starts": 2000.0},
+        {"omegab_starts": ((700.0, 900.0), (1100.0, 1300.0))},
+    ],
+    ids=["omega0-nan", "omegab-inf", "omegab-zero", "omega0-reversed", "omegab-single", "start-nan", "start-inf",
+         "start-scalar", "starts-2d"],
+)
+def test_fit_config_rejects_bad_bounds_and_starts(kwargs):
+    with pytest.raises(DomainError):
+        FitConfig(**kwargs)
+
+
+def test_fit_config_stores_floats_and_accepts_starts_outside_the_bounds():
+    config = FitConfig(omega0_starts=(100, 9000), omegab_bounds=(200, 2000))
+    assert config.omega0_starts == (100.0, 9000.0) and config.omegab_bounds == (200.0, 2000.0)
+    assert all(type(v) is float for v in config.omega0_starts + config.omegab_bounds)
+
+
 def test_fit_requires_three_points():
     with pytest.raises(DomainError):
         fit_kie(KIEDataset((300.0, 310.0), (10.0, 9.0)))

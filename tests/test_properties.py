@@ -30,7 +30,7 @@ from qtst import (
     kernel_upper_bound,
     kie_qtst,
 )
-from qtst.fit import _kie_model
+from qtst.fit import _SCREEN_STEPS, _lattice_axis, _local_minima, _screen
 from qtst.kie import load_dataset_csv
 from qtst.kramers import classical_kie, solve_effective_frequency
 
@@ -41,6 +41,7 @@ from oracles import (
     peaked_mu_quartic,
     quadrature_kernel,
     quadrature_spectrum_integral,
+    screen_broadcast,
 )
 
 # derandomize: the same examples on every run, so the suite cannot flake
@@ -261,17 +262,60 @@ def test_fit_invariant_to_a_common_sigma_scale(data, scale):
 @FIT_PROPERTY
 @given(data=series)
 def test_fit_cost_at_most_the_lattice_minimum(data):
-    # the default lattice, 50 and 25 cm^-1 over the default box, in one
-    # unchunked broadcast call of the fit's model
+    # the default lattice, 50 and 25 cm^-1 over the default box
     config = FitConfig()
     omega0 = np.linspace(*config.omega0_bounds, 91)
     omegab = np.linspace(*config.omegab_bounds, 117)
     T, y, sigma = data.sorted_arrays()
     w = 1.0 if sigma is None else 1.0 / sigma
-    r = w * (_kie_model(T, omega0[:, None, None], omegab[:, None], data.light, data.heavy) - y)
-    lattice_min = float(np.min(0.5 * np.sum(r * r, axis=-1)))
+    lattice_min = float(np.min(screen_broadcast(T, y, w, omega0, omegab, data.light, data.heavy)))
     res = fit_kie(data, config)
     assert 0.5 * res.residual_norm**2 <= lattice_min * (1.0 + 1e-12)
+
+
+_SCREEN_PAIRS = [(Isotope.H, Isotope.D), (Isotope.H, Isotope.T), (Isotope.D, Isotope.T)]
+# the default config, the benchmark's 6-start one and one with off-lattice
+# starts and bounds, whose axes are unevenly spaced
+_SCREEN_CONFIGS = [
+    FitConfig(),
+    FitConfig(omega0_starts=(2000.0, 3000.0), omegab_starts=(700.0, 1100.0, 1500.0)),
+    FitConfig(omega0_starts=(2010.5, 3333.3), omegab_starts=(712.3,),
+              omega0_bounds=(700.0, 4321.0), omegab_bounds=(150.0, 2600.0)),
+]
+
+
+@st.composite
+def screen_cases(draw):
+    """(T, y, w, omega0 axis, omegab axis, light, heavy): a 5- to 12-point
+    series of the model with 3% scatter, its coldest point 1.03 to 2.5 times
+    the light isotope's crossover at a barrier frequency of 300 to 1500
+    cm^-1, so lattice columns above that frequency are clamped at it. The
+    scatter keeps each cell's residuals away from 0: the two screens' models
+    differ by about 1e-14 relative, and a cell's cost by that times
+    model/residual, at most 6.3e-13 in these draws (at the best cell)."""
+    light, heavy = draw(st.sampled_from(_SCREEN_PAIRS))
+    config = draw(st.sampled_from(_SCREEN_CONFIGS))
+    omega0 = draw(st.floats(1500.0, 4000.0))
+    omegab = draw(st.floats(300.0, 1500.0))
+    T_min = draw(st.floats(1.03, 2.5)) * crossover_temperature(units.isotope_frequency(omegab, light))
+    T = T_min + np.linspace(0.0, draw(st.floats(10.0, 100.0)), draw(st.integers(5, 12)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = np.array([kie_qtst(omega0, omegab, float(t), light, heavy).ratio for t in T])
+    y *= np.exp(0.03 * rng.standard_normal(T.size))
+    w = 1.0 / (draw(st.floats(0.02, 0.1)) * y) if draw(st.booleans()) else np.ones_like(T)
+    axes = (_lattice_axis(config.omega0_bounds, _SCREEN_STEPS[0], config.omega0_starts),
+            _lattice_axis(config.omegab_bounds, _SCREEN_STEPS[1], config.omegab_starts))
+    return (T, y, w, *axes, light, heavy)
+
+
+@PROPERTY
+@given(case=screen_cases())
+def test_screen_equals_the_broadcast_oracle(case):
+    cost, oracle = _screen(*case), screen_broadcast(*case)
+    finite = np.isfinite(oracle)
+    assert np.array_equal(np.isfinite(cost), finite)
+    assert np.allclose(cost[finite], oracle[finite], rtol=1e-12, atol=0.0)
+    assert _local_minima(cost)[:3].tolist() == _local_minima(oracle)[:3].tolist()
 
 
 def _assert_matches_multistart(data, rel):
