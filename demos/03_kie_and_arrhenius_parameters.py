@@ -16,10 +16,11 @@ OMEGA0, OMEGAB = 3000.0, 1000.0
 
 print("KIE vs temperature for omega_0 = 3000, omega_b = 1000 cm^-1:")
 print(f"  {'T (K)':>6} {'k_H/k_D':>9} {'k_H/k_T':>9} {'k_D/k_T':>9}")
-for T in np.linspace(275.0, 325.0, 6):
-    hd = kie_qtst(OMEGA0, OMEGAB, float(T), Isotope.H, Isotope.D).ratio
-    ht = kie_qtst(OMEGA0, OMEGAB, float(T), Isotope.H, Isotope.T).ratio
-    print(f"  {T:>6.0f} {hd:>9.2f} {ht:>9.2f} {ht / hd:>9.2f}")
+T = np.linspace(275.0, 325.0, 6)
+hd = kie_qtst(OMEGA0, OMEGAB, T, Isotope.H, Isotope.D).ratio
+ht = kie_qtst(OMEGA0, OMEGAB, T, Isotope.H, Isotope.T).ratio
+for row in zip(T, hd, ht, ht / hd):
+    print("  {:>6.0f} {:>9.2f} {:>9.2f} {:>9.2f}".format(*row))
 
 print()
 print("Apparent Arrhenius parameters at T_R = 288 K:")

@@ -31,7 +31,7 @@ print()
 
 print("Round-trip sanity on synthetic data (2% noise, seed 1234):")
 T = np.linspace(275.0, 320.0, 10)
-exact = np.array([kie_qtst(3000.0, 1000.0, float(t), Isotope.H, Isotope.D).ratio for t in T])
+exact = kie_qtst(3000.0, 1000.0, T, Isotope.H, Isotope.D).ratio
 rng = np.random.default_rng(1234)
 noisy = exact * (1.0 + 0.02 * rng.standard_normal(T.size))
 res2 = fit_kie(KIEDataset(tuple(T), tuple(noisy)))

@@ -122,27 +122,19 @@ def _temperature_grid(args) -> np.ndarray:
     return np.linspace(args.tmin, args.tmax, args.points)
 
 
-def _kie_row(omega0, omegab, T, light, heavy):
-    # (T, KIE, valid); the KIE is NaN at or below the light isotope's crossover
-    try:
-        pred = kiemod.kie_qtst(omega0, omegab, T, light, heavy)
-        return T, pred.ratio, int(pred.valid)
-    except BelowCrossoverError:
-        return T, math.nan, 0
-
-
 # ---------------------------------------------------------------- commands
 
 
 def cmd_kie_predict(args):
     light, heavy = Isotope.pair(args.pair)
-    rows = [_kie_row(args.omega0, args.omegab, T, light, heavy) for T in _temperature_grid(args).tolist()]
-    if any(math.isnan(kie) for _, kie, _ in rows):
+    pred = kiemod.kie_qtst(args.omega0, args.omegab, _temperature_grid(args), light, heavy)
+    if np.isnan(pred.ratio).any():
         print(
             "warning: some temperatures lie below the light isotope's "
             "crossover; rows flagged with valid=0",
             file=sys.stderr,
         )
+    rows = zip(pred.T_K.tolist(), pred.ratio.tolist(), pred.valid.astype(int).tolist())
     _write_curve(args, ("T_K", "kie", "valid"), rows, 2, "KIE vs T", logy=True)
     return EXIT_OK
 
@@ -254,8 +246,8 @@ def cmd_fit(args):
     _write_text(args.output, _json_text(payload))
     if args.curve:
         grid = np.linspace(min(data.T_K), max(data.T_K), 101)
-        rows = [_kie_row(result.omega0, result.omegab, t, data.light, data.heavy)[:2] for t in grid.tolist()]
-        _write_text(args.curve, _csv_text(("T_K", "kie_model"), rows))
+        pred = kiemod.kie_qtst(result.omega0, result.omegab, grid, data.light, data.heavy)
+        _write_text(args.curve, _csv_text(("T_K", "kie_model"), zip(pred.T_K.tolist(), pred.ratio.tolist())))
     return EXIT_OK
 
 

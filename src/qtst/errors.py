@@ -82,8 +82,12 @@ def _float_or_array(x):
 def _require_param(name: str, value, positive: bool = False, signed: bool = False):
     # value, or every element of it, finite and >= 0 (> 0 if positive, of
     # either sign if signed); NaN fails every comparison, so it is rejected
-    # with the infinities. Returns the value as _float_or_array converts it.
-    v = _float_or_array(value)
+    # with the infinities, and so is a value numpy cannot read as a float or a
+    # regular float array. Returns the value as _float_or_array converts it.
+    try:
+        v = _float_or_array(value)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a number or a regular array of numbers, got {value!r}") from None
     if signed:
         ok = abs(v) < math.inf
     else:

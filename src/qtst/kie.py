@@ -22,6 +22,8 @@ import math
 from dataclasses import asdict, dataclass
 from importlib import resources
 
+import numpy as np
+
 from . import units
 from .errors import BelowCrossoverError, DomainError, _require_param
 from .kramers import _crossover_temperature
@@ -57,20 +59,24 @@ class ArrheniusParams:
 
 @dataclass(frozen=True)
 class KIEPrediction:
-    ratio: float
-    T_K: float
+    """A ``kie_qtst`` result: scalars for a scalar T, with T_K the T passed in; for
+    an array T, ratio, T_K and valid are arrays of its shape. valid is False
+    below 1.05*T0_light_K."""
+
+    ratio: float | np.ndarray
+    T_K: float | np.ndarray
     light: Isotope
     heavy: Isotope
     T0_light_K: float
-    valid: bool
+    valid: bool | np.ndarray
 
     def to_json(self) -> dict:
         return {
-            "ratio": self.ratio,
-            "T_K": self.T_K,
+            "ratio": np.asarray(self.ratio).tolist(),
+            "T_K": np.asarray(self.T_K).tolist(),
             "pair": f"{self.light.name}:{self.heavy.name}",
             "T0_light_K": self.T0_light_K,
-            "valid": self.valid,
+            "valid": np.asarray(self.valid).tolist(),
         }
 
 
@@ -126,17 +132,17 @@ class ClassificationReport:
         }
 
 
-def _require_kie_args(omega0_H, omegab_H, T, light: Isotope, heavy: Isotope) -> float:
-    """Check KIE arguments; return the light isotope's crossover, the one that binds."""
+def _require_kie_args(omega0_H, omegab_H, T, light: Isotope, heavy: Isotope):
+    """Check KIE arguments; return T as checked and the light isotope's (binding) crossover."""
     _require_param("omega0", omega0_H, positive=True)
     _require_param("omegab", omegab_H, positive=True)
-    _require_param("temperature", T, positive=True)
+    T_checked = _require_param("temperature", T, positive=True)
     if light.mass_number > heavy.mass_number:
         raise DomainError("light isotope must not be heavier than heavy isotope")
     T0_light = _crossover_temperature(_isotope_scaled(omegab_H, light))
-    if T <= T0_light:
+    if isinstance(T_checked, float) and T <= T0_light:
         raise BelowCrossoverError(T, T0_light, label=light.name)
-    return T0_light
+    return T_checked, T0_light
 
 
 def _log_kie(omega0_H, omegab_H, T, light: Isotope, heavy: Isotope):
@@ -153,18 +159,26 @@ def _log_kie(omega0_H, omegab_H, T, light: Isotope, heavy: Isotope):
 def kie_qtst(
     omega0_H: float,
     omegab_H: float,
-    T: float,
+    T: float | np.ndarray,
     light: Isotope = Isotope.H,
     heavy: Isotope = Isotope.D,
 ) -> KIEPrediction:
     """Predicted KIE at temperature T for the given isotope pair.
 
     Defined for T above the crossover of the light isotope, which crosses
-    first since omega_b/sqrt(m) is largest for it.
+    first since omega_b/sqrt(m) is largest for it: a scalar T at or below it
+    raises ``BelowCrossoverError``. T may be an array of any shape, whose rows
+    at or below the crossover get ratio NaN and valid False instead.
     """
-    T0_light = _require_kie_args(omega0_H, omegab_H, T, light, heavy)
+    T_checked, T0_light = _require_kie_args(omega0_H, omegab_H, T, light, heavy)
+    if isinstance(T_checked, float):
+        ratio = math.exp(_log_kie(omega0_H, omegab_H, T, light, heavy))
+    else:
+        T, above = T_checked.copy(), T_checked > T0_light
+        ratio = np.full(T.shape, math.nan)
+        ratio[above] = np.exp(_log_kie(omega0_H, omegab_H, T[above], light, heavy))
     return KIEPrediction(
-        ratio=math.exp(_log_kie(omega0_H, omegab_H, T, light, heavy)),
+        ratio=ratio,
         T_K=T,
         light=light,
         heavy=heavy,
@@ -187,7 +201,8 @@ def apparent_arrhenius(
     hbar*omega_0 well above 2 kB T_R; ``expansion_ok`` is False when the
     heavy isotope violates hbar*omega_0/sqrt(m) >= 4 kB T_R.
     """
-    _require_kie_args(omega0_H, omegab_H, T_R, light, heavy)
+    if not isinstance(_require_kie_args(omega0_H, omegab_H, T_R, light, heavy)[0], float):
+        raise DomainError(f"T_R must be a single temperature, got {T_R!r}")
     expansion_ok = (
         units.CM1_TO_K * omega0_H / math.sqrt(heavy.mass_number) >= 4.0 * T_R
     )

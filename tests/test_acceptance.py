@@ -41,7 +41,7 @@ from qtst import (
     transmission,
     wkb_action,
 )
-from qtst.kie import load_dataset_csv
+from qtst.kie import load_barrier_frequencies, load_dataset_csv
 
 PASS = "[PASS]"
 
@@ -241,3 +241,31 @@ def test_criterion_11_quantum_correction_exceeds_unity():
                     assert res.c_qm >= 1.0, (omega0, omegab, gamma_frac, f, res.c_qm)
                     count += 1
     report(11, f"c_qm >= 1 on all {count} grid points above the crossover")
+
+
+def test_criterion_12_table3_crossover_temperatures():
+    # Table 3 prints, for each quantum-chemistry barrier frequency, the
+    # largest crossover temperature it allows: T0 = hbar*omega_b/(2 pi kB),
+    # with no friction. The oracle is that formula from the SI constants.
+    h, c_cm, kB = 6.62607015e-34, 2.99792458e10, 1.380649e-23
+    tol = 0.040  # 11 rows agree within 4.0%; the worst is 3.82% at 798 cm^-1
+    # two printed values do not follow from their omega_b: 1229 cm^-1 gives
+    # 281.4 K where 240 is printed, 2057 cm^-1 gives 471.0 K where 450 is
+    outliers = {1229: (281.4, 240), 2057: (471.0, 450)}
+    rows = load_barrier_frequencies()
+    assert len(rows) == 13
+    within = 0
+    for row in rows:
+        omega_b, printed = row["omega_b_cm1"], row["max_T0_K"]
+        t0 = crossover_temperature(omega_b)
+        assert t0 == pytest.approx(h * c_cm * omega_b / (2.0 * math.pi * kB), rel=1e-12)
+        if omega_b in outliers:
+            computed, expected_print = outliers[omega_b]
+            assert printed == expected_print and round(t0, 1) == computed, (row, t0)
+            assert abs(t0 / printed - 1.0) > tol
+        else:
+            assert abs(t0 / printed - 1.0) <= tol, (row, t0)
+            within += 1
+    assert within == 11
+    report(12, f"{within} of {len(rows)} Table 3 crossover temperatures within {tol:.1%} of "
+               "hbar*omega_b/(2 pi kB); 1229 and 2057 cm^-1 named as outliers")

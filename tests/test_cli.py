@@ -90,6 +90,28 @@ def test_kie_predict_below_crossover_rows_flagged(tmp_path, capsys):
     assert any(r[1] == "nan" for r in rows)
 
 
+@pytest.mark.parametrize("command", ["kie-predict", "fit"])
+def test_kie_curve_is_one_kie_qtst_call(command, tmp_path, monkeypatch):
+    from qtst import kie as kiemod
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return kie_qtst(*args)
+
+    monkeypatch.setattr(kiemod, "kie_qtst", counted)
+    out = tmp_path / "curve.csv"
+    if command == "fit":
+        argv = ["fit", "--input", "fig4", "--curve", str(out), "--output", str(tmp_path / "fit.json")]
+    else:
+        argv = ["kie-predict", "--omega0", "3000", "--omegab", "1000", "--tmin", "200", "--points", "51",
+                "--output", str(out)]
+    assert run(argv) == 0
+    assert len(calls) == 1
+    assert len(out.read_text().splitlines()) == 1 + (101 if command == "fit" else 51)
+
+
 def test_kie_predict_byte_identical_reruns(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["kie-predict", "--omega0", "2800", "--omegab", "900", "--points", "9"]
@@ -583,6 +605,16 @@ def test_domain_error_exit_code():
                 "--kind", "classical", "--tmin", "-5", "--tmax", "300"]) == 2
     assert run(["classify", "--kie", "10", "--a-ratio", "1", "--delta-e", "1",
                 "--pair", "T:T"]) == 3
+
+
+@pytest.mark.parametrize("gamma", ['"abc"', "[1.0, [2.0]]"], ids=["text", "ragged"])
+def test_friction_parameter_numpy_cannot_read_is_domain_error(gamma, tmp_path, capsys):
+    out = tmp_path / "rate.csv"
+    rc = run(["rate", "--omega0", "3000", "--omegab", "1000", "--barrier", "40",
+              "--friction", f'{{"kind": "ohmic", "gamma": {gamma}}}', "--output", str(out)])
+    assert rc == 3
+    assert "gamma must be a number" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_rate_with_zero_friction_succeeds(tmp_path):

@@ -153,9 +153,10 @@ def test_polishes_run_through_the_module_level_solver_name(monkeypatch):
         {"omega0_starts": (-math.inf,)},
         {"omega0_starts": 2000.0},
         {"omegab_starts": ((700.0, 900.0), (1100.0, 1300.0))},
+        {"omega0_starts": ((1.0, 2.0), (3.0,))},  # once numpy's own ValueError
     ],
     ids=["omega0-nan", "omegab-inf", "omegab-zero", "omega0-reversed", "omegab-single", "start-nan", "start-inf",
-         "start-scalar", "starts-2d"],
+         "start-scalar", "starts-2d", "starts-ragged"],
 )
 def test_fit_config_rejects_bad_bounds_and_starts(kwargs):
     with pytest.raises(DomainError):

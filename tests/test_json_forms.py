@@ -6,6 +6,7 @@ from a float, which dict equality does not.
 
 import json
 
+import numpy as np
 import pytest
 
 from qtst import (
@@ -92,6 +93,13 @@ CASES = {
     "kie_prediction": (
         KIEPrediction(ratio=7.5, T_K=300.0, light=Isotope.H, heavy=Isotope.T, T0_light_K=220.0, valid=True),
         {"ratio": 7.5, "T_K": 300.0, "pair": "H:T", "T0_light_K": 220.0, "valid": True},
+    ),
+    "kie_prediction_array": (
+        KIEPrediction(
+            ratio=np.array([7.5, 6.25]), T_K=np.array([300.0, 320.0]), light=Isotope.H, heavy=Isotope.T,
+            T0_light_K=220.0, valid=np.array([True, True]),
+        ),
+        {"ratio": [7.5, 6.25], "T_K": [300.0, 320.0], "pair": "H:T", "T0_light_K": 220.0, "valid": [True, True]},
     ),
 }
 
