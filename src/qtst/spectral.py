@@ -47,6 +47,8 @@ __all__ = [
 # omega[rad/ps] = _OMEGA_TAU * omega[cm^-1];  multiplied by tau in ps it
 # gives the dimensionless omega*tau of a Debye relaxation term.
 _OMEGA_TAU = units.CM1_TO_RAD_PER_S * 1e-12
+# the largest square root a double can square without overflow
+_SQRT_MAX = math.sqrt(np.finfo(float).max)
 
 
 @functools.cache
@@ -273,8 +275,14 @@ class DebyeDielectricFriction(FrictionModel):
         relaxing = sum(de for de, a, b in terms if a > 0.0 or b > 0.0)
         eps_hi = self.eps_inf + sum(self.delta_eps) - relaxing
         integral = math.pi / 2.0 * static_scale * relaxing / (2.0 * eps_hi + self.eps_c)
+        # each term with its cap: twice the w where (a w)^2 or (1 - b w^2)^2
+        # overflows
+        capped = tuple((de, a, b, 2.0 * min(_SQRT_MAX / a if a else math.inf,
+                                            math.sqrt(_SQRT_MAX / b) if b else math.inf))
+                       for de, a, b in terms)
         # derived once; not fields, so ==, hash and repr see the parameters only
-        for name, value in (("_terms", terms), ("_prefactor", prefactor), ("_static_scale", static_scale),
+        for name, value in (("_terms", terms), ("_capped_terms", capped), ("_cap_min", min(t[3] for t in capped)),
+                            ("_prefactor", prefactor), ("_static_scale", static_scale),
                             ("_spectrum_integral", integral)):
             object.__setattr__(self, name, value)
 
@@ -287,12 +295,20 @@ class DebyeDielectricFriction(FrictionModel):
         w = _float_or_array(omega)
         return self.eps_inf + sum(de / (1.0 - b * w * w - 1j * a * w) for de, a, b in self._terms)
 
-    def _spectrum(self, w):
-        # in real arithmetic: de/(dr - i di) = de (dr + i di)/(dr^2 + di^2)
+    def _spectrum(self, w, clip=None):
+        # in real arithmetic: de/(dr - i di) = de (dr + i di)/(dr^2 + di^2).
+        # Past about 1e77 cm^-1 a term's dr^2 + di^2 overflows to inf, and
+        # q = 0 is its limit. So a term is taken at clip(w, cap): past its cap
+        # dr and di stay finite while q = 0, and the term adds an exact 0, not
+        # 0 * inf = nan. A float below every cap needs no clip
+        if clip is None and (isinstance(w, np.ndarray) or w >= self._cap_min):
+            with np.errstate(over="ignore"):
+                return self._spectrum(w, np.minimum if isinstance(w, np.ndarray) else min)
         eps_re, eps_im = self.eps_inf, 0.0
         loss = 0.0  # Im eps(w) / w
-        for de, a, b in self._terms:
-            dr, di = 1.0 - b * w * w, a * w
+        for de, a, b, cap in self._capped_terms:
+            wt = w if clip is None else clip(w, cap)
+            dr, di = 1.0 - b * wt * wt, a * wt
             q = de / (dr * dr + di * di)
             eps_re = eps_re + q * dr
             eps_im = eps_im + q * di

@@ -36,7 +36,14 @@ __all__ = [
 
 
 class Potential1D:
-    """Base class for the model barriers. Immutable values."""
+    """Base class for the model barriers. Immutable values.
+
+    A subclass gives ``energy``, the barrier top (``barrier_position`` and
+    ``barrier_height``) and ``brackets(E)``: for 0 < E < barrier height, one
+    interval ``(lo, hi)`` on each side of the top, the left one first, each
+    holding exactly one root of U(x) - E. ``turning_points`` runs Brent's
+    method in each.
+    """
 
     mass: float
     #: interpolated potentials have C1 kinks at their knots, which the
@@ -55,15 +62,9 @@ class Potential1D:
     def barrier_position(self) -> float:
         raise NotImplementedError
 
-    @property
-    def length_scale(self) -> float:
-        """Characteristic width used for scans and tolerances."""
+    def brackets(self, E: float) -> tuple[tuple[float, float], tuple[float, float]]:
+        """``(lo, hi)`` left and right of the top, each with one root of U - E."""
         raise NotImplementedError
-
-    def search_window(self) -> tuple[float, float]:
-        """Outermost positions the turning-point search may visit."""
-        scale = self.length_scale
-        return self.barrier_position - 1e3 * scale, self.barrier_position + 1e3 * scale
 
 
 def _curvature(mass: float, omega: float) -> float:
@@ -93,9 +94,10 @@ class ParabolicBarrier(Potential1D):
     def barrier_position(self):
         return 0.0
 
-    @property
-    def length_scale(self):
-        return math.sqrt(2.0 * self.E_b / _curvature(self.mass, self.omega_b))
+    def brackets(self, E):
+        # U = 0 at the outer ends
+        r = math.sqrt(2.0 * self.E_b / _curvature(self.mass, self.omega_b))
+        return (-r, 0.0), (0.0, r)
 
 
 @dataclass(frozen=True)
@@ -120,9 +122,10 @@ class EckartBarrier(Potential1D):
     def barrier_position(self):
         return 0.0
 
-    @property
-    def length_scale(self):
-        return self.width
+    def brackets(self, E):
+        # U = E/2 at the outer ends
+        r = self.width * math.acosh(math.sqrt(2.0 * self.V0 / E))
+        return (-r, 0.0), (0.0, r)
 
 
 @dataclass(frozen=True)
@@ -158,13 +161,10 @@ class CubicBarrier(Potential1D):
     def barrier_height(self):
         return self.E_b
 
-    @property
-    def length_scale(self):
-        return self.barrier_position
-
-    def search_window(self):
-        # Beyond ~3 x_b the potential is far below any tunneling energy.
-        return 0.0, 3.0 * self.barrier_position
+    def brackets(self, E):
+        # U = 0 at x = 0 and at x = 1.5 x_b, and is monotone on each side
+        xb = self.barrier_position
+        return (0.0, xb), (xb, 1.5 * xb)
 
     def cubic_coefficient(self) -> float:
         """c3 of the barrier-top expansion, in cm^-2/angstrom.
@@ -182,7 +182,6 @@ class TabulatedPotential(Potential1D):
 
     def __init__(self, x: Sequence[float], U: Sequence[float], mass: float = 1.0):
         from scipy.interpolate import PchipInterpolator
-        from scipy.optimize import minimize_scalar
         x = np.asarray(x, dtype=float)
         U = np.asarray(U, dtype=float)
         if x.ndim != 1 or x.size < 4 or x.shape != U.shape:
@@ -196,22 +195,16 @@ class TabulatedPotential(Potential1D):
                 raise DomainError("grid positions must be distinct")
         _require_param("mass", mass, positive=True)
         self.mass = float(mass)
-        self._U = U
         # scipy builds the PCHIP coefficients once; each piece is then kept
         # as (a0, a1, a2, a3) in powers of s = x - x_i
         self._knots = x.tolist()
         self._coefs = [tuple(col) for col in PchipInterpolator(x, U).c[::-1].T.tolist()]
-        i_top = int(np.argmax(U))
-        if i_top == 0 or i_top == x.size - 1:
+        self._U = U.tolist()
+        # no monotone piece rises above its end knots: the top is the
+        # largest knot
+        self._i_top = int(np.argmax(U))
+        if self._i_top == 0 or self._i_top == x.size - 1:
             raise DomainError("tabulated potential has no interior barrier top")
-        res = minimize_scalar(
-            lambda t: -self.energy(t),
-            bounds=(x[max(i_top - 1, 0)], x[min(i_top + 1, x.size - 1)]),
-            method="bounded",
-            options={"xatol": 1e-13 * (x[-1] - x[0])},
-        )
-        self._x_top = float(res.x)
-        self._U_top = self.energy(res.x)
 
     def energy(self, x):
         knots = self._knots
@@ -230,18 +223,24 @@ class TabulatedPotential(Potential1D):
 
     @property
     def barrier_height(self):
-        return self._U_top
+        return self._U[self._i_top]
 
     @property
     def barrier_position(self):
-        return self._x_top
+        return self._knots[self._i_top]
 
-    @property
-    def length_scale(self):
-        return self._knots[-1] - self._knots[0]
-
-    def search_window(self):
-        return self._knots[0], self._knots[-1]
+    def brackets(self, E):
+        # every PCHIP piece is monotone, so the piece that ends at the first
+        # knot below E, walking out from the top, holds exactly one crossing
+        knots, U, top = self._knots, self._U, self._i_top
+        left = next((i for i in range(top - 1, -1, -1) if U[i] < E), None)
+        right = next((i for i in range(top + 1, len(U)) if U[i] < E), None)
+        if left is None or right is None:
+            raise DomainError(
+                f"tabulated potential stays above E = {E:g} kJ/mol "
+                f"{'left' if left is None else 'right'} of the barrier top"
+            )
+        return (knots[left], knots[left + 1]), (knots[right - 1], knots[right])
 
     @classmethod
     def from_csv(cls, path_or_text, mass: float = 1.0) -> "TabulatedPotential":
@@ -256,12 +255,13 @@ class TabulatedPotential(Potential1D):
 
 
 def turning_points(pot: Potential1D, E: float) -> tuple[float, float]:
-    """Classical turning points bracketing the barrier top at energy E.
+    """Classical turning points on either side of the barrier top at energy E.
 
-    Found by Brent's method to 1e-12 of the potential's length scale.
-    Requires 0 < E < barrier height; raises a no-barrier error otherwise,
-    and a non-bracketing error when a tabulated potential never drops
-    below E.
+    One root of U(x) - E by Brent's method in each of ``pot.brackets(E)``,
+    to 1e-12 of that bracket's scale, max(hi - lo, |lo|, |hi|). Requires
+    0 < E < barrier height and raises a no-barrier error otherwise; a
+    tabulated potential that never drops below E on one side raises a
+    non-bracketing error.
     """
     from scipy.optimize import brentq
     if E >= pot.barrier_height:
@@ -270,37 +270,11 @@ def turning_points(pot: Potential1D, E: float) -> tuple[float, float]:
         )
     if E <= 0:
         raise DomainError("energy must be > 0")
-    x_top = pot.barrier_position
-    w_lo, w_hi = pot.search_window()
-    roots = []
-    for direction, limit in ((-1.0, w_lo), (1.0, w_hi)):
-        step = 0.25 * pot.length_scale
-        inner = x_top
-        outer = x_top + direction * step
-        found = False
-        while (outer - limit) * direction <= 0:
-            if pot.energy(outer) < E:
-                found = True
-                break
-            inner = outer
-            step *= 2.0
-            outer = outer + direction * step
-        if not found:
-            if (outer - limit) * direction > 0 and abs(limit - x_top) > 0:
-                outer = limit
-                try:
-                    found = pot.energy(outer) < E
-                except DomainError:
-                    found = False
-            if not found:
-                raise DomainError(
-                    "turning point search could not bracket U(x) = E "
-                    f"going {'left' if direction < 0 else 'right'} of the barrier top"
-                )
-        lo, hi = (outer, inner) if direction < 0 else (inner, outer)
-        tol = 1e-12 * max(pot.length_scale, abs(lo), abs(hi))
-        roots.append(brentq(lambda x: pot.energy(x) - E, lo, hi, xtol=tol))
-    return roots[0], roots[1]
+    x1, x2 = (
+        brentq(lambda x: pot.energy(x) - E, lo, hi, xtol=1e-12 * max(hi - lo, abs(lo), abs(hi)))
+        for lo, hi in pot.brackets(E)
+    )
+    return x1, x2
 
 
 def wkb_action(pot: Potential1D, E: float) -> float:

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 from scipy import integrate, optimize
 from scipy.interpolate import PchipInterpolator
-from scipy.optimize import least_squares, minimize_scalar
+from scipy.optimize import least_squares
 from scipy.special import polygamma
 
 from qtst import (
@@ -46,7 +46,6 @@ from qtst.errors import BelowCrossoverError, DomainError, FitConvergenceError, S
 from qtst.fit import _CROSSOVER_MARGIN, _DIFF_STEP, _MAX_NFEV, FitConfig, FitResult, KIEDataset, _kie_model
 from qtst.kramers import _brent, _mu_mismatch, crossover_temperature
 from qtst.spectral import _require_param
-from qtst.wkb import Potential1D
 
 _QUAD_OPTS = dict(epsabs=0.0, epsrel=1e-11, limit=400)
 # the infinite tails carry ~1e-4 of the integral; absolute floor avoids
@@ -361,48 +360,21 @@ def fit_multistart(data: KIEDataset, config: Optional[FitConfig] = None) -> FitR
     )
 
 
-class PchipTable(Potential1D):
-    """A ``TabulatedPotential``'s samples, with every energy a call of scipy's
-    ``PchipInterpolator`` and the barrier top found on that interpolant."""
-
-    smooth = False
+class PchipTable(TabulatedPotential):
+    """A ``TabulatedPotential`` with every energy a call of scipy's
+    ``PchipInterpolator``; the top and the brackets are the table's own."""
 
     def __init__(self, pot: TabulatedPotential):
-        x, U = np.asarray(pot._knots), pot._U
-        self.mass = pot.mass
-        self._x = x
-        self.interp = PchipInterpolator(x, U, extrapolate=False)
-        i_top = int(np.argmax(U))
-        res = minimize_scalar(
-            lambda t: -float(self.interp(t)),
-            bounds=(x[max(i_top - 1, 0)], x[min(i_top + 1, x.size - 1)]),
-            method="bounded",
-            options={"xatol": 1e-13 * (x[-1] - x[0])},
-        )
-        self._x_top = float(res.x)
-        self._U_top = float(self.interp(res.x))
+        super().__init__(pot._knots, pot._U, pot.mass)
+        self.interp = PchipInterpolator(self._knots, self._U, extrapolate=False)
 
     def energy(self, x):
-        if x < self._x[0] or x > self._x[-1]:
+        knots = self._knots
+        if x < knots[0] or x > knots[-1]:
             raise DomainError(
-                f"x = {x:g} outside the tabulated range [{self._x[0]:g}, {self._x[-1]:g}]"
+                f"x = {x:g} outside the tabulated range [{knots[0]:g}, {knots[-1]:g}]"
             )
         return float(self.interp(x))
-
-    @property
-    def barrier_height(self):
-        return self._U_top
-
-    @property
-    def barrier_position(self):
-        return self._x_top
-
-    @property
-    def length_scale(self):
-        return float(self._x[-1] - self._x[0])
-
-    def search_window(self):
-        return float(self._x[0]), float(self._x[-1])
 
 
 def wkb_action_pchip(pot: TabulatedPotential, E: float) -> float:

@@ -11,6 +11,12 @@ gap; the gap is below 5% only for y >= 2.937, that is T >= 1.260*T0 at
 kappa = 10. So 4b pins the ratio to an independent erfcx oracle on the whole
 [1.1, 6.0]*T0 grid, checks that it rises towards 1 from below, and holds the
 5% bound wherever y >= 2.937.
+
+Criterion 13 checks a conclusion of the paper: baths far below the first
+Matsubara frequency barely change c_qm. It compares the product with the
+first-order shift -K*sum_n a/(D_n (D_n + a)), summed in the test, to a
+relative error of 2*omega_slow/nu_1, and counts the cases where that bound
+says something.
 """
 
 import math
@@ -269,3 +275,39 @@ def test_criterion_12_table3_crossover_temperatures():
     assert within == 11
     report(12, f"{within} of {len(rows)} Table 3 crossover temperatures within {tol:.1%} of "
                "hbar*omega_b/(2 pi kB); 1229 and 2057 cm^-1 named as outliers")
+
+
+def test_criterion_13_slow_baths_barely_change_c_qm():
+    # The abstract: environmental modes far below 1000 cm^-1 barely change
+    # the quantum correction. A bath whose spectrum lies far below the first
+    # Matsubara frequency nu_1 enters term n only through K = lim z*gamma_hat(z),
+    # as nu_n*gamma_hat(nu_n) = K; to first order in K that gives
+    #   log(c_qm/c_qm,0) = -K sum_n a/(D_n (D_n + a)),
+    # D_n = nu_n^2 - omega_b^2, a = omega_0^2 + omega_b^2, with a relative
+    # error of order omega_slow/nu_1 (omega_slow = omega_d for Drude, the
+    # width plus the peak for Peaked). The sum is taken here, term by term.
+    h, c_cm, kB = 6.62607015e-34, 2.99792458e10, 1.380649e-23
+    T, omega0, omegab, term_tol = 300.0, 3000.0, 1000.0, 1e-12
+    nu1 = 2.0 * math.pi * kB * T / (h * c_cm)  # 1310 cm^-1
+    system = BarrierSystem(omega0, omegab, 40.0)
+    a = omega0**2 + omegab**2
+    D = (np.arange(1.0, 100_001.0) * nu1) ** 2 - omegab**2
+    first_order = math.fsum((a / (D * (D + a))).tolist())  # the omitted tail is 8e-16 of it
+    c0 = correction_product(system, None, T, term_tol=term_tol).c_qm
+    cases = [(DrudeFriction(g, w), g * w, w) for g in (100.0, 500.0, 1000.0) for w in (1.0, 10.0, 100.0)]
+    cases += [(PeakedFriction(gamma_r=50.0, width=20.0, omega_r=30.0), 50.0 * 20.0, 50.0),
+              (PeakedFriction(gamma_r=200.0, width=10.0, omega_r=50.0), 200.0 * 10.0, 60.0)]
+    informative, worst = 0, 0.0
+    for model, K, slow in cases:
+        predicted = -K * first_order
+        got = math.log(correction_product(system, model, T, term_tol=term_tol).c_qm / c0)
+        bound = 2.0 * slow / nu1
+        err = abs(got / predicted - 1.0)
+        assert err <= bound, (model, got, predicted, err, bound)
+        worst = max(worst, err / bound)
+        # the bound pins the shift to within half of itself, and the shift
+        # is far above the product's own error
+        informative += bound < 0.5 and abs(predicted) > 1e6 * term_tol
+    assert informative == len(cases) == 11
+    report(13, f"slow Drude and Peaked baths shift log c_qm by -K*sum a/(D_n(D_n+a)) "
+               f"to within 2*omega_slow/nu_1 (worst {worst:.2f} of the bound)")

@@ -1,5 +1,5 @@
-"""Property tests: closed-form kernels, solvers and the KIE fit against the
-slow oracles.
+"""Property tests: closed-form kernels, solvers, turning points and the KIE
+fit against the slow oracles.
 
 Parameters are drawn from the physical boxes the models are used in; each
 property runs on about 50 examples, a fit property on about 20.
@@ -15,20 +15,25 @@ from hypothesis import strategies as st
 from qtst import units
 from qtst import (
     BarrierSystem,
+    CubicBarrier,
     DebyeDielectricFriction,
     DrudeFriction,
+    EckartBarrier,
     FitConfig,
     Isotope,
     KIEDataset,
     LinearProteinFriction,
     OhmicFriction,
+    ParabolicBarrier,
     PeakedFriction,
+    TabulatedPotential,
     correction_closed,
     correction_product,
     crossover_temperature,
     fit_kie,
     kernel_upper_bound,
     kie_qtst,
+    turning_points,
 )
 from qtst.fit import _SCREEN_STEPS, _lattice_axis, _local_minima, _screen
 from qtst.kie import load_dataset_csv
@@ -339,3 +344,66 @@ def test_fit_matches_multistart_oracle_on_synthetic_series(data):
     # leaves each optimum up to about 2.5e-8 relative from the other's (the
     # worst of 160 seeded series); the costs agree to rounding.
     _assert_matches_multistart(data, 5e-8)
+
+
+# ------------------------------------------------------------ turning points
+
+
+@st.composite
+def barrier_tables(draw):
+    """A table at 0 at both ends, with an interior top and any lesser humps."""
+    n = draw(st.integers(4, 40))
+    steps = draw(st.lists(st.floats(1e-3, 1.0), min_size=n - 1, max_size=n - 1))
+    x = np.cumsum([draw(st.floats(-5.0, 5.0))] + steps)
+    U = np.array([0.0] + draw(st.lists(st.floats(0.0, 50.0), min_size=n - 2, max_size=n - 2)) + [0.0])
+    U[draw(st.integers(1, n - 2))] = U.max() + draw(st.floats(1e-3, 10.0))
+    return TabulatedPotential(x, U)
+
+
+masses = st.floats(1.0, 3.0)
+closed_form_barriers = st.one_of(
+    st.builds(ParabolicBarrier, E_b=st.floats(1.0, 100.0), omega_b=st.floats(200.0, 3000.0), mass=masses),
+    st.builds(EckartBarrier, V0=st.floats(1.0, 100.0), width=st.floats(0.1, 2.0), mass=masses),
+)
+barriers = st.one_of(
+    closed_form_barriers,
+    st.builds(CubicBarrier, omega_0=st.floats(200.0, 3000.0), E_b=st.floats(1.0, 100.0), mass=masses),
+    barrier_tables(),
+)
+energy_fractions = st.floats(1e-6, 1.0 - 1e-6, exclude_min=True, exclude_max=True)
+
+
+def _closed_form_turning_point(pot, E):
+    if isinstance(pot, ParabolicBarrier):
+        return math.sqrt(2.0 * (pot.E_b - E) / (units.CURVATURE_KJ_PER_MOL * pot.mass * pot.omega_b**2))
+    return pot.width * math.acosh(math.sqrt(pot.V0 / E))
+
+
+@PROPERTY
+@given(pot=barriers, frac=energy_fractions)
+def test_each_bracket_holds_a_sign_change_and_its_turning_point(pot, frac):
+    E = frac * pot.barrier_height
+    (l_lo, l_hi), (r_lo, r_hi) = pot.brackets(E)
+    assert l_lo < l_hi <= pot.barrier_position <= r_lo < r_hi
+    # U rises through E in the left bracket and falls through it in the right
+    assert pot.energy(l_lo) < E <= pot.energy(l_hi)
+    assert pot.energy(r_lo) >= E > pot.energy(r_hi)
+    x1, x2 = turning_points(pot, E)
+    assert l_lo <= x1 <= l_hi and r_lo <= x2 <= r_hi
+    if isinstance(pot, TabulatedPotential):
+        # the innermost crossings: no knot between the brackets lies below E
+        assert all(u >= E for x, u in zip(pot._knots, pot._U) if l_hi <= x <= r_lo)
+
+
+@PROPERTY
+@given(pot=closed_form_barriers, frac=energy_fractions)
+def test_turning_points_match_the_closed_forms(pot, frac):
+    # to 1e-12 of the bracket's scale, as turning_points promises; relative
+    # to the point itself the root is ill-conditioned near the top, where
+    # U - E is known only to an ulp of the barrier height
+    E = frac * pot.barrier_height
+    exact = _closed_form_turning_point(pot, E)
+    (lo, hi), _ = pot.brackets(E)
+    tol = 1e-12 * max(hi - lo, abs(lo), abs(hi))
+    x1, x2 = turning_points(pot, E)
+    assert abs(x1 + exact) <= tol and abs(x2 - exact) <= tol, (x1, x2, exact, tol)

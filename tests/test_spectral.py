@@ -174,6 +174,21 @@ def test_spectrum_scalar_call_equals_array_element(model):
     assert arr.tolist() == scalar
 
 
+@pytest.mark.parametrize("model, first", [
+    (DebyeDielectricFriction(3.0), 2.4e156),
+    (DebyeDielectricFriction(1.0, omega_4=1e-3, tau_ps=(1e-12, 1.0, 0.1, 0.025)), 1e200),
+], ids=["water", "slow-resonance-fast-term"])
+def test_debye_spectrum_is_zero_far_above_every_relaxation(model, first):
+    # each term's denominator overflows to inf, its limit, and no term adds
+    # 0 * inf: 0.0 for a float and for an array, with no warning
+    huge = [first, 1e250, 1e300, float(np.finfo(float).max)]
+    assert [model.friction_spectrum(w) for w in huge] == [0.0] * 4
+    assert model.friction_spectrum(np.array(huge)).tolist() == [0.0] * 4
+    # below that the tail still falls as 1/omega^2, the Debye terms' loss
+    tail = model.friction_spectrum(np.array([1e100, 1e150]))
+    assert tail[1] / tail[0] == pytest.approx(1e-100, rel=1e-12)
+
+
 def test_debye_spectrum_integral_keeps_a_term_that_never_relaxes():
     # tau = 0 with omega_4 = 0 makes the resonance a constant 0.92, the same
     # bath as eps_inf raised by 0.92

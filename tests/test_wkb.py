@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
+from scipy.optimize import brentq
 
 from qtst import (
     CubicBarrier,
@@ -18,7 +19,7 @@ from qtst import (
 )
 from qtst.errors import DomainError
 
-from oracles import PchipTable, wkb_action_pchip
+from oracles import wkb_action_pchip
 
 CM1_KJ = 0.011962656563869701
 CURV = 0.000357396117155  # kJ/mol per (mass cm^-2 A^2)
@@ -290,8 +291,39 @@ def test_tabulated_action_equals_scipy_pchip_oracle_exactly(mass, frac):
     assert wkb_action(tab, E) == wkb_action_pchip(tab, E)
 
 
-def test_tabulated_barrier_top_unchanged_from_scipy_pchip():
+def test_tabulated_barrier_top_is_largest_knot():
+    # no PCHIP piece rises above its end knots, so the top is the largest
+    # knot; scipy's interpolant, scanned densely over the two pieces beside
+    # it, exceeds that knot by at most one ulp
     tab = _benchmark_table(1.0)
-    ref = PchipTable(tab)
-    assert tab.barrier_height == ref.barrier_height
-    assert tab.barrier_position == ref.barrier_position
+    i = int(np.argmax(tab._U))
+    assert (tab.barrier_position, tab.barrier_height) == (tab._knots[i], max(tab._U))
+    scan = PchipInterpolator(tab._knots, tab._U)(np.linspace(tab._knots[i - 1], tab._knots[i + 1], 100_001))
+    assert scan.max() <= np.nextafter(tab.barrier_height, np.inf)
+
+
+def _first_crossing(interp, E, start, stop):
+    # the first point from start towards stop where interp drops below E: a
+    # dense scan for the sign change, then Brent's method inside that step
+    xs = np.linspace(start, stop, 400_001)
+    k = int(np.argmax(interp(xs) < E))
+    assert k > 0 and interp(xs[k]) < E
+    return brentq(lambda t: float(interp(t)) - E, *sorted((xs[k - 1], xs[k])), xtol=1e-15)
+
+
+def test_tabulated_turning_point_is_first_crossing_before_a_second_hump():
+    # a 30 kJ/mol hump right of the 40 kJ/mol top rises above E = 20 again
+    # past the first crossing, within one quarter of the table's width
+    x = np.linspace(-2.0, 2.0, 161)
+    U = 1.0 + 40.0 * np.exp(-((x / 0.3) ** 2)) + (x > 0) * 30.0 * np.exp(-(((x - 0.5) / 0.12) ** 2))
+    tab, E = TabulatedPotential(x, U), 20.0
+    interp = PchipInterpolator(x, U)
+    x1, x2 = turning_points(tab, E)
+    left, right = _first_crossing(interp, E, 0.0, -2.0), _first_crossing(interp, E, 0.0, 2.0)
+    assert abs(x1 - left) < 1e-9 and abs(x2 - right) < 1e-9, (x1, left, x2, right)
+    assert x2 == pytest.approx(0.2647, abs=1e-4)
+    # the action between the first crossings, by a dense trapezoid
+    xs = np.linspace(left, right, 2_000_001)
+    oracle = ACTION * np.trapezoid(np.sqrt(np.clip(interp(xs) - E, 0.0, None)), xs)
+    assert wkb_action(tab, E) == pytest.approx(oracle, rel=1e-7)
+    assert wkb_action(tab, E) == pytest.approx(3.9817, abs=1e-4)
