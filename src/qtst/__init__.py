@@ -8,8 +8,8 @@ environment.
 The package exports exactly the names in its modules' ``__all__`` lists.
 """
 
-# Each scipy import sits in the function that uses it, so `import qtst` and the
-# closed-form paths load no scipy; the first call that needs a module loads it.
+# Every scipy module is reached through errors._scipy, which imports it on
+# first use, so `import qtst` and the closed-form paths load no scipy.
 from . import errors, fit, kie, kramers, qcorr, spectral, units, wkb
 from .errors import *  # noqa: F403
 from .fit import *  # noqa: F403

@@ -164,8 +164,10 @@ def cmd_correction(args):
         try:
             prod = qcorr.correction_product(system, model, T)
             c_prod, regime = prod.c_qm, prod.regime
-        except (BelowCrossoverError, DomainError):
+        except BelowCrossoverError:
             c_prod, regime = math.nan, "invalid_below_T0"
+        except DomainError:  # c_qm overflows a double above T0
+            c_prod, regime = math.nan, None
         try:
             c_closed = qcorr.correction_closed(system.omega0, system.omegab, T)
         except DomainError:
@@ -469,7 +471,7 @@ def main(argv=None) -> int:
     try:
         args = _parse(argv)
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:  # a missing input file included
+    except (ConfigError, OSError) as exc:  # OSError: a path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except FitConvergenceError as exc:

@@ -1,9 +1,12 @@
 """Exception types shared across the package, the one input check that
-raises them, and the one reader of input tables."""
+raises them, the one reader of input tables, the one way in to scipy and
+the one bracketed root finder."""
 
 from __future__ import annotations
 
 import csv
+import functools
+import importlib
 import math
 
 import numpy as np
@@ -57,17 +60,36 @@ class BelowCrossoverError(DomainError):
 
 
 class SolverConvergenceError(QtstError, RuntimeError):
-    """A root solve failed to converge; carries the final bracket."""
+    """A root solve failed to converge; carries the bracket it searched."""
 
     def __init__(self, message, bracket=None):
         self.bracket = bracket
         if bracket is not None:
-            message = f"{message} (final bracket: [{bracket[0]:g}, {bracket[1]:g}])"
+            message = f"{message} (bracket searched: [{bracket[0]:g}, {bracket[1]:g}])"
         super().__init__(message)
 
 
 class FitConvergenceError(QtstError, RuntimeError):
     """Nonlinear fitting failed (no convergent start, or unusable data)."""
+
+
+@functools.cache
+def _scipy(module: str):
+    # scipy.<module>, imported at its first use, so import qtst loads no
+    # scipy; cached, so a hot path pays a dict lookup, not an import statement
+    return importlib.import_module(f"scipy.{module}")
+
+
+def _brent(f, lo: float, hi: float, xtol: float = 1e-300, what: str = "effective-frequency equation") -> float:
+    # brentq's root of f in [lo, hi], to relative machine precision at the
+    # default xtol; scipy's no-sign-change ValueError and no-convergence
+    # RuntimeError become a SolverConvergenceError, f's own QtstError passes
+    try:
+        return _scipy("optimize").brentq(f, lo, hi, xtol=xtol)
+    except QtstError:
+        raise
+    except (ValueError, RuntimeError) as exc:
+        raise SolverConvergenceError(f"{what} not solved: {exc}", bracket=(lo, hi)) from exc
 
 
 def _float_or_array(x):

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import units
-from .errors import DomainError, FitConvergenceError, _check_fields, _read_table, _require_param
+from .errors import DomainError, FitConvergenceError, _check_fields, _read_table, _require_param, _scipy
 from .kie import ArrheniusParams, _log_kie
 from .kramers import _crossover_temperature, crossover_temperature
 from .units import Isotope
@@ -261,8 +261,7 @@ def _local_minima(cost):
 
 def least_squares(*args, **kwargs):
     # fit_kie's solver, by a module name that bench/tracer.py wraps to count polishes
-    from scipy.optimize import least_squares
-    return least_squares(*args, **kwargs)
+    return _scipy("optimize").least_squares(*args, **kwargs)
 
 
 def fit_kie(data: KIEDataset, config: Optional[FitConfig] = None) -> FitResult:

@@ -30,8 +30,8 @@ from typing import Optional
 import numpy as np
 
 from . import units
-from .errors import DomainError, QtstError, SolverConvergenceError, _check_fields, _require_param
-from .spectral import FrictionModel, PeakedFriction, _kernel_body, _scipy
+from .errors import DomainError, SolverConvergenceError, _brent, _check_fields, _require_param
+from .spectral import FrictionModel, PeakedFriction, _kernel_body
 from .units import Isotope
 
 __all__ = [
@@ -123,20 +123,6 @@ def _mu_mismatch_array(mu: np.ndarray, g: np.ndarray, omegab: float) -> np.ndarr
         r = g / omegab
         s = np.sqrt(1.0 + 0.25 * r * r)
         return mu - np.where(r < 0.0, omegab * (s - 0.5 * r), omegab / (s + 0.5 * r))
-
-
-def _brent(f, lo: float, hi: float) -> float:
-    # to relative machine precision; scipy's no-sign-change ValueError and
-    # no-convergence RuntimeError become a SolverConvergenceError, while a
-    # kernel's own DomainError (also a ValueError) passes through
-    try:
-        return _scipy("optimize").brentq(f, lo, hi, xtol=1e-300)
-    except QtstError:
-        raise
-    except (ValueError, RuntimeError) as exc:
-        raise SolverConvergenceError(
-            f"effective-frequency equation not solved: {exc}", bracket=(lo, hi)
-        ) from exc
 
 
 def solve_effective_frequency(omegab: float, model: Optional[FrictionModel]) -> tuple[float, float]:

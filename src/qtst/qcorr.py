@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import units
-from .errors import BelowCrossoverError, DomainError, _require_param
+from .errors import BelowCrossoverError, DomainError, _require_param, _scipy
 from .kramers import (
     BarrierSystem,
     EffectiveBarrier,
@@ -318,7 +318,6 @@ def correction_crossover(system: BarrierSystem, T: float, kappa_at_T0: float) ->
     exp(y^2)*erfc(y). Valid in the crossover neighbourhood and above,
     T > 0.9*T0. A prefactor that overflows a double raises ``DomainError``.
     """
-    from scipy.special import erfcx
     _require_param("kappa", kappa_at_T0, positive=True)
     _require_param("temperature", T, positive=True)
     omega0, omegab = system.omega0, system.omegab
@@ -335,7 +334,7 @@ def correction_crossover(system: BarrierSystem, T: float, kappa_at_T0: float) ->
     q = (1.0 - 0.5 * eps) * (1.0 - eps) * kappa_at_T0 / math.pi * _scaled_sine_ratio(s)
     x0 = units.CM1_TO_K * omega0 / (2.0 * T)
     prefactor = _exp_of_log("(omega_b/omega_0) sinh(x0)", math.log(omegab / omega0) + _log_sinh(x0, math))
-    return prefactor * math.sqrt(math.pi) * q * float(erfcx(y))
+    return prefactor * math.sqrt(math.pi) * q * float(_scipy("special").erfcx(y))
 
 
 def kappa_parameter(

@@ -17,8 +17,6 @@ of that spectrum's response function gives the kernel exactly.
 
 from __future__ import annotations
 
-import functools
-import importlib
 import math
 from dataclasses import dataclass, fields
 from typing import Optional
@@ -26,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import units
-from .errors import DivergentIntegralError, DomainError, _check_fields, _float_or_array, _require_param
+from .errors import DivergentIntegralError, DomainError, _check_fields, _float_or_array, _require_param, _scipy
 
 __all__ = [
     "FrictionModel",
@@ -49,13 +47,6 @@ __all__ = [
 _OMEGA_TAU = units.CM1_TO_RAD_PER_S * 1e-12
 # the largest square root a double can square without overflow
 _SQRT_MAX = math.sqrt(np.finfo(float).max)
-
-
-@functools.cache
-def _scipy(module: str):
-    # scipy.<module>, imported at its first use, so import qtst loads no
-    # scipy; cached, so a hot path pays a dict lookup, not an import statement
-    return importlib.import_module(f"scipy.{module}")
 
 
 class FrictionModel:

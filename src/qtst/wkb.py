@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import units
-from .errors import DomainError, _check_fields, _read_table, _require_param
+from .errors import DomainError, _brent, _check_fields, _read_table, _require_param, _scipy
 
 __all__ = [
     "Potential1D",
@@ -123,8 +123,12 @@ class EckartBarrier(Potential1D):
         return 0.0
 
     def brackets(self, E):
-        # U = E/2 at the outer ends
-        r = self.width * math.acosh(math.sqrt(2.0 * self.V0 / E))
+        # U = E/2 at the outer ends, where cosh^2 = 2 V0/E; past a double's
+        # range U can no longer reach E/2, and energy() would overflow
+        q = 2.0 * self.V0 / E
+        if q == math.inf:
+            raise DomainError(f"E = {E:g} kJ/mol is too small for an Eckart barrier of {self.V0:g} kJ/mol")
+        r = self.width * math.acosh(math.sqrt(q))
         return (-r, 0.0), (0.0, r)
 
 
@@ -181,7 +185,6 @@ class TabulatedPotential(Potential1D):
     smooth = False
 
     def __init__(self, x: Sequence[float], U: Sequence[float], mass: float = 1.0):
-        from scipy.interpolate import PchipInterpolator
         x = np.asarray(x, dtype=float)
         U = np.asarray(U, dtype=float)
         if x.ndim != 1 or x.size < 4 or x.shape != U.shape:
@@ -198,7 +201,7 @@ class TabulatedPotential(Potential1D):
         # scipy builds the PCHIP coefficients once; each piece is then kept
         # as (a0, a1, a2, a3) in powers of s = x - x_i
         self._knots = x.tolist()
-        self._coefs = [tuple(col) for col in PchipInterpolator(x, U).c[::-1].T.tolist()]
+        self._coefs = [tuple(col) for col in _scipy("interpolate").PchipInterpolator(x, U).c[::-1].T.tolist()]
         self._U = U.tolist()
         # no monotone piece rises above its end knots: the top is the
         # largest knot
@@ -258,20 +261,18 @@ def turning_points(pot: Potential1D, E: float) -> tuple[float, float]:
     """Classical turning points on either side of the barrier top at energy E.
 
     One root of U(x) - E by Brent's method in each of ``pot.brackets(E)``,
-    to 1e-12 of that bracket's scale, max(hi - lo, |lo|, |hi|). Requires
-    0 < E < barrier height and raises a no-barrier error otherwise; a
-    tabulated potential that never drops below E on one side raises a
-    non-bracketing error.
+    to 1e-12 of that bracket's scale, max(hi - lo, |lo|, |hi|). E must be
+    finite and > 0 (``_require_param``) and below the barrier height, and a
+    tabulated potential must drop below E on each side, or ``DomainError``;
+    a bracket Brent's method cannot solve raises ``SolverConvergenceError``.
     """
-    from scipy.optimize import brentq
+    E = _require_param("energy", E, positive=True)
     if E >= pot.barrier_height:
         raise DomainError(
             f"no barrier for E = {E:g} >= barrier height {pot.barrier_height:g} kJ/mol"
         )
-    if E <= 0:
-        raise DomainError("energy must be > 0")
     x1, x2 = (
-        brentq(lambda x: pot.energy(x) - E, lo, hi, xtol=1e-12 * max(hi - lo, abs(lo), abs(hi)))
+        _brent(lambda x: pot.energy(x) - E, lo, hi, xtol=1e-12 * max(hi - lo, abs(lo), abs(hi)), what="turning point")
         for lo, hi in pot.brackets(E)
     )
     return x1, x2
@@ -290,7 +291,7 @@ def wkb_action(pot: Potential1D, E: float) -> float:
     at 0.5*E_b and 1.1e-11 at 0.95*E_b, against a quadrature split at the
     knots to 1e-13.
     """
-    from scipy import integrate
+    integrate = _scipy("integrate")
     x1, x2 = turning_points(pot, E)
     mid = 0.5 * (x1 + x2)
     half = 0.5 * (x2 - x1)

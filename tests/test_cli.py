@@ -422,6 +422,20 @@ def test_missing_table_file_is_config_error(argv, capsys):
     assert "/nonexistent/table.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["fit", "--input", "{dir}"],
+    ["arrhenius", "--input", "{dir}"],
+    ["wkb", "--potential", "tabulated", "--table", "{dir}"],
+    ["spectral", "--friction", "{dir}"],
+    ["swain-schaad", "--kh", "81", "--kd", "3.85", "--kt", "1", "--output", "{dir}"],
+], ids=["fit-input", "arrhenius-input", "wkb-table", "spectral-friction", "swain-schaad-output"])
+def test_path_that_cannot_be_read_or_written_is_config_error(argv, tmp_path, capsys):
+    # a directory where a file is wanted: one line on stderr, exit 2
+    assert run([a.format(dir=tmp_path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err and err.count("\n") == 1
+
+
 def test_fit_bundled_pair_overrides_the_sidecar(tmp_path):
     out = tmp_path / "fig4.json"
     assert run(["fit", "--input", "fig4", "--pair", "HD", "--output", str(out)]) == 0
@@ -742,7 +756,7 @@ def test_correction_row_is_nan_where_the_product_overflows(tmp_path):
     assert rc == 0
     header, rows = read_csv(out)
     assert header[:2] == ["T_K", "c_qm"]
-    assert rows[0][1] == "nan"
+    assert rows[0][1] == "nan" and rows[0][-1] == ""
     # the rate on the same barrier fails cleanly: exit 3, not a traceback
     assert run([
         "rate", "--omega0", "2500", "--omegab", "500", "--barrier", "40",
@@ -764,3 +778,24 @@ def test_correction_row_is_nan_where_the_closed_form_overflows(tmp_path):
     assert header[:4] == ["T_K", "c_qm", "c_closed", "c_crossover"]
     assert rows[0][2] == "nan" and rows[0][3] == "nan"
     assert all(math.isfinite(float(r[2])) and math.isfinite(float(r[3])) for r in rows[1:])
+
+
+def test_correction_regime_is_empty_where_c_qm_overflows_above_T0(tmp_path):
+    # T0 = 4.58 K: at 5 K the row is above it, but c_qm overflows a double;
+    # only the 4 K row lies below the crossover
+    out = tmp_path / "corr.csv"
+    assert run([
+        "correction", "--omega0", "5000", "--omegab", "20", "--tmin", "4", "--tmax", "10",
+        "--points", "7", "--output", str(out),
+    ]) == 0
+    header, rows = read_csv(out)
+    assert header == ["T_K", "c_qm", "c_closed", "c_crossover", "regime"]
+    assert rows[0] == ["4", "nan", "nan", "nan", "invalid_below_T0"]
+    assert rows[1] == ["5", "nan", "nan", "nan", ""]
+    assert all(math.isfinite(float(r[1])) and r[4] == "high_T" for r in rows[2:])
+
+
+def test_wkb_energy_below_the_eckart_range_is_domain_error(capsys):
+    assert run(["wkb", "--potential", "eckart", "--emin-frac", "1e-322"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "too small" in err and err.count("\n") == 1

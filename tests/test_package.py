@@ -61,6 +61,36 @@ def test_no_module_imports_scipy_at_import_time(path):
     assert not lines, f"{path.name}: scipy imported at import time on line(s) {lines}"
 
 
+def _scipy_import_statements(tree):
+    # every import statement anywhere in the module, function bodies included
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name == "scipy" or name.startswith("scipy.") for name in names):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_has_a_scipy_import_statement(path):
+    # errors._scipy is the one way in to scipy
+    lines = list(_scipy_import_statements(ast.parse(path.read_text(), str(path))))
+    assert not lines, f"{path.name}: scipy import statement on line(s) {lines}; use errors._scipy"
+
+
+def test_the_statement_guard_sees_function_bodies():
+    source = (
+        "def f():\n    from scipy.optimize import brentq\n"
+        "g = lambda: __import__('scipy')\n"
+        "class A:\n    def m(self):\n        import scipy\n"
+        "import scipyish\nfrom . import scipy_free\n"
+    )
+    assert sorted(_scipy_import_statements(ast.parse(source))) == [2, 6]
+
+
 def test_the_import_guard_sees_nested_imports():
     source = (
         "if True:\n    import scipy.special\n"

@@ -17,7 +17,7 @@ from qtst import (
     turning_points,
     wkb_action,
 )
-from qtst.errors import DomainError
+from qtst.errors import DomainError, SolverConvergenceError
 
 from oracles import wkb_action_pchip
 
@@ -70,6 +70,45 @@ def test_eckart_turning_points_analytic():
     expected = 0.4 * math.acosh(math.sqrt(40.0 / E))
     assert x2 == pytest.approx(expected, rel=1e-9)
     assert x1 == pytest.approx(-expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("call", [turning_points, wkb_action, transmission], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("build", [lambda: PARABOLA, lambda: EckartBarrier(40.0, 0.45),
+                                   lambda: CubicBarrier(1000.0, 40.0), lambda: _benchmark_table(1.0)],
+                         ids=["parabolic", "eckart", "cubic", "tabulated"])
+@pytest.mark.parametrize("E", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_energy_is_domain_error_on_every_potential(call, build, E):
+    with pytest.raises(DomainError, match="energy must be finite"):
+        call(build(), E)
+
+
+def test_eckart_subnormal_energy_is_domain_error_naming_it():
+    # 2*V0/E overflows, so no finite bracket end has U = E/2
+    pot = EckartBarrier(40.0, 0.45)
+    for E in (5e-324, 4e-321, np.nextafter(80.0 / np.finfo(float).max, 0.0)):
+        with pytest.raises(DomainError, match=f"E = {E:g} kJ/mol is too small"):
+            turning_points(pot, float(E))
+
+
+@pytest.mark.parametrize("E", [1e-300, 80.0 / np.finfo(float).max, 1e-3, 10.0, 39.9])
+def test_eckart_bracket_unchanged_wherever_its_ratio_is_finite(E):
+    pot = EckartBarrier(40.0, 0.45)
+    r = 0.45 * math.acosh(math.sqrt(2.0 * 40.0 / E))
+    assert pot.brackets(E) == ((-r, 0.0), (0.0, r))
+    x1, x2 = turning_points(pot, E)
+    assert -r <= x1 < 0.0 < x2 <= r
+
+
+class NoSignChange(ParabolicBarrier):
+    # a right bracket that stops short of the turning point
+    def brackets(self, E):
+        return super().brackets(E)[0], (0.0, 1e-3)
+
+
+def test_unsolvable_turning_point_is_solver_error_with_the_bracket():
+    with pytest.raises(SolverConvergenceError, match="turning point not solved") as exc:
+        turning_points(NoSignChange(40.0, 1000.0), 20.0)
+    assert exc.value.bracket == (0.0, 1e-3)
 
 
 def test_tabulated_turning_points_match_parabola():
