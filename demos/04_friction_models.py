@@ -18,7 +18,6 @@ from qtst import (
     OhmicFriction,
     PeakedFriction,
     chromophore_estimate,
-    debye_dielectric,
     effective_curvature,
     kernel_upper_bound,
     weak_friction_margin,
@@ -63,7 +62,7 @@ water = DebyeDielectricFriction(cavity_radius=3.0)
 print("Water dielectric function behind the cavity model:")
 print(f"  {'w (cm^-1)':>10} {'Re eps':>8} {'Im eps':>8}")
 for w in (0.0, 1.0, 10.0, 100.0, 200.0):
-    eps = debye_dielectric(water, w)
+    eps = water.epsilon(w)
     print(f"  {w:>10.1f} {eps.real:>8.2f} {eps.imag:>8.2f}")
-print(f"  static value {debye_dielectric(water, 0.0).real:.1f}, the bulk-water number;")
+print(f"  static value {water.epsilon(0.0).real:.1f}, the bulk-water number;")
 print(f"  K_e for this cavity: {effective_curvature(water):.0f} cm^-2 (proton units)")

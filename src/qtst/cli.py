@@ -22,7 +22,7 @@ import numpy as np
 
 from . import fit as fitmod
 from . import kie as kiemod
-from . import qcorr, spectral, units, wkb
+from . import qcorr, spectral, wkb
 from .errors import (
     BelowCrossoverError,
     DomainError,
@@ -477,7 +477,7 @@ def main(argv=None) -> int:
     except FitConvergenceError as exc:
         print(f"fit failed: {exc}", file=sys.stderr)
         return EXIT_FIT
-    except (DomainError, QtstError) as exc:
+    except QtstError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

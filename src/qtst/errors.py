@@ -12,25 +12,13 @@ import math
 import numpy as np
 
 __all__ = [
-    "QtstError", "UnitCompatibilityError", "DomainError", "DivergentIntegralError",
+    "QtstError", "DomainError", "DivergentIntegralError",
     "BelowCrossoverError", "SolverConvergenceError", "FitConvergenceError",
 ]
 
 
 class QtstError(Exception):
     """Base class for every library-specific error."""
-
-
-class UnitCompatibilityError(QtstError, ValueError):
-    """Raised when a conversion is requested between incompatible units."""
-
-    def __init__(self, source, target):
-        self.source = source
-        self.target = target
-        super().__init__(
-            f"cannot convert {source.value!r} to {target.value!r}: "
-            "units are dimensionally incompatible"
-        )
 
 
 class DomainError(QtstError, ValueError):
@@ -105,7 +93,7 @@ def _require_param(name: str, value, positive: bool = False, signed: bool = Fals
     # value, or every element of it, finite and >= 0 (> 0 if positive, of
     # either sign if signed); NaN fails every comparison, so it is rejected
     # with the infinities, and so is a value numpy cannot read as a float or a
-    # regular float array. Returns the value as _float_or_array converts it.
+    # regular float array. Returns the value in _float_or_array's form.
     try:
         v = _float_or_array(value)
     except (TypeError, ValueError):

@@ -109,7 +109,7 @@ class KIEDataset:
     ) -> "KIEDataset":
         """A series from a ``T_K,kie[,sigma]`` table of at least 3 points; a
         sigma column empty in every row means unit weights, in some only an error."""
-        if pair and light is None and heavy is None:
+        if pair is not None and light is None and heavy is None:
             light, heavy = Isotope.pair(pair)
         light = light or Isotope.H
         heavy = heavy or Isotope.D

@@ -106,7 +106,6 @@ class ClassificationReport:
     prefactor_below_limit: bool
     outside_bell_low: bool
     outside_bell_high: bool
-    referenced_limits: dict
 
     @property
     def kim_kreevoy_flags(self) -> tuple[bool, bool, bool]:
@@ -270,7 +269,6 @@ def classify(
         prefactor_below_limit=a_ratio < kk["a_ratio_hd_max"],
         outside_bell_low=a_ratio < lo,
         outside_bell_high=a_ratio > hi,
-        referenced_limits=limits,
     )
 
 

@@ -55,7 +55,8 @@ class BarrierSystem:
     isotope-scaled frequencies ``omega0`` and ``omegab`` are derived
     from the checked fields once, on construction; they are
     not dataclass fields, so equality, hashing, ``repr`` and
-    ``dataclasses.replace`` see only the four fields.
+    ``dataclasses.replace`` see only the four fields:
+    ``replace(system, isotope=Isotope.D)`` is the same barrier for D.
     """
 
     omega0_H: float
@@ -68,9 +69,6 @@ class BarrierSystem:
         _check_fields(self, "barrier_kJ_per_mol")
         object.__setattr__(self, "omega0", units._isotope_scaled(self.omega0_H, self.isotope))
         object.__setattr__(self, "omegab", units._isotope_scaled(self.omegab_H, self.isotope))
-
-    def with_isotope(self, isotope: Isotope) -> "BarrierSystem":
-        return BarrierSystem(self.omega0_H, self.omegab_H, self.barrier_kJ_per_mol, isotope)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import units
-from .errors import DivergentIntegralError, DomainError, _check_fields, _float_or_array, _require_param, _scipy
+from .errors import DivergentIntegralError, DomainError, _check_fields, _require_param, _scipy
 
 __all__ = [
     "FrictionModel",
@@ -34,8 +34,6 @@ __all__ = [
     "DebyeDielectricFriction",
     "LinearProteinFriction",
     "ChromophoreEstimate",
-    "debye_dielectric",
-    "cavity_friction",
     "effective_curvature",
     "kernel_upper_bound",
     "chromophore_estimate",
@@ -278,12 +276,13 @@ class DebyeDielectricFriction(FrictionModel):
             object.__setattr__(self, name, value)
 
     def epsilon(self, omega):
-        """Complex dielectric function at omega (cm^-1, angular sense).
+        """Complex dielectric function at omega (cm^-1, angular sense), a
+        scalar or an array, checked as ``friction_spectrum`` checks it.
 
         The sign convention makes Im eps >= 0 for omega >= 0, as required
         for a dissipative medium.
         """
-        w = _float_or_array(omega)
+        w = _require_param("omega", omega)
         return self.eps_inf + sum(de / (1.0 - b * w * w - 1j * a * w) for de, a, b in self._terms)
 
     def _spectrum(self, w, clip=None):
@@ -429,9 +428,12 @@ def friction_model_from_json(obj: dict) -> FrictionModel:
         raise DomainError("friction model JSON needs a 'kind' key") from None
     try:
         cls = _KINDS[kind]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: a kind that cannot be a key
         raise DomainError(f"unknown friction model kind {kind!r}") from None
-    return cls(**{k: v for k, v in obj.items() if k != "kind"})
+    try:
+        return cls(**{k: v for k, v in obj.items() if k != "kind"})
+    except TypeError as exc:  # a field unknown, missing or of the wrong shape
+        raise DomainError(f"bad fields for friction model kind {kind!r}: {exc}") from None
 
 
 def effective_curvature(model: FrictionModel, mass: float = 1.0) -> float:
@@ -501,16 +503,3 @@ def chromophore_estimate(
         K_e=mass * z_star_sq,
         bound_scale=math.sqrt(z_star_sq),
     )
-
-
-def debye_dielectric(model: DebyeDielectricFriction, omega: float) -> complex:
-    """Complex solvent dielectric function at omega >= 0 (cm^-1; scalar or array)."""
-    _require_param("omega", omega)
-    return model.epsilon(omega)
-
-
-def cavity_friction(model: DebyeDielectricFriction, omega: float) -> float:
-    """Dielectric cavity friction spectrum Re gamma(omega) in cm^-1, for
-    omega > 0 (cm^-1; scalar or array)."""
-    _require_param("omega", omega, positive=True)
-    return model.friction_spectrum(omega)

@@ -14,11 +14,10 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass
 
-from .errors import DomainError, UnitCompatibilityError, _require_param
+from .errors import DomainError, _require_param
 
-__all__ = ["Unit", "Quantity", "convert", "Isotope", "isotope_frequency"]
+__all__ = ["Isotope", "isotope_frequency"]
 
 # CODATA 2018 (SI). Single source of truth.
 PLANCK_J_S = 6.62607015e-34
@@ -56,50 +55,6 @@ ACTION_HBAR_FACTOR = (
 )
 
 
-class Unit(enum.Enum):
-    WAVENUMBER = "cm^-1"
-    KELVIN = "K"
-    KJ_PER_MOL = "kJ/mol"
-    RAD_PER_S = "rad/s"
-    PICOSECOND = "ps"
-    DEBYE = "D"
-
-
-# Factors into the canonical frequency unit (cm^-1) for the energy-like
-# family. Energy <-> frequency <-> temperature conversions go through
-# hbar, kB and hc*N_A; time and dipole units do not mix with them.
-_ENERGY_FAMILY_TO_CM1 = {
-    Unit.WAVENUMBER: 1.0,
-    Unit.KELVIN: 1.0 / CM1_TO_K,
-    Unit.KJ_PER_MOL: 1.0 / CM1_TO_KJ_PER_MOL,
-    Unit.RAD_PER_S: 1.0 / CM1_TO_RAD_PER_S,
-}
-
-
-@dataclass(frozen=True)
-class Quantity:
-    """A value with one of the six supported units."""
-
-    value: float
-    unit: Unit
-
-
-def convert(q: Quantity, target: Unit) -> Quantity:
-    """Convert ``q`` to ``target``, or raise ``UnitCompatibilityError``.
-
-    Pure function; round-trips are identities to better than 1e-12
-    relative.
-    """
-    if q.unit is target:
-        return Quantity(q.value, target)
-    try:
-        to_cm1 = _ENERGY_FAMILY_TO_CM1[q.unit]
-        from_cm1 = _ENERGY_FAMILY_TO_CM1[target]
-    except KeyError:
-        raise UnitCompatibilityError(q.unit, target) from None
-    return Quantity(q.value * to_cm1 / from_cm1, target)
-
-
 class Isotope(enum.Enum):
     """Hydrogen isotope labels with their unitless mass numbers."""
 
@@ -122,8 +77,8 @@ class Isotope(enum.Enum):
     def pair(cls, text: str) -> tuple["Isotope", "Isotope"]:
         """(light, heavy) from "H:D", "H/D" or "HD", in any case, with
         whitespace around the labels; which pairs it allows is the caller's
-        rule."""
-        m = re.fullmatch(r"\s*(\w)\s*[:/]?\s*(\w)\s*", text)
+        rule. Anything but a string raises ``DomainError``, as a bad string does."""
+        m = re.fullmatch(r"\s*(\w)\s*[:/]?\s*(\w)\s*", text) if isinstance(text, str) else None
         if m is None:
             raise DomainError(f"cannot parse isotope pair {text!r}; expected e.g. H:D, H/D or HD")
         return cls.from_label(m[1]), cls.from_label(m[2])

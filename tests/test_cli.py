@@ -455,6 +455,16 @@ def test_fit_bad_sidecar_is_config_error(sidecar, tmp_path, capsys):
     assert "kie.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pair", [5, ["H", "D"], 0, [], ""], ids=["number", "list", "zero", "empty-list", "empty"])
+def test_fit_sidecar_pair_that_cannot_be_read_is_config_error(pair, tmp_path, capsys):
+    data = tmp_path / "kie.csv"
+    data.write_text("T_K,kie\n280,20.5\n300,15.2\n320,12.0\n")
+    (tmp_path / "kie.json").write_text(json.dumps({"pair": pair}))
+    assert run(["fit", "--input", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert "isotope pair" in err and err.count("\n") == 1
+
+
 def test_fit_sigma_missing_in_one_row_is_config_error(tmp_path, capsys):
     data = tmp_path / "kie.csv"
     data.write_text("T_K,kie,sigma\n280,20.5,1.0\n300,15.2,\n320,12.0,0.6\n")
@@ -621,13 +631,24 @@ def test_domain_error_exit_code():
                 "--pair", "T:T"]) == 3
 
 
-@pytest.mark.parametrize("gamma", ['"abc"', "[1.0, [2.0]]"], ids=["text", "ragged"])
-def test_friction_parameter_numpy_cannot_read_is_domain_error(gamma, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "friction,message",
+    [
+        ('{"kind": "ohmic", "gamma": "abc"}', "gamma must be a number"),
+        ('{"kind": "ohmic", "gamma": [1.0, [2.0]]}', "gamma must be a number"),
+        ('{"kind": "drude", "gamma": 1, "bogus": 2}', "kind 'drude'"),
+        ('{"kind": "drude"}', "kind 'drude'"),
+        ('{"kind": ["drude"]}', "kind ['drude']"),
+    ],
+    ids=["text", "ragged", "unknown-key", "missing-fields", "unhashable-kind"],
+)
+def test_friction_parameter_numpy_cannot_read_is_domain_error(friction, message, tmp_path, capsys):
     out = tmp_path / "rate.csv"
     rc = run(["rate", "--omega0", "3000", "--omegab", "1000", "--barrier", "40",
-              "--friction", f'{{"kind": "ohmic", "gamma": {gamma}}}', "--output", str(out)])
+              "--friction", friction, "--output", str(out)])
     assert rc == 3
-    assert "gamma must be a number" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -291,13 +291,13 @@ def test_barrier_frequencies_are_isotope_scaled_once(iso):
     assert set(asdict(system)) == {"omega0_H", "omegab_H", "barrier_kJ_per_mol", "isotope"}
     with pytest.raises(FrozenInstanceError):
         system.omega0 = 1.0
-    # replace and with_isotope construct anew, so both frequencies follow
+    # replace constructs anew, so both frequencies follow, the isotope included
     moved = replace(system, omega0_H=2800.0, omegab_H=900.0)
     assert (moved.omega0, moved.omegab) == (
         units.isotope_frequency(2800.0, iso), units.isotope_frequency(900.0, iso)
     )
     for other in Isotope:
-        swapped = system.with_isotope(other)
+        swapped = replace(system, isotope=other)
         assert swapped == BarrierSystem(3000.0, 1000.0, 40.0, other)
         assert (swapped.omega0, swapped.omegab) == (
             units.isotope_frequency(3000.0, other), units.isotope_frequency(1000.0, other)

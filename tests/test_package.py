@@ -91,6 +91,37 @@ def test_the_statement_guard_sees_function_bodies():
     assert sorted(_scipy_import_statements(ast.parse(source))) == [2, 6]
 
 
+def _unused_imports(tree):
+    # (line, name) of each name an import statement binds, anywhere in the
+    # module, that no name in the module reads; `from __future__` binds none
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.name)
+def test_every_module_uses_what_it_imports(path):
+    # __init__ imports to re-export; every other module imports to use
+    unused = _unused_imports(ast.parse(path.read_text(), str(path)))
+    assert not unused, f"{path.name}: unused import(s) (line, name): {unused}"
+
+
+def test_the_unused_import_guard_sees_an_unused_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\nimport json as js\nfrom .errors import DomainError, _scipy\n"
+        "def f():\n    import math\n    return os.path.join(_scipy)\n"
+    )
+    assert _unused_imports(ast.parse(source)) == [(3, "js"), (4, "DomainError"), (6, "math")]
+
+
 def test_the_import_guard_sees_nested_imports():
     source = (
         "if True:\n    import scipy.special\n"

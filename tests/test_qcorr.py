@@ -1,6 +1,7 @@
 import math
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -299,7 +300,7 @@ def test_quantum_rate_solves_mu_once(monkeypatch):
 def test_isotope_ordering_of_correction():
     vals = {}
     for iso in (Isotope.H, Isotope.D, Isotope.T):
-        vals[iso] = correction_product(SYSTEM.with_isotope(iso), None, 300.0).c_qm
+        vals[iso] = correction_product(replace(SYSTEM, isotope=iso), None, 300.0).c_qm
     assert vals[Isotope.H] >= vals[Isotope.D] >= vals[Isotope.T] >= 1.0
 
 
@@ -398,7 +399,7 @@ def test_semiclassical_rate_prefactor_when_barrier_equals_zero_point():
 def test_semiclassical_isotope_ratio_algebraic_oracle():
     T = 300.0
     rH = semiclassical_rate(SYSTEM, T).rate_per_s
-    rD = semiclassical_rate(SYSTEM.with_isotope(Isotope.D), T).rate_per_s
+    rD = semiclassical_rate(replace(SYSTEM, isotope=Isotope.D), T).rate_per_s
     assert rH / rD == pytest.approx(8.2238622106632665, rel=1e-10)
 
 

@@ -11,9 +11,7 @@ from qtst import (
     LinearProteinFriction,
     OhmicFriction,
     PeakedFriction,
-    cavity_friction,
     chromophore_estimate,
-    debye_dielectric,
     effective_curvature,
     friction_model_from_json,
     kernel_upper_bound,
@@ -383,10 +381,10 @@ def test_kernel_never_exceeds_bound(model):
 
 def test_dielectric_static_and_high_frequency_limits():
     m = DebyeDielectricFriction(cavity_radius=3.0)
-    eps0 = debye_dielectric(m, 0.0)
+    eps0 = m.epsilon(0.0)
     assert eps0.real == pytest.approx(m.eps_inf + 76.82, rel=1e-12)
     assert eps0.imag == 0.0
-    eps_hi = debye_dielectric(m, 1e7)
+    eps_hi = m.epsilon(1e7)
     assert eps_hi.real == pytest.approx(m.eps_inf, abs=1e-3)
 
 
@@ -396,7 +394,7 @@ def test_debye_term_half_height_at_inverse_tau():
         cavity_radius=3.0, delta_eps=(71.5, 0.0, 0.0, 0.0), tau_ps=(8.3, 1.0, 0.1, 0.025)
     )
     omega_cm1 = 1.0 / (units.CM1_TO_RAD_PER_S * 1e-12 * 8.3)
-    eps = debye_dielectric(m, omega_cm1)
+    eps = m.epsilon(omega_cm1)
     assert eps.real - m.eps_inf == pytest.approx(71.5 / 2.0, rel=1e-12)
     assert eps.imag == pytest.approx(71.5 / 2.0, rel=1e-12)
 
@@ -404,22 +402,22 @@ def test_debye_term_half_height_at_inverse_tau():
 def test_dielectric_loss_positive_and_of_expected_size():
     m = DebyeDielectricFriction(cavity_radius=3.0)
     for w in np.geomspace(0.01, 3000.0, 60):
-        assert debye_dielectric(m, float(w)).imag >= 0.0
+        assert m.epsilon(float(w)).imag >= 0.0
     # the measured loss near 100 cm^-1 is about 2
-    assert debye_dielectric(m, 100.0).imag == pytest.approx(1.91, abs=0.4)
+    assert m.epsilon(100.0).imag == pytest.approx(1.91, abs=0.4)
 
 
 def test_cavity_friction_lossless_solvent_gives_zero():
     m = DebyeDielectricFriction(
         cavity_radius=3.0, delta_eps=(0.0, 0.0, 0.0, 0.0), eps_inf=78.4
     )
-    assert cavity_friction(m, 100.0) == 0.0
+    assert m.friction_spectrum(100.0) == 0.0
 
 
 def test_cavity_friction_radius_scaling():
     small = DebyeDielectricFriction(cavity_radius=2.0)
     big = DebyeDielectricFriction(cavity_radius=4.0)
-    assert cavity_friction(big, 100.0) == pytest.approx(cavity_friction(small, 100.0) / 8.0, rel=1e-12)
+    assert big.friction_spectrum(100.0) == pytest.approx(small.friction_spectrum(100.0) / 8.0, rel=1e-12)
 
 
 def test_cavity_friction_spot_value_vs_independent_oracle():
@@ -437,7 +435,7 @@ def test_cavity_friction_spot_value_vs_independent_oracle():
     )
     rad_s_per_cm1 = 2.0 * math.pi * 2.99792458e10
     expected = pref * loss / (w * rad_s_per_cm1) / rad_s_per_cm1
-    assert cavity_friction(m, w) == pytest.approx(expected, rel=1e-10)
+    assert m.friction_spectrum(w) == pytest.approx(expected, rel=1e-10)
 
 
 def test_dielectric_array_calls_match_scalar_calls():
@@ -455,24 +453,28 @@ def test_dielectric_spectrum_zero_frequency_limit():
     # Im eps ~ omega as omega -> 0, so Re gamma has a finite limit at 0,
     # reached with a relative error of order (omega*tau)^2
     m = DebyeDielectricFriction(cavity_radius=3.0, eps_c=2.0)
-    assert m.friction_spectrum(0.0) == pytest.approx(cavity_friction(m, 1e-6), rel=1e-9)
+    assert m.friction_spectrum(0.0) == pytest.approx(m.friction_spectrum(1e-6), rel=1e-9)
     assert np.isfinite(m.friction_spectrum(np.array([0.0, 1.0]))).all()
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        lambda m: debye_dielectric(m, math.nan),
-        lambda m: debye_dielectric(m, math.inf),
-        lambda m: debye_dielectric(m, [1.0, math.nan]),
-        lambda m: cavity_friction(m, math.nan),
-        lambda m: cavity_friction(m, math.inf),
-        lambda m: cavity_friction(m, [1.0, 0.0]),
+        lambda m: m.epsilon(math.nan),
+        lambda m: m.epsilon(math.inf),
+        lambda m: m.epsilon(-math.inf),
+        lambda m: m.epsilon(-1.0),
+        lambda m: m.epsilon([1.0, math.nan]),
+        lambda m: m.epsilon(np.array([0.0, -1.0])),
+        lambda m: m.friction_spectrum(math.nan),
+        lambda m: m.friction_spectrum(math.inf),
+        lambda m: m.friction_spectrum([1.0, -1.0]),
         lambda m: effective_curvature(m, mass=math.nan),
         lambda m: effective_curvature(m, mass=math.inf),
     ],
-    ids=["dielectric-nan", "dielectric-inf", "dielectric-list-nan", "cavity-nan", "cavity-inf",
-         "cavity-list-zero", "curvature-mass-nan", "curvature-mass-inf"],
+    ids=["dielectric-nan", "dielectric-inf", "dielectric-minus-inf", "dielectric-negative",
+         "dielectric-list-nan", "dielectric-array-negative", "cavity-nan", "cavity-inf",
+         "cavity-list-negative", "curvature-mass-nan", "curvature-mass-inf"],
 )
 def test_dielectric_helpers_reject_non_finite_input(call):
     with pytest.raises(DomainError):
@@ -482,13 +484,13 @@ def test_dielectric_helpers_reject_non_finite_input(call):
 def test_debye_dielectric_takes_a_list():
     m = DebyeDielectricFriction(cavity_radius=3.0)
     w = [0.0, 10.0, 100.0]
-    np.testing.assert_array_equal(debye_dielectric(m, w), m.epsilon(np.array(w)))
+    np.testing.assert_array_equal(m.epsilon(w), m.epsilon(np.array(w)))
 
 
 def test_cavity_friction_takes_a_list():
     m = DebyeDielectricFriction(cavity_radius=3.0)
     w = [1.0, 10.0, 100.0]
-    np.testing.assert_array_equal(cavity_friction(m, w), m.friction_spectrum(np.array(w)))
+    np.testing.assert_array_equal(m.friction_spectrum(w), m.friction_spectrum(np.array(w)))
 
 
 def test_effective_curvature_takes_an_array_of_masses():
@@ -501,8 +503,6 @@ def test_effective_curvature_takes_an_array_of_masses():
 def test_cavity_friction_rejects_bad_radius():
     with pytest.raises(DomainError):
         DebyeDielectricFriction(cavity_radius=-1.0)
-    with pytest.raises(DomainError):
-        cavity_friction(DebyeDielectricFriction(cavity_radius=3.0), 0.0)
 
 
 # ------------------------------------------------- chromophore estimates
