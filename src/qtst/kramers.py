@@ -132,7 +132,11 @@ def solve_effective_frequency(omegab: float, model: Optional[FrictionModel]) -> 
     finds it on [1e-12*omega_b, omega_b]. A subclass of ``PeakedFriction``
     that overrides the kernel may admit several roots: a 10,000-point scan
     locates every sign change, Brent's method solves each, the largest
-    root is returned and a warning is issued. The scan calls the kernel
+    root is returned and a warning is issued. The scan is keyed on that
+    class, not on the kernel: any other model, a plain ``FrictionModel``
+    subclass with the same kernel included, takes Brent's method on the
+    whole interval, which returns one root, not necessarily the largest,
+    and gives no warning. The scan calls the kernel
     once per grid point, in order, and evaluates the mismatch on the grid
     as one array expression whose every element equals the scalar
     mismatch bit for bit. Every z lies in the bracket

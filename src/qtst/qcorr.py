@@ -47,11 +47,8 @@ __all__ = [
     "matsubara_frequency",
     "correction_product",
     "correction_closed",
-    "wigner_rate",
-    "semiclassical_rate",
     "correction_crossover",
     "kappa_parameter",
-    "equilibrium_condition",
     "weak_friction_margin",
     "quantum_rate",
 ]
@@ -207,10 +204,10 @@ def _log_closed(omega0, omegab, T):
     for T above T0 = crossover_temperature(omegab).
 
     Each argument may be a scalar or an array, and arrays broadcast. The
-    one home of the closed form; ``correction_closed``, ``wigner_rate``,
-    the KIE and the fit's screen all use it. Since sin(pi*T0/T) =
-    sin(pi*(T - T0)/T), the sine takes the smaller argument: T - T0 keeps
-    precision next to T0, and the direct argument is exact far above it.
+    one home of the closed form; ``correction_closed``, the KIE and the
+    fit's screen all use it. Since sin(pi*T0/T) = sin(pi*(T - T0)/T), the
+    sine takes the smaller argument: T - T0 keeps precision next to T0,
+    and the direct argument is exact far above it.
     All-scalar input is evaluated with ``math``, which is several times
     faster than numpy on one number.
     """
@@ -229,15 +226,6 @@ def _log_closed(omega0, omegab, T):
     return xp.log(omegab / omega0) + _log_sinh(x0, xp) - xp.log(sin_xb)
 
 
-def _require_above_crossover(omegab: float, T: float) -> float:
-    # the closed form diverges as T -> T0+, so T within 1e-9 of T0 is rejected
-    _require_param("temperature", T, positive=True)
-    T0 = _crossover_temperature(omegab)
-    if T <= T0 * (1.0 + 1e-9):
-        raise BelowCrossoverError(T, T0)
-    return T0
-
-
 def correction_closed(omega0: float, omegab: float, T: float) -> float:
     """Zero-friction closed form (omega_b/omega_0) sinh(x0)/sin(xb).
 
@@ -248,52 +236,11 @@ def correction_closed(omega0: float, omegab: float, T: float) -> float:
     """
     _require_param("omega0", omega0, positive=True)
     _require_param("omegab", omegab, positive=True)
-    _require_above_crossover(omegab, T)
-    return _exp_of_log("c_closed", _log_closed(omega0, omegab, T))
-
-
-def wigner_rate(system: BarrierSystem, T: float) -> RateResult:
-    """Frictionless quantum rate (omega_b/4pi) sinh/sin exp(-E_b/kB T).
-
-    Provided as a standalone diagnostic; it differs from the normative
-    classical-rate-times-product form by a factor of 2 in the prefactor
-    convention (see ``quantum_rate``). A log rate, in cm^-1 or in 1/s,
-    above 709.78, where the rate overflows a double, raises ``DomainError``.
-    """
-    omega0, omegab = system.omega0, system.omegab
-    T0 = _require_above_crossover(omegab, T)
-    beta_e = system.barrier_kJ_per_mol / (units.KB_KJ_PER_MOL_K * T)
-    log_rate_cm1 = math.log(omega0 / (4.0 * math.pi)) + _log_closed(omega0, omegab, T) - beta_e
-    rate_cm1 = _exp_of_log("rate_cm1", log_rate_cm1)
-    # rate_per_s, CM1_TO_RAD_PER_S (about 1.9e11) times rate_cm1, overflows first
-    _exp_of_log("rate_per_s", log_rate_cm1 + math.log(units.CM1_TO_RAD_PER_S))
-    regime = "near_crossover" if T < 1.1 * T0 else "qtst"
-    return RateResult(
-        T_K=T,
-        rate_cm1=rate_cm1,
-        rate_per_s=rate_cm1 * units.CM1_TO_RAD_PER_S,
-        c_qm=math.nan,
-        mu_cm1=omegab,
-        T0_K=T0,
-        regime=regime,
-    )
-
-
-def semiclassical_rate(system: BarrierSystem, T: float) -> RateResult:
-    """Zero-point-corrected activated rate (kB T/h) exp(-(E_b - hbar w0/2)/kB T)."""
     _require_param("temperature", T, positive=True)
-    zero_point = 0.5 * system.omega0 * units.CM1_TO_KJ_PER_MOL
-    exponent = -(system.barrier_kJ_per_mol - zero_point) / (units.KB_KJ_PER_MOL_K * T)
-    rate_s = units.KB_OVER_H_PER_S_K * T * math.exp(exponent)
-    return RateResult(
-        T_K=T,
-        rate_cm1=rate_s / units.CM1_TO_RAD_PER_S,
-        rate_per_s=rate_s,
-        c_qm=math.nan,
-        mu_cm1=system.omegab,
-        T0_K=_crossover_temperature(system.omegab),
-        regime="classical",
-    )
+    T0 = _crossover_temperature(omegab)
+    if T <= T0 * (1.0 + 1e-9):
+        raise BelowCrossoverError(T, T0)
+    return _exp_of_log("c_closed", _log_closed(omega0, omegab, T))
 
 
 def _scaled_sine_ratio(s: float) -> float:
@@ -368,33 +315,6 @@ def kappa_parameter(
     return CrossoverParams(kappa=kappa, B=B, c3=c3, c4=c4, T0_K=T0)
 
 
-def equilibrium_condition(
-    system: BarrierSystem, model: Optional[FrictionModel], T: float
-) -> tuple[bool, float]:
-    """Check gamma_hat(mu)/omega_b > kB T / E_b (well stays thermalised).
-
-    Returns (satisfied, margin) with margin the ratio of the two sides;
-    very weak friction with a low barrier invalidates the equilibrium
-    assumption behind the rate expressions.
-    """
-    _require_param("temperature", T, positive=True)
-    if system.barrier_kJ_per_mol == 0:
-        raise DomainError("equilibrium condition is undefined for a zero barrier")
-    return _equilibrium(system, model, effective_barrier_frequency(system, model), T)
-
-
-def _equilibrium(
-    system: BarrierSystem, model: Optional[FrictionModel], barrier: EffectiveBarrier, T: float
-) -> tuple[bool, float]:
-    # the equilibrium check for a barrier already solved, at a validated T
-    # and a nonzero barrier height
-    if model is None:
-        return False, 0.0
-    rhs = units.KB_KJ_PER_MOL_K * T / system.barrier_kJ_per_mol
-    lhs = _kernel_body(model)(barrier.mu_cm1) / system.omegab
-    return lhs > rhs, lhs / rhs
-
-
 def weak_friction_margin(model: Optional[FrictionModel], T: float) -> float:
     """Largest gamma_hat(n nu)/(n nu) over the thermal frequencies.
 
@@ -416,23 +336,38 @@ def quantum_rate(
 ) -> RateResult:
     """Quantum-corrected rate: classical Kramers rate times c_qm.
 
-    This product form is the normative rate output; ``wigner_rate`` is a
-    frictionless diagnostic differing by a factor-2 prefactor convention.
-    The effective frequency mu is solved once and shared by the product,
-    the classical rate and the equilibrium check.
+    The one quantum rate; with ``model=None`` it is the frictionless rate
+    (omega_0/2pi) (omega_b/omega_0) sinh(x0)/sin(xb) exp(-E_b/kB T), up to
+    the product's ``term_tol``. The effective frequency mu is solved once
+    and shared by the product, the classical rate and the equilibrium
+    check gamma_hat(mu)/omega_b > kB T/E_b (the well stays thermalised):
+    ``equilibrium_ok`` says whether it holds and ``equilibrium_margin`` is
+    the ratio of its two sides. Both are False and 0.0 with no friction,
+    and None at a zero barrier, where the check is undefined. A rate in
+    1/s that overflows a double raises ``DomainError``, as a log c_qm above
+    709.78 does.
     """
     _require_param("temperature", T, positive=True)
     _require_param("term_tol", term_tol, positive=True)
     barrier = effective_barrier_frequency(system, model)
     corr = _product(system, model, T, barrier, term_tol)
     base = _classical_rate(system, barrier, T)
+    rate_per_s = base.rate_per_s * corr.c_qm
+    # rate_per_s, CM1_TO_RAD_PER_S (about 1.9e11) times rate_cm1, overflows first
+    if math.isinf(rate_per_s):
+        log_rate = math.log(base.rate_per_s) + math.log(corr.c_qm)
+        raise DomainError(f"rate_per_s overflows a double: log rate_per_s = {log_rate:.6g}")
     eq_ok = eq_margin = None
     if system.barrier_kJ_per_mol > 0:
-        eq_ok, eq_margin = _equilibrium(system, model, barrier, T)
+        eq_ok, eq_margin = False, 0.0
+        if model is not None:
+            rhs = units.KB_KJ_PER_MOL_K * T / system.barrier_kJ_per_mol
+            lhs = _kernel_body(model)(barrier.mu_cm1) / system.omegab
+            eq_ok, eq_margin = lhs > rhs, lhs / rhs
     return RateResult(
         T_K=T,
         rate_cm1=base.rate_cm1 * corr.c_qm,
-        rate_per_s=base.rate_per_s * corr.c_qm,
+        rate_per_s=rate_per_s,
         c_qm=corr.c_qm,
         mu_cm1=base.mu_cm1,
         T0_K=base.T0_K,

@@ -37,7 +37,6 @@ CM1_TO_J = PLANCK_J_S * SPEED_OF_LIGHT_M_S * 100.0  # hbar * omega for 1 cm^-1
 CM1_TO_KJ_PER_MOL = CM1_TO_J * AVOGADRO_PER_MOL / 1000.0  # 0.0119627
 CM1_TO_K = CM1_TO_J / BOLTZMANN_J_K  # 1.4387769 K cm
 KB_KJ_PER_MOL_K = BOLTZMANN_J_K * AVOGADRO_PER_MOL / 1000.0
-KB_OVER_H_PER_S_K = BOLTZMANN_J_K / PLANCK_J_S
 
 # Crossover temperature per unit effective barrier frequency:
 # T0 = hbar*mu/(2*pi*kB) = CROSSOVER_K_PER_CM1 * mu[cm^-1]
@@ -68,10 +67,15 @@ class Isotope(enum.Enum):
 
     @classmethod
     def from_label(cls, label: str) -> "Isotope":
+        """The isotope named "H", "D" or "T", in any case, with whitespace
+        around it. Anything but a string raises ``DomainError``, as a bad
+        string does."""
         try:
-            return cls[label.strip().upper()]
+            if isinstance(label, str):
+                return cls[label.strip().upper()]
         except KeyError:
-            raise DomainError(f"unknown isotope label {label!r}; expected H, D or T") from None
+            pass
+        raise DomainError(f"unknown isotope label {label!r}; expected H, D or T")
 
     @classmethod
     def pair(cls, text: str) -> tuple["Isotope", "Isotope"]:

@@ -17,6 +17,14 @@ Matsubara frequency barely change c_qm. It compares the product with the
 first-order shift -K*sum_n a/(D_n (D_n + a)), summed in the test, to a
 relative error of 2*omega_slow/nu_1, and counts the cases where that bound
 says something.
+
+Criterion 14 checks another: the friction of the environment is weak and
+only slightly modifies the rate. At 300 K, for omega_b from 800 to 1100
+cm^-1, the protein bath lowers the rate by 5.2 to 7.7% and moves k_H/k_D
+by at most 3.0%; water in a 3 A cavity lowers the rate by 24 to 30% and
+moves k_H/k_D by at most 11.3%. The bounds are 10% and 5% for the protein,
+1/3 and 15% for water. Every case must move the rate by more than 1%, and
+the water claim fails for cavities below 2.85 A.
 """
 
 import math
@@ -27,9 +35,11 @@ import pytest
 
 from qtst import (
     BarrierSystem,
+    DebyeDielectricFriction,
     DrudeFriction,
     Isotope,
     KIEDataset,
+    LinearProteinFriction,
     OhmicFriction,
     ParabolicBarrier,
     PeakedFriction,
@@ -43,11 +53,14 @@ from qtst import (
     fit_kie,
     kernel_upper_bound,
     kie_qtst,
+    quantum_rate,
     swain_schaad,
     transmission,
     wkb_action,
 )
 from qtst.kie import load_barrier_frequencies, load_dataset_csv
+
+from oracles import mu_scan
 
 PASS = "[PASS]"
 
@@ -311,3 +324,56 @@ def test_criterion_13_slow_baths_barely_change_c_qm():
     assert informative == len(cases) == 11
     report(13, f"slow Drude and Peaked baths shift log c_qm by -K*sum a/(D_n(D_n+a)) "
                f"to within 2*omega_slow/nu_1 (worst {worst:.2f} of the bound)")
+
+
+def test_criterion_14_environmental_friction_barely_changes_the_rate():
+    # The abstract: the friction due to the environment is weak and only
+    # slightly modifies the rate. With friction the rate is the frictionless
+    # one times mu/omega_b (the classical factor, here from the dense mu
+    # scan) times c_qm/c_qm,0. The frictionless KIE is written out:
+    #   k_H/k_D = omega_b,H sinh(x0,H) sin(xb,D) / (omega_b,D sinh(x0,D) sin(xb,H))
+    # with x = h c omega/(2 kB T) and the isotope frequencies omega_H/sqrt(m).
+    h, c_cm, kB = 6.62607015e-34, 2.99792458e10, 1.380649e-23
+    T, omega0 = 300.0, 3000.0
+
+    def closed_factor(omegab_H, m):
+        w0, wb = omega0 / math.sqrt(m), omegab_H / math.sqrt(m)
+        return wb * math.sinh(h * c_cm * w0 / (2 * kB * T)) / math.sin(h * c_cm * wb / (2 * kB * T))
+
+    def rate_ratio(model, omegab):
+        system = BarrierSystem(omega0, omegab, 40.0)
+        return quantum_rate(system, model, T).rate_per_s / quantum_rate(system, None, T).rate_per_s
+
+    omegabs = np.linspace(800.0, 1100.0, 7).tolist()
+    baths = [("protein", LinearProteinFriction(), 0.10, 0.05),
+             ("water 3 A", DebyeDielectricFriction(cavity_radius=3.0), 1.0 / 3.0, 0.15)]
+    moved, lines = 0, []
+    for name, model, rate_bound, kie_bound in baths:
+        changes, kie_devs = [], []
+        for omegab in omegabs:
+            system_H = BarrierSystem(omega0, omegab, 40.0)
+            system_D = BarrierSystem(omega0, omegab, 40.0, Isotope.D)
+            k0 = quantum_rate(system_H, None, T)
+            k = quantum_rate(system_H, model, T)
+            classical = mu_scan(omegab, model) / omegab
+            ratio = classical * k.c_qm / k0.c_qm
+            assert k.rate_per_s / k0.rate_per_s == pytest.approx(ratio, rel=1e-12), (name, omegab)
+            kie_0 = closed_factor(omegab, 1.0) / closed_factor(omegab, 2.0)
+            assert kie_qtst(omega0, omegab, T).ratio == pytest.approx(kie_0, rel=1e-12)
+            kie = k.rate_per_s / quantum_rate(system_D, model, T).rate_per_s
+            changes.append(1.0 - ratio)
+            kie_devs.append(abs(kie / kie_0 - 1.0))
+            assert 0.0 < 1.0 - ratio < rate_bound, (name, omegab, ratio)
+            assert kie_devs[-1] < kie_bound, (name, omegab, kie, kie_0)
+            # not vacuous: the bath moves the rate by more than 1%
+            moved += 1.0 - ratio > 0.01
+        lines.append(f"{name} lowers the rate by {min(changes):.1%} to {max(changes):.1%} "
+                     f"(bound {rate_bound:.0%}), k_H/k_D within {max(kie_devs):.1%} (bound {kie_bound:.0%})")
+    assert moved == 2 * len(omegabs) == 14
+    # where the claim fails: the water rate falls by more than 1/3 at some
+    # omega_b below a cavity radius of 2.85 A, and a 1.5 A cavity is strong
+    # friction, mu/omega_b = 0.20 at 1000 cm^-1
+    assert min(rate_ratio(DebyeDielectricFriction(cavity_radius=2.85), w) for w in omegabs) > 2.0 / 3.0
+    assert min(rate_ratio(DebyeDielectricFriction(cavity_radius=2.8), w) for w in omegabs) < 2.0 / 3.0
+    assert mu_scan(1000.0, DebyeDielectricFriction(cavity_radius=1.5)) / 1000.0 == pytest.approx(0.20, abs=0.01)
+    report(14, "; ".join(lines) + "; the water claim fails below a 2.85 A cavity")

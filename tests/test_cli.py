@@ -631,6 +631,17 @@ def test_domain_error_exit_code():
                 "--pair", "T:T"]) == 3
 
 
+def test_rate_that_overflows_a_double_is_a_domain_error(tmp_path, capsys):
+    # at 5.1 K c_qm and the rate in cm^-1 are finite, the rate in 1/s is not
+    out = tmp_path / "rate.csv"
+    rc = run(["rate", "--omega0", "5000", "--omegab", "20", "--barrier", "0",
+              "--tmin", "5.1", "--tmax", "7.5", "--points", "3", "--output", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "rate_per_s overflows a double" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "friction,message",
     [

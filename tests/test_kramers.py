@@ -8,6 +8,7 @@ import pytest
 from qtst import (
     BarrierSystem,
     DrudeFriction,
+    FrictionModel,
     Isotope,
     LinearProteinFriction,
     OhmicFriction,
@@ -178,6 +179,33 @@ def test_peaked_subclass_with_its_own_kernel_body_takes_the_scan():
         assert (mu, residual) == mu_scan_float64(1000.0, GaussianBump(1000.0, 40.0, 900.0))
     with pytest.raises(DomainError):
         model.laplace_kernel(0.0)
+
+
+@dataclass(frozen=True)
+class PlainBump(FrictionModel):
+    # GaussianBump's kernel on a plain FrictionModel subclass
+    gamma_r: float
+    width: float
+    omega_r: float
+    calls: list = field(default_factory=list, compare=False, repr=False)
+    laplace_kernel = GaussianBump.laplace_kernel
+
+
+def test_plain_subclass_with_a_multi_root_kernel_takes_brent_without_a_warning():
+    # the scan is keyed on the PeakedFriction class, not on the kernel: the
+    # same three-root kernel on a FrictionModel subclass takes Brent's method
+    # on the whole interval, a few kernel calls and no warning
+    model = PlainBump(1000.0, 40.0, 900.0)
+    with warnings.catch_warnings(record=True) as got:
+        warnings.simplefilter("always")
+        mu, residual = solve_effective_frequency(1000.0, model)
+    assert got == []
+    assert 0 < len(model.calls) < 100
+    assert residual <= 1e-10 * 1000.0
+    # here Brent's method lands on the largest of the three roots
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert mu == pytest.approx(mu_scan_float64(1000.0, GaussianBump(1000.0, 40.0, 900.0))[0], abs=1e-9)
 
 
 @dataclass(frozen=True)

@@ -21,13 +21,10 @@ from qtst import (
     correction_product,
     crossover_temperature,
     effective_barrier_frequency,
-    equilibrium_condition,
     kappa_parameter,
     matsubara_frequency,
     quantum_rate,
-    semiclassical_rate,
     weak_friction_margin,
-    wigner_rate,
 )
 from qtst import kramers, units
 from qtst.errors import BelowCrossoverError, DomainError
@@ -319,18 +316,27 @@ def test_correction_always_exceeds_unity(omega0, omegab, gamma_frac):
 
 
 # -------------------------------------------------------------- rates
+# The Wigner rate is the frictionless quantum rate, quantum_rate(system,
+# None, T): the closed form times the Boltzmann factor, with the classical
+# prefactor omega_0/(2 pi).
+
+# SI constants for the oracles below
+H_J_S, KB_J_K, C_CM_S, NA_PER_MOL = 6.62607015e-34, 1.380649e-23, 2.99792458e10, 6.02214076e23
+KB_KJ_PER_MOL_K = KB_J_K * NA_PER_MOL / 1000.0
 
 
 def test_wigner_rate_spot_value_frozen_oracle():
-    r = wigner_rate(SYSTEM, 300.0)
-    assert r.rate_per_s == pytest.approx(1599469170.1195802, rel=1e-11)
-    assert r.rate_cm1 == pytest.approx(0.008491321844648368, rel=1e-11)
+    # twice the value frozen for the omega_0/(4 pi) prefactor, to the
+    # product's term_tol
+    r = quantum_rate(SYSTEM, None, 300.0)
+    assert r.rate_per_s == pytest.approx(2.0 * 1599469170.1195802, rel=1e-9)
+    assert r.rate_cm1 == pytest.approx(2.0 * 0.008491321844648368, rel=1e-9)
 
 
 @pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf])
 def test_wigner_rate_rejects_non_finite_temperature(T):
     with pytest.raises(DomainError):
-        wigner_rate(SYSTEM, T)
+        quantum_rate(SYSTEM, None, T)
 
 
 @pytest.mark.parametrize("T", [math.nan, math.inf])
@@ -340,11 +346,9 @@ def test_wigner_rate_rejects_non_finite_temperature(T):
         lambda T: matsubara_frequency(1, T),
         lambda T: correction_product(SYSTEM, None, T),
         lambda T: quantum_rate(SYSTEM, DrudeFriction(100.0, 100.0), T),
-        lambda T: semiclassical_rate(SYSTEM, T),
         lambda T: correction_crossover(SYSTEM, T, 10.0),
-        lambda T: equilibrium_condition(SYSTEM, DrudeFriction(100.0, 100.0), T),
     ],
-    ids=["matsubara", "product", "quantum_rate", "semiclassical", "crossover", "equilibrium"],
+    ids=["matsubara", "product", "quantum_rate", "crossover"],
 )
 def test_non_finite_temperature_fails_fast(call, T):
     # NaN passes every `T <= 0` test, so each entry point must reject it itself
@@ -353,54 +357,39 @@ def test_non_finite_temperature_fails_fast(call, T):
 
 
 def test_wigner_rate_is_closed_form_times_boltzmann_factor():
-    # rate = omega_0/(4 pi) * correction_closed * exp(-E_b/kB T)
-    kb_kj = 1.380649e-23 * 6.02214076e23 / 1000.0
+    # rate = omega_0/(2 pi) * (omega_b/omega_0) sinh(x0)/sin(xb) * exp(-E_b/kB T),
+    # x = h c omega/(2 kB T), to the product's term_tol
     for system in (SYSTEM, BarrierSystem(1500.0, 400.0, 25.0, Isotope.D)):
         t0 = crossover_temperature(system.omegab)
         for T in t0 * np.geomspace(1.001, 20.0, 12):
             T = float(T)
+            x0, xb = (H_J_S * C_CM_S * w / (2.0 * KB_J_K * T) for w in (system.omega0, system.omegab))
             expected = (
-                system.omega0 / (4.0 * math.pi)
-                * correction_closed(system.omega0, system.omegab, T)
-                * math.exp(-system.barrier_kJ_per_mol / (kb_kj * T))
+                system.omega0 / (2.0 * math.pi)
+                * (system.omegab / system.omega0) * math.sinh(x0) / math.sin(xb)
+                * math.exp(-system.barrier_kJ_per_mol / (KB_KJ_PER_MOL_K * T))
             )
-            assert wigner_rate(system, T).rate_cm1 == pytest.approx(expected, rel=1e-13)
+            assert quantum_rate(system, None, T).rate_cm1 == pytest.approx(expected, rel=1e-9)
 
 
 def test_wigner_rate_vanishes_with_huge_barrier():
-    r = wigner_rate(BarrierSystem(3000.0, 1000.0, 4000.0), 300.0)
+    r = quantum_rate(BarrierSystem(3000.0, 1000.0, 4000.0), None, 300.0)
     assert r.rate_per_s == 0.0
 
 
 def test_semiclassical_limit_in_the_wigner_regime():
-    # hbar*omega_b << 2 kB T << hbar*omega_0: the normative product-form
-    # rate reduces to the semiclassical expression within the expansion
-    # error; the omega_b/(4 pi) diagnostic sits at exactly half of it
-    # (the documented factor-2 prefactor convention).
+    # hbar*omega_b << 2 kB T << hbar*omega_0: the frictionless rate reduces
+    # to the semiclassical (kB T/h) exp(-(E_b - hbar omega_0/2)/kB T) within
+    # the expansion error
     system = BarrierSystem(12000.0, 50.0, 40.0)
     T = 300.0
     xb = 1.4387768775 * 50.0 / (2 * T)
     x0 = 1.4387768775 * 12000.0 / (2 * T)
     budget = xb * xb / 6.0 + math.exp(-2 * x0) + 1e-9
-    ratio = quantum_rate(system, None, T).rate_per_s / semiclassical_rate(system, T).rate_per_s
+    zero_point = 0.5 * H_J_S * C_CM_S * 12000.0 * NA_PER_MOL / 1000.0  # kJ/mol
+    semiclassical = KB_J_K * T / H_J_S * math.exp(-(40.0 - zero_point) / (KB_KJ_PER_MOL_K * T))
+    ratio = quantum_rate(system, None, T).rate_per_s / semiclassical
     assert abs(ratio - 1.0) <= 2.0 * budget
-    half = wigner_rate(system, T).rate_per_s / semiclassical_rate(system, T).rate_per_s
-    assert abs(2.0 * half - 1.0) <= 2.0 * budget
-
-
-def test_semiclassical_rate_prefactor_when_barrier_equals_zero_point():
-    zero_point = 0.5 * 3000.0 * 0.011962656563869701
-    system = BarrierSystem(3000.0, 1000.0, zero_point)
-    r = semiclassical_rate(system, 300.0)
-    assert r.rate_per_s == pytest.approx(1.380649e-23 / 6.62607015e-34 * 300.0, rel=1e-12)
-    assert semiclassical_rate(system, 600.0).rate_per_s == pytest.approx(2 * r.rate_per_s, rel=1e-12)
-
-
-def test_semiclassical_isotope_ratio_algebraic_oracle():
-    T = 300.0
-    rH = semiclassical_rate(SYSTEM, T).rate_per_s
-    rD = semiclassical_rate(replace(SYSTEM, isotope=Isotope.D), T).rate_per_s
-    assert rH / rD == pytest.approx(8.2238622106632665, rel=1e-10)
 
 
 def test_quantum_rate_is_classical_times_correction():
@@ -414,9 +403,16 @@ def test_quantum_rate_is_classical_times_correction():
 
 
 def test_quantum_rate_frictionless_is_twice_wigner():
-    # the product form carries omega_0/(2 pi) instead of omega_b/(4 pi)
-    r = quantum_rate(SYSTEM, None, 300.0)
-    assert r.rate_per_s == pytest.approx(2.0 * wigner_rate(SYSTEM, 300.0).rate_per_s, rel=1e-9)
+    # the product form carries omega_0/(2 pi); the Wigner rate written out
+    # with the omega_0/(4 pi) prefactor sits at exactly half of it
+    T = 300.0
+    wigner = (
+        SYSTEM.omega0 / (4.0 * math.pi)
+        * correction_closed(SYSTEM.omega0, SYSTEM.omegab, T)
+        * math.exp(-SYSTEM.barrier_kJ_per_mol / (KB_KJ_PER_MOL_K * T))
+    )
+    r = quantum_rate(SYSTEM, None, T)
+    assert r.rate_cm1 == pytest.approx(2.0 * wigner, rel=1e-9)
 
 
 def test_quantum_rate_approaches_classical_far_above_crossover():
@@ -466,19 +462,20 @@ def test_closed_form_overflow_is_a_domain_error_naming_the_log():
 
 
 def test_wigner_rate_overflow_is_a_domain_error_naming_the_log():
-    with pytest.raises(DomainError, match="log rate_cm1"):
-        wigner_rate(CLOSED_OVERFLOW_SYSTEM, 5.0)
-    assert math.isfinite(wigner_rate(CLOSED_OVERFLOW_SYSTEM, 7.5).rate_cm1)
+    # at 5 K the product's log, about 715, overflows first
+    with pytest.raises(DomainError, match="log c_qm"):
+        quantum_rate(CLOSED_OVERFLOW_SYSTEM, None, 5.0)
+    assert math.isfinite(quantum_rate(CLOSED_OVERFLOW_SYSTEM, None, 7.5).rate_cm1)
 
 
 def test_wigner_rate_per_second_overflow_is_a_domain_error():
-    # at 5.1 K rate_cm1 = 5.0e306 is finite, but rate_per_s, 1.9e11 times
-    # larger, is not
+    # at 5.1 K c_qm and rate_cm1 = 1.0e307 are finite, but rate_per_s, 1.9e11
+    # times larger, is not
     with pytest.raises(DomainError, match="log rate_per_s"):
-        wigner_rate(CLOSED_OVERFLOW_SYSTEM, 5.1)
-    r = wigner_rate(CLOSED_OVERFLOW_SYSTEM, 7.5)
+        quantum_rate(CLOSED_OVERFLOW_SYSTEM, None, 5.1)
+    r = quantum_rate(CLOSED_OVERFLOW_SYSTEM, None, 7.5)
     assert math.isfinite(r.rate_per_s)
-    assert r.rate_per_s == r.rate_cm1 * units.CM1_TO_RAD_PER_S
+    assert r.rate_per_s == pytest.approx(r.rate_cm1 * units.CM1_TO_RAD_PER_S, rel=1e-15)
 
 
 def test_crossover_prefactor_overflow_is_a_domain_error():
@@ -587,27 +584,26 @@ def test_kappa_rejects_nonpositive_B():
 
 
 def test_equilibrium_condition_frictionless_false():
-    ok, margin = equilibrium_condition(SYSTEM, None, 300.0)
-    assert ok is False and margin == 0.0
+    r = quantum_rate(SYSTEM, None, 300.0)
+    assert r.equilibrium_ok is False and r.equilibrium_margin == 0.0
 
 
 def test_equilibrium_condition_huge_barrier_true():
     system = BarrierSystem(3000.0, 1000.0, 4.0e4)
-    ok, _ = equilibrium_condition(system, OhmicFriction(1.0), 300.0)
-    assert ok is True
+    assert quantum_rate(system, OhmicFriction(1.0), 300.0).equilibrium_ok is True
 
 
 def test_equilibrium_condition_hand_evaluated_margin():
-    model = OhmicFriction(100.0)  # 0.1 * omega_b
-    ok, margin = equilibrium_condition(SYSTEM, model, 300.0)
-    kb = 1.380649e-23 * 6.02214076e23 / 1000.0
-    assert margin == pytest.approx((100.0 / 1000.0) / (kb * 300.0 / 40.0), rel=1e-10)
-    assert ok is (margin > 1.0)
+    # gamma_hat(mu)/omega_b against kB T/E_b
+    r = quantum_rate(SYSTEM, OhmicFriction(100.0), 300.0)  # 0.1 * omega_b
+    assert r.equilibrium_margin == pytest.approx((100.0 / 1000.0) / (KB_KJ_PER_MOL_K * 300.0 / 40.0), rel=1e-10)
+    assert r.equilibrium_ok is (r.equilibrium_margin > 1.0)
 
 
-def test_equilibrium_condition_zero_barrier_rejected():
-    with pytest.raises(DomainError):
-        equilibrium_condition(BarrierSystem(3000.0, 1000.0, 0.0), None, 300.0)
+def test_equilibrium_condition_is_undefined_at_a_zero_barrier():
+    for model in (None, OhmicFriction(100.0)):
+        r = quantum_rate(BarrierSystem(3000.0, 1000.0, 0.0), model, 300.0)
+        assert r.equilibrium_ok is None and r.equilibrium_margin is None
 
 
 def test_weak_friction_margin():

@@ -42,8 +42,9 @@ def test_isotope_mass_numbers_fixed():
     assert Isotope.D.mass_number == 2.0
     assert Isotope.T.mass_number == 3.0
     assert Isotope.from_label("d") is Isotope.D
-    with pytest.raises(DomainError):
-        Isotope.from_label("X")
+    for label in ("X", 5, None):
+        with pytest.raises(DomainError):
+            Isotope.from_label(label)
 
 
 @pytest.mark.parametrize("text", ["H:D", "h/d", "HD", " H : D ", "H/D", "hd"])
