@@ -9,7 +9,10 @@ The package exports exactly the names in its modules' ``__all__`` lists.
 """
 
 # Every scipy module is reached through errors._scipy, which imports it on
-# first use, so `import qtst` and the closed-form paths load no scipy.
+# first use, so `import qtst`, the closed forms, every friction kernel and
+# every mu solve (Brent's method, errors._brent) load no scipy. The fit loads
+# scipy.optimize, the crossover-regularised correction scipy.special (erfcx)
+# and WKB scipy.integrate, and scipy.interpolate for a tabulated potential.
 from . import errors, fit, kie, kramers, qcorr, spectral, units, wkb
 from .errors import *  # noqa: F403
 from .fit import *  # noqa: F403

@@ -8,6 +8,7 @@ import csv
 import functools
 import importlib
 import math
+import sys
 
 import numpy as np
 
@@ -68,12 +69,77 @@ def _scipy(module: str):
     return importlib.import_module(f"scipy.{module}")
 
 
+# brentq's settings: relative tolerance 4 eps and at most 100 iterations
+_RTOL = 4.0 * sys.float_info.epsilon
+_MAXITER = 100
+
+
+def _f_checked(f, x: float) -> float:
+    # f(x) as a float; NaN raises as scipy's brentq raises it
+    fx = float(f(x))
+    if fx != fx:
+        raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+    return fx
+
+
+def _brentq(f, xpre: float, xcur: float, xtol: float, maxiter: int = _MAXITER) -> float:
+    # A step-for-step port of scipy's C brentq (scipy/optimize/Zeros/brentq.c,
+    # scipy 1.17) with its Python wrapper's NaN check and scipy's error texts:
+    # ValueError for no sign change or a NaN, RuntimeError for no convergence.
+    # Where C divides by zero in a trial step it gets inf or nan, fails the
+    # step test and bisects; a ZeroDivisionError here bisects too. The tests
+    # keep scipy's brentq as the oracle, identical by float.hex.
+    xpre, xcur = float(xpre), float(xcur)
+    fpre, fcur = _f_checked(f, xpre), _f_checked(f, xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre < 0.0 < fcur or fcur < 0.0 < fpre:
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        bisect = True
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                bisect = not 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta)
+            except ZeroDivisionError:
+                pass
+        if bisect:
+            spre = scur = sbis
+        else:  # a good short step
+            spre, scur = scur, stry
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = _f_checked(f, xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
 def _brent(f, lo: float, hi: float, xtol: float = 1e-300, what: str = "effective-frequency equation") -> float:
-    # brentq's root of f in [lo, hi], to relative machine precision at the
-    # default xtol; scipy's no-sign-change ValueError and no-convergence
-    # RuntimeError become a SolverConvergenceError, f's own QtstError passes
+    # the root of f in [lo, hi] by Brent's method, to relative machine
+    # precision at the default xtol; no sign change, a NaN and no convergence
+    # become a SolverConvergenceError with the bracket, f's own QtstError passes
     try:
-        return _scipy("optimize").brentq(f, lo, hi, xtol=xtol)
+        return _brentq(f, lo, hi, xtol)
     except QtstError:
         raise
     except (ValueError, RuntimeError) as exc:

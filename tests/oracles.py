@@ -16,6 +16,9 @@ as a least-squares polish from every configured start, with no screen;
 the whole omega0 x omegab x T lattice.
 ``PchipTable`` and ``wkb_action_pchip`` are the tabulated potential and its
 action with scipy's ``PchipInterpolator`` called at every point.
+``brentq`` is scipy's Brent's method, which the library's own port
+(``errors._brentq``) must match bit for bit, and ``fg_sici`` is the
+linear-protein kernel's f and g from scipy's ``sici``.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 from scipy import integrate, optimize
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import least_squares
-from scipy.special import polygamma
+from scipy.special import polygamma, sici
 
 from qtst import (
     CorrectionResult,
@@ -194,6 +197,21 @@ def product_richardson(system, model, T, N=2**18):
     s2 = math.fsum([s1, math.fsum(logs[N : 2 * N])])
     s4 = math.fsum([s2, math.fsum(logs[2 * N :])])
     return (8.0 * s4 - 6.0 * s2 + s1) / 3.0
+
+
+def brentq(f, lo: float, hi: float, xtol: float = 1e-300, maxiter: int = 100) -> float:
+    """scipy's brentq at the library's settings: rtol 4 eps, at most 100
+    iterations and, by default, the xtol of every mu solve."""
+    return optimize.brentq(f, lo, hi, xtol=xtol, maxiter=maxiter)
+
+
+def fg_sici(x):
+    """f(x) = Ci sin x + (pi/2 - Si) cos x and g(x) = (pi/2 - Si) sin x -
+    Ci cos x from scipy's sici; it cancels in pi/2 - Si and in g, so its
+    relative error grows like x^2 * 1e-16."""
+    si, ci = sici(x)
+    s, c, a = np.sin(x), np.cos(x), math.pi / 2.0 - si
+    return ci * s + a * c, a * s - ci * c
 
 
 def mu_scan(omegab: float, model, points: int = 10_000) -> float:

@@ -133,28 +133,50 @@ def test_the_import_guard_sees_nested_imports():
     assert list(_scipy_imports_run_at_import(ast.parse(source))) == [2, 4, 8]
 
 
-_LOADED_AFTER = """
+_RUN_CLI = """
 import contextlib, io, json, sys
 import qtst.cli
 argv = json.loads(sys.argv[1])
 if argv:
     with contextlib.redirect_stdout(io.StringIO()):
         assert qtst.cli.main(argv) == 0
+"""
+
+# a Peaked, a Debye and a linear-protein mu solve, and a linear-protein rate
+_RUN_SOLVES = """
+import qtst
+for model in (qtst.PeakedFriction(200.0, 150.0, 600.0), qtst.DebyeDielectricFriction(3.0),
+              qtst.LinearProteinFriction()):
+    qtst.solve_effective_frequency(1000.0, model)
+qtst.quantum_rate(qtst.BarrierSystem(3000.0, 1000.0, 40.0), qtst.LinearProteinFriction(), 300.0)
+"""
+
+_REPORT = """
+import json, sys
 print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
 """
 
 
-def _scipy_modules_after(argv):
-    """The scipy modules in sys.modules after a fresh interpreter imports
-    qtst.cli and, for a non-empty argv, runs qtst.cli.main(argv)."""
+def _scipy_modules_after(code, *args):
+    """The scipy modules in sys.modules after a fresh interpreter runs code,
+    with args as sys.argv[1:]."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _LOADED_AFTER, json.dumps(argv)],
+        [sys.executable, "-c", code + _REPORT, *args],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def _scipy_modules_after_cli(argv):
+    """The scipy modules loaded after a fresh interpreter imports qtst.cli
+    and, for a non-empty argv, runs qtst.cli.main(argv)."""
+    return _scipy_modules_after(_RUN_CLI, json.dumps(argv))
+
+
+LINEAR_PROTEIN = json.dumps({"kind": "linear_protein"})
 
 
 @pytest.mark.parametrize(
@@ -167,16 +189,25 @@ def _scipy_modules_after(argv):
         ["classify", "--kie", "81", "--a-ratio", "0.1", "--delta-e", "5"],
         ["rate", "--omega0", "3000", "--omegab", "1000", "--barrier", "40"],
         ["swain-schaad", "--kh", "81", "--kd", "3.85", "--kt", "1"],
+        ["rate", "--omega0", "3000", "--omegab", "1000", "--barrier", "40", "--gamma", "100", "--omega-d", "300"],
+        ["rate", "--omega0", "3000", "--omegab", "1000", "--barrier", "40", "--friction", LINEAR_PROTEIN],
+        ["crossover", "--omegab", "1000"],
+        ["spectral", "--friction", LINEAR_PROTEIN],
     ],
-    ids=["import", "kie-predict", "correction", "classify", "rate", "swain-schaad"],
+    ids=["import", "kie-predict", "correction", "classify", "rate", "swain-schaad",
+         "rate-drude", "rate-linear-protein", "crossover", "spectral-linear-protein"],
 )
 def test_closed_form_commands_load_no_heavy_scipy_module(argv):
-    assert not _scipy_modules_after(argv) & set(HEAVY_SCIPY)
+    # the closed forms, every mu solve (Brent's method in Python) and every
+    # kernel load none; the fit, erfcx and WKB integrals do
+    assert not _scipy_modules_after_cli(argv) & set(HEAVY_SCIPY)
 
 
-def test_a_mu_solve_loads_scipy_optimize():
-    # the check above can see a loaded module: a damped rate needs Brent's method
-    loaded = _scipy_modules_after(
-        ["rate", "--omega0", "3000", "--omegab", "1000", "--barrier", "40", "--gamma", "100", "--omega-d", "300"]
-    )
+def test_mu_solves_and_a_linear_protein_rate_load_no_scipy_module():
+    assert _scipy_modules_after(_RUN_SOLVES) == set()
+
+
+def test_a_fit_loads_scipy_optimize():
+    # the checks above can see a loaded module: the fit's least squares is scipy's
+    loaded = _scipy_modules_after_cli(["fit", "--input", "fig4"])
     assert "scipy.optimize" in loaded

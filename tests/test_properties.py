@@ -1,5 +1,6 @@
 """Property tests: closed-form kernels, solvers, turning points and the KIE
-fit against the slow oracles.
+fit against the slow oracles, and the library's Brent's method against
+scipy's.
 
 Parameters are drawn from the physical boxes the models are used in; each
 property runs on about 50 examples, a fit property on about 20.
@@ -37,9 +38,11 @@ from qtst import (
 )
 from qtst.fit import _SCREEN_STEPS, _lattice_axis, _local_minima, _screen
 from qtst.kie import load_dataset_csv
-from qtst.kramers import classical_kie, solve_effective_frequency
+from qtst.kramers import _mu_mismatch, classical_kie, solve_effective_frequency
+from qtst.spectral import _kernel_body
 
 from oracles import (
+    brentq,
     drude_mu_cubic,
     fit_multistart,
     mu_scan,
@@ -407,3 +410,30 @@ def test_turning_points_match_the_closed_forms(pot, frac):
     tol = 1e-12 * max(hi - lo, abs(lo), abs(hi))
     x1, x2 = turning_points(pot, E)
     assert abs(x1 + exact) <= tol and abs(x2 - exact) <= tol, (x1, x2, exact, tol)
+
+
+# ------------------------------------------------ Brent's method against scipy
+
+# a few examples each: every one runs two full root solves
+BRENT = settings(max_examples=30, deadline=None, derandomize=True)
+
+
+@BRENT
+@given(model=builtin_models, omegab=barrier_frequencies)
+def test_mu_solve_is_scipys_brentq_bit_for_bit(model, omegab):
+    kernel = _kernel_body(model)
+    expect = brentq(lambda mu: _mu_mismatch(mu, omegab, kernel), 1e-12 * omegab, omegab)
+    assert solve_effective_frequency(omegab, model)[0].hex() == expect.hex()
+
+
+@BRENT
+@given(pot=st.one_of(st.builds(EckartBarrier, V0=st.floats(1.0, 100.0), width=st.floats(0.1, 2.0), mass=masses),
+                     st.builds(CubicBarrier, omega_0=st.floats(200.0, 3000.0), E_b=st.floats(1.0, 100.0),
+                               mass=masses),
+                     barrier_tables()),
+       frac=energy_fractions)
+def test_turning_points_are_scipys_brentq_bit_for_bit(pot, frac):
+    E = frac * pot.barrier_height
+    expect = [brentq(lambda x: pot.energy(x) - E, lo, hi, xtol=1e-12 * max(hi - lo, abs(lo), abs(hi)))
+              for lo, hi in pot.brackets(E)]
+    assert [x.hex() for x in turning_points(pot, E)] == [x.hex() for x in expect]

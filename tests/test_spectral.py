@@ -18,8 +18,9 @@ from qtst import (
 )
 from qtst.errors import DivergentIntegralError, DomainError
 from qtst import units
+from qtst.spectral import _FEW, _auxiliary_fg, _fg_laguerre, _fg_power, _fg_series
 
-from oracles import quadrature_kernel
+from oracles import fg_sici, quadrature_kernel
 
 ALL_FINITE_KE_MODELS = [
     DrudeFriction(gamma=100.0, omega_d=100.0),
@@ -30,7 +31,8 @@ ALL_FINITE_KE_MODELS = [
 ]
 
 # every built-in kernel, and the bound on the four with a finite K_e; Linear
-# protein's z reaches both sides of its sici/series switch (z = 18,000)
+# protein's z reaches all three pieces of its f and g, whose switches lie at
+# z = 4 and 45 times the cutoff (1,600 and 18,000)
 KERNELS = [m.laplace_kernel for m in ALL_FINITE_KE_MODELS + [OhmicFriction(50.0)]] + [
     lambda z, m=m: kernel_upper_bound(m, z) for m in ALL_FINITE_KE_MODELS
 ]
@@ -337,12 +339,48 @@ def test_effective_curvature_vs_trapezoid_oracle(model):
     assert effective_curvature(model) == pytest.approx(2.0 / math.pi * integral, rel=1e-6)
 
 
-def test_linear_kernel_series_and_sici_forms_agree_at_switch():
-    from qtst.spectral import _SERIES_FROM, _fg_series, _fg_sici
+# x = z/cutoff: 4,000 seeded log-uniform points on (1e-10, 1e5], both sides
+# of both switches, and the switches
+FG_X = np.concatenate((10.0 ** np.random.default_rng(4).uniform(-10.0, 5.0, 4000),
+                       np.nextafter([4.0, 45.0], 0.0), [4.0, 45.0, 1e5]))
 
-    x = np.array([_SERIES_FROM])
-    for near, far in zip(_fg_sici(x), _fg_series(x)):
-        np.testing.assert_allclose(far, near, rtol=1e-13, atol=0.0)
+
+def test_linear_kernel_f_and_g_match_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    f, g = _auxiliary_fg(FG_X)
+    with mpmath.workdps(30):
+        for x, fx, gx in zip(FG_X.tolist(), f.tolist(), g.tolist()):
+            X = mpmath.mpf(x)
+            a, ci = mpmath.pi / 2 - mpmath.si(X), mpmath.ci(X)
+            s, c = mpmath.sin(X), mpmath.cos(X)
+            assert fx == pytest.approx(float(ci * s + a * c), rel=2e-13, abs=0.0), x
+            assert gx == pytest.approx(float(a * s - ci * c), rel=2e-13, abs=0.0), x
+
+
+def test_linear_kernel_f_and_g_match_the_sici_form_below_45():
+    x = FG_X[FG_X < 45.0]
+    for ours, oracle in zip(_auxiliary_fg(x), fg_sici(x)):
+        np.testing.assert_allclose(ours, oracle, rtol=5e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("below, above, x, rtol", [
+    # g from the 40-node quadrature is 1.14e-13 below mpmath's at x = 4,
+    # the power series 2e-14 above it
+    (_fg_power, _fg_laguerre, 4.0, (1e-13, 2e-13)),
+    (_fg_laguerre, _fg_series, 45.0, (1e-13, 1e-13)),
+], ids=["4", "45"])
+def test_linear_kernel_pieces_agree_at_each_switch(below, above, x, rtol):
+    for near, far, tol in zip(below(x), above(x), rtol):
+        assert far == pytest.approx(near, rel=tol, abs=0.0)
+
+
+def test_linear_kernel_array_with_few_points_in_each_piece_equals_its_scalar_calls():
+    # a piece with at most _FEW points of an array runs them one float at a
+    # time, a larger one as an array
+    m = LinearProteinFriction()
+    for n in (1, _FEW, _FEW + 1):
+        z = np.concatenate([np.geomspace(lo, hi, n) for lo, hi in ((1.0, 1599.0), (1600.0, 17_999.0), (18_000.0, 1e7))])
+        assert m.laplace_kernel(z).tolist() == [m.laplace_kernel(v) for v in z.tolist()]
 
 
 def test_linear_kernel_within_bound_at_large_z():
