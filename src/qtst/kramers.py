@@ -93,7 +93,7 @@ class RateResult:
     c_qm: float
     mu_cm1: float
     T0_K: float
-    regime: str  # classical | qtst | near_crossover | below_T0
+    regime: str  # classical | qtst | near_crossover (quantum_rate raises at or below T0)
     equilibrium_ok: Optional[bool] = None
     equilibrium_margin: Optional[float] = None
     terms_used: Optional[int] = None

@@ -79,7 +79,7 @@ class CorrectionResult:
     """Quantum correction factor with bookkeeping for reproducibility."""
 
     c_qm: float
-    regime: str  # high_T | near_crossover | invalid_below_T0
+    regime: str  # high_T | near_crossover (the product raises at or below T0)
     terms_used: int
     tail_estimate: float
 

@@ -322,15 +322,16 @@ class DebyeDielectricFriction(FrictionModel):
 
 
 
-# _auxiliary_fg in three pieces, each by one fixed sequence of float
-# operations, so a scalar call equals the array element bit for bit. Below
-# x = 4, 18 terms of the power series of Si(x)/x and of (Ci(x) - gamma -
-# ln x)/x^2 in x^2 reach double precision. From 4 to 45, f and g come from
-# g - i f = int_0^inf e^-t/(t + i x) dt by 40-node Gauss-Laguerre quadrature.
-# From 45 on, 14 terms of the asymptotic series reach double precision.
-# Against mpmath the pieces are about 1e-14 relative off in f and 1e-13 in g.
+# _auxiliary_fg in two pieces, each by one fixed sequence of float
+# operations, so a scalar call equals the array element bit for bit. It
+# gives f and h = x g, which both tend to 1/x. Below x = 4, 16 terms of the
+# power series of Si(x)/x and of (Ci(x) - gamma - ln x)/x^2 in x^2 reach
+# double precision. From 4 on, f and h come from
+# g - i f = int_0^inf e^-t/(t + i x) dt by 40-node Gauss-Laguerre
+# quadrature, written in u = 1/x so that no step overflows for any finite x.
+# Against mpmath the pieces are at most 7e-15 relative off in f and 2.5e-14
+# in h (4,000 points on (1e-10, 1e5]).
 _POWER_BELOW = 4.0
-_SERIES_FROM = 45.0
 # a piece with this many points or fewer in an array runs them one float at
 # a time: array operations cost a few microseconds each, whatever the size
 _FEW = 4
@@ -339,92 +340,73 @@ _EULER_GAMMA = 0.5772156649015329
 # four series in x^4, half as many Horner steps): per power of x^4, highest
 # first, the coefficients of Si even, Si odd, Cin even and Cin odd, where
 # Si(x)/x = Si even + x^2 Si odd and (Ci(x) - gamma - ln x)/x^2 = Cin even +
-# x^2 Cin odd
-_SI = [(-1) ** k / ((2 * k + 1) * math.factorial(2 * k + 1)) for k in range(18)]
-_CIN = [(-1) ** (k + 1) / ((2 * k + 2) * math.factorial(2 * k + 2)) for k in range(18)]
-_POWER = np.array([_SI[0::2], _SI[1::2], _CIN[0::2], _CIN[1::2]]).T[::-1].copy()
-_POWER_ROWS = tuple(map(tuple, _POWER.tolist()))
-# the 40 Gauss-Laguerre nodes squared and the weights of the sums for f/x
-# and for g, the two sums side by side, tabulated once, at import
+# x^2 Cin odd; each power's four as a column, to broadcast over an array
+_SI = [(-1) ** k / ((2 * k + 1) * math.factorial(2 * k + 1)) for k in range(16)]
+_CIN = [(-1) ** (k + 1) / ((2 * k + 2) * math.factorial(2 * k + 2)) for k in range(16)]
+_POWER = np.array([_SI[0::2], _SI[1::2], _CIN[0::2], _CIN[1::2]]).T[::-1, :, None].copy()
+_POWER_ROWS = tuple(map(tuple, _POWER[..., 0].tolist()))
+# the weights of the sums for f and for h over the 40 Gauss-Laguerre nodes,
+# the two sums side by side, tabulated once, at import. Each set sums to 1,
+# as int e^-t dt and int t e^-t dt do (numpy scales the first; laggauss's
+# nodes leave the second 9e-14 short, which h would carry). A term
+# w/(1 + t^2 u^2) is taken as (w/t^2)/(u^2 + 1/t^2), one add and one
+# division per node, so the weights are stored divided by t^2
 _t, _w = np.polynomial.laguerre.laggauss(40)
-_LAGUERRE_T2 = np.concatenate((_t * _t, _t * _t))
-_LAGUERRE_W = np.concatenate((_w, _w * _t))
+_LAGUERRE_IT2 = np.concatenate((1.0 / (_t * _t),) * 2)
+_LAGUERRE_W = np.concatenate((_w, _w * _t / np.sum(_w * _t))) * _LAGUERRE_IT2
 _HALVES = np.array([0, 40])
-# coefficients of the series of f x and g x^2 in 1/x^2, highest power first
-_SERIES = np.array([((-1) ** k * math.factorial(2 * k), (-1) ** k * math.factorial(2 * k + 1))
-                    for k in range(13, -1, -1)], dtype=float)
-_SERIES_ROWS = tuple(map(tuple, _SERIES.tolist()))
-
-
-def _horner(coefs, r):
-    # the series whose coefficients are the columns of coefs (highest power
-    # first) at the points r, all at once: Horner's rule on the series side
-    # by side in one array, the operations a float runs on each; one row per
-    # series
-    n = len(r)
-    r = np.concatenate((r,) * coefs.shape[1])
-    coefs = np.repeat(coefs, n, axis=1)
-    p = coefs[0] * r + coefs[1]
-    for c in coefs[2:]:
-        p = p * r + c
-    return p.reshape(-1, n)
 
 
 def _fg_power(x):
-    # f = Ci sin x + (pi/2 - Si) cos x and g = (pi/2 - Si) sin x - Ci cos x,
-    # with Si and Ci from their power series
+    # f = Ci sin x + (pi/2 - Si) cos x and h = x ((pi/2 - Si) sin x - Ci cos x),
+    # with Si and Ci from their power series, by Horner's rule in x^4: an
+    # array runs the float's operations on the four series side by side
     r = x * x
+    r2 = r * r
     if isinstance(x, np.ndarray):
-        se, so, ce, co = _horner(_POWER, r * r)
+        p = np.zeros((4, x.size))
+        for column in _POWER:
+            p *= r2
+            p += column
+        se, so, ce, co = p
         ln, s, c = np.log(x), np.sin(x), np.cos(x)
     else:
-        r2, se, so, ce, co = r * r, 0.0, 0.0, 0.0, 0.0
+        se = so = ce = co = 0.0
         for kse, kso, kce, kco in _POWER_ROWS:
             se, so, ce, co = se * r2 + kse, so * r2 + kso, ce * r2 + kce, co * r2 + kco
         ln, s, c = float(np.log(x)), float(np.sin(x)), float(np.cos(x))
     ci = _EULER_GAMMA + ln + (ce + co * r) * r
     a = math.pi / 2.0 - (se + so * r) * x
-    return ci * s + a * c, a * s - ci * c
+    return ci * s + a * c, (a * s - ci * c) * x
 
 
 def _fg_laguerre(x):
-    # f = x sum w/(t^2 + x^2) and g = sum w t/(t^2 + x^2), each sum over the
-    # 40 nodes one segment of np.add.reduceat, for a float as for an array
+    # f = u sum w/(1 + t^2 u^2) and h = u sum w t/(1 + t^2 u^2) with u = 1/x,
+    # each sum over the 40 nodes one segment of np.add.reduceat, for a float
+    # as for an array
+    u = 1.0 / x
     if isinstance(x, np.ndarray):
-        q = _LAGUERRE_W / ((x * x)[:, None] + _LAGUERRE_T2)
-        sf, sg = np.add.reduceat(q.ravel(), np.arange(0, q.size, 40)).reshape(-1, 2).T
+        q = _LAGUERRE_W / ((u * u)[:, None] + _LAGUERRE_IT2)
+        sf, sh = np.add.reduceat(q.ravel(), np.arange(0, q.size, 40)).reshape(-1, 2).T
     else:
-        sf, sg = np.add.reduceat(_LAGUERRE_W / (x * x + _LAGUERRE_T2), _HALVES).tolist()
-    return x * sf, sg
-
-
-def _fg_series(x):
-    # f ~ sum (-1)^k (2k)!/x^(2k+1),  g ~ sum (-1)^k (2k+1)!/x^(2k+2), by Horner
-    r = 1.0 / (x * x)
-    if isinstance(x, np.ndarray):
-        f, g = _horner(_SERIES, r)
-    else:
-        f = g = 0.0
-        for cf, cg in _SERIES_ROWS:
-            f, g = f * r + cf, g * r + cg
-    return f / x, g * r
+        sf, sh = np.add.reduceat(_LAGUERRE_W / (u * u + _LAGUERRE_IT2), _HALVES).tolist()
+    return u * sf, u * sh
 
 
 def _auxiliary_fg(x):
-    # the auxiliary functions f and g of LinearProteinFriction._kernel at
-    # x > 0, a float or an array; each piece runs on its own points only
+    # the auxiliary function f of LinearProteinFriction._kernel and h = x g
+    # at x > 0, a float or an array; each piece runs on its own points only
     if not isinstance(x, np.ndarray):
-        piece = _fg_power if x < _POWER_BELOW else _fg_laguerre if x < _SERIES_FROM else _fg_series
-        return piece(x)
-    f, g = np.empty_like(x), np.empty_like(x)
-    low, high = x < _POWER_BELOW, x >= _SERIES_FROM
-    for piece, on in ((_fg_power, low), (_fg_laguerre, ~(low | high)), (_fg_series, high)):
+        return (_fg_power if x < _POWER_BELOW else _fg_laguerre)(x)
+    f, h = np.empty_like(x), np.empty_like(x)
+    low = x < _POWER_BELOW
+    for piece, on in ((_fg_power, low), (_fg_laguerre, ~low)):
         n = np.count_nonzero(on)
         if n > _FEW:
-            f[on], g[on] = piece(x[on])
+            f[on], h[on] = piece(x[on])
         elif n:
-            f[on], g[on] = np.array([piece(v) for v in x[on].tolist()]).T
-    return f, g
+            f[on], h[on] = np.array([piece(v) for v in x[on].tolist()]).T
+    return f, h
 
 
 @dataclass(frozen=True)
@@ -462,9 +444,10 @@ class LinearProteinFriction(FrictionModel):
         #      g(x) = -Ci(x) cos x + (pi/2 - Si(x)) sin x:
         # int e^{-pw}/(w^2+z^2) dw  = f(p z)/z
         # int w e^{-pw}/(w^2+z^2) dw = g(p z)
-        # so gamma_hat(z) = (2/pi) [delta_gamma f(pz) + slope * z * g(pz)].
-        f, g = _auxiliary_fg(z / self.cutoff)
-        out = 2.0 / math.pi * (self.delta_gamma * f + self.slope * z * g)
+        # so gamma_hat(z) = (2/pi) [delta_gamma f(pz) + slope * z * g(pz)],
+        # where z g(pz) = cutoff h(pz) with h(x) = x g(x).
+        f, h = _auxiliary_fg(z / self.cutoff)
+        out = 2.0 / math.pi * (self.delta_gamma * f + self.slope * self.cutoff * h)
         return out if isinstance(z, np.ndarray) else float(out)
 
     def spectrum_integral(self):

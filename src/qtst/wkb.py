@@ -147,19 +147,20 @@ class CubicBarrier(Potential1D):
 
     def __post_init__(self):
         _check_fields(self, "omega_0", "E_b", "mass", positive=True)
-
-    def _k(self) -> float:
-        return _curvature(self.mass, self.omega_0)
+        # the curvature M w0^2, x_b and lambda, derived once; not dataclass
+        # fields, so equality, hashing and repr see only the three above
+        k = _curvature(self.mass, self.omega_0)
+        xb = math.sqrt(6.0 * self.E_b / k)
+        object.__setattr__(self, "_k", k)
+        object.__setattr__(self, "_xb", xb)
+        object.__setattr__(self, "_lambda", k / (3.0 * xb))
 
     @property
     def barrier_position(self):
-        return math.sqrt(6.0 * self.E_b / self._k())
-
-    def _lambda(self) -> float:
-        return self._k() / (3.0 * self.barrier_position)
+        return self._xb
 
     def energy(self, x):
-        return 0.5 * self._k() * x * x - self._lambda() * x**3
+        return 0.5 * self._k * x * x - self._lambda * x**3
 
     @property
     def barrier_height(self):
@@ -176,7 +177,7 @@ class CubicBarrier(Potential1D):
         From U = E_b - (1/2) M wb^2 (x-xb)^2 + M c3 (x-xb)^3/3 + ...,
         c3 = U'''/(2M); the cubic form has U''' = -6 lambda everywhere.
         """
-        return -3.0 * self._lambda() / (units.CURVATURE_KJ_PER_MOL * self.mass)
+        return -3.0 * self._lambda / (units.CURVATURE_KJ_PER_MOL * self.mass)
 
 
 class TabulatedPotential(Potential1D):
