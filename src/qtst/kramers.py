@@ -93,7 +93,7 @@ class RateResult:
     c_qm: float
     mu_cm1: float
     T0_K: float
-    regime: str  # classical | qtst | near_crossover (quantum_rate raises at or below T0)
+    regime: str  # classical | qtst | near_crossover, T < 1.1*T0 (quantum_rate raises at or below T0)
     equilibrium_ok: Optional[bool] = None
     equilibrium_margin: Optional[float] = None
     terms_used: Optional[int] = None
@@ -217,22 +217,16 @@ def classical_rate(
     The rate is reported both in angular cm^-1 units and in s^-1.
     """
     _require_param("temperature", T, positive=True)
-    return _classical_rate(system, effective_barrier_frequency(system, model), T)
+    mu, _ = solve_effective_frequency(system.omegab, model)
+    rate_cm1 = _classical_cm1(system, mu, T)
+    return RateResult(T_K=T, rate_cm1=rate_cm1, rate_per_s=rate_cm1 * units.CM1_TO_RAD_PER_S, c_qm=1.0,
+                      mu_cm1=mu, T0_K=_crossover_temperature(mu), regime="classical")
 
 
-def _classical_rate(system: BarrierSystem, barrier: EffectiveBarrier, T: float) -> RateResult:
-    # the classical rate for a barrier already solved, at a validated T
+def _classical_cm1(system: BarrierSystem, mu: float, T: float) -> float:
+    # the classical rate in cm^-1 for a solved mu, at a validated T
     beta_e = system.barrier_kJ_per_mol / (units.KB_KJ_PER_MOL_K * T)
-    rate_cm1 = (barrier.mu_cm1 / system.omegab) * system.omega0 / (2.0 * math.pi) * math.exp(-beta_e)
-    return RateResult(
-        T_K=T,
-        rate_cm1=rate_cm1,
-        rate_per_s=rate_cm1 * units.CM1_TO_RAD_PER_S,
-        c_qm=1.0,
-        mu_cm1=barrier.mu_cm1,
-        T0_K=barrier.T0_K,
-        regime="classical",
-    )
+    return (mu / system.omegab) * system.omega0 / (2.0 * math.pi) * math.exp(-beta_e)
 
 
 def classical_kie(

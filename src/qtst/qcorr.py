@@ -30,14 +30,7 @@ import numpy as np
 
 from . import units
 from .errors import BelowCrossoverError, DomainError, _require_param, _scipy
-from .kramers import (
-    BarrierSystem,
-    EffectiveBarrier,
-    RateResult,
-    _classical_rate,
-    _crossover_temperature,
-    effective_barrier_frequency,
-)
+from .kramers import BarrierSystem, RateResult, _classical_cm1, _crossover_temperature, solve_effective_frequency
 from .spectral import FrictionModel, _kernel_body
 from .units import Isotope
 
@@ -70,6 +63,9 @@ del _t, _w
 _TAIL_ERROR = 31.0 / 967680.0 + 3.0 / 15360.0 + 7.0 / 46080.0
 _TOL_FLOOR = 1e-15
 
+# Below this multiple of T0 a product or rate is near_crossover
+_NEAR_CROSSOVER = 1.1
+
 _LN2 = math.log(2.0)
 _LOG_MAX = math.log(np.finfo(float).max)  # the largest log that exp() keeps finite
 
@@ -79,7 +75,7 @@ class CorrectionResult:
     """Quantum correction factor with bookkeeping for reproducibility."""
 
     c_qm: float
-    regime: str  # high_T | near_crossover (the product raises at or below T0)
+    regime: str  # high_T | near_crossover, below 1.1*T0 (the product raises at or below T0)
     terms_used: int
     tail_estimate: float
 
@@ -125,16 +121,12 @@ def _exact_terms(c: float, term_tol: float) -> int:
 
 
 def _product(
-    system: BarrierSystem,
-    model: Optional[FrictionModel],
-    T: float,
-    barrier: EffectiveBarrier,
-    term_tol: float,
-) -> CorrectionResult:
-    # c_qm at a temperature for a barrier already solved; T and term_tol
-    # come validated
-    if T <= barrier.T0_K:
-        raise BelowCrossoverError(T, barrier.T0_K)
+    system: BarrierSystem, model: Optional[FrictionModel], T: float, T0: float, term_tol: float
+) -> tuple[float, int, float]:
+    # (c_qm, terms_used, tail_estimate) at a temperature, for the crossover
+    # temperature T0 of a solved mu; T and term_tol come validated
+    if T <= T0:
+        raise BelowCrossoverError(T, T0)
     omega0, omegab = system.omega0, system.omegab
     nu = T * _NU_CM1_PER_K
     a = omega0 * omega0 + omegab * omegab
@@ -155,9 +147,7 @@ def _product(
     d1 = (fm1 - 27.0 * f0 + 27.0 * f1 - f2) / 24.0  # f'(M)
     d3 = f2 - 3.0 * f1 + 3.0 * f0 - fm1  # f'''(M)
     tail = M * float(_GL_WEIGHTS @ logs[N + 2 :]) + d1 / 24.0 - 7.0 * d3 / 5760.0
-    c_qm = _exp_of_log("c_qm", float(logs[:N].sum()) + tail)
-    regime = "near_crossover" if T < 1.1 * barrier.T0_K else "high_T"
-    return CorrectionResult(c_qm=c_qm, regime=regime, terms_used=n.size, tail_estimate=tail)
+    return _exp_of_log("c_qm", float(logs[:N].sum()) + tail), n.size, tail
 
 
 def correction_product(
@@ -191,7 +181,11 @@ def correction_product(
     """
     _require_param("temperature", T, positive=True)
     _require_param("term_tol", term_tol, positive=True)
-    return _product(system, model, T, effective_barrier_frequency(system, model), term_tol)
+    mu, _ = solve_effective_frequency(system.omegab, model)
+    T0 = _crossover_temperature(mu)
+    c_qm, terms_used, tail = _product(system, model, T, T0, term_tol)
+    regime = "near_crossover" if T < _NEAR_CROSSOVER * T0 else "high_T"
+    return CorrectionResult(c_qm=c_qm, regime=regime, terms_used=terms_used, tail_estimate=tail)
 
 
 def _log_sinh(x, xp):
@@ -349,30 +343,31 @@ def quantum_rate(
     """
     _require_param("temperature", T, positive=True)
     _require_param("term_tol", term_tol, positive=True)
-    barrier = effective_barrier_frequency(system, model)
-    corr = _product(system, model, T, barrier, term_tol)
-    base = _classical_rate(system, barrier, T)
-    rate_per_s = base.rate_per_s * corr.c_qm
+    mu, _ = solve_effective_frequency(system.omegab, model)
+    T0 = _crossover_temperature(mu)
+    c_qm, terms_used, _ = _product(system, model, T, T0, term_tol)
+    classical_cm1 = _classical_cm1(system, mu, T)
+    rate_per_s = (classical_cm1 * units.CM1_TO_RAD_PER_S) * c_qm
     # rate_per_s, CM1_TO_RAD_PER_S (about 1.9e11) times rate_cm1, overflows first
     if math.isinf(rate_per_s):
-        log_rate = math.log(base.rate_per_s) + math.log(corr.c_qm)
+        log_rate = math.log(classical_cm1 * units.CM1_TO_RAD_PER_S) + math.log(c_qm)
         raise DomainError(f"rate_per_s overflows a double: log rate_per_s = {log_rate:.6g}")
     eq_ok = eq_margin = None
     if system.barrier_kJ_per_mol > 0:
         eq_ok, eq_margin = False, 0.0
         if model is not None:
             rhs = units.KB_KJ_PER_MOL_K * T / system.barrier_kJ_per_mol
-            lhs = _kernel_body(model)(barrier.mu_cm1) / system.omegab
+            lhs = _kernel_body(model)(mu) / system.omegab
             eq_ok, eq_margin = lhs > rhs, lhs / rhs
     return RateResult(
         T_K=T,
-        rate_cm1=base.rate_cm1 * corr.c_qm,
+        rate_cm1=classical_cm1 * c_qm,
         rate_per_s=rate_per_s,
-        c_qm=corr.c_qm,
-        mu_cm1=base.mu_cm1,
-        T0_K=base.T0_K,
-        regime="near_crossover" if corr.regime == "near_crossover" else "qtst",
+        c_qm=c_qm,
+        mu_cm1=mu,
+        T0_K=T0,
+        regime="near_crossover" if T < _NEAR_CROSSOVER * T0 else "qtst",
         equilibrium_ok=eq_ok,
         equilibrium_margin=eq_margin,
-        terms_used=corr.terms_used,
+        terms_used=terms_used,
     )

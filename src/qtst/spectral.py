@@ -283,7 +283,9 @@ class DebyeDielectricFriction(FrictionModel):
         for a dissipative medium.
         """
         w = _require_param("omega", omega)
-        return self.eps_inf + sum(de / (1.0 - b * w * w - 1j * a * w) for de, a, b in self._terms)
+        # past about 1e154 cm^-1 b w^2 overflows to inf and the term to its limit 0, silently as for a float
+        with np.errstate(over="ignore"):
+            return self.eps_inf + sum(de / (1.0 - b * w * w - 1j * a * w) for de, a, b in self._terms)
 
     def _spectrum(self, w, clip=None):
         # in real arithmetic: de/(dr - i di) = de (dr + i di)/(dr^2 + di^2).

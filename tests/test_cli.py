@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -318,6 +319,27 @@ def test_rate_classical_kind(tmp_path):
     assert float(rows[0][2]) == 1.0
 
 
+RATE_ACROSS_T0 = ["rate", "--omega0", "3000", "--omegab", "1000", "--barrier", "40",
+                  "--tmin", "200", "--tmax", "240", "--points", "3"]
+
+
+def test_rate_rows_below_t0_are_flagged(capsys):
+    # T0 = 229 K: the quantum rate is undefined at 200 and 220 K
+    rc, out, _ = _in_process_run(RATE_ACROSS_T0, capsys)
+    assert rc == 0
+    assert out.splitlines() == [
+        "T_K,k,c_qm,regime",
+        "200,nan,nan,below_T0",
+        "220,nan,nan,below_T0",
+        "240,1652858252,9330.330036,near_crossover",
+    ]
+    rc, out, _ = _in_process_run(RATE_ACROSS_T0 + ["--kind", "classical"], capsys)
+    assert rc == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [r[0] for r in rows] == ["200", "220", "240"]
+    assert all(math.isfinite(float(r[1])) and r[2:] == ["1", "classical"] for r in rows)
+
+
 # ------------------------------------------------------------- crossover
 
 
@@ -389,6 +411,16 @@ def test_fit_synthetic_noiseless(tmp_path):
     assert res["omegab_cm1"] == pytest.approx(1000.0, rel=1e-5)
     header, crows = read_csv(curve)
     assert header == ["T_K", "kie_model"] and len(crows) == 101
+
+
+def test_fit_with_no_converged_polish_exits_4(capsys, monkeypatch):
+    from qtst import fit
+
+    monkeypatch.setattr(fit, "least_squares", lambda *args, **kwargs: types.SimpleNamespace(success=False))
+    rc, out, err = _in_process_run(["fit", "--input", "fig4"], capsys)
+    assert rc == 4
+    assert out == ""
+    assert err.startswith("fit failed: no polish from the screened lattice converged")
 
 
 def test_fit_bundled_fig4(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -139,6 +140,23 @@ def test_polishes_run_through_the_module_level_solver_name(monkeypatch):
     monkeypatch.setattr(fit, "least_squares", counting)
     res = fit_kie(synth_dataset())
     assert len(calls) >= res.n_starts_converged > 0
+
+
+def _raising_solver(*args, **kwargs):
+    raise ValueError("residuals are not finite in the initial point")
+
+
+def _unconverged_solver(*args, **kwargs):
+    return types.SimpleNamespace(success=False, cost=0.0)
+
+
+@pytest.mark.parametrize("solver", [_raising_solver, _unconverged_solver], ids=["raises", "unconverged"])
+def test_fit_fails_when_no_polish_converges(solver, monkeypatch):
+    from qtst import fit
+
+    monkeypatch.setattr(fit, "least_squares", solver)
+    with pytest.raises(FitConvergenceError, match="no polish from the screened lattice converged"):
+        fit_kie(synth_dataset())
 
 
 @pytest.mark.parametrize(

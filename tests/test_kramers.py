@@ -302,6 +302,31 @@ def test_scan_passes_a_kernel_domain_error_through():
     assert type(exc.value) is DomainError
 
 
+class Ramp(PeakedFriction):
+    # 3 (1000 - z) down to 0 at z = 1000: mu (mu + g(mu)) = 1000^2 at 500 and
+    # exactly at omega_b = 1000, where the mismatch is an exact 0
+    def laplace_kernel(self, z):
+        return max(0.0, 3.0 * (1000.0 - z))
+
+
+def test_scan_keeps_an_exact_zero_at_omega_b():
+    with pytest.warns(RuntimeWarning, match="has 2 roots"):
+        assert solve_effective_frequency(1000.0, Ramp(1.0, 1.0, 1.0)) == (1000.0, 0.0)
+
+
+@dataclass(frozen=True)
+class Step(FrictionModel):
+    # 0 below z = 500 and 10,000 from 500 up: the mismatch changes sign at the
+    # jump, where Brent's method converges, but has no root
+    def _kernel(self, z):
+        return 0.0 if z < 500.0 else 10000.0
+
+
+def test_a_mismatch_without_a_root_fails_the_residual_check():
+    with pytest.raises(SolverConvergenceError, match="effective-frequency residual 400.98 exceeds tolerance"):
+        solve_effective_frequency(1000.0, Step())
+
+
 @pytest.mark.parametrize("iso", list(Isotope))
 def test_barrier_frequencies_are_isotope_scaled_once(iso):
     system = BarrierSystem(3000.0, 1000.0, 40.0, iso)

@@ -1,7 +1,8 @@
 import math
 import sys
 import time
-from dataclasses import replace
+from collections import Counter
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from qtst import (
     CubicBarrier,
     DebyeDielectricFriction,
     DrudeFriction,
+    FrictionModel,
     Isotope,
     LinearProteinFriction,
     OhmicFriction,
@@ -26,7 +28,7 @@ from qtst import (
     quantum_rate,
     weak_friction_margin,
 )
-from qtst import kramers, units
+from qtst import kramers, qcorr, units
 from qtst.errors import BelowCrossoverError, DomainError
 from qtst.qcorr import _log_closed
 
@@ -290,8 +292,40 @@ def test_quantum_rate_solves_mu_once(monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(kramers, "solve_effective_frequency", counting)
+    monkeypatch.setattr(qcorr, "solve_effective_frequency", counting)
     quantum_rate(SYSTEM, DrudeFriction(150.0, 400.0), 305.0)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("call, built", [
+    (quantum_rate, {"RateResult": 1}),
+    (classical_rate, {"RateResult": 1}),
+    (correction_product, {"CorrectionResult": 1}),
+], ids=["quantum_rate", "classical_rate", "correction_product"])
+def test_each_rate_builds_only_the_record_it_returns(call, built, monkeypatch):
+    counts = Counter()
+    for cls in (kramers.RateResult, qcorr.CorrectionResult, kramers.EffectiveBarrier):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            counts[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    call(SYSTEM, DrudeFriction(150.0, 400.0), 305.0)
+    assert counts == built
+
+
+@dataclass(frozen=True)
+class NegativeBand(FrictionModel):
+    # a kernel of -5000 on (1500, 2700) cm^-1 and 0 elsewhere: mu = omega_b,
+    # and at 300 K the second thermal frequency, 2620 cm^-1, falls in the band
+    def _kernel(self, z):
+        return -5000.0 * ((z > 1500.0) & (z < 2700.0))
+
+
+@pytest.mark.parametrize("call", [correction_product, quantum_rate], ids=lambda f: f.__name__)
+def test_a_non_positive_product_denominator_is_a_domain_error(call):
+    with pytest.raises(DomainError, match="non-positive product denominator at term n=2"):
+        call(BarrierSystem(3000.0, 1000.0, 40.0), NegativeBand(), 300.0)
 
 
 def test_isotope_ordering_of_correction():

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -491,6 +492,19 @@ def test_dielectric_array_calls_match_scalar_calls():
     # numpy and Python complex division may round differently in the last bit
     for f in (m.epsilon, m.friction_spectrum, m.laplace_kernel):
         np.testing.assert_allclose(f(w), [f(float(x)) for x in w], rtol=1e-15, atol=0.0)
+
+
+def test_dielectric_epsilon_array_is_silent_where_b_w2_overflows():
+    # past about 1.3e154 cm^-1 the resonance's b w^2 overflows to inf, and
+    # the term goes to 0; an array must do so without an overflow warning
+    m = DebyeDielectricFriction(cavity_radius=3.0)
+    w = [1e10, 1e157, 1e200, np.finfo(float).max]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scalars = [m.epsilon(x) for x in w]
+        array = m.epsilon(np.array(w))
+    np.testing.assert_allclose(array, scalars, rtol=1e-15, atol=0.0)
+    assert all(e.real == m.eps_inf for e in scalars[1:])
 
 
 def test_dielectric_spectrum_zero_frequency_limit():
