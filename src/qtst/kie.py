@@ -249,8 +249,13 @@ def classify(
     room temperature, activation-energy difference above 5.0 kJ/mol, and
     prefactor ratio below 0.7. Separately, prefactor ratios outside the
     Bell windows (0.3-1.7 for H/T, 0.5-1.4 for D/T and H/D) are flagged
-    on each side. Thresholds are read from the bundled limits table.
+    on each side. Thresholds are read from the bundled limits table. The
+    KIE and prefactor ratio must be finite and > 0 and the activation-energy
+    difference finite, or ``DomainError``; the report echoes them as passed.
     """
+    _require_param("kie", kie, positive=True)
+    _require_param("a_ratio", a_ratio, positive=True)
+    _require_param("delta_E_kJ_per_mol", delta_E_kJ_per_mol, signed=True)
     if isinstance(pair, str):
         pair = Isotope.pair(pair)
     key = f"{pair[0].name}{pair[1].name}"

@@ -23,6 +23,7 @@ array expression, bit for bit the scalar form.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import asdict, dataclass
 from typing import Optional
@@ -132,7 +133,8 @@ def solve_effective_frequency(omegab: float, model: Optional[FrictionModel]) -> 
     finds it on [1e-12*omega_b, omega_b]. A subclass of ``PeakedFriction``
     that overrides the kernel may admit several roots: a 10,000-point scan
     locates every sign change, Brent's method solves each, the largest
-    root is returned and a warning is issued. The scan is keyed on that
+    root is returned with a ``RuntimeWarning`` that names the first
+    caller outside qtst. The scan is keyed on that
     class, not on the kernel: any other model, a plain ``FrictionModel``
     subclass with the same kernel included, takes Brent's method on the
     whole interval, which returns one root, not necessarily the largest,
@@ -170,11 +172,15 @@ def solve_effective_frequency(omegab: float, model: Optional[FrictionModel]) -> 
                 bracket=(lo, omegab),
             )
         if len(roots) > 1:
+            # the warning names the first caller outside qtst
+            frame, level = sys._getframe(), 1
+            while frame.f_back is not None and frame.f_globals.get("__name__", "").startswith("qtst."):
+                frame, level = frame.f_back, level + 1
             warnings.warn(
                 f"effective-frequency equation has {len(roots)} roots for this "
                 "structured bath; returning the largest",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=level,
             )
         mu = max(roots)
     else:

@@ -46,20 +46,15 @@ class Potential1D:
     """
 
     mass: float
+    # the barrier top, which a subclass sets on construction
+    barrier_height: float
+    barrier_position: float
     #: interpolated potentials have C1 kinks at their knots, which the
     #: action's quadrature runs across; see ``wkb_action`` for the accuracy
     smooth = True
 
     def energy(self, x: float) -> float:
         """U(x) in kJ/mol at position x (angstrom)."""
-        raise NotImplementedError
-
-    @property
-    def barrier_height(self) -> float:
-        raise NotImplementedError
-
-    @property
-    def barrier_position(self) -> float:
         raise NotImplementedError
 
     def brackets(self, E: float) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -79,24 +74,20 @@ class ParabolicBarrier(Potential1D):
     E_b: float
     omega_b: float
     mass: float = 1.0
+    barrier_position = 0.0
 
     def __post_init__(self):
         _check_fields(self, "E_b", "omega_b", "mass", positive=True)
+        # the top and the curvature M w_b^2; not dataclass fields
+        object.__setattr__(self, "barrier_height", self.E_b)
+        object.__setattr__(self, "_k", _curvature(self.mass, self.omega_b))
 
     def energy(self, x):
-        return self.E_b - 0.5 * _curvature(self.mass, self.omega_b) * x * x
-
-    @property
-    def barrier_height(self):
-        return self.E_b
-
-    @property
-    def barrier_position(self):
-        return 0.0
+        return self.E_b - 0.5 * self._k * x * x
 
     def brackets(self, E):
         # U = 0 at the outer ends
-        r = math.sqrt(2.0 * self.E_b / _curvature(self.mass, self.omega_b))
+        r = math.sqrt(2.0 * self.E_b / self._k)
         return (-r, 0.0), (0.0, r)
 
 
@@ -107,20 +98,14 @@ class EckartBarrier(Potential1D):
     V0: float
     width: float
     mass: float = 1.0
+    barrier_position = 0.0
 
     def __post_init__(self):
         _check_fields(self, "V0", "width", "mass", positive=True)
+        object.__setattr__(self, "barrier_height", self.V0)
 
     def energy(self, x):
         return self.V0 / math.cosh(x / self.width) ** 2
-
-    @property
-    def barrier_height(self):
-        return self.V0
-
-    @property
-    def barrier_position(self):
-        return 0.0
 
     def brackets(self, E):
         # U = E/2 at the outer ends, where cosh^2 = 2 V0/E; past a double's
@@ -147,24 +132,17 @@ class CubicBarrier(Potential1D):
 
     def __post_init__(self):
         _check_fields(self, "omega_0", "E_b", "mass", positive=True)
-        # the curvature M w0^2, x_b and lambda, derived once; not dataclass
+        # the curvature M w0^2, the top and lambda, derived once; not dataclass
         # fields, so equality, hashing and repr see only the three above
         k = _curvature(self.mass, self.omega_0)
         xb = math.sqrt(6.0 * self.E_b / k)
         object.__setattr__(self, "_k", k)
-        object.__setattr__(self, "_xb", xb)
+        object.__setattr__(self, "barrier_position", xb)
+        object.__setattr__(self, "barrier_height", self.E_b)
         object.__setattr__(self, "_lambda", k / (3.0 * xb))
-
-    @property
-    def barrier_position(self):
-        return self._xb
 
     def energy(self, x):
         return 0.5 * self._k * x * x - self._lambda * x**3
-
-    @property
-    def barrier_height(self):
-        return self.E_b
 
     def brackets(self, E):
         # U = 0 at x = 0 and at x = 1.5 x_b, and is monotone on each side
@@ -209,6 +187,8 @@ class TabulatedPotential(Potential1D):
         self._i_top = int(np.argmax(U))
         if self._i_top == 0 or self._i_top == x.size - 1:
             raise DomainError("tabulated potential has no interior barrier top")
+        self.barrier_height = self._U[self._i_top]
+        self.barrier_position = self._knots[self._i_top]
 
     def energy(self, x):
         knots = self._knots
@@ -224,14 +204,6 @@ class TabulatedPotential(Potential1D):
         # scipy's own term order (a power sum, not Horner), so the value is
         # bit for bit that of PchipInterpolator
         return float(a0 + a1 * s + a2 * z + a3 * (z * s))
-
-    @property
-    def barrier_height(self):
-        return self._U[self._i_top]
-
-    @property
-    def barrier_position(self):
-        return self._knots[self._i_top]
 
     def brackets(self, E):
         # every PCHIP piece is monotone, so the piece that ends at the first

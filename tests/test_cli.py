@@ -392,6 +392,24 @@ def test_classify_manual_values(tmp_path):
     assert not any(rep["kim_kreevoy"].values())
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--kie", "nan", "--a-ratio", "0.5", "--delta-e", "2"], "kie must be finite and > 0, got nan"),
+        (["--kie", "-3", "--a-ratio", "0.5", "--delta-e", "2"], "kie must be finite and > 0, got -3.0"),
+        (["--kie", "5", "--a-ratio", "inf", "--delta-e", "2"], "a_ratio must be finite and > 0, got inf"),
+        (["--kie", "5", "--a-ratio", "0.5", "--delta-e", "inf"], "delta_E_kJ_per_mol must be finite, got inf"),
+    ],
+    ids=["kie-nan", "kie-negative", "a_ratio-inf", "delta_e-inf"],
+)
+def test_classify_non_measurement_is_domain_error_not_invalid_json(argv, message, tmp_path, capsys):
+    # NaN and Infinity are not JSON: one line on stderr, exit 3, no report
+    out = tmp_path / "one.json"
+    assert run(["classify", *argv, "--output", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------- fit
 
 
@@ -609,6 +627,27 @@ def test_wkb_points_below_one_is_config_error(tmp_path, capsys, points):
     out = tmp_path / "wkb.csv"
     assert run(["wkb", "--points", points, "--output", str(out)]) == 2
     assert "points >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["spectral", "--friction", "{not json"], "--friction is neither a file nor valid JSON: "),
+        (["kie-predict", "--omega0", "3000", "--omegab", "1000", "--points", "0"], "points must be >= 1"),
+        (["classify", "--dataset", "table2"], "unknown dataset 'table2'; only 'table1' is bundled"),
+        (["classify", "--kie", "5"], "provide --dataset table1 or all of --kie, --a-ratio, --delta-e"),
+        (["spectral", "--gamma", "100", "--zmin", "0"], "need 0 < zmin <= zmax and points >= 1"),
+        (["wkb", "--potential", "tabulated"], "--table CSV required for a tabulated potential"),
+    ],
+    ids=["friction-not-json", "points-zero", "unknown-dataset", "classify-kie-alone", "zmin-zero",
+         "tabulated-without-table"],
+)
+def test_each_config_rejection_is_one_line_and_exit_2(argv, message, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run([*argv, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -250,6 +250,22 @@ def test_dataset_rejects_non_finite_values(field, bad):
         KIEDataset(tuple(columns["T_K"]), tuple(columns["kie"]), tuple(columns["sigma"]))
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: KIEDataset((280.0, 300.0, 320.0), (9.0, 8.0)), "T_K and kie must be 1-d sequences of equal length"),
+        (lambda: KIEDataset((280.0, 300.0, 320.0), (9.0, 8.0, 7.0), (0.1, 0.1)), "sigma must match the data length"),
+        (lambda: KIEDataset.from_csv_text("T,k\n280,9\n300,8\n320,7\n"), "expected CSV header 'T_K,kie[,sigma]'"),
+        (lambda: KIEDataset.from_csv_text("280,9\n300,8\n320,7\n"), "expected CSV header 'T_K,kie[,sigma]'"),
+    ],
+    ids=["kie-length", "sigma-length", "wrong-header", "no-header"],
+)
+def test_dataset_rejects_mismatched_columns_and_a_missing_header(build, message):
+    with pytest.raises(DomainError) as info:
+        build()
+    assert str(info.value) == message
+
+
 def test_dataset_csv_skips_blank_rows_and_ignores_extra_cells():
     text = "T_K,kie,sigma,note\n\n280,20.5,1.0,a\n,,\n300,15.2,0.8,b\n320,12.0,0.6\n"
     data = KIEDataset.from_csv_text(text)

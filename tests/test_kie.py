@@ -409,6 +409,35 @@ def test_classify_still_rejects_a_pair_outside_its_tables(text):
         classify(10.0, 1.0, 1.0, text)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((math.nan, 0.5, 2.0), "kie must be finite and > 0, got nan"),
+        ((math.inf, 0.5, 2.0), "kie must be finite and > 0, got inf"),
+        ((-3.0, 0.5, 2.0), "kie must be finite and > 0, got -3.0"),
+        ((0.0, 0.5, 2.0), "kie must be finite and > 0, got 0.0"),
+        ((5.0, math.nan, 2.0), "a_ratio must be finite and > 0, got nan"),
+        ((5.0, -1.0, 2.0), "a_ratio must be finite and > 0, got -1.0"),
+        ((5.0, 0.5, math.inf), "delta_E_kJ_per_mol must be finite, got inf"),
+        ((5.0, 0.5, -math.inf), "delta_E_kJ_per_mol must be finite, got -inf"),
+        ((5.0, 0.5, math.nan), "delta_E_kJ_per_mol must be finite, got nan"),
+    ],
+)
+def test_classify_rejects_inputs_that_are_not_measurements(args, message):
+    with pytest.raises(DomainError) as info:
+        classify(*args)
+    assert str(info.value) == message
+
+
+def test_classify_accepts_a_negative_delta_E_and_echoes_inputs_as_passed():
+    rep = classify(5, 0.5, -1.5, "H:D")
+    assert (rep.kie, rep.a_ratio, rep.delta_E_kJ_per_mol) == (5, 0.5, -1.5)
+    assert type(rep.kie) is int and not rep.delta_E_above_limit
+    # every complete row of the bundled table passes the checks
+    rows = [r for r in load_table1() if None not in (r["kie"], r["a_ratio"], r["delta_E"])]
+    assert rows and all(classify(r["kie"], r["a_ratio"], r["delta_E"], r["pair"]) for r in rows)
+
+
 # ---------------------------------------------------------- bundled data
 
 

@@ -15,8 +15,10 @@ from qtst import (
     PeakedFriction,
     classical_kie,
     classical_rate,
+    correction_product,
     crossover_temperature,
     effective_barrier_frequency,
+    quantum_rate,
 )
 from qtst import units
 from qtst.errors import DomainError, QtstError, SolverConvergenceError
@@ -125,6 +127,38 @@ def test_structured_bath_multiple_roots_returns_largest_with_warning():
     assert multi, "expected a multiplicity warning for this bath"
     # the largest root sits where the bump has died off, mu ~ omega_b
     assert mu == pytest.approx(1000.0, rel=1e-6)
+
+
+@dataclass(frozen=True)
+class ArrayBump(PeakedFriction):
+    # the three-root bump above as an array expression, for the product too
+    def laplace_kernel(self, z):
+        return 2000.0 * np.exp(-(((z - 800.0) / 30.0) ** 2))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: solve_effective_frequency(1000.0, m),
+        lambda m: effective_barrier_frequency(SYSTEM, m),
+        lambda m: classical_rate(SYSTEM, m, 300.0),
+        lambda m: classical_kie(SYSTEM, m, Isotope.H, Isotope.D),
+        lambda m: quantum_rate(SYSTEM, m, 300.0),
+        lambda m: correction_product(SYSTEM, m, 300.0),
+    ],
+    ids=["solve_effective_frequency", "effective_barrier_frequency", "classical_rate",
+         "classical_kie", "quantum_rate", "correction_product"],
+)
+def test_multi_root_warning_names_the_callers_line(call):
+    # the warning points past every qtst frame to the line that called in,
+    # so a user can filter it by their own module
+    with warnings.catch_warnings(record=True) as got:
+        warnings.simplefilter("always")
+        call(ArrayBump(gamma_r=1.0, width=1.0, omega_r=1.0))
+    assert [str(w.message) for w in got] == [
+        "effective-frequency equation has 3 roots for this structured bath; returning the largest"
+    ]
+    assert (got[0].filename, got[0].lineno) == (__file__, call.__code__.co_firstlineno)
 
 
 @dataclass(frozen=True)

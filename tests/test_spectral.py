@@ -140,6 +140,14 @@ def test_dielectric_rejects_unphysical_constants(kwargs):
     with pytest.raises(DomainError):
         DebyeDielectricFriction(cavity_radius=3.0, **kwargs)
 
+
+@pytest.mark.parametrize("kwargs", [{"delta_eps": (71.5, 2.8, 1.6)}, {"tau_ps": (8.3, 1.0, 0.1)}],
+                         ids=["three-strengths", "three-times"])
+def test_dielectric_needs_four_relaxation_terms(kwargs):
+    with pytest.raises(DomainError) as info:
+        DebyeDielectricFriction(cavity_radius=3.0, **kwargs)
+    assert str(info.value) == "expected 4 relaxation strengths and 4 times"
+
 @pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
 def test_kernel_returns_a_float_for_every_scalar_form(kernel):
     for z in (7.0, 7, np.float64(7.0), np.array(7.0), np.int64(7)):
@@ -412,6 +420,9 @@ def test_kernel_bound_drude_closed_form():
 
 def test_kernel_bound_zero_curvature():
     assert kernel_upper_bound(DrudeFriction(gamma=0.0, omega_d=100.0), 10.0) == 0.0
+    # zero Ohmic friction has a finite, zero spectrum integral
+    assert OhmicFriction(0.0).spectrum_integral() == 0.0
+    assert kernel_upper_bound(OhmicFriction(0.0), 10.0) == 0.0
 
 
 @pytest.mark.parametrize("model", ALL_FINITE_KE_MODELS)

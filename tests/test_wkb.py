@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -17,6 +17,7 @@ from qtst import (
     turning_points,
     wkb_action,
 )
+from qtst import units
 from qtst.errors import DomainError, SolverConvergenceError
 
 from oracles import wkb_action_pchip
@@ -38,6 +39,32 @@ def test_analytic_barriers_store_python_floats(cls, args):
 
 
 # --------------------------------------------------------- turning points
+
+
+def test_each_potential_stores_its_barrier_top_on_construction():
+    k = units.CURVATURE_KJ_PER_MOL * 2.0 * 1000.0 * 1000.0
+    tops = [
+        (ParabolicBarrier(40.0, 1000.0), 40.0, 0.0),
+        (EckartBarrier(30.0, 0.45), 30.0, 0.0),
+        (CubicBarrier(1000.0, 25.0, mass=2.0), 25.0, math.sqrt(6.0 * 25.0 / k)),
+        # the largest knot, from sorted and from shuffled positions
+        (TabulatedPotential([-1.0, 0.0, 0.5, 2.0], [0.0, 5.0, 7.0, 1.0]), 7.0, 0.5),
+        (TabulatedPotential([0.5, 2.0, -1.0, 0.0], [7.0, 1.0, 0.0, 5.0]), 7.0, 0.5),
+    ]
+    for pot, height, position in tops:
+        assert (pot.barrier_height, pot.barrier_position) == (height, position)
+        assert type(pot.barrier_height) is float and type(pot.barrier_position) is float
+    # the top is no dataclass field: equality, hashing and repr see the
+    # parameters only, and replace() moves the top with them
+    assert [f.name for f in fields(ParabolicBarrier)] == ["E_b", "omega_b", "mass"]
+    assert "barrier" not in repr(PARABOLA) and hash(PARABOLA) == hash(ParabolicBarrier(40.0, 1000.0))
+    for pot, field, top in [(PARABOLA, "E_b", (30.0, 0.0)), (EckartBarrier(40.0, 0.45), "V0", (30.0, 0.0)),
+                            (CubicBarrier(1000.0, 40.0, mass=2.0), "E_b", (30.0, math.sqrt(6.0 * 30.0 / k)))]:
+        moved = replace(pot, **{field: 30.0})
+        assert (moved.barrier_height, moved.barrier_position) == top
+        for name in ("barrier_height", "barrier_position"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(pot, name, 1.0)
 
 
 def test_parabolic_turning_points_analytic_inversion():
@@ -238,6 +265,21 @@ def test_tabulated_from_csv(tmp_path):
 def test_tabulated_rejects_too_few_points():
     with pytest.raises(DomainError):
         TabulatedPotential.from_csv("x,U\n0,1\n1,2\n")
+
+
+@pytest.mark.parametrize(
+    "x, U, message",
+    [
+        ([0.0, 1.0, 2.0], [0.0, 1.0, 0.0], "need matching 1-d arrays with at least 4 points"),
+        ([0.0, 1.0, 1.0, 2.0], [0.0, 1.0, 2.0, 0.0], "grid positions must be distinct"),
+        ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0], "tabulated potential has no interior barrier top"),
+    ],
+    ids=["three-points", "duplicate-positions", "monotone"],
+)
+def test_tabulated_constructor_rejects_a_table_without_a_top(x, U, message):
+    with pytest.raises(DomainError) as info:
+        TabulatedPotential(x, U)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("bad_row", ["0.5,2O", "0.5", "x,U"])
