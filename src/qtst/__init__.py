@@ -12,7 +12,8 @@ The package exports exactly the names in its modules' ``__all__`` lists.
 # first use, so `import qtst`, the closed forms, every friction kernel and
 # every mu solve (Brent's method, errors._brent) load no scipy. The fit loads
 # scipy.optimize, the crossover-regularised correction scipy.special (erfcx)
-# and WKB scipy.integrate, and scipy.interpolate for a tabulated potential.
+# and WKB scipy.integrate; a tabulated potential builds its PCHIP
+# coefficients in Python floats, equal to scipy's by float.hex.
 from . import errors, fit, kie, kramers, qcorr, spectral, units, wkb
 from .errors import *  # noqa: F403
 from .fit import *  # noqa: F403

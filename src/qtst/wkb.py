@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -60,6 +60,17 @@ class Potential1D:
     def brackets(self, E: float) -> tuple[tuple[float, float], tuple[float, float]]:
         """``(lo, hi)`` left and right of the top, each with one root of U - E."""
         raise NotImplementedError
+
+    def _action_integrand(self, E, mid, half):
+        # sqrt(U - E) dx with x = mid + half*sin(theta), for wkb_action
+        def integrand(theta):
+            x = mid + half * math.sin(theta)
+            du = self.energy(x) - E
+            if du < 0.0:
+                du = 0.0
+            return math.sqrt(du) * half * math.cos(theta)
+
+        return integrand
 
 
 def _curvature(mass: float, omega: float) -> float:
@@ -158,8 +169,54 @@ class CubicBarrier(Potential1D):
         return -3.0 * self._lambda / (units.CURVATURE_KJ_PER_MOL * self.mass)
 
 
+def _sign(v):
+    # numpy's sign, but 0 for nan: the two differ only where a knot spacing
+    # overflows, and the slopes' check below then refuses the table
+    return (v > 0.0) - (v < 0.0)
+
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    # scipy's one-sided three-point end slope, kept monotone
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if _sign(d) != _sign(m0):
+        return 0.0
+    if _sign(m0) != _sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_coefficients(x, y):
+    """(a0, a1, a2, a3) of each piece of the PCHIP interpolant of sorted
+    knots x and values y (lists of floats): scipy's ``PchipInterpolator``
+    ``.c[::-1].T``, bit for bit, from the same operations in the same order."""
+    h = [b - a for a, b in zip(x, x[1:])]
+    m = [(b - a) / hk for a, b, hk in zip(y, y[1:], h)]
+    # Fritsch-Butland interior slopes: a weighted harmonic mean of the two
+    # secants, zero where either is zero or their signs differ
+    d = [_pchip_end_slope(h[0], h[1], m[0], m[1])]
+    for h0, h1, m0, m1 in zip(h, h[1:], m, m[1:]):
+        if (m0 > 0.0 and m1 > 0.0) or (m0 < 0.0 and m1 < 0.0):
+            w1, w2 = 2.0 * h1 + h0, h1 + 2.0 * h0
+            whmean = (w1 / m0 + w2 / m1) / (w1 + w2)
+            # numpy's 1/0 is infinite, and refused below
+            d.append(1.0 / whmean if whmean else math.inf)
+        else:
+            d.append(0.0)
+    d.append(_pchip_end_slope(h[-1], h[-2], m[-1], m[-2]))
+    # scipy refuses an infinite slope too, with a ValueError
+    if not all(map(math.isfinite, d)):
+        raise DomainError("tabulated potential's PCHIP slopes overflow: knots too close for their values")
+    # CubicHermiteSpline's coefficients
+    coefs = []
+    for y0, d0, d1, hk, mk in zip(y, d, d[1:], h, m):
+        t = (d0 + d1 - 2.0 * mk) / hk
+        coefs.append((y0, d0, (mk - d0) / hk - t, t / hk))
+    return coefs
+
+
 class TabulatedPotential(Potential1D):
-    """Monotone-cubic interpolation of sampled (x, U) points."""
+    """Monotone-cubic interpolation of sampled (x, U) points. Immutable, as
+    the frozen dataclasses are: assignment raises ``FrozenInstanceError``."""
 
     smooth = False
 
@@ -176,19 +233,29 @@ class TabulatedPotential(Potential1D):
             if np.any(np.diff(x) <= 0):
                 raise DomainError("grid positions must be distinct")
         _require_param("mass", mass, positive=True)
-        self.mass = float(mass)
-        # scipy builds the PCHIP coefficients once; each piece is then kept
-        # as (a0, a1, a2, a3) in powers of s = x - x_i
-        self._knots = x.tolist()
-        self._coefs = [tuple(col) for col in _scipy("interpolate").PchipInterpolator(x, U).c[::-1].T.tolist()]
-        self._U = U.tolist()
+        knots, values = x.tolist(), U.tolist()
         # no monotone piece rises above its end knots: the top is the
         # largest knot
-        self._i_top = int(np.argmax(U))
-        if self._i_top == 0 or self._i_top == x.size - 1:
+        top = int(np.argmax(U))
+        if top == 0 or top == x.size - 1:
             raise DomainError("tabulated potential has no interior barrier top")
-        self.barrier_height = self._U[self._i_top]
-        self.barrier_position = self._knots[self._i_top]
+        # set once, past the __setattr__ that refuses every later assignment
+        vars(self).update(
+            mass=float(mass),
+            _knots=knots,
+            # each piece as (a0, a1, a2, a3) in powers of s = x - x_i
+            _coefs=_pchip_coefficients(knots, values),
+            _U=values,
+            _i_top=top,
+            barrier_height=values[top],
+            barrier_position=knots[top],
+        )
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def energy(self, x):
         knots = self._knots
@@ -204,6 +271,25 @@ class TabulatedPotential(Potential1D):
         # scipy's own term order (a power sum, not Horner), so the value is
         # bit for bit that of PchipInterpolator
         return float(a0 + a1 * s + a2 * z + a3 * (z * s))
+
+    def _action_integrand(self, E, mid, half):
+        # energy() inlined, less its range check: every x lies between the
+        # turning points, so inside the table
+        knots, coefs, last = self._knots, self._coefs, len(self._knots) - 1
+        sin, cos, sqrt, find = math.sin, math.cos, math.sqrt, bisect_right
+
+        def integrand(theta):
+            x = mid + half * sin(theta)
+            i = find(knots, x, 1, last) - 1
+            a0, a1, a2, a3 = coefs[i]
+            s = x - knots[i]
+            z = s * s
+            du = a0 + a1 * s + a2 * z + a3 * (z * s) - E
+            if du < 0.0:
+                du = 0.0
+            return sqrt(du) * half * cos(theta)
+
+        return integrand
 
     def brackets(self, E):
         # every PCHIP piece is monotone, so the piece that ends at the first
@@ -271,13 +357,6 @@ def wkb_action(pot: Potential1D, E: float) -> float:
     if half == 0.0:
         return 0.0
 
-    def integrand(theta):
-        x = mid + half * math.sin(theta)
-        du = pot.energy(x) - E
-        if du < 0.0:
-            du = 0.0
-        return math.sqrt(du) * half * math.cos(theta)
-
     # absolute floor sized to the integral keeps the quadrature from
     # chasing roundoff near the top where the integral itself vanishes
     floor = 1e-12 * half * math.sqrt(pot.barrier_height)
@@ -287,7 +366,7 @@ def wkb_action(pot: Potential1D, E: float) -> float:
             # resolution; QUADPACK's best estimate is what we want
             warnings.simplefilter("ignore", integrate.IntegrationWarning)
         val, _ = integrate.quad(
-            integrand,
+            pot._action_integrand(E, mid, half),
             -0.5 * math.pi,
             0.5 * math.pi,
             epsabs=floor,

@@ -15,7 +15,9 @@ as a least-squares polish from every configured start, with no screen;
 ``screen_broadcast`` is the fit's screen as one broadcast model call over
 the whole omega0 x omegab x T lattice.
 ``PchipTable`` and ``wkb_action_pchip`` are the tabulated potential and its
-action with scipy's ``PchipInterpolator`` called at every point.
+action with scipy's ``PchipInterpolator`` called at every point, and
+``wkb_action_reference`` is the action of any potential through its public
+``energy``, the generic integrand the library's tabulated one inlines.
 ``brentq`` is scipy's Brent's method, which the library's own port
 (``errors._brentq``) must match bit for bit, and ``fg_sici`` is the
 linear-protein kernel's f and g from scipy's ``sici``.
@@ -384,7 +386,8 @@ class PchipTable(TabulatedPotential):
 
     def __init__(self, pot: TabulatedPotential):
         super().__init__(pot._knots, pot._U, pot.mass)
-        self.interp = PchipInterpolator(self._knots, self._U, extrapolate=False)
+        # a TabulatedPotential refuses assignment once built
+        object.__setattr__(self, "interp", PchipInterpolator(self._knots, self._U, extrapolate=False))
 
     def energy(self, x):
         knots = self._knots
@@ -398,8 +401,13 @@ class PchipTable(TabulatedPotential):
 def wkb_action_pchip(pot: TabulatedPotential, E: float) -> float:
     """``wkb_action`` of a tabulated potential, with the scipy interpolant
     evaluated at every turning-point and quadrature point."""
-    ref = PchipTable(pot)
-    x1, x2 = turning_points(ref, E)
+    return wkb_action_reference(PchipTable(pot), E)
+
+
+def wkb_action_reference(pot, E: float) -> float:
+    """``wkb_action`` with ``pot.energy`` called at every quadrature point,
+    with the library's substitution and ``quad`` settings."""
+    x1, x2 = turning_points(pot, E)
     mid = 0.5 * (x1 + x2)
     half = 0.5 * (x2 - x1)
     if half == 0.0:
@@ -407,15 +415,17 @@ def wkb_action_pchip(pot: TabulatedPotential, E: float) -> float:
 
     def integrand(theta):
         x = mid + half * math.sin(theta)
-        du = ref.energy(x) - E
+        du = pot.energy(x) - E
         if du < 0.0:
             du = 0.0
         return math.sqrt(du) * half * math.cos(theta)
 
-    floor = 1e-12 * half * math.sqrt(ref.barrier_height)
+    floor = 1e-12 * half * math.sqrt(pot.barrier_height)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        if not pot.smooth:
+            warnings.simplefilter("ignore", integrate.IntegrationWarning)
         val, _ = integrate.quad(
-            integrand, -0.5 * math.pi, 0.5 * math.pi, epsabs=floor, epsrel=1e-8, limit=300
+            integrand, -0.5 * math.pi, 0.5 * math.pi, epsabs=floor, epsrel=1e-10 if pot.smooth else 1e-8,
+            limit=300,
         )
-    return units.ACTION_HBAR_FACTOR * math.sqrt(ref.mass) * val
+    return units.ACTION_HBAR_FACTOR * math.sqrt(pot.mass) * val

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -211,3 +212,15 @@ def test_a_fit_loads_scipy_optimize():
     # the checks above can see a loaded module: the fit's least squares is scipy's
     loaded = _scipy_modules_after_cli(["fit", "--input", "fig4"])
     assert "scipy.optimize" in loaded
+
+
+def test_a_tabulated_wkb_loads_scipy_integrate_but_not_scipy_interpolate(tmp_path):
+    # the PCHIP coefficients are the library's own; the action's quadrature
+    # is scipy's, which shows the check can see a loaded module
+    table = tmp_path / "eckart.csv"
+    table.write_text("x_angstrom,U_kJ_per_mol\n" + "".join(
+        f"{-1.5 + 0.075 * i:.6f},{40.0 / math.cosh((-1.5 + 0.075 * i) / 0.45) ** 2:.9f}\n" for i in range(41)
+    ))
+    loaded = _scipy_modules_after_cli(["wkb", "--potential", "tabulated", "--table", str(table)])
+    assert "scipy.integrate" in loaded
+    assert not any(m == "scipy.interpolate" or m.startswith("scipy.interpolate.") for m in loaded)

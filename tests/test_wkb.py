@@ -20,7 +20,7 @@ from qtst import (
 from qtst import units
 from qtst.errors import DomainError, SolverConvergenceError
 
-from oracles import wkb_action_pchip
+from oracles import wkb_action_pchip, wkb_action_reference
 
 CM1_KJ = 0.011962656563869701
 CURV = 0.000357396117155  # kJ/mol per (mass cm^-2 A^2)
@@ -65,6 +65,20 @@ def test_each_potential_stores_its_barrier_top_on_construction():
         for name in ("barrier_height", "barrier_position"):
             with pytest.raises(FrozenInstanceError):
                 setattr(pot, name, 1.0)
+
+
+@pytest.mark.parametrize("name", ["mass", "barrier_height", "barrier_position", "_knots", "_coefs", "_i_top"])
+def test_tabulated_potential_refuses_assignment_after_construction(name):
+    # brackets() walks from _i_top and the action's integrand reads _knots
+    # and _coefs directly, so none of them may drift from the others
+    tab = TabulatedPotential([-1.0, 0.0, 0.5, 2.0], [0.0, 5.0, 7.0, 1.0])
+    before = getattr(tab, name)
+    with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+        setattr(tab, name, 10.0)
+    with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{name}'"):
+        delattr(tab, name)
+    assert getattr(tab, name) == before
+    assert turning_points(tab, 6.0) == turning_points(TabulatedPotential(tab._knots, tab._U), 6.0)
 
 
 def test_parabolic_turning_points_analytic_inversion():
@@ -355,6 +369,83 @@ def test_tabulated_energy_is_scipy_pchip_bit_for_bit(table, fractions, rnd):
                 pot.energy(float(outside))
 
 
+@st.composite
+def pchip_tables(draw):
+    """(x, U) with an interior top: random values, Eckart samples, Eckart
+    samples rounded to 0 or 1 decimals (ties and flat tails), or small
+    integers (flat runs, zero slopes and sign changes)."""
+    n = draw(st.integers(4, 60))
+    steps = draw(st.lists(st.floats(1e-3, 1.0), min_size=n - 1, max_size=n - 1))
+    x = np.cumsum([draw(st.floats(-5.0, 5.0))] + steps)
+    top = draw(st.integers(1, n - 2))
+    kind = draw(st.sampled_from(["random", "eckart", "rounded", "integers"]))
+    if kind == "random":
+        U = np.array(draw(st.lists(st.floats(-50.0, 50.0), min_size=n, max_size=n)))
+    elif kind == "integers":
+        U = np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), dtype=float)
+    else:
+        with np.errstate(over="ignore"):  # cosh^2 -> inf far out: U = 0
+            U = draw(st.floats(1.0, 100.0)) / np.cosh((x - x[top]) / draw(st.floats(0.05, 3.0))) ** 2
+        if kind == "rounded":
+            U = np.round(U, draw(st.integers(0, 1)))
+    if kind != "eckart":
+        # an Eckart sample peaks at x[top] already
+        U[top] = U.max() + (draw(st.floats(1e-3, 10.0)) if kind == "random" else 1.0)
+    return x, U
+
+
+def _pchip_hex(x, U):
+    # where secants overflow, numpy warns and the port's floats do not
+    with np.errstate(all="ignore"):
+        return [[c.hex() for c in row] for row in PchipInterpolator(x, U).c[::-1].T.tolist()]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(pchip_tables(), st.randoms())
+def test_tabulated_coefficients_are_scipy_pchip_bit_for_bit(table, rnd):
+    x, U = table
+    order = list(range(x.size))
+    rnd.shuffle(order)
+    expect = _pchip_hex(x, U)
+    # sorted input, and shuffled input that the constructor sorts back
+    for pot in (TabulatedPotential(x, U), TabulatedPotential(x[order], U[order])):
+        assert [[c.hex() for c in row] for row in pot._coefs] == expect
+
+
+@pytest.mark.parametrize(
+    "U, end_slopes",
+    [
+        # the three-point estimate, kept at each end
+        ([0.0, 1.0, 1.5, 1.0], (1.25, -1.0)),
+        # left, an estimate against the end secant's sign is set to 0; right,
+        # past a sign change, one over 3 times the end secant is cut to that
+        ([0.0, 1.0, 5.0, 4.0], (0.0, -3.0)),
+        ([0.0, 1.0, -9.0, -8.0], (3.0, 3.0)),
+    ],
+    ids=["estimate", "zero-and-cut", "cut"],
+)
+def test_tabulated_coefficients_take_each_end_rule_as_scipy_does(U, end_slopes):
+    x = [0.0, 1.0, 2.0, 3.0]
+    pot = TabulatedPotential(x, U)
+    assert (pot._coefs[0][1], pot._coefs[-1][1] + 2 * pot._coefs[-1][2] + 3 * pot._coefs[-1][3]) == end_slopes
+    assert [[c.hex() for c in row] for row in pot._coefs] == _pchip_hex(x, U)
+
+
+def test_tabulated_coefficients_follow_scipy_where_secants_overflow():
+    # an end estimate of inf - inf is a nan, which scipy sets to 0 and keeps
+    x, U = [0.0, 100.0, 101.0, 102.0], [-1.5e308, -0.5e308, 0.5e308, 0.4e308]
+    pot = TabulatedPotential(x, U)
+    assert pot._coefs[0][1] == 0.0 and math.isinf(pot._coefs[1][3])
+    assert [[c.hex() for c in row] for row in pot._coefs] == _pchip_hex(x, U)
+    # a harmonic mean of two infinite secants is an infinite slope, which
+    # scipy refuses with a ValueError
+    x, U = [0.0, 1e-10, 2e-10, 3e-10], [-1e300, 0.0, 1e300, -1e300]
+    with pytest.raises(ValueError, match="must contain only finite values"):
+        _pchip_hex(x, U)
+    with pytest.raises(DomainError, match="PCHIP slopes overflow"):
+        TabulatedPotential(x, U)
+
+
 def _benchmark_table(mass):
     # the benchmark's tabulated barrier: Eckart, 40 kJ/mol, width 0.45 A, 41
     # points written to CSV at 6 and 9 decimals
@@ -370,6 +461,22 @@ def test_tabulated_action_equals_scipy_pchip_oracle_exactly(mass, frac):
     tab = _benchmark_table(mass)
     E = frac * tab.barrier_height
     assert wkb_action(tab, E) == wkb_action_pchip(tab, E)
+
+
+@pytest.mark.parametrize("mass", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize(
+    "build",
+    [lambda m: ParabolicBarrier(40.0, 1000.0, mass=m), lambda m: EckartBarrier(40.0, 0.45, mass=m),
+     lambda m: CubicBarrier(1000.0, 40.0, mass=m), _benchmark_table],
+    ids=["parabolic", "eckart", "cubic", "tabulated"],
+)
+def test_action_equals_the_generic_integrand_bit_for_bit(build, mass):
+    # every potential's integrand against pot.energy at every point, the
+    # quadrature and its settings the same
+    pot = build(mass)
+    for frac in (0.01, 0.05, 0.2, 0.5, 0.8, 0.95, 0.99):
+        E = frac * pot.barrier_height
+        assert wkb_action(pot, E).hex() == wkb_action_reference(pot, E).hex(), frac
 
 
 def test_tabulated_barrier_top_is_largest_knot():
