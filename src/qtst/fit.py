@@ -3,9 +3,10 @@
 The two-parameter KIE model (reactant-well frequency and barrier
 frequency, both hydrogen-referenced) is fit in two stages. A screen
 evaluates the weighted cost on a lattice spanning the box constraints,
-from log KIE's separate omega0 and omegab terms; a damped least-squares
-polish then starts from each of the best few separate local minima of
-the lattice. A smooth quadratic penalty covers trial parameters that
+from log KIE's separate omega0 and omegab terms; the library's own
+bounded Levenberg-Marquardt polish, on the model's analytic Jacobian, then
+starts from each of the best few separate local minima of the lattice. No
+scipy is loaded. A smooth quadratic penalty covers trial parameters that
 push data points below the crossover temperature. Results are
 bit-reproducible: points are sorted canonically, and the lattice and the
 order of the polishes are fixed.
@@ -17,12 +18,12 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import units
-from .errors import DomainError, FitConvergenceError, _check_fields, _read_table, _require_param, _scipy
+from .errors import DomainError, FitConvergenceError, _check_fields, _read_table, _require_param
 from .kie import ArrheniusParams, _log_kie
 from .kramers import _crossover_temperature, crossover_temperature
 from .units import Isotope
@@ -40,8 +41,8 @@ _CROSSOVER_MARGIN = 0.02  # fractional clamp margin above T0 during the search
 _PENALTY_SCALE = 10.0
 _SCREEN_STEPS = (50.0, 25.0)  # lattice steps in omega0 and omegab (cm^-1)
 _MAX_POLISHES = 3
-_DIFF_STEP = 1e-4  # relative central-difference step for Jacobians
 _MAX_NFEV = 400
+_X_SCALE = np.array([1000.0, 500.0])  # the polish's step scales in omega0 and omegab
 
 
 @dataclass(frozen=True)
@@ -178,19 +179,42 @@ class FitResult:
 
 
 def _kie_model(T, omega0, omegab, light, heavy):
-    """KIE model on the temperature array T, with a smooth below-crossover penalty.
+    """KIE model at scalar omega0 and omegab on the temperature array T,
+    with a smooth below-crossover penalty, and its derivatives: (model,
+    d model/d omega0, d model/d omegab).
 
-    omega0 and omegab may be arrays that broadcast with T (and each other)
-    in front of its axis. For trial omegab pushing T under the light
-    isotope's crossover, the temperature is clamped just above it and the
-    value is inflated quadratically in the violation, keeping the
-    objective continuous so the damped least-squares iteration can retreat
-    smoothly.
+    For trial omegab pushing T under the light isotope's crossover, the
+    temperature is clamped just above it and the value is inflated
+    quadratically in the violation, keeping the objective continuous so the
+    polish can retreat smoothly.
+
+    With x = c*omega/sqrt(m) and c = CM1_TO_K/(2*T) for each isotope, the
+    1/omega terms cancel between the isotopes: d log KIE/d omega0 is
+    [x0 coth(x0)]_l - [x0 coth(x0)]_h over omega0, and d log KIE/d omegab
+    is -[xb cot(xb)]_l + [xb cot(xb)]_h over omegab. In a clamped row xb is
+    fixed at pi/1.02 for the light isotope, and omegab acts through x0 (c
+    goes as 1/omegab there) and the penalty instead.
     """
     T0 = _crossover_temperature(units._isotope_scaled(omegab, light))
     T_clamped = np.maximum(T, (1.0 + _CROSSOVER_MARGIN) * T0)
     u = (T_clamped - T) / T0
-    return np.exp(_log_kie(omega0, omegab, T_clamped, light, heavy)) * (1.0 + _PENALTY_SCALE * u * u)
+    penalty = 1.0 + _PENALTY_SCALE * u * u
+    # the light and the heavy isotope in two rows
+    s = np.array([[light.mass_number**-0.5], [heavy.mass_number**-0.5]])
+    c = (0.5 * units.CM1_TO_K) * s / T_clamped
+    x0 = c * omega0
+    # log[sinh(x0)/sin(xb)] + ln 2, the sine by the smaller of pi*T0/T and
+    # pi*(T - T0)/T, as qcorr._log_closed takes it
+    T0_iso = (units.CROSSOVER_K_PER_CM1 * omegab) * s
+    sin_xb = np.sin(math.pi * np.minimum(T0_iso, T_clamped - T0_iso) / T_clamped)
+    log_l, log_h = x0 + np.log(-np.expm1(-2.0 * x0) / sin_xb)
+    model = np.exp(0.5 * math.log(heavy.mass_number / light.mass_number) + (log_l - log_h)) * penalty
+    xb = c * omegab
+    a_l, a_h = x0 / np.tanh(x0)
+    b_l, b_h = xb / np.tan(xb)
+    a = a_l - a_h
+    b = np.where(T < T_clamped, a - (2.0 * _PENALTY_SCALE) * u * (T / T0) / penalty, b_l - b_h)
+    return model, model * a / omega0, -model * b / omegab
 
 
 def _lattice_axis(bounds, step, starts):
@@ -259,9 +283,102 @@ def _local_minima(cost):
     return idx[np.argsort(cost.ravel()[idx], kind="stable")]
 
 
-def least_squares(*args, **kwargs):
-    # fit_kie's solver, by a module name that bench/tracer.py wraps to count polishes
-    return _scipy("optimize").least_squares(*args, **kwargs)
+class _Point(NamedTuple):
+    """A polish's iterate x, with its residuals r, their Jacobian J and cost
+    0.5*|r|^2; the gradient g = Js^T r and normal matrix A = Js^T Js of the
+    Jacobian in z = x/_X_SCALE, Js; which coordinates may move; and the
+    length of the Gauss-Newton step in z."""
+
+    x: np.ndarray
+    r: np.ndarray
+    J: np.ndarray
+    cost: float
+    g: np.ndarray
+    A: np.ndarray
+    free: np.ndarray
+    gauss_newton: float
+
+
+class _Polish(NamedTuple):
+    """A polish's end point x, with cost 0.5*sum(fun^2), the residuals fun and
+    their Jacobian jac there, and nfev residual evaluations."""
+
+    x: np.ndarray
+    cost: float
+    fun: np.ndarray
+    jac: np.ndarray
+    nfev: int
+    success: bool
+
+
+def _damped_step(A, g, lam, free):
+    """The minimiser p of g.p + p.(A + lam*I).p/2 over the free coordinates,
+    the others held at 0, or None where that matrix is singular."""
+    (a, b), (_, d) = A.tolist()
+    free0, free1 = free.tolist()
+    g0, g1 = g.tolist()
+    a, g0 = (a + lam, g0) if free0 else (1.0, 0.0)
+    d, g1 = (d + lam, g1) if free1 else (1.0, 0.0)
+    if not (free0 and free1):
+        b = 0.0
+    det = a * d - b * b
+    if det <= 0.0:
+        return None
+    return np.array([(b * g1 - d * g0) / det, (b * g0 - a * g1) / det])
+
+
+def least_squares(fun, x0, bounds):
+    """Bounded Levenberg-Marquardt polish of 0.5*|r|^2 in (omega0, omegab).
+
+    ``fun(x)`` returns the residuals r and their Jacobian J. Steps are taken
+    in z = x/_X_SCALE and clipped to the box ``bounds = (lo, hi)``; a
+    coordinate on a bound that descent or the step would push out stays
+    there. A step is taken when the cost falls by at least 1e-4 of its
+    linear model's prediction. Where that prediction is below 1e-10 of the
+    cost, the cost is flat to rounding, so a step is taken when the
+    Gauss-Newton step it leaves is shorter than the one before. The polish
+    converges when the free part of J^T r is 0, when the Gauss-Newton step
+    is at most 1e-12 of |z|, or, in the flat region, when a step would not
+    shorten it. It fails (``success`` False) after _MAX_NFEV evaluations of
+    ``fun``, or when the cost at ``x0`` is not finite.
+    """
+    lo, hi = (np.asarray(b, dtype=float) for b in bounds)
+
+    def evaluate(x):
+        r, J = fun(x)
+        Js = J * _X_SCALE
+        g, A = Js.T @ r, Js.T @ Js
+        free = ~((x <= lo) & (g > 0) | (x >= hi) & (g < 0))
+        step = _damped_step(A, g, 0.0, free)
+        return _Point(x, r, J, 0.5 * float(r @ r), g, A, free, math.inf if step is None else math.hypot(*step))
+
+    point = evaluate(np.clip(np.asarray(x0, dtype=float), lo, hi))
+    nfev, lam, nu, converged = 1, 1e-3 * max(point.A[0, 0], point.A[1, 1]), 2.0, False
+    while math.isfinite(point.cost) and nfev < _MAX_NFEV:
+        x, _, _, cost, g, A, free, gauss_newton = point
+        if not g[free].any() or gauss_newton <= 1e-12 * math.hypot(*(x / _X_SCALE)):
+            converged = True
+            break
+        p = _damped_step(A, g, lam, free)
+        out = (x <= lo) & (p < 0) | (x >= hi) & (p > 0)
+        if out.any():
+            p = _damped_step(A, g, lam, free & ~out)
+        x_new = np.clip(x + _X_SCALE * p, lo, hi)
+        d = (x_new - x) / _X_SCALE
+        predicted = -(g @ d + 0.5 * d @ A @ d)
+        trial = evaluate(x_new)
+        nfev += 1
+        flat = predicted <= 1e-10 * cost
+        rho = (cost - trial.cost) / predicted if predicted > 0.0 else 0.0
+        if math.isfinite(trial.cost) and (rho >= 1e-4 or flat and trial.gauss_newton < gauss_newton):
+            point, nu = trial, 2.0
+            lam *= 1.0 / 3.0 if flat else max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+        elif math.isfinite(trial.cost) and flat:
+            converged = True
+            break
+        else:
+            lam, nu = lam * nu, 2.0 * nu
+    return _Polish(point.x, point.cost, point.r, point.J, nfev, converged)
 
 
 def fit_kie(data: KIEDataset, config: Optional[FitConfig] = None) -> FitResult:
@@ -270,12 +387,13 @@ def fit_kie(data: KIEDataset, config: Optional[FitConfig] = None) -> FitResult:
     Weights are 1/sigma^2 when uncertainties are present, unit otherwise.
     A screen evaluates the cost on a lattice over the box constraints
     (see ``FitConfig``). From the best cell of each of the best three
-    separate local minima of the lattice, a trust-region damped
-    least-squares solve (central-difference Jacobian) polishes the fit;
-    the best converged polish wins. A polish never ends above the cost it
-    starts from, so the fit's cost is at most the lattice's minimum
-    whenever the polish from the best cell converges. The covariance comes
-    from the Gauss-Newton normal matrix at the optimum scaled by the
+    separate local minima of the lattice, a bounded Levenberg-Marquardt
+    polish (``least_squares``, on the model's analytic Jacobian) runs to
+    where J^T r = 0 to rounding; the best converged polish wins. A polish
+    ends no higher than the cost it starts from, but for rounding, so the
+    fit's cost is at most the lattice's minimum whenever the polish from
+    the best cell converges. The covariance comes from the Gauss-Newton
+    normal matrix of the exact Jacobian at the optimum, scaled by the
     residual variance. ``valid`` requires the coldest datum to sit 5% above
     the implied hydrogen-scaled crossover temperature.
     """
@@ -295,8 +413,8 @@ def fit_kie(data: KIEDataset, config: Optional[FitConfig] = None) -> FitResult:
         )
 
     def residuals(params):
-        om0, omb = params
-        return w * (_kie_model(T, om0, omb, data.light, data.heavy) - y)
+        model, d_omega0, d_omegab = _kie_model(T, *params, data.light, data.heavy)
+        return w * (model - y), (w * np.array((d_omega0, d_omegab))).T
 
     omega0_axis = _lattice_axis(config.omega0_bounds, _SCREEN_STEPS[0], config.omega0_starts)
     omegab_axis = _lattice_axis(config.omegab_bounds, _SCREEN_STEPS[1], config.omegab_starts)
@@ -308,22 +426,10 @@ def fit_kie(data: KIEDataset, config: Optional[FitConfig] = None) -> FitResult:
     for k in _local_minima(cost)[:_MAX_POLISHES]:
         i, j = divmod(int(k), omegab_axis.size)
         try:
-            res = least_squares(
-                residuals,
-                x0=(omega0_axis[i], omegab_axis[j]),
-                bounds=(lo, hi),
-                method="trf",
-                jac="3-point",
-                diff_step=_DIFF_STEP,
-                x_scale=(1000.0, 500.0),
-                ftol=1e-12,
-                xtol=1e-12,
-                gtol=1e-12,
-                max_nfev=_MAX_NFEV,
-            )
+            res = least_squares(residuals, x0=(omega0_axis[i], omegab_axis[j]), bounds=(lo, hi))
         except (ValueError, FloatingPointError):
             continue
-        if not res.success or not np.isfinite(res.cost):
+        if not res.success:
             continue
         n_converged += 1
         if best is None or res.cost < best.cost:

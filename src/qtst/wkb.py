@@ -227,13 +227,16 @@ class TabulatedPotential(Potential1D):
             raise DomainError("need matching 1-d arrays with at least 4 points")
         _require_param("x", x, signed=True)
         _require_param("U", U, signed=True)
-        if np.any(np.diff(x) <= 0):
+        # neighbours compared, not subtracted: a difference can overflow
+        if np.any(x[1:] <= x[:-1]):
             order = np.argsort(x)
             x, U = x[order], U[order]
-            if np.any(np.diff(x) <= 0):
+            if np.any(x[1:] <= x[:-1]):
                 raise DomainError("grid positions must be distinct")
         _require_param("mass", mass, positive=True)
         knots, values = x.tolist(), U.tolist()
+        if not math.isfinite(knots[-1] - knots[0]):
+            raise DomainError("grid positions must span less than the largest double")
         # no monotone piece rises above its end knots: the top is the
         # largest knot
         top = int(np.argmax(U))

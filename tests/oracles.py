@@ -10,10 +10,12 @@ scan with root bracketing. ``mu_scan_float64`` is the library's multi-root
 scan with every kernel call at an ``np.float64`` point. They use only the model's ``friction_spectrum``
 (or a scalar ``laplace_kernel``) and stay independent of the closed forms.
 The Drude and Peaked effective frequencies also have polynomial oracles,
-built from the model parameters alone. ``fit_multistart`` is the KIE fit
-as a least-squares polish from every configured start, with no screen;
-``screen_broadcast`` is the fit's screen as one broadcast model call over
-the whole omega0 x omegab x T lattice.
+built from the model parameters alone. ``kie_model`` is the fit's model
+through ``_log_kie``, one isotope at a time, with no Jacobian;
+``fit_multistart`` is the KIE fit on it as scipy's least-squares polish
+from every configured start, finished by Gauss-Newton steps, with no
+screen; ``screen_broadcast`` is the fit's screen as one broadcast
+``kie_model`` call over the whole omega0 x omegab x T lattice.
 ``PchipTable`` and ``wkb_action_pchip`` are the tabulated potential and its
 action with scipy's ``PchipInterpolator`` called at every point, and
 ``wkb_action_reference`` is the action of any potential through its public
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -48,11 +51,15 @@ from qtst import (
 )
 from qtst import units
 from qtst.errors import BelowCrossoverError, DomainError, FitConvergenceError, SolverConvergenceError
-from qtst.fit import _CROSSOVER_MARGIN, _DIFF_STEP, _MAX_NFEV, FitConfig, FitResult, KIEDataset, _kie_model
+from qtst.fit import _CROSSOVER_MARGIN, _PENALTY_SCALE, FitConfig, FitResult, KIEDataset
+from qtst.kie import _log_kie
 from qtst.kramers import _brent, _mu_mismatch, crossover_temperature
 from qtst.spectral import _require_param
 
 _QUAD_OPTS = dict(epsabs=0.0, epsrel=1e-11, limit=400)
+# fit_multistart's least_squares: relative central-difference step and cap
+_FIT_DIFF_STEP = 1e-4
+_FIT_MAX_NFEV = 400
 # the infinite tails carry ~1e-4 of the integral; absolute floor avoids
 # chasing roundoff there
 _TAIL_QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-9, limit=200)
@@ -288,26 +295,69 @@ def peaked_mu_quartic(omegab: float, model) -> float:
     return min(max(real), 1.0) * omegab
 
 
+def kie_model(T, omega0, omegab, light, heavy):
+    """The fit's model as the library once wrote it: ``_log_kie`` at the
+    temperature clamped to 1.02 times the light isotope's crossover, times
+    the penalty 1 + 10*u^2, u the clamp's shift in units of that crossover.
+    omega0 and omegab may be arrays that broadcast with T in front of its
+    axis."""
+    T0 = crossover_temperature(units.isotope_frequency(omegab, light))
+    T_clamped = np.maximum(T, (1.0 + _CROSSOVER_MARGIN) * T0)
+    u = (T_clamped - T) / T0
+    return np.exp(_log_kie(omega0, omegab, T_clamped, light, heavy)) * (1.0 + _PENALTY_SCALE * u * u)
+
+
 def screen_broadcast(T, y, w, omega0, omegab, light, heavy):
     """Least-squares cost 0.5*sum(r^2) of the fit's model on the lattice
     omega0 x omegab, in one unchunked broadcast call over every data point;
     non-finite costs are inf."""
-    r = w * (_kie_model(T, omega0[:, None, None], omegab[:, None], light, heavy) - y)
+    r = w * (kie_model(T, omega0[:, None, None], omegab[:, None], light, heavy) - y)
     cost = 0.5 * np.sum(r * r, axis=-1)
     cost[~np.isfinite(cost)] = np.inf
     return cost
+
+
+def _central_jacobian(residuals, x):
+    # relative step 1e-6: truncation and rounding both near 1e-11 relative
+    columns = []
+    for k in range(x.size):
+        h = np.zeros_like(x)
+        h[k] = 1e-6 * x[k]
+        columns.append((residuals(x + h) - residuals(x - h)) / (2.0 * h[k]))
+    return np.stack(columns, axis=-1)
+
+
+def _gauss_newton_finish(residuals, x, lo, hi):
+    """Gauss-Newton steps from x, clipped to the box, each from a
+    central-difference Jacobian (relative step 1e-6), until a step is below
+    1e-13 of |x| or no shorter than the one before: J^T r = 0 to rounding.
+    Returns x, cost, fun and jac like ``least_squares``' result."""
+    x = np.asarray(x, dtype=float)
+    last = math.inf
+    for _ in range(50):
+        r = residuals(x)
+        J = _central_jacobian(residuals, x)
+        step = np.clip(x + np.linalg.lstsq(J, -r, rcond=None)[0], lo, hi) - x
+        size = float(np.linalg.norm(step))
+        if size <= 1e-13 * float(np.linalg.norm(x)) or size >= last:
+            break
+        x, last = x + step, size
+    r = residuals(x)
+    return SimpleNamespace(x=x, cost=0.5 * float(r @ r), fun=r, jac=_central_jacobian(residuals, x))
 
 
 def fit_multistart(data: KIEDataset, config: Optional[FitConfig] = None) -> FitResult:
     """Weighted least-squares fit of the two-parameter KIE model.
 
     Weights are 1/sigma^2 when uncertainties are present, unit otherwise.
-    Every (omega0, omegab) start on the configured grid is polished by a
-    trust-region damped least-squares solve (central-difference Jacobian);
-    the best converged minimum wins. The covariance comes from the
-    Gauss-Newton normal matrix at the optimum scaled by the residual
-    variance. ``valid`` requires the coldest datum to sit 5% above the
-    implied hydrogen-scaled crossover temperature.
+    Every (omega0, omegab) start on the configured grid is polished by
+    scipy's trust-region ``least_squares`` (central-difference Jacobian),
+    then finished by ``_gauss_newton_finish`` so that its optimum does not
+    depend on where the 1e-12 tolerances stopped it; the best converged
+    minimum wins. The covariance comes from the Gauss-Newton normal matrix
+    at the optimum scaled by the residual variance. ``valid`` requires the
+    coldest datum to sit 5% above the implied hydrogen-scaled crossover
+    temperature.
     """
     if len(data) < 3:
         raise DomainError("need at least 3 points for a 2-parameter fit")
@@ -326,7 +376,7 @@ def fit_multistart(data: KIEDataset, config: Optional[FitConfig] = None) -> FitR
 
     def residuals(params):
         om0, omb = params
-        return w * (_kie_model(T, om0, omb, data.light, data.heavy) - y)
+        return w * (kie_model(T, om0, omb, data.light, data.heavy) - y)
 
     lo = (config.omega0_bounds[0], config.omegab_bounds[0])
     hi = (config.omega0_bounds[1], config.omegab_bounds[1])
@@ -345,17 +395,18 @@ def fit_multistart(data: KIEDataset, config: Optional[FitConfig] = None) -> FitR
                     bounds=(lo, hi),
                     method="trf",
                     jac="3-point",
-                    diff_step=_DIFF_STEP,
+                    diff_step=_FIT_DIFF_STEP,
                     x_scale=(1000.0, 500.0),
                     ftol=1e-12,
                     xtol=1e-12,
                     gtol=1e-12,
-                    max_nfev=_MAX_NFEV,
+                    max_nfev=_FIT_MAX_NFEV,
                 )
             except (ValueError, FloatingPointError):
                 continue
             if not res.success or not np.isfinite(res.cost):
                 continue
+            res = _gauss_newton_finish(residuals, res.x, lo, hi)
             n_converged += 1
             if best is None or res.cost < best.cost:
                 best = res

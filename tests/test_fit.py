@@ -54,7 +54,7 @@ def test_kie_model_is_kie_qtst_above_the_clamp_and_penalised_below():
     omega0, omegab = 3000.0, 1000.0
     t0 = crossover_temperature(omegab)
     T = np.linspace(0.9 * t0, 2.0 * t0, 23)
-    model = _kie_model(T, omega0, omegab, Isotope.H, Isotope.T)
+    model = _kie_model(T, omega0, omegab, Isotope.H, Isotope.T)[0]
     T_min = 1.02 * t0
     for t, value in zip(T, model):
         if t > T_min:
@@ -89,6 +89,35 @@ def test_objective_not_worse_than_any_start():
     for om0 in config.omega0_starts:
         for omb in config.omegab_starts:
             assert best_cost <= cost(om0, omb) + 1e-12
+
+
+@pytest.mark.parametrize(
+    "config, bound",
+    [(FitConfig(omegab_bounds=(900.0, 3000.0)), {"omegab": 900.0}),
+     (FitConfig(omega0_bounds=(500.0, 2500.0)), {"omega0": 2500.0})],
+    ids=["omegab-at-its-lower-bound", "omega0-at-its-upper-bound"],
+)
+def test_fit_optimum_on_a_bound(config, bound):
+    # the unbounded optimum, near (3000, 800), lies outside each box: the
+    # polish stops on the bound, at the minimum along the other coordinate
+    data = synth_dataset(omega0=3000.0, omegab=800.0, noise=0.02, seed=5)
+    res = fit_kie(data, config)
+    assert res.n_starts_converged > 0
+    (name, value), = bound.items()
+    assert getattr(res, name) == value
+    T, y, _ = data.sorted_arrays()
+
+    def cost(**params):
+        point = {"omega0": res.omega0, "omegab": res.omegab, **params}
+        model = kie_qtst(point["omega0"], point["omegab"], T, data.light, data.heavy).ratio
+        return float(np.sum((model - y) ** 2))
+
+    free = "omega0" if name == "omegab" else "omegab"
+    inward = 1.001 if value == getattr(config, f"{name}_bounds")[0] else 0.999
+    best = cost()
+    assert best < cost(**{name: value * inward})
+    assert best <= cost(**{free: getattr(res, free) * 1.001})
+    assert best <= cost(**{free: getattr(res, free) * 0.999})
 
 
 def test_weight_scale_invariance():

@@ -199,8 +199,8 @@ LINEAR_PROTEIN = json.dumps({"kind": "linear_protein"})
          "rate-drude", "rate-linear-protein", "crossover", "spectral-linear-protein"],
 )
 def test_closed_form_commands_load_no_heavy_scipy_module(argv):
-    # the closed forms, every mu solve (Brent's method in Python) and every
-    # kernel load none; the fit, erfcx and WKB integrals do
+    # the closed forms, every mu solve (Brent's method in Python), every
+    # kernel and the fit load none; erfcx and WKB integrals do
     assert not _scipy_modules_after_cli(argv) & set(HEAVY_SCIPY)
 
 
@@ -208,10 +208,23 @@ def test_mu_solves_and_a_linear_protein_rate_load_no_scipy_module():
     assert _scipy_modules_after(_RUN_SOLVES) == set()
 
 
-def test_a_fit_loads_scipy_optimize():
-    # the checks above can see a loaded module: the fit's least squares is scipy's
-    loaded = _scipy_modules_after_cli(["fit", "--input", "fig4"])
-    assert "scipy.optimize" in loaded
+# fit_kie on both bundled series, then `qtst fit --input fig4` with its
+# curve and JSON written to the paths in sys.argv[1:]
+_RUN_FITS = """
+import contextlib, io, sys
+import qtst, qtst.cli
+from qtst.kie import load_dataset_csv
+for name, pair in (("fig3_mcm.csv", "H:D"), ("fig4_mao.csv", "H:T")):
+    qtst.fit_kie(qtst.KIEDataset.from_csv_text(load_dataset_csv(name), pair=pair))
+with contextlib.redirect_stdout(io.StringIO()):
+    assert qtst.cli.main(["fit", "--input", "fig4", "--curve", sys.argv[1], "--output", sys.argv[2]]) == 0
+"""
+
+
+def test_a_fit_loads_no_scipy_module(tmp_path):
+    # the polish is the library's own Levenberg-Marquardt with an analytic Jacobian
+    assert _scipy_modules_after(_RUN_FITS, str(tmp_path / "curve.csv"), str(tmp_path / "fit.json")) == set()
+    assert (tmp_path / "fit.json").exists()
 
 
 def test_a_tabulated_wkb_loads_scipy_integrate_but_not_scipy_interpolate(tmp_path):

@@ -81,6 +81,15 @@ def test_tabulated_potential_refuses_assignment_after_construction(name):
     assert turning_points(tab, 6.0) == turning_points(TabulatedPotential(tab._knots, tab._U), 6.0)
 
 
+@pytest.mark.parametrize("x", [[-1.7e308, -1e308, 1e308, 1.7e308], [1e308, -1.7e308, 1.7e308, -1e308]],
+                         ids=["sorted", "unsorted"])
+def test_tabulated_positions_spanning_past_the_double_range_are_a_domain_error(x):
+    # once numpy's overflow warning from differencing the positions, raised
+    # as an error where warnings are errors
+    with pytest.raises(DomainError, match="span less than the largest double"):
+        TabulatedPotential(x, [0.0, 5.0, 7.0, 1.0])
+
+
 def test_parabolic_turning_points_analytic_inversion():
     for E in (5.0, 20.0, 35.0):
         x1, x2 = turning_points(PARABOLA, E)
