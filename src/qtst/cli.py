@@ -204,7 +204,7 @@ def cmd_classify(args):
     if args.dataset:
         if args.dataset != "table1":
             raise ConfigError(f"unknown dataset {args.dataset!r}; only 'table1' is bundled")
-        rows = kiemod.load_table1()
+        rows = kiemod._table1_rows()
         if args.row:
             rows = [r for r in rows if args.row.lower() in r["name"].lower()]
             if not rows:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from functools import cache
 from importlib import resources
 
 import numpy as np
@@ -259,7 +260,7 @@ def classify(
     if isinstance(pair, str):
         pair = Isotope.pair(pair)
     key = f"{pair[0].name}{pair[1].name}"
-    limits = load_limits()
+    limits = _bundled_json("limits.json")
     if key not in limits["bell_prefactor_ranges"]["ranges"]:
         raise DomainError(f"unsupported isotope pair {key!r}; expected HD, HT or DT")
     kk = limits["kim_kreevoy"]
@@ -277,24 +278,44 @@ def classify(
     )
 
 
-def _load_json(name: str) -> dict:
+@cache
+def _bundled_json(name: str) -> dict:
+    # parsed once per process and shared: read it, never change it
     with resources.files("qtst.data").joinpath(name).open("r", encoding="utf-8") as fh:
         return json.load(fh)
 
 
+def _json_copy(obj):
+    # new dicts and lists of a parsed JSON tree, its immutable leaves shared:
+    # faster than copy.deepcopy, which memoises every node
+    if isinstance(obj, dict):
+        return {key: _json_copy(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_json_copy(value) for value in obj]
+    return obj
+
+
+def _table1_rows() -> list[dict]:
+    # the shared rows, for readers that do not change them
+    return _bundled_json("table1_kie.json")["rows"]
+
+
 def load_limits() -> dict:
-    """Kim-Kreevoy and Bell threshold constants (versioned reference data)."""
-    return _load_json("limits.json")
+    """Kim-Kreevoy and Bell threshold constants (versioned reference data).
+    A fresh copy on each call: changing it changes no later result."""
+    return _json_copy(_bundled_json("limits.json"))
 
 
 def load_table1() -> list[dict]:
-    """Measured KIE Arrhenius parameters for enzymes and model reactions."""
-    return _load_json("table1_kie.json")["rows"]
+    """Measured KIE Arrhenius parameters for enzymes and model reactions,
+    a fresh copy on each call."""
+    return _json_copy(_table1_rows())
 
 
 def load_barrier_frequencies() -> list[dict]:
-    """Barrier frequencies from quantum chemistry, with max crossover T."""
-    return _load_json("table3_omegab.json")["rows"]
+    """Barrier frequencies from quantum chemistry, with max crossover T,
+    a fresh copy on each call."""
+    return _json_copy(_bundled_json("table3_omegab.json")["rows"])
 
 
 def load_dataset_csv(name: str) -> str:

@@ -7,6 +7,19 @@ The semiclassical action through a one-dimensional barrier is
 between the classical turning points, and the transmission probability is
 exp(-2 S(E)/hbar). Positions are in angstrom, energies in kJ/mol, masses
 in hydrogen mass numbers; the action is returned in units of hbar.
+
+The three model barriers have the integral in closed form, with no
+turning-point solve and no quadrature (see ``wkb_action``):
+
+- parabola: pi (E_b - E)/sqrt(2 k), k = M omega_b^2;
+- Eckart: pi w (sqrt(V0) - sqrt(E)) (Bell, *The Tunnel Effect in
+  Chemistry*, 1980), evaluated as pi w (V0 - E)/(sqrt(V0) + sqrt(E));
+- cubic: complete elliptic integrals of the root gaps (Byrd & Friedman,
+  *Handbook of Elliptic Integrals*, 1971, 236), or a hypergeometric series
+  just below the top.
+
+A tabulated potential, and any subclass that overrides ``energy``, takes
+the adaptive quadrature between Brent turning points.
 """
 
 from __future__ import annotations
@@ -42,15 +55,18 @@ class Potential1D:
     ``barrier_height``) and ``brackets(E)``: for 0 < E < barrier height, one
     interval ``(lo, hi)`` on each side of the top, the left one first, each
     holding exactly one root of U(x) - E. ``turning_points`` runs Brent's
-    method in each.
+    method in each. A model barrier also gives ``_integral(E)``, the closed
+    form of int sqrt(U - E) dx that ``wkb_action`` takes in place of its
+    quadrature, but only for the class that defines that ``energy``.
     """
 
     mass: float
     # the barrier top, which a subclass sets on construction
     barrier_height: float
     barrier_position: float
-    #: interpolated potentials have C1 kinks at their knots, which the
-    #: action's quadrature runs across; see ``wkb_action`` for the accuracy
+    #: the action's quadrature asks for 1e-10 where U is smooth; a tabulated
+    #: potential has C1 kinks at its knots, which the quadrature runs across
+    #: at 1e-8 (see ``wkb_action``); the closed forms need neither
     smooth = True
 
     def energy(self, x: float) -> float:
@@ -101,6 +117,10 @@ class ParabolicBarrier(Potential1D):
         r = math.sqrt(2.0 * self.E_b / self._k)
         return (-r, 0.0), (0.0, r)
 
+    def _integral(self, E):
+        # half an ellipse of semi-axes sqrt(2 (E_b - E)/k) and sqrt(E_b - E)
+        return math.pi * (self.E_b - E) / math.sqrt(2.0 * self._k)
+
 
 @dataclass(frozen=True)
 class EckartBarrier(Potential1D):
@@ -118,14 +138,23 @@ class EckartBarrier(Potential1D):
     def energy(self, x):
         return self.V0 / math.cosh(x / self.width) ** 2
 
-    def brackets(self, E):
-        # U = E/2 at the outer ends, where cosh^2 = 2 V0/E; past a double's
+    def _outer_ratio(self, E):
+        # cosh^2 = 2 V0/E at the bracket ends, where U = E/2; past a double's
         # range U can no longer reach E/2, and energy() would overflow
         q = 2.0 * self.V0 / E
         if q == math.inf:
             raise DomainError(f"E = {E:g} kJ/mol is too small for an Eckart barrier of {self.V0:g} kJ/mol")
-        r = self.width * math.acosh(math.sqrt(q))
+        return q
+
+    def brackets(self, E):
+        r = self.width * math.acosh(math.sqrt(self._outer_ratio(E)))
         return (-r, 0.0), (0.0, r)
+
+    def _integral(self, E):
+        # pi w (sqrt(V0) - sqrt(E)), without the difference's cancellation
+        # near the top; an E too small for the brackets raises as they do
+        self._outer_ratio(E)
+        return math.pi * self.width * (self.V0 - E) / (math.sqrt(self.V0) + math.sqrt(E))
 
 
 @dataclass(frozen=True)
@@ -160,6 +189,28 @@ class CubicBarrier(Potential1D):
         xb = self.barrier_position
         return (0.0, xb), (xb, 1.5 * xb)
 
+    def _integral(self, E):
+        # U - E = lambda (x - r0)(x - r1)(r2 - x), r0 < 0 < r1 < r2; with
+        # lambda x_b^3 = 2 E_b the integral is sqrt(2 E_b) x_b J, where J
+        # takes the root gaps d = r2 - r1 and q = r1 - r0 in units of x_b,
+        # from the trigonometric roots: d = sqrt(3) sin(beta), q =
+        # sqrt(3) sin(alpha), alpha = (2/3) asin(sqrt(E/E_b)) and beta =
+        # pi/3 - alpha, each angle from atan2 so the small one keeps its digits
+        top = self.E_b
+        below, above = math.sqrt(top - E), math.sqrt(E)
+        d = _SQRT3 * math.sin(_TWO_THIRDS * math.atan2(below, above))
+        q = _SQRT3 * math.sin(_TWO_THIRDS * math.atan2(above, below))
+        if d < 0.25 * q:
+            # near the top the elliptic form cancels: the Euler integral's
+            # series, pi/8 d^2 sqrt(q) 2F1(-1/2, 3/2; 3; -d/q)
+            j = 0.125 * math.pi * d * d * math.sqrt(q) * _hyp2f1_top(-d / q)
+        else:
+            # Byrd & Friedman 236, with m = d/p and 1 - m = q/p
+            p = d + q
+            K, Em = _complete_elliptic(d / p, math.sqrt(q / p))
+            j = (2.0 / 15.0) * math.sqrt(p) * (2.0 * (p * p - p * q + q * q) * Em - q * (p + q) * K)
+        return math.sqrt(2.0 * top) * self.barrier_position * j
+
     def cubic_coefficient(self) -> float:
         """c3 of the barrier-top expansion, in cm^-2/angstrom.
 
@@ -167,6 +218,39 @@ class CubicBarrier(Potential1D):
         c3 = U'''/(2M); the cubic form has U''' = -6 lambda everywhere.
         """
         return -3.0 * self._lambda / (units.CURVATURE_KJ_PER_MOL * self.mass)
+
+
+_SQRT3 = math.sqrt(3.0)
+_TWO_THIRDS = 2.0 / 3.0
+
+
+def _complete_elliptic(m, kc):
+    """K(m) and E(m) by the arithmetic-geometric mean (Abramowitz & Stegun
+    17.6), from the parameter m and the complementary modulus kc =
+    sqrt(1 - m), each passed in so neither is a difference."""
+    a, b = 1.0, kc
+    c2, weight = m, 0.5  # c_n^2 and 2^(n-1)
+    total = weight * c2
+    while c2 > 1e-32:
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+        # c_{n+1} = c_n^2/(4 a_{n+1}), not the cancelling (a_n - b_n)/2
+        c2 = c2 * c2 / (16.0 * a * a)
+        weight *= 2.0
+        total += weight * c2
+    K = 0.5 * math.pi / a
+    return K, K * (1.0 - total)
+
+
+def _hyp2f1_top(z):
+    # 2F1(-1/2, 3/2; 3; z) by its series, for -1/4 < z <= 0: the terms
+    # alternate and fall at least 4-fold
+    term = total = 1.0
+    n = 0
+    while abs(term) > 1e-17 * total:
+        term *= (n - 0.5) * (n + 1.5) / ((n + 3.0) * (n + 1.0)) * z
+        total += term
+        n += 1
+    return total
 
 
 def _sign(v):
@@ -237,6 +321,11 @@ class TabulatedPotential(Potential1D):
         knots, values = x.tolist(), U.tolist()
         if not math.isfinite(knots[-1] - knots[0]):
             raise DomainError("grid positions must span less than the largest double")
+        # energy() takes s^3 for s up to a piece's width; an infinite power
+        # times a zero coefficient would be nan
+        widest = max(b - a for a, b in zip(knots, knots[1:]))
+        if not math.isfinite(widest * widest * widest):
+            raise DomainError("each grid spacing cubed must stay below the largest double")
         # no monotone piece rises above its end knots: the top is the
         # largest knot
         top = int(np.argmax(U))
@@ -319,6 +408,22 @@ class TabulatedPotential(Potential1D):
         return cls(xs, us, mass=mass)
 
 
+def _check_energy(pot: Potential1D, E) -> float:
+    # finite, > 0 and below the top, or DomainError; E as a float
+    E = _require_param("energy", E, positive=True)
+    if E >= pot.barrier_height:
+        raise DomainError(
+            f"no barrier for E = {E:g} >= barrier height {pot.barrier_height:g} kJ/mol"
+        )
+    return E
+
+
+def _energy_class(pot: Potential1D) -> type:
+    # the class whose energy pot runs; a closed form or an inlined integrand
+    # describes that energy only, so a subclass overriding it gets neither
+    return next(cls for cls in type(pot).__mro__ if "energy" in vars(cls))
+
+
 def turning_points(pot: Potential1D, E: float) -> tuple[float, float]:
     """Classical turning points on either side of the barrier top at energy E.
 
@@ -328,11 +433,7 @@ def turning_points(pot: Potential1D, E: float) -> tuple[float, float]:
     tabulated potential must drop below E on each side, or ``DomainError``;
     a bracket Brent's method cannot solve raises ``SolverConvergenceError``.
     """
-    E = _require_param("energy", E, positive=True)
-    if E >= pot.barrier_height:
-        raise DomainError(
-            f"no barrier for E = {E:g} >= barrier height {pot.barrier_height:g} kJ/mol"
-        )
+    E = _check_energy(pot, E)
     x1, x2 = (
         _brent(lambda x: pot.energy(x) - E, lo, hi, xtol=1e-12 * max(hi - lo, abs(lo), abs(hi)), what="turning point")
         for lo, hi in pot.brackets(E)
@@ -343,8 +444,22 @@ def turning_points(pot: Potential1D, E: float) -> tuple[float, float]:
 def wkb_action(pot: Potential1D, E: float) -> float:
     """Barrier-penetration action S(E) in units of hbar.
 
-    The integrand's inverse-square-root endpoint singularities are removed
-    by the substitution x = x_mid + half_width * sin(theta), after which an
+    The parabolic, Eckart and cubic barriers take their closed forms (see
+    the module docstring): no turning points and no scipy. Against a
+    50-digit mpmath quadrature of each barrier as its constructor defines
+    it, each is within 1e-12 relative for E/E_b in [1e-6, 1 - 1e-6] and
+    masses 1 to 3 (the worst of 600 random cases each: 4.8e-16 parabolic,
+    4.5e-16 Eckart, 6.5e-15 cubic). The cubic is complete elliptic
+    integrals by the AGM, or, where the turning points' gap is below a
+    quarter of the gap to the third root, the series of its hypergeometric
+    form (the elliptic one cancels there: 1.7e-10 off at (1 - 1e-6) E_b).
+    E is checked as ``turning_points`` checks it, and an Eckart energy too
+    small for its brackets raises the same ``DomainError``.
+
+    A tabulated potential, and any subclass that overrides ``energy``,
+    takes a quadrature between the turning points. The integrand's
+    inverse-square-root endpoint singularities are removed by the
+    substitution x = x_mid + half_width * sin(theta), after which scipy's
     adaptive quadrature asks for 1e-10 relative accuracy on a smooth
     potential. On a tabulated one it asks for 1e-8, but the interpolant's
     kinks at the knots, which the quadrature does not split at, cost more
@@ -353,6 +468,12 @@ def wkb_action(pot: Potential1D, E: float) -> float:
     at 0.5*E_b and 1.1e-11 at 0.95*E_b, against a quadrature split at the
     knots to 1e-13.
     """
+    owner = _energy_class(pot)
+    closed = vars(owner).get("_integral")
+    if closed is not None:
+        val = closed(pot, _check_energy(pot, E))
+        return units.ACTION_HBAR_FACTOR * math.sqrt(pot.mass) * val
+
     integrate = _scipy("integrate")
     x1, x2 = turning_points(pot, E)
     mid = 0.5 * (x1 + x2)
@@ -363,13 +484,14 @@ def wkb_action(pot: Potential1D, E: float) -> float:
     # absolute floor sized to the integral keeps the quadrature from
     # chasing roundoff near the top where the integral itself vanishes
     floor = 1e-12 * half * math.sqrt(pot.barrier_height)
+    integrand = vars(owner).get("_action_integrand", Potential1D._action_integrand)
     with warnings.catch_warnings():
         if not pot.smooth:
             # interpolant kinks cap the reachable accuracy at the grid's
             # resolution; QUADPACK's best estimate is what we want
             warnings.simplefilter("ignore", integrate.IntegrationWarning)
         val, _ = integrate.quad(
-            pot._action_integrand(E, mid, half),
+            integrand(pot, E, mid, half),
             -0.5 * math.pi,
             0.5 * math.pi,
             epsabs=floor,

@@ -19,7 +19,10 @@ screen; ``screen_broadcast`` is the fit's screen as one broadcast
 ``PchipTable`` and ``wkb_action_pchip`` are the tabulated potential and its
 action with scipy's ``PchipInterpolator`` called at every point, and
 ``wkb_action_reference`` is the action of any potential through its public
-``energy``, the generic integrand the library's tabulated one inlines.
+``energy``, the generic integrand the library's tabulated one inlines, and
+``wkb_action_mpmath`` is the action of a parabolic, Eckart or cubic barrier
+at 50 digits, rebuilt from its constructor's parameters, which the
+library's closed forms must match.
 ``brentq`` is scipy's Brent's method, which the library's own port
 (``errors._brentq``) must match bit for bit, and ``fg_sici`` is the
 linear-protein kernel's f and g from scipy's ``sici``.
@@ -32,6 +35,7 @@ import warnings
 from types import SimpleNamespace
 from typing import Optional
 
+import mpmath as mp
 import numpy as np
 from scipy import integrate, optimize
 from scipy.interpolate import PchipInterpolator
@@ -40,9 +44,12 @@ from scipy.special import polygamma, sici
 
 from qtst import (
     CorrectionResult,
+    CubicBarrier,
     DebyeDielectricFriction,
     DrudeFriction,
+    EckartBarrier,
     LinearProteinFriction,
+    ParabolicBarrier,
     PeakedFriction,
     TabulatedPotential,
     effective_barrier_frequency,
@@ -480,3 +487,51 @@ def wkb_action_reference(pot, E: float) -> float:
             limit=300,
         )
     return units.ACTION_HBAR_FACTOR * math.sqrt(pot.mass) * val
+
+
+def wkb_action_mpmath(pot, E: float) -> float:
+    """``wkb_action`` of a parabolic, Eckart or cubic barrier at 50 digits.
+
+    The potential is rebuilt from the constructor's parameters and the
+    library's float constants, the turning points are the roots of U - E
+    (the cubic's by ``polyroots``), and mpmath's tanh-sinh quadrature runs
+    between them on the library's substitution x = mid + half*sin(theta).
+    """
+    with mp.workdps(50):
+        E, M = mp.mpf(E), mp.mpf(pot.mass)
+        curvature = mp.mpf(units.CURVATURE_KJ_PER_MOL) * M
+        if isinstance(pot, ParabolicBarrier):
+            k, top = curvature * mp.mpf(pot.omega_b) ** 2, mp.mpf(pot.E_b)
+            r = mp.sqrt(2 * (top - E) / k)
+            x1, x2 = -r, r
+
+            def U(x):
+                return top - k * x * x / 2
+        elif isinstance(pot, EckartBarrier):
+            V0, w = mp.mpf(pot.V0), mp.mpf(pot.width)
+            r = w * mp.acosh(mp.sqrt(V0 / E))
+            x1, x2 = -r, r
+
+            def U(x):
+                return V0 / mp.cosh(x / w) ** 2
+        elif isinstance(pot, CubicBarrier):
+            k = curvature * mp.mpf(pot.omega_0) ** 2
+            xb = mp.sqrt(6 * mp.mpf(pot.E_b) / k)
+            lam = k / (3 * xb)
+            # lambda x^3 - (k/2) x^2 + E = 0: one negative root, then the two
+            # turning points in (0, 1.5 x_b)
+            roots = mp.polyroots([lam, -k / 2, 0, E], maxsteps=200, extraprec=200)
+            x1, x2 = sorted(mp.re(x) for x in roots)[1:]
+
+            def U(x):
+                return k * x * x / 2 - lam * x**3
+        else:
+            raise TypeError(f"no closed form for {type(pot).__name__}")
+        mid, half = (x1 + x2) / 2, (x2 - x1) / 2
+
+        def integrand(theta):
+            du = U(mid + half * mp.sin(theta)) - E
+            return mp.sqrt(max(du, 0)) * half * mp.cos(theta)
+
+        val = mp.quad(integrand, [-mp.pi / 2, mp.pi / 2])
+        return float(mp.mpf(units.ACTION_HBAR_FACTOR) * mp.sqrt(M) * val)

@@ -468,6 +468,32 @@ def test_table1_rows_complete_and_typed():
     assert all(r["pair"] in ("HD", "HT") for r in rows)
 
 
+def test_changing_loaded_reference_data_changes_no_later_result(capsys):
+    # the bundled files are parsed once and shared; each loader returns a copy
+    import qtst.cli
+
+    def table1_reports():
+        assert qtst.cli.main(["classify", "--dataset", "table1"]) == 0
+        return capsys.readouterr().out
+
+    before, reports = classify(7.0, 0.6, 5.5, "H:D"), table1_reports()
+    limits = load_limits()
+    limits["kim_kreevoy"]["kie_hd_min"] = 100.0
+    limits["bell_prefactor_ranges"]["ranges"]["HD"][0] = 0.0
+    del limits["bell_prefactor_ranges"]["ranges"]["HT"]
+    rows = load_table1()
+    rows[0]["kie"] = 1e6
+    rows.pop()
+    load_barrier_frequencies()[0]["omega_b_cm1"] = -1
+    assert classify(7.0, 0.6, 5.5, "H:D") == before
+    assert classify(7.0, 0.6, 5.5, "H:T").pair == "HT"
+    assert table1_reports() == reports
+    assert load_limits()["kim_kreevoy"]["kie_hd_min"] == 6.4
+    assert load_limits()["bell_prefactor_ranges"]["ranges"]["HD"] == [0.5, 1.4]
+    assert load_table1()[0]["kie"] != 1e6 and len(load_table1()) == len(rows) + 1
+    assert load_barrier_frequencies()[0]["omega_b_cm1"] > 0
+
+
 def test_barrier_frequency_table():
     rows = load_barrier_frequencies()
     assert any(r["omega_b_cm1"] == 2913 for r in rows)  # soybean lipoxygenase

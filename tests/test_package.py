@@ -194,13 +194,18 @@ LINEAR_PROTEIN = json.dumps({"kind": "linear_protein"})
         ["rate", "--omega0", "3000", "--omegab", "1000", "--barrier", "40", "--friction", LINEAR_PROTEIN],
         ["crossover", "--omegab", "1000"],
         ["spectral", "--friction", LINEAR_PROTEIN],
+        ["wkb", "--potential", "parabolic", "--barrier", "40", "--omegab", "1000"],
+        ["wkb", "--potential", "eckart", "--barrier", "40", "--width", "0.45"],
+        ["wkb", "--potential", "cubic", "--barrier", "40", "--omega0", "1000"],
     ],
     ids=["import", "kie-predict", "correction", "classify", "rate", "swain-schaad",
-         "rate-drude", "rate-linear-protein", "crossover", "spectral-linear-protein"],
+         "rate-drude", "rate-linear-protein", "crossover", "spectral-linear-protein",
+         "wkb-parabolic", "wkb-eckart", "wkb-cubic"],
 )
 def test_closed_form_commands_load_no_heavy_scipy_module(argv):
     # the closed forms, every mu solve (Brent's method in Python), every
-    # kernel and the fit load none; erfcx and WKB integrals do
+    # kernel, the fit and the model barriers' WKB actions load none; erfcx
+    # and a tabulated WKB action do
     assert not _scipy_modules_after_cli(argv) & set(HEAVY_SCIPY)
 
 

@@ -3,7 +3,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
@@ -20,7 +20,7 @@ from qtst import (
 from qtst import units
 from qtst.errors import DomainError, SolverConvergenceError
 
-from oracles import wkb_action_pchip, wkb_action_reference
+from oracles import wkb_action_mpmath, wkb_action_pchip, wkb_action_reference
 
 CM1_KJ = 0.011962656563869701
 CURV = 0.000357396117155  # kJ/mol per (mass cm^-2 A^2)
@@ -88,6 +88,16 @@ def test_tabulated_positions_spanning_past_the_double_range_are_a_domain_error(x
     # as an error where warnings are errors
     with pytest.raises(DomainError, match="span less than the largest double"):
         TabulatedPotential(x, [0.0, 5.0, 7.0, 1.0])
+
+
+def test_tabulated_spacing_whose_cube_overflows_is_a_domain_error():
+    # once accepted, and energy(1e307) was nan: s*s overflowed to inf and
+    # met a zero coefficient
+    with pytest.raises(DomainError, match="spacing cubed must stay below the largest double"):
+        TabulatedPotential([-3e307, -1e307, 0.0, 3e307], [0.0, 5.0, 7.0, 1.0])
+    # a widest spacing whose cube is finite is kept, and every energy with it
+    tab = TabulatedPotential([0.0, 5e102, 1e103, 1.5e103], [0.0, 5.0, 7.0, 1.0])
+    assert all(math.isfinite(tab.energy(x)) for x in np.linspace(0.0, 1.5e103, 101))
 
 
 def test_parabolic_turning_points_analytic_inversion():
@@ -472,20 +482,117 @@ def test_tabulated_action_equals_scipy_pchip_oracle_exactly(mass, frac):
     assert wkb_action(tab, E) == wkb_action_pchip(tab, E)
 
 
+class OwnParabola(ParabolicBarrier):
+    # energy overridden, with the parent's value: no closed form applies
+    def energy(self, x):
+        return super().energy(x)
+
+
+class OwnEckart(EckartBarrier):
+    def energy(self, x):
+        return super().energy(x)
+
+
+class OwnCubic(CubicBarrier):
+    def energy(self, x):
+        return super().energy(x)
+
+
 @pytest.mark.parametrize("mass", [1.0, 2.0, 3.0])
 @pytest.mark.parametrize(
     "build",
-    [lambda m: ParabolicBarrier(40.0, 1000.0, mass=m), lambda m: EckartBarrier(40.0, 0.45, mass=m),
-     lambda m: CubicBarrier(1000.0, 40.0, mass=m), _benchmark_table],
+    [lambda m: OwnParabola(40.0, 1000.0, mass=m), lambda m: OwnEckart(40.0, 0.45, mass=m),
+     lambda m: OwnCubic(1000.0, 40.0, mass=m), _benchmark_table],
     ids=["parabolic", "eckart", "cubic", "tabulated"],
 )
 def test_action_equals_the_generic_integrand_bit_for_bit(build, mass):
-    # every potential's integrand against pot.energy at every point, the
-    # quadrature and its settings the same
+    # every potential that runs the quadrature (the table, and each model
+    # barrier's subclass that overrides energy) against pot.energy at every
+    # point, the quadrature and its settings the same; the model barriers'
+    # closed forms are checked against mpmath below
     pot = build(mass)
     for frac in (0.01, 0.05, 0.2, 0.5, 0.8, 0.95, 0.99):
         E = frac * pot.barrier_height
         assert wkb_action(pot, E).hex() == wkb_action_reference(pot, E).hex(), frac
+
+
+class WideParabola(ParabolicBarrier):
+    # the parabola stretched to twice its width, so twice its action
+    def energy(self, x):
+        return super().energy(0.5 * x)
+
+    def brackets(self, E):
+        (lo, _), (_, hi) = super().brackets(E)
+        return (2.0 * lo, 0.0), (0.0, 2.0 * hi)
+
+
+class WideTable(TabulatedPotential):
+    # the table stretched to twice its width, past the inlined integrand
+    def energy(self, x):
+        return super().energy(0.5 * x)
+
+    def brackets(self, E):
+        (a, b), (c, d) = super().brackets(E)
+        return (2.0 * a, 2.0 * b), (2.0 * c, 2.0 * d)
+
+
+@pytest.mark.parametrize("frac", [0.05, 0.5, 0.95])
+def test_a_subclass_overriding_energy_takes_the_quadrature_of_its_own_energy(frac):
+    # neither the parent's closed form nor the table's inlined integrand,
+    # both of which describe the parent's energy only
+    table = _benchmark_table(1.0)
+    for parent, wide in ((PARABOLA, WideParabola(40.0, 1000.0)), (table, WideTable(table._knots, table._U))):
+        E = frac * parent.barrier_height
+        got = wkb_action(wide, E)
+        assert got.hex() == wkb_action_reference(wide, E).hex()
+        assert got == pytest.approx(2.0 * wkb_action(parent, E), rel=1e-8)
+
+
+@st.composite
+def model_barriers(draw):
+    """(barrier, E/E_b): a parabolic, Eckart or cubic barrier with mass 1 to
+    3, and an energy from 1e-6 to 1 - 1e-6 of its top, uniform or
+    log-spaced from either end."""
+    mass, height = draw(st.floats(1.0, 3.0)), draw(st.floats(5.0, 80.0))
+    kind = draw(st.sampled_from(["parabolic", "eckart", "cubic"]))
+    if kind == "parabolic":
+        pot = ParabolicBarrier(height, draw(st.floats(300.0, 3000.0)), mass=mass)
+    elif kind == "eckart":
+        pot = EckartBarrier(height, draw(st.floats(0.2, 1.0)), mass=mass)
+    else:
+        pot = CubicBarrier(draw(st.floats(300.0, 3000.0)), height, mass=mass)
+    if draw(st.booleans()):
+        return pot, draw(st.floats(1e-6, 1.0 - 1e-6))
+    gap = 10.0 ** draw(st.floats(-6.0, math.log10(0.5)))
+    return pot, (gap if draw(st.booleans()) else 1.0 - gap)
+
+
+# E/E_b where the cubic's turning-point gap is a quarter of the gap to its
+# third root, and its closed form switches from the elliptic to the series
+_CUBIC_SWITCH = math.sin(1.5 * math.atan(2.0 / math.sqrt(3.0))) ** 2
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(model_barriers())
+@example((CubicBarrier(1000.0, 40.0, mass=2.0), 1e-6))
+@example((CubicBarrier(1000.0, 40.0, mass=2.0), 1.0 - 1e-6))
+@example((CubicBarrier(1000.0, 40.0, mass=2.0), _CUBIC_SWITCH * (1.0 - 1e-12)))
+@example((CubicBarrier(1000.0, 40.0, mass=2.0), _CUBIC_SWITCH * (1.0 + 1e-12)))
+@example((EckartBarrier(40.0, 0.45, mass=3.0), 1.0 - 1e-6))
+@example((ParabolicBarrier(40.0, 1000.0, mass=1.0), 1.0 - 1e-6))
+def test_closed_form_action_matches_a_50_digit_quadrature(case):
+    pot, frac = case
+    E = frac * pot.barrier_height
+    oracle = wkb_action_mpmath(pot, E)
+    assert abs(wkb_action(pot, E) - oracle) <= 1e-12 * oracle
+
+
+def test_a_closed_form_calls_neither_energy_nor_brackets(monkeypatch):
+    # no turning-point solve and no quadrature
+    for pot in (PARABOLA, EckartBarrier(40.0, 0.45), CubicBarrier(1000.0, 40.0)):
+        for name in ("brackets", "energy"):
+            monkeypatch.setattr(type(pot), name, None)
+        assert wkb_action(pot, 20.0) > 0.0
 
 
 def test_tabulated_barrier_top_is_largest_knot():
