@@ -437,7 +437,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# reads only --config, before the one full parse that the file's flags join
+# reads only --config, before the one full parse that the file's flags join;
+# with no abbreviations it can find a path only in a token that is --config
+# or starts with --config=, so argv without one skips it
 _CONFIG_PARSER = argparse.ArgumentParser(prog="qtst", add_help=False, allow_abbrev=False)
 _CONFIG_PARSER.add_argument("--config")
 
@@ -445,7 +447,9 @@ _CONFIG_PARSER.add_argument("--config")
 def _parse(argv) -> argparse.Namespace:
     """Parse argv with the --config file's flags right after the subcommand,
     where the flags on the command line, which argparse reads later, win."""
-    path = _CONFIG_PARSER.parse_known_args(argv)[0].config
+    path = None
+    if any(token == "--config" or token.startswith("--config=") for token in argv):
+        path = _CONFIG_PARSER.parse_known_args(argv)[0].config
     if path is None:
         return build_parser().parse_args(argv)
     try:

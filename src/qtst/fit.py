@@ -178,6 +178,17 @@ class FitResult:
         }
 
 
+def _crossover_clamp(T, T0):
+    """(tau, T_clamped, u, penalty) for a crossover temperature T0, a scalar
+    or a column against the row T: the clamp tau = (1 + margin)*T0, T raised
+    to at least tau, the violation u = (T_clamped - T)/T0 and the penalty
+    1 + _PENALTY_SCALE*u^2 that inflates a clamped model value."""
+    tau = (1.0 + _CROSSOVER_MARGIN) * T0
+    T_clamped = np.maximum(T, tau)
+    u = (T_clamped - T) / T0
+    return tau, T_clamped, u, 1.0 + _PENALTY_SCALE * u * u
+
+
 def _kie_model(T, omega0, omegab, light, heavy):
     """KIE model at scalar omega0 and omegab on the temperature array T,
     with a smooth below-crossover penalty, and its derivatives: (model,
@@ -196,9 +207,7 @@ def _kie_model(T, omega0, omegab, light, heavy):
     goes as 1/omegab there) and the penalty instead.
     """
     T0 = _crossover_temperature(units._isotope_scaled(omegab, light))
-    T_clamped = np.maximum(T, (1.0 + _CROSSOVER_MARGIN) * T0)
-    u = (T_clamped - T) / T0
-    penalty = 1.0 + _PENALTY_SCALE * u * u
+    _, T_clamped, u, penalty = _crossover_clamp(T, T0)
     # the light and the heavy isotope in two rows
     s = np.array([[light.mass_number**-0.5], [heavy.mass_number**-0.5]])
     c = (0.5 * units.CM1_TO_K) * s / T_clamped
@@ -238,10 +247,8 @@ def _screen(T, y, w, omega0, omegab, light, heavy):
     near the minimum.
     """
     T0 = _crossover_temperature(units._isotope_scaled(omegab, light))
-    tau = (1.0 + _CROSSOVER_MARGIN) * T0
-    T_clamped = np.maximum(T, tau[:, None])
-    u = (T_clamped - T) / T0[:, None]
-    penalty = 1.0 + _PENALTY_SCALE * u * u
+    tau, T_clamped, u, penalty = _crossover_clamp(T, T0[:, None])
+    tau = tau[:, 0]
     exp_a = np.exp(_log_kie(omega0[:, None], omegab[0], T_clamped[0], light, heavy))
     exp_b = np.exp(
         _log_kie(omega0[0], omegab[:, None], T_clamped, light, heavy)
@@ -406,7 +413,7 @@ def fit_kie(data: KIEDataset, config: Optional[FitConfig] = None) -> FitResult:
     # Quick feasibility check: the smallest admissible omegab must leave
     # at least one point above the crossover.
     T0_floor = _crossover_temperature(units._isotope_scaled(config.omegab_bounds[0], data.light))
-    if np.max(T) <= (1.0 + _CROSSOVER_MARGIN) * T0_floor:
+    if np.max(T) <= _crossover_clamp(T, T0_floor)[0]:
         raise FitConvergenceError(
             "all data points lie below the crossover temperature for every "
             "admissible barrier frequency"
@@ -425,10 +432,7 @@ def fit_kie(data: KIEDataset, config: Optional[FitConfig] = None) -> FitResult:
     n_converged = 0
     for k in _local_minima(cost)[:_MAX_POLISHES]:
         i, j = divmod(int(k), omegab_axis.size)
-        try:
-            res = least_squares(residuals, x0=(omega0_axis[i], omegab_axis[j]), bounds=(lo, hi))
-        except (ValueError, FloatingPointError):
-            continue
+        res = least_squares(residuals, x0=(omega0_axis[i], omegab_axis[j]), bounds=(lo, hi))
         if not res.success:
             continue
         n_converged += 1

@@ -17,6 +17,7 @@ extracted from experimental Arrhenius plots.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -40,9 +41,7 @@ __all__ = [
     "apparent_arrhenius",
     "swain_schaad",
     "classify",
-    "load_limits",
     "load_table1",
-    "load_barrier_frequencies",
     "load_dataset_csv",
 ]
 
@@ -285,37 +284,15 @@ def _bundled_json(name: str) -> dict:
         return json.load(fh)
 
 
-def _json_copy(obj):
-    # new dicts and lists of a parsed JSON tree, its immutable leaves shared:
-    # faster than copy.deepcopy, which memoises every node
-    if isinstance(obj, dict):
-        return {key: _json_copy(value) for key, value in obj.items()}
-    if isinstance(obj, list):
-        return [_json_copy(value) for value in obj]
-    return obj
-
-
 def _table1_rows() -> list[dict]:
     # the shared rows, for readers that do not change them
     return _bundled_json("table1_kie.json")["rows"]
 
 
-def load_limits() -> dict:
-    """Kim-Kreevoy and Bell threshold constants (versioned reference data).
-    A fresh copy on each call: changing it changes no later result."""
-    return _json_copy(_bundled_json("limits.json"))
-
-
 def load_table1() -> list[dict]:
     """Measured KIE Arrhenius parameters for enzymes and model reactions,
     a fresh copy on each call."""
-    return _json_copy(_table1_rows())
-
-
-def load_barrier_frequencies() -> list[dict]:
-    """Barrier frequencies from quantum chemistry, with max crossover T,
-    a fresh copy on each call."""
-    return _json_copy(_bundled_json("table3_omegab.json")["rows"])
+    return copy.deepcopy(_table1_rows())
 
 
 def load_dataset_csv(name: str) -> str:

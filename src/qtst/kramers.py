@@ -128,22 +128,26 @@ def solve_effective_frequency(omegab: float, model: Optional[FrictionModel]) -> 
     """Solve for mu on (0, omega_b]; returns (mu, residual).
 
     mu^2 + mu*gamma_hat(mu) - omega_b^2 is negative near 0 and >= 0 at
-    omega_b, and z*gamma_hat(z) increases with z for any positive spectrum,
-    so every built-in model has exactly one root there; Brent's method
-    finds it on [1e-12*omega_b, omega_b]. A subclass of ``PeakedFriction``
-    that overrides the kernel may admit several roots: a 10,000-point scan
-    locates every sign change, Brent's method solves each, the largest
-    root is returned with a ``RuntimeWarning`` that names the first
-    caller outside qtst. The scan is keyed on that
-    class, not on the kernel: any other model, a plain ``FrictionModel``
-    subclass with the same kernel included, takes Brent's method on the
-    whole interval, which returns one root, not necessarily the largest,
-    and gives no warning. The scan calls the kernel
-    once per grid point, in order, and evaluates the mismatch on the grid
-    as one array expression whose every element equals the scalar
-    mismatch bit for bit. Every z lies in the bracket
-    checked with ``omega_b``, so either path calls the model's ``_kernel``
-    (or a subclass's own ``laplace_kernel``), taken once per solve, with a
+    omega_b. A kernel that is the Laplace transform of a non-negative
+    friction spectrum Re gamma(w) gives z*gamma_hat(z) = (2/pi) int
+    Re gamma(w) z^2/(w^2 + z^2) dw (see ``qtst.spectral``), which increases
+    with z, so the mismatch increases and has exactly one root. Every
+    built-in kernel is such a transform, so every built-in model takes
+    Brent's method on [1e-12*omega_b, omega_b]. Only a kernel that is not
+    can have several roots, and the one such kernel the package expects is
+    a structured bath written as a ``PeakedFriction`` subclass that
+    overrides the kernel. That alone takes a 10,000-point scan: it locates
+    every sign change, Brent's method solves each, and the largest root is
+    returned with a ``RuntimeWarning`` that names the first caller outside
+    qtst. The scan is keyed on that class, not on the kernel: any other
+    model, a plain ``FrictionModel`` subclass with the same kernel
+    included, takes Brent's method on the whole interval, which returns one
+    root, not necessarily the largest, and gives no warning. The scan calls
+    the kernel once per grid point, in order, and evaluates the mismatch on
+    the grid as one array expression whose every element equals the scalar
+    mismatch bit for bit. Every z lies in the bracket checked with
+    ``omega_b``, so either path calls the model's ``_kernel`` (or a
+    subclass's own ``laplace_kernel``), taken once per solve, with a
     Python float.
     """
     omegab = _require_param("omega_b", omegab, positive=True)

@@ -37,7 +37,6 @@ from .units import Isotope
 __all__ = [
     "CorrectionResult",
     "CrossoverParams",
-    "matsubara_frequency",
     "correction_product",
     "correction_closed",
     "correction_crossover",
@@ -96,12 +95,6 @@ class CrossoverParams:
     c3: float
     c4: float
     T0_K: float
-
-
-def matsubara_frequency(n: int, T: float) -> float:
-    """n-th bosonic thermal frequency 2*pi*n*kB*T/hbar, in cm^-1."""
-    _require_param("temperature", T, positive=True)
-    return n * T * _NU_CM1_PER_K
 
 
 def _exp_of_log(name: str, log_value: float) -> float:

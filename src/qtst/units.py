@@ -15,9 +15,9 @@ import enum
 import math
 import re
 
-from .errors import DomainError, _require_param
+from .errors import DomainError
 
-__all__ = ["Isotope", "isotope_frequency"]
+__all__ = ["Isotope"]
 
 # CODATA 2018 (SI). Single source of truth.
 PLANCK_J_S = 6.62607015e-34
@@ -88,18 +88,7 @@ class Isotope(enum.Enum):
         return cls.from_label(m[1]), cls.from_label(m[2])
 
 
-def isotope_frequency(omega_H, isotope: Isotope):
-    """Scale a hydrogen frequency (cm^-1), a scalar or an array, to the
-    given isotope.
-
-    Frequencies enter as omega/sqrt(m) with m the unitless mass number,
-    so heavier isotopes oscillate slower. This is the single code path
-    for isotope scaling in the package. A negative, infinite or NaN
-    frequency, or any such entry of an array, raises ``DomainError``.
-    """
-    return _isotope_scaled(_require_param("frequency", omega_H), isotope)
-
-
 def _isotope_scaled(omega_H, isotope: Isotope):
-    # isotope_frequency's body, for frequencies already checked
+    # a hydrogen frequency (cm^-1), already checked, scaled to the isotope:
+    # omega/sqrt(m), so heavier isotopes oscillate slower
     return omega_H / math.sqrt(isotope.mass_number)

@@ -331,12 +331,16 @@ class TabulatedPotential(Potential1D):
         top = int(np.argmax(U))
         if top == 0 or top == x.size - 1:
             raise DomainError("tabulated potential has no interior barrier top")
+        # each piece as (a0, a1, a2, a3) in powers of s = x - x_i; an
+        # infinite one (scipy's too) makes energy() nan where it meets s = 0
+        coefs = _pchip_coefficients(knots, values)
+        if not all(math.isfinite(c) for piece in coefs for c in piece):
+            raise DomainError("tabulated potential's PCHIP coefficients overflow: values too large for their spacing")
         # set once, past the __setattr__ that refuses every later assignment
         vars(self).update(
             mass=float(mass),
             _knots=knots,
-            # each piece as (a0, a1, a2, a3) in powers of s = x - x_i
-            _coefs=_pchip_coefficients(knots, values),
+            _coefs=coefs,
             _U=values,
             _i_top=top,
             barrier_height=values[top],

@@ -53,7 +53,6 @@ from qtst import (
     PeakedFriction,
     TabulatedPotential,
     effective_barrier_frequency,
-    matsubara_frequency,
     turning_points,
 )
 from qtst import units
@@ -61,6 +60,7 @@ from qtst.errors import BelowCrossoverError, DomainError, FitConvergenceError, S
 from qtst.fit import _CROSSOVER_MARGIN, _PENALTY_SCALE, FitConfig, FitResult, KIEDataset
 from qtst.kie import _log_kie
 from qtst.kramers import _brent, _mu_mismatch, crossover_temperature
+from qtst.qcorr import _NU_CM1_PER_K
 from qtst.spectral import _require_param
 
 _QUAD_OPTS = dict(epsabs=0.0, epsrel=1e-11, limit=400)
@@ -124,7 +124,7 @@ def product_exact_then_asymptote(system, model, T, term_tol=1e-9, exact_terms=51
     its relative error is (feature/z)^2; the remaining tail is added with
     the trigamma function as in ``product_trigamma``."""
     omega0, omegab = system.omega0, system.omegab
-    nu = matsubara_frequency(1, T)
+    nu = T * _NU_CM1_PER_K
     a = omega0 * omega0 + omegab * omegab
     tail_scale = 2.0 / math.pi * model.spectrum_integral()
     log_sum, n_used, chunk = 0.0, 0, 4096
@@ -162,7 +162,7 @@ def product_trigamma(system, model=None, T=300.0, term_tol=1e-9):
         raise BelowCrossoverError(T, barrier.T0_K)
 
     omega0, omegab = system.omega0, system.omegab
-    nu = matsubara_frequency(1, T)
+    nu = T * _NU_CM1_PER_K
     a = omega0 * omega0 + omegab * omegab
 
     log_sum = 0.0
@@ -204,7 +204,7 @@ def product_richardson(system, model, T, N=2**18):
     1/N^2 terms of the truncation error are removed by
     (8 S_4 - 6 S_2 + S_1)/3. No tail formula enters.
     """
-    nu = matsubara_frequency(1, T)
+    nu = T * _NU_CM1_PER_K
     omega0, omegab = system.omega0, system.omegab
     x = np.arange(1, 4 * N + 1, dtype=float) * nu
     g = 0.0 if model is None else model.laplace_kernel(x)
@@ -308,7 +308,7 @@ def kie_model(T, omega0, omegab, light, heavy):
     the penalty 1 + 10*u^2, u the clamp's shift in units of that crossover.
     omega0 and omegab may be arrays that broadcast with T in front of its
     axis."""
-    T0 = crossover_temperature(units.isotope_frequency(omegab, light))
+    T0 = crossover_temperature(units._isotope_scaled(omegab, light))
     T_clamped = np.maximum(T, (1.0 + _CROSSOVER_MARGIN) * T0)
     u = (T_clamped - T) / T0
     return np.exp(_log_kie(omega0, omegab, T_clamped, light, heavy)) * (1.0 + _PENALTY_SCALE * u * u)
@@ -374,7 +374,7 @@ def fit_multistart(data: KIEDataset, config: Optional[FitConfig] = None) -> FitR
 
     # Quick feasibility check: the smallest admissible omegab must leave
     # at least one point above the crossover.
-    T0_floor = crossover_temperature(units.isotope_frequency(config.omegab_bounds[0], data.light))
+    T0_floor = crossover_temperature(units._isotope_scaled(config.omegab_bounds[0], data.light))
     if np.max(T) <= (1.0 + _CROSSOVER_MARGIN) * T0_floor:
         raise FitConvergenceError(
             "all data points lie below the crossover temperature for every "

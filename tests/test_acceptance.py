@@ -58,7 +58,7 @@ from qtst import (
     transmission,
     wkb_action,
 )
-from qtst.kie import load_barrier_frequencies, load_dataset_csv
+from qtst.kie import _bundled_json, load_dataset_csv
 
 from oracles import mu_scan
 
@@ -271,7 +271,7 @@ def test_criterion_12_table3_crossover_temperatures():
     # two printed values do not follow from their omega_b: 1229 cm^-1 gives
     # 281.4 K where 240 is printed, 2057 cm^-1 gives 471.0 K where 450 is
     outliers = {1229: (281.4, 240), 2057: (471.0, 450)}
-    rows = load_barrier_frequencies()
+    rows = _bundled_json("table3_omegab.json")["rows"]
     assert len(rows) == 13
     within = 0
     for row in rows:

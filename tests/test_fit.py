@@ -171,15 +171,11 @@ def test_polishes_run_through_the_module_level_solver_name(monkeypatch):
     assert len(calls) >= res.n_starts_converged > 0
 
 
-def _raising_solver(*args, **kwargs):
-    raise ValueError("residuals are not finite in the initial point")
-
-
 def _unconverged_solver(*args, **kwargs):
     return types.SimpleNamespace(success=False, cost=0.0)
 
 
-@pytest.mark.parametrize("solver", [_raising_solver, _unconverged_solver], ids=["raises", "unconverged"])
+@pytest.mark.parametrize("solver", [_unconverged_solver], ids=["unconverged"])
 def test_fit_fails_when_no_polish_converges(solver, monkeypatch):
     from qtst import fit
 

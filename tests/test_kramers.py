@@ -364,8 +364,8 @@ def test_a_mismatch_without_a_root_fails_the_residual_check():
 @pytest.mark.parametrize("iso", list(Isotope))
 def test_barrier_frequencies_are_isotope_scaled_once(iso):
     system = BarrierSystem(3000.0, 1000.0, 40.0, iso)
-    assert system.omega0 == units.isotope_frequency(3000.0, iso)
-    assert system.omegab == units.isotope_frequency(1000.0, iso)
+    assert system.omega0 == units._isotope_scaled(3000.0, iso)
+    assert system.omegab == units._isotope_scaled(1000.0, iso)
     # the two frequencies are not fields: equality, hash, repr and asdict
     # see the four parameters only
     assert [f.name for f in fields(system)] == ["omega0_H", "omegab_H", "barrier_kJ_per_mol", "isotope"]
@@ -381,13 +381,13 @@ def test_barrier_frequencies_are_isotope_scaled_once(iso):
     # replace constructs anew, so both frequencies follow, the isotope included
     moved = replace(system, omega0_H=2800.0, omegab_H=900.0)
     assert (moved.omega0, moved.omegab) == (
-        units.isotope_frequency(2800.0, iso), units.isotope_frequency(900.0, iso)
+        units._isotope_scaled(2800.0, iso), units._isotope_scaled(900.0, iso)
     )
     for other in Isotope:
         swapped = replace(system, isotope=other)
         assert swapped == BarrierSystem(3000.0, 1000.0, 40.0, other)
         assert (swapped.omega0, swapped.omegab) == (
-            units.isotope_frequency(3000.0, other), units.isotope_frequency(1000.0, other)
+            units._isotope_scaled(3000.0, other), units._isotope_scaled(1000.0, other)
         )
 
 

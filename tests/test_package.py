@@ -3,6 +3,7 @@ import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 import qtst
 
 SRC = Path(qtst.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parent.parent
 HEAVY_SCIPY = ("scipy.optimize", "scipy.special", "scipy.interpolate", "scipy.integrate")
 
 MODULES = ("errors", "fit", "kie", "kramers", "qcorr", "spectral", "units", "wkb")
@@ -25,6 +27,38 @@ def test_package_all_is_the_union_of_the_module_lists():
     for module in modules:
         for name in module.__all__:
             assert getattr(qtst, name) is getattr(module, name)
+
+
+def _names_without_a_caller(names, sources, text):
+    """The names that no source reads, as a name or an attribute, and that
+    are no word of text. A definition, a string (an __all__ entry or a
+    docstring) and a comment read nothing."""
+    read = set(re.findall(r"\w+", text))
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(set(names) - read)
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # the library itself, a demo, the benchmark or the README: a name only
+    # the tests call is not part of the package's interface
+    sources = [path.read_text() for path in SRC.glob("*.py")]
+    docs = [*(ROOT / "demos").glob("*.py"), *(ROOT / "bench").glob("*.py"), ROOT / "README.md"]
+    text = "\n".join(path.read_text() for path in docs)
+    assert _names_without_a_caller(qtst.__all__, sources, text) == []
+
+
+def test_the_caller_guard_sees_a_name_that_is_only_defined():
+    source = (
+        "__all__ = ['f', 'g', 'h', 'k', 'm']\n"
+        "def f():\n    'g'\n    # h\n    return k.m\n"
+        "g = h = 1\nk = None\n"
+    )
+    assert _names_without_a_caller(["f", "g", "h", "k", "m"], [source], "f, in the README") == ["g", "h"]
 
 
 def test_builtin_friction_models_leave_the_checks_to_the_base_class():

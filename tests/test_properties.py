@@ -190,7 +190,7 @@ def test_classical_kie_at_least_one_and_its_ratio_to_root_mass_ratio(omegab, mod
     light, heavy = pair
     kie = _classical_kie(omegab, model, light, heavy)
     assert kie >= 1.0 - 1e-12
-    mu_l, mu_h = (solve_effective_frequency(units.isotope_frequency(omegab, iso), model)[0] for iso in pair)
+    mu_l, mu_h = (solve_effective_frequency(units._isotope_scaled(omegab, iso), model)[0] for iso in pair)
     ratio = (mu_h + model.laplace_kernel(mu_h)) / (mu_l + model.laplace_kernel(mu_l))
     assert math.isclose(kie / math.sqrt(heavy.mass_number / light.mass_number), ratio, rel_tol=1e-9)
 
@@ -306,7 +306,7 @@ def screen_cases(draw):
     config = draw(st.sampled_from(_SCREEN_CONFIGS))
     omega0 = draw(st.floats(1500.0, 4000.0))
     omegab = draw(st.floats(300.0, 1500.0))
-    T_min = draw(st.floats(1.03, 2.5)) * crossover_temperature(units.isotope_frequency(omegab, light))
+    T_min = draw(st.floats(1.03, 2.5)) * crossover_temperature(units._isotope_scaled(omegab, light))
     T = T_min + np.linspace(0.0, draw(st.floats(10.0, 100.0)), draw(st.integers(5, 12)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     y = np.array([kie_qtst(omega0, omegab, float(t), light, heavy).ratio for t in T])
@@ -344,7 +344,7 @@ def test_fit_jacobian_matches_central_differences(pair, omega0, omegab, clamped,
     cases. The model itself is within 5.3e-15*(1 + |log KIE|) of the
     oracle's there."""
     light, heavy = pair
-    T0 = crossover_temperature(units.isotope_frequency(omegab, light))
+    T0 = crossover_temperature(units._isotope_scaled(omegab, light))
     T = T0 * np.array(clamped + free)
     model, d_omega0, d_omegab = _kie_model(T, omega0, omegab, light, heavy)
     oracle = kie_model(T, omega0, omegab, light, heavy)

@@ -24,7 +24,6 @@ from qtst import (
     crossover_temperature,
     effective_barrier_frequency,
     kappa_parameter,
-    matsubara_frequency,
     quantum_rate,
     weak_friction_margin,
 )
@@ -47,17 +46,8 @@ T0 = crossover_temperature(1000.0)
 
 
 def test_matsubara_room_temperature():
-    assert matsubara_frequency(1, 300.0) == pytest.approx(1310.11, abs=0.01)
-
-
-def test_matsubara_zero_and_linearity():
-    assert matsubara_frequency(0, 250.0) == 0.0
-    assert matsubara_frequency(2, 150.0) == pytest.approx(matsubara_frequency(1, 300.0), rel=1e-14)
-
-
-def test_matsubara_rejects_bad_temperature():
-    with pytest.raises(DomainError):
-        matsubara_frequency(1, 0.0)
+    # the first bosonic thermal frequency 2*pi*kB*T/hbar is T*_NU_CM1_PER_K
+    assert 300.0 * qcorr._NU_CM1_PER_K == pytest.approx(1310.11, abs=0.01)
 
 
 # ----------------------------------------------------------- closed form
@@ -165,7 +155,7 @@ def test_product_with_drude_vs_richardson_long_product_oracle():
     # implementation)
     model = DrudeFriction(gamma=300.0, omega_d=500.0)
     T = 300.0
-    nu = matsubara_frequency(1, T)
+    nu = T * qcorr._NU_CM1_PER_K
     omega0, omegab = SYSTEM.omega0, SYSTEM.omegab
     a = omega0**2 + omegab**2
 
@@ -377,12 +367,11 @@ def test_wigner_rate_rejects_non_finite_temperature(T):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda T: matsubara_frequency(1, T),
         lambda T: correction_product(SYSTEM, None, T),
         lambda T: quantum_rate(SYSTEM, DrudeFriction(100.0, 100.0), T),
         lambda T: correction_crossover(SYSTEM, T, 10.0),
     ],
-    ids=["matsubara", "product", "quantum_rate", "crossover"],
+    ids=["product", "quantum_rate", "crossover"],
 )
 def test_non_finite_temperature_fails_fast(call, T):
     # NaN passes every `T <= 0` test, so each entry point must reject it itself
@@ -643,7 +632,7 @@ def test_equilibrium_condition_is_undefined_at_a_zero_barrier():
 def test_weak_friction_margin():
     assert weak_friction_margin(None, 300.0) == 0.0
     m = weak_friction_margin(DrudeFriction(100.0, 200.0), 300.0)
-    nu = matsubara_frequency(1, 300.0)
+    nu = 300.0 * qcorr._NU_CM1_PER_K
     assert m == pytest.approx(DrudeFriction(100.0, 200.0).laplace_kernel(nu) / nu, rel=1e-12)
     assert m < 1.0
 

@@ -19,6 +19,7 @@ from qtst import (
 )
 from qtst import units
 from qtst.errors import DomainError, SolverConvergenceError
+from qtst.wkb import _pchip_coefficients
 
 from oracles import wkb_action_mpmath, wkb_action_pchip, wkb_action_reference
 
@@ -451,11 +452,15 @@ def test_tabulated_coefficients_take_each_end_rule_as_scipy_does(U, end_slopes):
 
 
 def test_tabulated_coefficients_follow_scipy_where_secants_overflow():
-    # an end estimate of inf - inf is a nan, which scipy sets to 0 and keeps
+    # an end estimate of inf - inf is a nan, which scipy sets to 0 and keeps;
+    # the middle piece's a2 and a3 are infinite, which made energy(100.0)
+    # nan, so the table is refused
     x, U = [0.0, 100.0, 101.0, 102.0], [-1.5e308, -0.5e308, 0.5e308, 0.4e308]
-    pot = TabulatedPotential(x, U)
-    assert pot._coefs[0][1] == 0.0 and math.isinf(pot._coefs[1][3])
-    assert [[c.hex() for c in row] for row in pot._coefs] == _pchip_hex(x, U)
+    coefs = _pchip_coefficients(x, U)
+    assert coefs[0][1] == 0.0 and math.isinf(coefs[1][3])
+    assert [[c.hex() for c in row] for row in coefs] == _pchip_hex(x, U)
+    with pytest.raises(DomainError, match="PCHIP coefficients overflow"):
+        TabulatedPotential(x, U)
     # a harmonic mean of two infinite secants is an infinite slope, which
     # scipy refuses with a ValueError
     x, U = [0.0, 1e-10, 2e-10, 3e-10], [-1e300, 0.0, 1e300, -1e300]
