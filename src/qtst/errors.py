@@ -1,6 +1,6 @@
 """Exception types shared across the package, the one input check that
-raises them, the one reader of input tables, the one way in to scipy and
-the one bracketed root finder."""
+raises them, the one guarded exp of a log, the one reader of input
+tables, the one way in to scipy and the one bracketed root finder."""
 
 from __future__ import annotations
 
@@ -172,6 +172,18 @@ def _require_param(name: str, value, positive: bool = False, signed: bool = Fals
         want = "finite" if signed else f"finite and {'>' if positive else '>='} 0"
         raise DomainError(f"{name} must be {want}, got {value!r}")
     return v
+
+
+# the largest log that exp() keeps finite
+_LOG_MAX = math.log(np.finfo(float).max)
+
+
+def _exp_of_log(name: str, log_value: float) -> float:
+    # exp(log_value), or a DomainError naming the log where the value
+    # overflows a double
+    if log_value > _LOG_MAX:
+        raise DomainError(f"log {name} = {log_value:.6g} exceeds {_LOG_MAX:.6g}: {name} overflows a double")
+    return math.exp(log_value)
 
 
 def _check_fields(obj, *names, positive=False, signed=False):

@@ -16,16 +16,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import units
-from .errors import DomainError, FitConvergenceError, _check_fields, _read_table, _require_param
-from .kie import ArrheniusParams, _log_kie
-from .kramers import _crossover_temperature, crossover_temperature
+from .errors import DomainError, FitConvergenceError, _check_fields, _exp_of_log, _read_table, _require_param
+from .kie import _log_kie
+from .kramers import _crossover_temperature
 from .units import Isotope
 
 __all__ = [
@@ -47,7 +47,8 @@ _X_SCALE = np.array([1000.0, 500.0])  # the polish's step scales in omega0 and o
 
 @dataclass(frozen=True)
 class KIEDataset:
-    """Experimental (T, KIE, sigma) points for one isotope pair."""
+    """Experimental (T, KIE, sigma) points for one isotope pair, whose light
+    isotope may not be the heavier one."""
 
     T_K: tuple
     kie: tuple
@@ -58,6 +59,7 @@ class KIEDataset:
     source: str = ""
 
     def __post_init__(self):
+        units._require_isotope_order(self.light, self.heavy)
         _check_fields(self, "T_K", "kie", positive=True)
         T = np.asarray(self.T_K)
         if T.ndim != 1 or T.shape != np.shape(self.kie):
@@ -81,10 +83,11 @@ class KIEDataset:
         return T[order], y[order], (None if s is None else s[order])
 
     @classmethod
-    def from_csv(cls, path, light=None, heavy=None, label="", source="") -> "KIEDataset":
+    def from_csv(cls, path, light=None, heavy=None) -> "KIEDataset":
         """A series read by ``from_csv_text``, with the JSON object in the
         sidecar next to it (same name, .json), if any: its ``pair`` (e.g.
-        "H:T"), which ``light`` and ``heavy`` override, ``label`` and ``source``."""
+        "H:T"), which ``light`` and ``heavy`` override, ``label`` and
+        ``source`` (the path where the sidecar gives none)."""
         path = Path(path)
         meta = {}
         sidecar = path.with_suffix(".json")
@@ -99,8 +102,8 @@ class KIEDataset:
             path.read_text(encoding="utf-8"),
             light=light,
             heavy=heavy,
-            label=label or meta.get("label", ""),
-            source=source or meta.get("source", str(path)),
+            label=meta.get("label", ""),
+            source=meta.get("source", str(path)),
             pair=meta.get("pair"),
         )
 
@@ -447,13 +450,13 @@ def fit_kie(data: KIEDataset, config: Optional[FitConfig] = None) -> FitResult:
     cov = np.linalg.pinv(jtj) * s2
     cov = 0.5 * (cov + cov.T)
     omega0, omegab = map(float, best.x)
-    implied_T0 = crossover_temperature(omegab)
+    implied_T0 = _crossover_temperature(omegab)
     return FitResult(
         omega0=omega0,
         omegab=omegab,
         residual_norm=float(np.linalg.norm(best.fun)),
         covariance=tuple(tuple(float(v) for v in row) for row in cov),
-        implied_T0=float(implied_T0),
+        implied_T0=implied_T0,
         valid=bool(np.min(T) > 1.05 * implied_T0),
         n_starts_converged=n_converged,
     )
@@ -461,29 +464,25 @@ def fit_kie(data: KIEDataset, config: Optional[FitConfig] = None) -> FitResult:
 
 @dataclass(frozen=True)
 class ArrheniusFit:
-    """OLS Arrhenius regression result with standard errors."""
+    """OLS Arrhenius regression result: prefactor A and activation energy E
+    in k = A exp(-E/kB T), with standard errors."""
 
-    params: ArrheniusParams
+    A: float
+    E_kJ_per_mol: float
     stderr_lnA: float
     stderr_E_kJ_per_mol: float
     residual_norm: float
 
     def to_json(self) -> dict:
-        return {
-            "schema": "qtst/1",
-            "A": self.params.A,
-            "E_kJ_per_mol": self.params.E_kJ_per_mol,
-            "stderr_lnA": self.stderr_lnA,
-            "stderr_E_kJ_per_mol": self.stderr_E_kJ_per_mol,
-            "residual_norm": self.residual_norm,
-        }
+        return {"schema": "qtst/1", **asdict(self)}
 
 
 def fit_arrhenius(T: Sequence[float], k: Sequence[float]) -> ArrheniusFit:
     """Ordinary least squares of ln k on 1/T.
 
     Returns A = exp(intercept) and E = -slope * kB (kJ/mol) with standard
-    errors from the residual variance (zero for a two-point fit).
+    errors from the residual variance (zero for a two-point fit). An A that
+    overflows a double or underflows to 0 raises ``DomainError``.
     """
     T = np.asarray(T, dtype=float)
     k = np.asarray(k, dtype=float)
@@ -507,8 +506,10 @@ def fit_arrhenius(T: Sequence[float], k: Sequence[float]) -> ArrheniusFit:
         s2 = 0.0
     stderr_slope = math.sqrt(s2 / sxx)
     stderr_intercept = math.sqrt(s2 * (1.0 / n + x_mean**2 / sxx))
+    A = _require_param("Arrhenius prefactor", _exp_of_log("A", intercept), positive=True)
     return ArrheniusFit(
-        params=ArrheniusParams(A=math.exp(intercept), E_kJ_per_mol=-slope * units.KB_KJ_PER_MOL_K),
+        A=A,
+        E_kJ_per_mol=-slope * units.KB_KJ_PER_MOL_K,
         stderr_lnA=stderr_intercept,
         stderr_E_kJ_per_mol=stderr_slope * units.KB_KJ_PER_MOL_K,
         residual_norm=float(np.linalg.norm(resid)),

@@ -33,7 +33,6 @@ from .qcorr import _log_closed
 from .units import Isotope, _isotope_scaled
 
 __all__ = [
-    "ArrheniusParams",
     "KIEPrediction",
     "ApparentArrhenius",
     "ClassificationReport",
@@ -44,17 +43,6 @@ __all__ = [
     "load_table1",
     "load_dataset_csv",
 ]
-
-
-@dataclass(frozen=True)
-class ArrheniusParams:
-    """Prefactor A and activation energy E in k = A exp(-E/kB T)."""
-
-    A: float
-    E_kJ_per_mol: float
-
-    def __post_init__(self):
-        _require_param("Arrhenius prefactor", self.A, positive=True)
 
 
 @dataclass(frozen=True)
@@ -136,8 +124,7 @@ def _require_kie_args(omega0_H, omegab_H, T, light: Isotope, heavy: Isotope):
     _require_param("omega0", omega0_H, positive=True)
     _require_param("omegab", omegab_H, positive=True)
     T_checked = _require_param("temperature", T, positive=True)
-    if light.mass_number > heavy.mass_number:
-        raise DomainError("light isotope must not be heavier than heavy isotope")
+    units._require_isotope_order(light, heavy)
     T0_light = _crossover_temperature(_isotope_scaled(omegab_H, light))
     if isinstance(T_checked, float) and T <= T0_light:
         raise BelowCrossoverError(T, T0_light, label=light.name)

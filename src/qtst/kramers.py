@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from . import units
-from .errors import DomainError, SolverConvergenceError, _brent, _check_fields, _require_param
+from .errors import SolverConvergenceError, _brent, _check_fields, _require_param
 from .spectral import FrictionModel, PeakedFriction, _kernel_body
 from .units import Isotope
 
@@ -254,10 +254,10 @@ def classical_kie(
     wherever z + g(z) does not fall between the two mu. A kernel with g' < -1 there can exceed it: a
     slow Drude bath (gamma > omega_d), or a Debye dielectric at small
     omega_b. It is at least 1 wherever g(z)/z does not rise between the two
-    mu.
+    mu. An equal pair gives 1; a light isotope heavier than the heavy one
+    raises ``DomainError``.
     """
-    if light.mass_number >= heavy.mass_number:
-        raise DomainError("light isotope must be lighter than heavy isotope")
+    units._require_isotope_order(light, heavy)
     ratios = []
     for iso in (light, heavy):
         omegab = units._isotope_scaled(system.omegab_H, iso)

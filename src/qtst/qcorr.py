@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import units
-from .errors import BelowCrossoverError, DomainError, _require_param, _scipy
+from .errors import BelowCrossoverError, DomainError, _exp_of_log, _require_param, _scipy
 from .kramers import BarrierSystem, RateResult, _classical_cm1, _crossover_temperature, solve_effective_frequency
 from .spectral import FrictionModel, _kernel_body
 from .units import Isotope
@@ -66,7 +66,6 @@ _TOL_FLOOR = 1e-15
 _NEAR_CROSSOVER = 1.1
 
 _LN2 = math.log(2.0)
-_LOG_MAX = math.log(np.finfo(float).max)  # the largest log that exp() keeps finite
 
 
 @dataclass(frozen=True)
@@ -95,14 +94,6 @@ class CrossoverParams:
     c3: float
     c4: float
     T0_K: float
-
-
-def _exp_of_log(name: str, log_value: float) -> float:
-    # exp(log_value), or a DomainError naming the log where the value
-    # overflows a double
-    if log_value > _LOG_MAX:
-        raise DomainError(f"log {name} = {log_value:.6g} exceeds {_LOG_MAX:.6g}: {name} overflows a double")
-    return math.exp(log_value)
 
 
 def _exact_terms(c: float, term_tol: float) -> int:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Optional
 
 import numpy as np
 
@@ -418,30 +417,23 @@ class LinearProteinFriction(FrictionModel):
     Re gamma(w) = (delta_gamma + slope*w) * exp(-w/cutoff). The linear fit
     holds over roughly 100-400 cm^-1; the exponential cutoff (default at
     the fit's upper validity, 400 cm^-1) makes K_e and the Laplace kernel
-    exist. With ``cutoff=None`` both are divergent and raise.
+    exist, so it must be finite and > 0, or ``DomainError``.
     """
 
     delta_gamma: float = 20.0
     slope: float = 0.38
-    cutoff: Optional[float] = 400.0
+    cutoff: float = 400.0
     kind = "linear_protein"
 
     def __post_init__(self):
         _check_fields(self, "delta_gamma", "slope")
-        if self.cutoff is not None:
-            _check_fields(self, "cutoff", positive=True)
+        _check_fields(self, "cutoff", positive=True)
 
     def _spectrum(self, w):
-        out = self.delta_gamma + self.slope * w
-        if self.cutoff is not None:
-            out = out * np.exp(-w / self.cutoff)
+        out = (self.delta_gamma + self.slope * w) * np.exp(-w / self.cutoff)
         return out if isinstance(w, np.ndarray) else float(out)
 
     def _kernel(self, z):
-        if self.cutoff is None:
-            raise DivergentIntegralError(
-                "linear protein friction without a cutoff has no Laplace transform"
-            )
         # With f(x) = Ci(x) sin x + (pi/2 - Si(x)) cos x and
         #      g(x) = -Ci(x) cos x + (pi/2 - Si(x)) sin x:
         # int e^{-pw}/(w^2+z^2) dw  = f(p z)/z
@@ -453,10 +445,6 @@ class LinearProteinFriction(FrictionModel):
         return out if isinstance(z, np.ndarray) else float(out)
 
     def spectrum_integral(self):
-        if self.cutoff is None:
-            raise DivergentIntegralError(
-                "linear protein friction without a cutoff has divergent K_e"
-            )
         wc = self.cutoff
         return self.delta_gamma * wc + self.slope * wc * wc
 

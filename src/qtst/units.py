@@ -92,3 +92,10 @@ def _isotope_scaled(omega_H, isotope: Isotope):
     # a hydrogen frequency (cm^-1), already checked, scaled to the isotope:
     # omega/sqrt(m), so heavier isotopes oscillate slower
     return omega_H / math.sqrt(isotope.mass_number)
+
+
+def _require_isotope_order(light: Isotope, heavy: Isotope) -> None:
+    # the one rule for an isotope pair: the light isotope may not be the
+    # heavier one; an equal pair (a KIE of 1) is allowed
+    if light.mass_number > heavy.mass_number:
+        raise DomainError("light isotope must not be heavier than heavy isotope")

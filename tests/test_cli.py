@@ -456,6 +456,21 @@ def test_fit_bundled_takes_a_pair_without_a_separator(tmp_path):
     assert json.loads(out.read_text())["pair"] == "H:T"
 
 
+def test_fit_pair_heavier_first_is_config_error(capsys):
+    # the series' own isotope rule: one line on stderr, exit 2, no fit
+    rc, out, err = _in_process_run(["fit", "--input", "fig3", "--pair", "D:H"], capsys)
+    assert (rc, out) == (2, "")
+    assert err == "error: fig3: light isotope must not be heavier than heavy isotope\n"
+
+
+def test_arrhenius_prefactor_that_overflows_is_domain_error(tmp_path, capsys):
+    data = tmp_path / "rates.csv"
+    data.write_text("T_K,k\n1,1e-300\n2,1e300\n")
+    rc, out, err = _in_process_run(["arrhenius", "--input", str(data)], capsys)
+    assert (rc, out) == (3, "")
+    assert err.startswith("error: log A = 2072.33 exceeds") and err.count("\n") == 1
+
+
 def test_fit_empty_file_is_config_error(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")

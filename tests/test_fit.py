@@ -341,8 +341,8 @@ def test_arrhenius_exact_recovery():
     kb = 1.380649e-23 * 6.02214076e23 / 1000.0
     k = 7.3e9 * np.exp(-52.0 / (kb * T))
     res = fit_arrhenius(T, k)
-    assert res.params.A == pytest.approx(7.3e9, rel=1e-10)
-    assert res.params.E_kJ_per_mol == pytest.approx(52.0, rel=1e-10)
+    assert res.A == pytest.approx(7.3e9, rel=1e-10)
+    assert res.E_kJ_per_mol == pytest.approx(52.0, rel=1e-10)
     assert res.residual_norm < 1e-10
     assert res.stderr_E_kJ_per_mol < 1e-8
 
@@ -351,7 +351,7 @@ def test_arrhenius_two_points_interpolates():
     res = fit_arrhenius([300.0, 320.0], [1.0e3, 5.0e3])
     kb = 1.380649e-23 * 6.02214076e23 / 1000.0
     for T, k in ((300.0, 1.0e3), (320.0, 5.0e3)):
-        assert res.params.A * math.exp(-res.params.E_kJ_per_mol / (kb * T)) == pytest.approx(k, rel=1e-10)
+        assert res.A * math.exp(-res.E_kJ_per_mol / (kb * T)) == pytest.approx(k, rel=1e-10)
     assert res.stderr_E_kJ_per_mol == 0.0
 
 
@@ -384,5 +384,5 @@ def test_arrhenius_cross_checks_apparent_parameters():
     res = fit_arrhenius(T, ratios)
     expected = apparent_arrhenius(3000.0, 1000.0, 297.0, Isotope.H, Isotope.T)
     # the fitted "activation energy" of the ratio is E_T - E_H
-    assert -res.params.E_kJ_per_mol == pytest.approx(-(-expected.delta_E_kJ_per_mol), rel=0.05)
-    assert res.params.E_kJ_per_mol == pytest.approx(-expected.delta_E_kJ_per_mol, rel=0.05)
+    assert -res.E_kJ_per_mol == pytest.approx(-(-expected.delta_E_kJ_per_mol), rel=0.05)
+    assert res.E_kJ_per_mol == pytest.approx(-expected.delta_E_kJ_per_mol, rel=0.05)

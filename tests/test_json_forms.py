@@ -61,10 +61,6 @@ CASES = {
         LinearProteinFriction(),
         {"kind": "linear_protein", "delta_gamma": 20.0, "slope": 0.38, "cutoff": 400.0},
     ),
-    "linear_protein_no_cutoff": (
-        LinearProteinFriction(cutoff=None),
-        {"kind": "linear_protein", "delta_gamma": 20.0, "slope": 0.38, "cutoff": None},
-    ),
     "rate": (
         RateResult(T_K=300.0, rate_cm1=2.5e-3, rate_per_s=4.7e8, c_qm=4.25, mu_cm1=950.0,
                    T0_K=217.5, regime="qtst", equilibrium_ok=True, equilibrium_margin=0.25, terms_used=25),

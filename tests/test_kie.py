@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from qtst import (
-    ArrheniusParams,
     Isotope,
+    fit_arrhenius,
     apparent_arrhenius,
     classify,
     correction_closed,
@@ -359,10 +359,10 @@ def test_swain_schaad_non_finite_rate_is_domain_error(rates):
         swain_schaad(*rates)
 
 
-@pytest.mark.parametrize("A", [math.nan, math.inf, 0.0, -1.0])
-def test_arrhenius_params_reject_bad_prefactor(A):
-    with pytest.raises(DomainError, match="prefactor"):
-        ArrheniusParams(A, 3.0)
+def test_fit_arrhenius_rejects_a_prefactor_that_underflows():
+    # ln A = -2072: exp of the intercept is 0, not a prefactor
+    with pytest.raises(DomainError, match="Arrhenius prefactor must be finite and > 0, got 0.0"):
+        fit_arrhenius((1.0, 2.0), (1e300, 1e-300))
 
 
 # -------------------------------------------------------------- classify

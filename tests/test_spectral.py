@@ -287,12 +287,14 @@ def test_linear_protein_kernel_matches_quadrature_oracle():
         assert m.laplace_kernel(z) == pytest.approx(oracle, rel=1e-7)
 
 
-def test_linear_protein_without_cutoff_diverges():
-    m = LinearProteinFriction(cutoff=None)
-    with pytest.raises(DivergentIntegralError):
-        m.laplace_kernel(100.0)
-    with pytest.raises(DivergentIntegralError):
-        effective_curvature(m)
+@pytest.mark.parametrize("make", [
+    lambda: LinearProteinFriction(cutoff=None),
+    lambda: friction_model_from_json({"kind": "linear_protein", "delta_gamma": 20.0, "slope": 0.38, "cutoff": None}),
+], ids=["constructor", "json"])
+def test_linear_protein_needs_a_cutoff(make):
+    # without the cutoff the bath has no kernel and no K_e: it is not built
+    with pytest.raises(DomainError, match="cutoff must be finite and > 0, got None"):
+        make()
 
 
 # ------------------------------------------------------------- spectra

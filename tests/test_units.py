@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qtst import Isotope, units
+from qtst import BarrierSystem, Isotope, KIEDataset, apparent_arrhenius, classical_kie, kie_qtst, units
 from qtst.errors import DomainError
 from qtst.units import _isotope_scaled
 
@@ -80,3 +80,21 @@ def test_isotope_frequency_on_an_array_equals_a_scalar_loop():
     for iso in Isotope:
         scalar = [[_isotope_scaled(float(v), iso) for v in row] for row in omega]
         np.testing.assert_allclose(_isotope_scaled(omega, iso), scalar, rtol=1e-15, atol=0.0)
+
+
+# one isotope-order rule for every pair: the light isotope may not be the
+# heavier one, an equal pair is allowed
+_PAIR_TAKERS = {
+    "kie_qtst": lambda light, heavy: kie_qtst(3000.0, 1000.0, 300.0, light, heavy),
+    "apparent_arrhenius": lambda light, heavy: apparent_arrhenius(3000.0, 1000.0, 300.0, light, heavy),
+    "classical_kie": lambda light, heavy: classical_kie(BarrierSystem(3000.0, 1000.0, 40.0), None, light, heavy),
+    "KIEDataset": lambda light, heavy: KIEDataset((280.0, 300.0, 320.0), (9.0, 8.0, 7.0), None, light, heavy),
+}
+
+
+@pytest.mark.parametrize("take", _PAIR_TAKERS.values(), ids=_PAIR_TAKERS.keys())
+def test_every_pair_taker_allows_an_equal_pair_and_refuses_heavier_first(take):
+    take(Isotope.H, Isotope.H)
+    with pytest.raises(DomainError) as exc:
+        take(Isotope.D, Isotope.H)
+    assert str(exc.value) == "light isotope must not be heavier than heavy isotope"
