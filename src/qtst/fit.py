@@ -465,13 +465,16 @@ def fit_kie(data: KIEDataset, config: Optional[FitConfig] = None) -> FitResult:
 @dataclass(frozen=True)
 class ArrheniusFit:
     """OLS Arrhenius regression result: prefactor A and activation energy E
-    in k = A exp(-E/kB T), with standard errors."""
+    in k = A exp(-E/kB T), with standard errors. A must be finite and > 0."""
 
     A: float
     E_kJ_per_mol: float
     stderr_lnA: float
     stderr_E_kJ_per_mol: float
     residual_norm: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "A", _require_param("Arrhenius prefactor", self.A, positive=True))
 
     def to_json(self) -> dict:
         return {"schema": "qtst/1", **asdict(self)}
@@ -506,9 +509,8 @@ def fit_arrhenius(T: Sequence[float], k: Sequence[float]) -> ArrheniusFit:
         s2 = 0.0
     stderr_slope = math.sqrt(s2 / sxx)
     stderr_intercept = math.sqrt(s2 * (1.0 / n + x_mean**2 / sxx))
-    A = _require_param("Arrhenius prefactor", _exp_of_log("A", intercept), positive=True)
     return ArrheniusFit(
-        A=A,
+        A=_exp_of_log("A", intercept),
         E_kJ_per_mol=-slope * units.KB_KJ_PER_MOL_K,
         stderr_lnA=stderr_intercept,
         stderr_E_kJ_per_mol=stderr_slope * units.KB_KJ_PER_MOL_K,

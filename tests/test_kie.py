@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qtst import (
+    ArrheniusFit,
     Isotope,
     fit_arrhenius,
     apparent_arrhenius,
@@ -357,6 +358,12 @@ def test_swain_schaad_degenerate_denominator():
 def test_swain_schaad_non_finite_rate_is_domain_error(rates):
     with pytest.raises(DomainError, match="finite"):
         swain_schaad(*rates)
+
+
+@pytest.mark.parametrize("A", [math.nan, math.inf, 0.0, -1.0])
+def test_arrhenius_params_reject_bad_prefactor(A):
+    with pytest.raises(DomainError, match="prefactor"):
+        ArrheniusFit(A, 3.0, 0.0, 0.0, 0.0)
 
 
 def test_fit_arrhenius_rejects_a_prefactor_that_underflows():
