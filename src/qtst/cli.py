@@ -239,9 +239,9 @@ def cmd_fit(args):
         path = Path(args.input)
     try:
         data = fitmod.KIEDataset.from_csv(path, light=light, heavy=heavy)
+        result = fitmod.fit_kie(data)
     except DomainError as exc:
         raise ConfigError(f"{args.input}: {exc}")
-    result = fitmod.fit_kie(data)
     payload = result.to_json()
     payload["pair"] = f"{data.light.name}:{data.heavy.name}"
     payload["n_points"] = len(data)

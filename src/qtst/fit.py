@@ -405,10 +405,15 @@ def fit_kie(data: KIEDataset, config: Optional[FitConfig] = None) -> FitResult:
     the best cell converges. The covariance comes from the Gauss-Newton
     normal matrix of the exact Jacobian at the optimum, scaled by the
     residual variance. ``valid`` requires the coldest datum to sit 5% above
-    the implied hydrogen-scaled crossover temperature.
+    the implied hydrogen-scaled crossover temperature. An equal pair, whose
+    model is 1 at every T and identifies no parameter, raises
+    ``DomainError``.
     """
     if len(data) < 3:
         raise DomainError("need at least 3 points for a 2-parameter fit")
+    if data.light is data.heavy:
+        iso = data.light.name
+        raise DomainError(f"an equal pair ({iso}:{iso}) has a KIE of 1 at every T and identifies no parameter")
     config = config or FitConfig()
     T, y, sigma = data.sorted_arrays()
     w = np.ones_like(T) if sigma is None else 1.0 / sigma

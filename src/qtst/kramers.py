@@ -10,29 +10,24 @@ temperature below which deep tunneling becomes possible is
 T0 = hbar*mu/(2*pi*kB), and the classical rate carries the mu/omega_b
 transmission factor.
 
-The root has two solver paths. Every built-in model has exactly one root
-on (0, omega_b], because z*gamma_hat(z) = (2/pi) int Re gamma(w)
-z^2/(w^2 + z^2) dw increases with z for any positive spectrum; Brent's
-method solves it on the whole interval. Only a ``PeakedFriction``
-subclass that overrides the kernel may have several roots, and it takes a
-dense scan with Brent's method inside each sign change. The scan makes one
-pass of the user's kernel over its grid and evaluates the mismatch as one
-array expression, bit for bit the scalar form.
+The environment is a passive bath: the kernel is the Laplace transform of
+a non-negative friction spectrum. Then z*gamma_hat(z) = (2/pi) int
+Re gamma(w) z^2/(w^2 + z^2) dw increases with z, the equation has exactly
+one root on (0, omega_b], and Brent's method solves it on the whole
+interval for every model. A user kernel that is no such transform may
+have several roots; the solve returns one of them, with no promise about
+which.
 """
 
 from __future__ import annotations
 
 import math
-import sys
-import warnings
 from dataclasses import asdict, dataclass
 from typing import Optional
 
-import numpy as np
-
 from . import units
 from .errors import SolverConvergenceError, _brent, _check_fields, _require_param
-from .spectral import FrictionModel, PeakedFriction, _kernel_body
+from .spectral import FrictionModel, _kernel_body
 from .units import Isotope
 
 __all__ = [
@@ -113,41 +108,19 @@ def _mu_mismatch(mu: float, omegab: float, kernel) -> float:
     return mu - (omegab * (s - 0.5 * r) if r < 0.0 else omegab / (s + 0.5 * r))
 
 
-def _mu_mismatch_array(mu: np.ndarray, g: np.ndarray, omegab: float) -> np.ndarray:
-    # _mu_mismatch on arrays of points and kernel values: the same operations
-    # in the same order, each correctly rounded in numpy as in math, so every
-    # element equals the scalar form bit for bit. Python floats overflow to
-    # inf and nan without a warning, and so does this.
-    with np.errstate(all="ignore"):
-        r = g / omegab
-        s = np.sqrt(1.0 + 0.25 * r * r)
-        return mu - np.where(r < 0.0, omegab * (s - 0.5 * r), omegab / (s + 0.5 * r))
-
-
 def solve_effective_frequency(omegab: float, model: Optional[FrictionModel]) -> tuple[float, float]:
     """Solve for mu on (0, omega_b]; returns (mu, residual).
 
     mu^2 + mu*gamma_hat(mu) - omega_b^2 is negative near 0 and >= 0 at
-    omega_b. A kernel that is the Laplace transform of a non-negative
-    friction spectrum Re gamma(w) gives z*gamma_hat(z) = (2/pi) int
-    Re gamma(w) z^2/(w^2 + z^2) dw (see ``qtst.spectral``), which increases
-    with z, so the mismatch increases and has exactly one root. Every
-    built-in kernel is such a transform, so every built-in model takes
-    Brent's method on [1e-12*omega_b, omega_b]. Only a kernel that is not
-    can have several roots, and the one such kernel the package expects is
-    a structured bath written as a ``PeakedFriction`` subclass that
-    overrides the kernel. That alone takes a 10,000-point scan: it locates
-    every sign change, Brent's method solves each, and the largest root is
-    returned with a ``RuntimeWarning`` that names the first caller outside
-    qtst. The scan is keyed on that class, not on the kernel: any other
-    model, a plain ``FrictionModel`` subclass with the same kernel
-    included, takes Brent's method on the whole interval, which returns one
-    root, not necessarily the largest, and gives no warning. The scan calls
-    the kernel once per grid point, in order, and evaluates the mismatch on
-    the grid as one array expression whose every element equals the scalar
-    mismatch bit for bit. Every z lies in the bracket checked with
-    ``omega_b``, so either path calls the model's ``_kernel`` (or a
-    subclass's own ``laplace_kernel``), taken once per solve, with a
+    omega_b. The kernel must be the Laplace transform of a non-negative
+    friction spectrum Re gamma(w), as every built-in kernel is. Then
+    z*gamma_hat(z) = (2/pi) int Re gamma(w) z^2/(w^2 + z^2) dw (see
+    ``qtst.spectral``) increases with z, so the mismatch increases and has
+    exactly one root, which Brent's method finds on
+    [1e-12*omega_b, omega_b]. For any other kernel the root returned is
+    one root, with no promise about which. Every z lies in the bracket
+    checked with ``omega_b``, so the solve calls the model's ``_kernel``
+    (or a subclass's own ``laplace_kernel``), taken once per solve, with a
     Python float.
     """
     omegab = _require_param("omega_b", omegab, positive=True)
@@ -159,37 +132,7 @@ def solve_effective_frequency(omegab: float, model: Optional[FrictionModel]) -> 
         return _mu_mismatch(mu, omegab, kernel)
 
     lo = 1e-12 * omegab
-    # a PeakedFriction subclass with a kernel of its own takes the scan
-    own_kernel = getattr(kernel, "__func__", None) is not PeakedFriction._kernel
-    if isinstance(model, PeakedFriction) and own_kernel:
-        points = np.linspace(lo, omegab, 10_000)
-        grid = points.tolist()
-        vals = _mu_mismatch_array(points, np.fromiter(map(kernel, grid), float, len(grid)), omegab)
-        sign_flips = np.nonzero(np.diff(np.signbit(vals)))[0]
-        roots = [_brent(f, grid[i], grid[i + 1]) for i in sign_flips]
-        # a sign flip onto an exact zero at omega_b already solved to it
-        if vals[-1] == 0.0 and omegab not in roots:
-            roots.append(omegab)
-        if not roots:
-            raise SolverConvergenceError(
-                "no root of the effective-frequency equation found",
-                bracket=(lo, omegab),
-            )
-        if len(roots) > 1:
-            # the warning names the first caller outside qtst
-            frame, level = sys._getframe(), 1
-            while frame.f_back is not None and frame.f_globals.get("__name__", "").startswith("qtst."):
-                frame, level = frame.f_back, level + 1
-            warnings.warn(
-                f"effective-frequency equation has {len(roots)} roots for this "
-                "structured bath; returning the largest",
-                RuntimeWarning,
-                stacklevel=level,
-            )
-        mu = max(roots)
-    else:
-        mu = _brent(f, lo, omegab)
-
+    mu = _brent(f, lo, omegab)
     residual = abs(f(mu))
     if residual > 1e-10 * omegab:
         raise SolverConvergenceError(

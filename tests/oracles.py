@@ -6,9 +6,11 @@ quadrature, the Matsubara product with an exact kernel for the first terms
 and the K_e/(M z) asymptote beyond, the Matsubara product summed term by
 term to 10^5 terms and more (with a trigamma tail, or Richardson
 extrapolation of its partial sums), and the effective frequency by a dense
-scan with root bracketing. ``mu_scan_float64`` is the library's multi-root
-scan with every kernel call at an ``np.float64`` point. They use only the model's ``friction_spectrum``
-(or a scalar ``laplace_kernel``) and stay independent of the closed forms.
+scan with root bracketing. ``mu_scan_float64`` is the library's former
+multi-root scan, with every kernel call at an ``np.float64`` point, and
+``mu_mismatch_array`` its mismatch on the whole grid at once. They use
+only the model's ``friction_spectrum`` (or a scalar ``laplace_kernel``)
+and stay independent of the closed forms.
 The Drude and Peaked effective frequencies also have polynomial oracles,
 built from the model parameters alone. ``kie_model`` is the fit's model
 through ``_log_kie``, one isotope at a time, with no Jacobian;
@@ -247,18 +249,35 @@ def mu_scan(omegab: float, model, points: int = 10_000) -> float:
     return optimize.brentq(f, grid[last], grid[last + 1], xtol=1e-14 * omegab, rtol=1e-15)
 
 
-def mu_scan_float64(omegab: float, model) -> tuple[float, float]:
-    """(mu, residual) by the 10,000-point multi-root scan on np.float64 points.
+def mu_mismatch_array(mu: np.ndarray, g: np.ndarray, omegab: float) -> np.ndarray:
+    """``kramers._mu_mismatch`` on arrays of points and kernel values.
 
-    Brent's method solves each sign change from np.float64 brackets, the
-    largest root is returned, and several roots give the library's warning.
+    The same operations in the same order, each correctly rounded in numpy
+    as in math, so every element equals the scalar form bit for bit. Python
+    floats overflow to inf and nan without a warning, and so does this.
+    """
+    with np.errstate(all="ignore"):
+        r = g / omegab
+        s = np.sqrt(1.0 + 0.25 * r * r)
+        return mu - np.where(r < 0.0, omegab * (s - 0.5 * r), omegab / (s + 0.5 * r))
+
+
+def mu_scan_float64(omegab: float, model) -> tuple[float, float]:
+    """(mu, residual) by a 10,000-point multi-root scan on np.float64 points.
+
+    This is the scan the library ran for a ``PeakedFriction`` subclass with
+    its own kernel before every solve became Brent's method on the whole
+    interval. The mismatch is evaluated on the grid as one array
+    expression, Brent's method solves each sign change from np.float64
+    brackets, the largest root is returned, and several roots give a
+    ``RuntimeWarning``.
     """
     def f(mu):
         return _mu_mismatch(mu, omegab, model.laplace_kernel)
 
     lo = 1e-12 * omegab
     grid = np.linspace(lo, omegab, 10_000)
-    vals = np.array([f(x) for x in grid])
+    vals = mu_mismatch_array(grid, np.array([model.laplace_kernel(x) for x in grid]), omegab)
     sign_flips = np.nonzero(np.diff(np.signbit(vals)))[0]
     roots = [_brent(f, grid[i], grid[i + 1]) for i in sign_flips]
     if vals[-1] == 0.0 and omegab not in roots:

@@ -22,8 +22,8 @@ def test_seed_0_outputs_match_the_recorded_reference(name, tmp_path, monkeypatch
     import checks
     import run
 
-    # as in run.py: the CLI's messages on stderr and the library's warnings
-    # (the multi-root scan's) are expected outcomes of some tasks
+    # as in run.py: the CLI's messages on stderr are expected outcomes of
+    # some tasks, and warnings are silenced as there; no mu solve warns
     with contextlib.redirect_stderr(io.StringIO()), warnings.catch_warnings():
         warnings.simplefilter("ignore")
         wl = run.Workload(name, 0, tmp_path)

@@ -463,6 +463,13 @@ def test_fit_pair_heavier_first_is_config_error(capsys):
     assert err == "error: fig3: light isotope must not be heavier than heavy isotope\n"
 
 
+def test_fit_equal_pair_is_config_error(capsys):
+    # an equal pair fits nothing: one line on stderr, exit 2, no fit
+    rc, out, err = _in_process_run(["fit", "--input", "fig3", "--pair", "H:H"], capsys)
+    assert (rc, out) == (2, "")
+    assert err == "error: fig3: an equal pair (H:H) has a KIE of 1 at every T and identifies no parameter\n"
+
+
 def test_arrhenius_prefactor_that_overflows_is_domain_error(tmp_path, capsys):
     data = tmp_path / "rates.csv"
     data.write_text("T_K,k\n1,1e-300\n2,1e300\n")

@@ -217,6 +217,15 @@ def test_fit_requires_three_points():
         fit_kie(KIEDataset((300.0, 310.0), (10.0, 9.0)))
 
 
+@pytest.mark.parametrize("iso", list(Isotope))
+def test_fit_refuses_an_equal_pair(iso):
+    # the model is 1 at every T, so no parameter is identified; the series
+    # itself is allowed, as the shared isotope-order rule allows it
+    data = KIEDataset((280.0, 300.0, 320.0), (1.0, 1.0, 1.0), light=iso, heavy=iso)
+    with pytest.raises(DomainError, match=f"equal pair \\({iso.name}:{iso.name}\\)"):
+        fit_kie(data)
+
+
 def test_fit_all_points_below_crossover():
     # 20 K data cannot sit above the crossover of any admissible omega_b
     data = KIEDataset((10.0, 15.0, 20.0), (5.0, 4.0, 3.0))
