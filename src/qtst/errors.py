@@ -82,19 +82,20 @@ def _f_checked(f, x: float) -> float:
     return fx
 
 
-def _brentq(f, xpre: float, xcur: float, xtol: float, maxiter: int = _MAXITER) -> float:
+def _brentq(f, xpre: float, xcur: float, xtol: float, maxiter: int = _MAXITER) -> tuple[float, float]:
     # A step-for-step port of scipy's C brentq (scipy/optimize/Zeros/brentq.c,
     # scipy 1.17) with its Python wrapper's NaN check and scipy's error texts:
     # ValueError for no sign change or a NaN, RuntimeError for no convergence.
+    # Returns the root and f there, which the search already holds.
     # Where C divides by zero in a trial step it gets inf or nan, fails the
     # step test and bisects; a ZeroDivisionError here bisects too. The tests
     # keep scipy's brentq as the oracle, identical by float.hex.
     xpre, xcur = float(xpre), float(xcur)
     fpre, fcur = _f_checked(f, xpre), _f_checked(f, xcur)
     if fpre == 0.0:
-        return xpre
+        return xpre, fpre
     if fcur == 0.0:
-        return xcur
+        return xcur, fcur
     if (fpre < 0.0) == (fcur < 0.0):
         raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
@@ -108,7 +109,7 @@ def _brentq(f, xpre: float, xcur: float, xtol: float, maxiter: int = _MAXITER) -
         delta = (xtol + _RTOL * abs(xcur)) / 2.0
         sbis = (xblk - xcur) / 2.0
         if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
+            return xcur, fcur
         bisect = True
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             try:
@@ -134,8 +135,8 @@ def _brentq(f, xpre: float, xcur: float, xtol: float, maxiter: int = _MAXITER) -
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
-def _brent(f, lo: float, hi: float, xtol: float = 1e-300, what: str = "effective-frequency equation") -> float:
-    # the root of f in [lo, hi] by Brent's method, to relative machine
+def _brent(f, lo: float, hi: float, xtol: float = 1e-300, what: str = "effective-frequency equation") -> tuple[float, float]:
+    # (root, f(root)) of f in [lo, hi] by Brent's method, to relative machine
     # precision at the default xtol; no sign change, a NaN and no convergence
     # become a SolverConvergenceError with the bracket, f's own QtstError passes
     try:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cache
 from importlib import resources
 
@@ -58,15 +58,6 @@ class KIEPrediction:
     T0_light_K: float
     valid: bool | np.ndarray
 
-    def to_json(self) -> dict:
-        return {
-            "ratio": np.asarray(self.ratio).tolist(),
-            "T_K": np.asarray(self.T_K).tolist(),
-            "pair": f"{self.light.name}:{self.heavy.name}",
-            "T0_light_K": self.T0_light_K,
-            "valid": np.asarray(self.valid).tolist(),
-        }
-
 
 @dataclass(frozen=True)
 class ApparentArrhenius:
@@ -76,9 +67,6 @@ class ApparentArrhenius:
     delta_E_kJ_per_mol: float
     T_R: float
     expansion_ok: bool
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ which.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 from . import units
@@ -75,9 +75,6 @@ class EffectiveBarrier:
     T0_K: float
     residual: float
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class RateResult:
@@ -93,9 +90,6 @@ class RateResult:
     equilibrium_ok: Optional[bool] = None
     equilibrium_margin: Optional[float] = None
     terms_used: Optional[int] = None
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def _mu_mismatch(mu: float, omegab: float, kernel) -> float:
@@ -132,8 +126,8 @@ def solve_effective_frequency(omegab: float, model: Optional[FrictionModel]) -> 
         return _mu_mismatch(mu, omegab, kernel)
 
     lo = 1e-12 * omegab
-    mu = _brent(f, lo, omegab)
-    residual = abs(f(mu))
+    mu, f_mu = _brent(f, lo, omegab)
+    residual = abs(f_mu)
     if residual > 1e-10 * omegab:
         raise SolverConvergenceError(
             f"effective-frequency residual {residual:g} exceeds tolerance",

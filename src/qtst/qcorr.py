@@ -23,7 +23,7 @@ and the equilibrium check.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -76,9 +76,6 @@ class CorrectionResult:
     regime: str  # high_T | near_crossover, below 1.1*T0 (the product raises at or below T0)
     terms_used: int
     tail_estimate: float
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -294,16 +291,17 @@ def kappa_parameter(
 
 
 def weak_friction_margin(model: Optional[FrictionModel], T: float) -> float:
-    """Largest gamma_hat(n nu)/(n nu) over the thermal frequencies.
+    """Largest gamma_hat(n nu)/(n nu) over the thermal frequencies n nu.
 
-    Small values justify the zero-friction closed form; the n = 1 term
-    dominates for kernels that decay with z.
+    Small values justify the zero-friction closed form. For a passive bath
+    g(z)/z = (2/pi) int Re gamma(w)/(w^2 + z^2) dw falls as z grows, so the
+    largest is the n = 1 ratio, which takes one kernel call at nu.
     """
     _require_param("temperature", T, positive=True)
     if model is None:
         return 0.0
-    x = np.arange(1, 9, dtype=float) * (T * _NU_CM1_PER_K)
-    return float(np.max(_kernel_body(model)(x) / x))
+    nu = T * _NU_CM1_PER_K
+    return float(_kernel_body(model)(nu) / nu)
 
 
 def quantum_rate(

@@ -64,10 +64,6 @@ class Potential1D:
     # the barrier top, which a subclass sets on construction
     barrier_height: float
     barrier_position: float
-    #: the action's quadrature asks for 1e-10 where U is smooth; a tabulated
-    #: potential has C1 kinks at its knots, which the quadrature runs across
-    #: at 1e-8 (see ``wkb_action``); the closed forms need neither
-    smooth = True
 
     def energy(self, x: float) -> float:
         """U(x) in kJ/mol at position x (angstrom)."""
@@ -211,14 +207,6 @@ class CubicBarrier(Potential1D):
             j = (2.0 / 15.0) * math.sqrt(p) * (2.0 * (p * p - p * q + q * q) * Em - q * (p + q) * K)
         return math.sqrt(2.0 * top) * self.barrier_position * j
 
-    def cubic_coefficient(self) -> float:
-        """c3 of the barrier-top expansion, in cm^-2/angstrom.
-
-        From U = E_b - (1/2) M wb^2 (x-xb)^2 + M c3 (x-xb)^3/3 + ...,
-        c3 = U'''/(2M); the cubic form has U''' = -6 lambda everywhere.
-        """
-        return -3.0 * self._lambda / (units.CURVATURE_KJ_PER_MOL * self.mass)
-
 
 _SQRT3 = math.sqrt(3.0)
 _TWO_THIRDS = 2.0 / 3.0
@@ -301,8 +289,6 @@ def _pchip_coefficients(x, y):
 class TabulatedPotential(Potential1D):
     """Monotone-cubic interpolation of sampled (x, U) points. Immutable, as
     the frozen dataclasses are: assignment raises ``FrozenInstanceError``."""
-
-    smooth = False
 
     def __init__(self, x: Sequence[float], U: Sequence[float], mass: float = 1.0):
         x = np.asarray(x, dtype=float)
@@ -439,7 +425,7 @@ def turning_points(pot: Potential1D, E: float) -> tuple[float, float]:
     """
     E = _check_energy(pot, E)
     x1, x2 = (
-        _brent(lambda x: pot.energy(x) - E, lo, hi, xtol=1e-12 * max(hi - lo, abs(lo), abs(hi)), what="turning point")
+        _brent(lambda x: pot.energy(x) - E, lo, hi, xtol=1e-12 * max(hi - lo, abs(lo), abs(hi)), what="turning point")[0]
         for lo, hi in pot.brackets(E)
     )
     return x1, x2
@@ -489,8 +475,9 @@ def wkb_action(pot: Potential1D, E: float) -> float:
     # chasing roundoff near the top where the integral itself vanishes
     floor = 1e-12 * half * math.sqrt(pot.barrier_height)
     integrand = vars(owner).get("_action_integrand", Potential1D._action_integrand)
+    tabulated = isinstance(pot, TabulatedPotential)
     with warnings.catch_warnings():
-        if not pot.smooth:
+        if tabulated:
             # interpolant kinks cap the reachable accuracy at the grid's
             # resolution; QUADPACK's best estimate is what we want
             warnings.simplefilter("ignore", integrate.IntegrationWarning)
@@ -499,7 +486,7 @@ def wkb_action(pot: Potential1D, E: float) -> float:
             -0.5 * math.pi,
             0.5 * math.pi,
             epsabs=floor,
-            epsrel=1e-10 if pot.smooth else 1e-8,
+            epsrel=1e-8 if tabulated else 1e-10,
             limit=300,
         )
     return units.ACTION_HBAR_FACTOR * math.sqrt(pot.mass) * val

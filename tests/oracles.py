@@ -24,7 +24,11 @@ action with scipy's ``PchipInterpolator`` called at every point, and
 ``energy``, the generic integrand the library's tabulated one inlines, and
 ``wkb_action_mpmath`` is the action of a parabolic, Eckart or cubic barrier
 at 50 digits, rebuilt from its constructor's parameters, which the
-library's closed forms must match.
+library's closed forms must match. ``cubic_c3`` is a cubic barrier's c3
+from its constructor's parameters. ``bell_weight`` is Bell's thermal
+weight of a barrier's energies, from its WKB action below the top and the
+parabolic continuation above; ``bell_integral`` and ``bell_mean_depth``
+are its integral and its mean depth below the top.
 ``brentq`` is scipy's Brent's method, which the library's own port
 (``errors._brentq``) must match bit for bit, and ``fg_sici`` is the
 linear-protein kernel's f and g from scipy's ``sici``.
@@ -56,6 +60,7 @@ from qtst import (
     TabulatedPotential,
     effective_barrier_frequency,
     turning_points,
+    wkb_action,
 )
 from qtst import units
 from qtst.errors import BelowCrossoverError, DomainError, FitConvergenceError, SolverConvergenceError
@@ -279,7 +284,7 @@ def mu_scan_float64(omegab: float, model) -> tuple[float, float]:
     grid = np.linspace(lo, omegab, 10_000)
     vals = mu_mismatch_array(grid, np.array([model.laplace_kernel(x) for x in grid]), omegab)
     sign_flips = np.nonzero(np.diff(np.signbit(vals)))[0]
-    roots = [_brent(f, grid[i], grid[i + 1]) for i in sign_flips]
+    roots = [_brent(f, grid[i], grid[i + 1])[0] for i in sign_flips]
     if vals[-1] == 0.0 and omegab not in roots:
         roots.append(omegab)
     if not roots:
@@ -498,14 +503,70 @@ def wkb_action_reference(pot, E: float) -> float:
         return math.sqrt(du) * half * math.cos(theta)
 
     floor = 1e-12 * half * math.sqrt(pot.barrier_height)
+    tabulated = isinstance(pot, TabulatedPotential)
     with warnings.catch_warnings():
-        if not pot.smooth:
+        if tabulated:
             warnings.simplefilter("ignore", integrate.IntegrationWarning)
         val, _ = integrate.quad(
-            integrand, -0.5 * math.pi, 0.5 * math.pi, epsabs=floor, epsrel=1e-10 if pot.smooth else 1e-8,
+            integrand, -0.5 * math.pi, 0.5 * math.pi, epsabs=floor, epsrel=1e-8 if tabulated else 1e-10,
             limit=300,
         )
     return units.ACTION_HBAR_FACTOR * math.sqrt(pot.mass) * val
+
+
+def cubic_c3(pot: CubicBarrier) -> float:
+    """c3 of a cubic barrier's top, in cm^-2/angstrom, from its constructor's
+    parameters: with U = E_b - (1/2) M wb^2 (x-xb)^2 + M c3 (x-xb)^3/3,
+    c3 = U'''/(2M) = -3 lambda/M, and lambda = M w0^2/(3 xb), so c3 = -w0^2/xb
+    with xb = sqrt(6 E_b/(M w0^2)) (M w0^2 in kJ/mol per angstrom^2)."""
+    k = units.CURVATURE_KJ_PER_MOL * pot.mass * pot.omega_0**2
+    return -pot.omega_0**2 / math.sqrt(6.0 * pot.E_b / k)
+
+
+def _bell_beta(T: float) -> float:
+    # 1/(kB T) in mol/kJ
+    return 1.0 / (units.KB_KJ_PER_MOL_K * T)
+
+
+def bell_weight(pot, omega_b: float, T: float, E: float) -> float:
+    """Bell's thermal weight w(E) = P(E) exp(beta (E_b - E)) of a barrier.
+
+    Below the top P = 1/(1 + exp(2 S(E))) with S the library's
+    ``wkb_action``; above it, its parabolic continuation, 2S = 2 pi (E_b -
+    E)/(hbar omega_b), with the barrier frequency ``omega_b`` (cm^-1) given.
+    Each side is written so that no exponential overflows.
+    """
+    depth = pot.barrier_height - E
+    if depth > 0.0:
+        two_s = 2.0 * wkb_action(pot, E)
+        return math.exp(_bell_beta(T) * depth - two_s) / (1.0 + math.exp(-two_s))
+    two_s = 2.0 * math.pi * depth / (units.CM1_TO_KJ_PER_MOL * omega_b)
+    return math.exp(_bell_beta(T) * depth) / (1.0 + math.exp(two_s))
+
+
+def bell_integral(pot, omega_b: float, T: float) -> float:
+    """beta times the integral of ``bell_weight`` over E from the well bottom
+    (E = 0) up, by quad below and above the top. For a parabolic barrier
+    high enough that the cut at E = 0 costs nothing, it is xb/sin(xb), xb =
+    hbar omega_b/(2 kB T) = pi T0/T: the closed form's barrier factor."""
+    top = pot.barrier_height
+
+    def w(E):
+        return bell_weight(pot, omega_b, T, E)
+
+    opts = dict(epsabs=0.0, epsrel=1e-13, limit=200)
+    below, _ = integrate.quad(w, 0.0, top, **opts)
+    above, _ = integrate.quad(w, top, math.inf, **opts)
+    return _bell_beta(T) * (below + above)
+
+
+def bell_mean_depth(pot, omega_b: float, T: float) -> float:
+    """The ``bell_weight``-weighted mean depth E_b - E below the top, in kT,
+    on 600 evenly spaced depths from 0.002 to 0.998 E_b."""
+    top = pot.barrier_height
+    depths = np.linspace(0.002, 0.998, 600) * top
+    w = np.array([bell_weight(pot, omega_b, T, top - d) for d in depths.tolist()])
+    return _bell_beta(T) * float(w @ depths / w.sum())
 
 
 def wkb_action_mpmath(pot, E: float) -> float:

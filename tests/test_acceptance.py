@@ -25,6 +25,18 @@ by at most 3.0%; water in a 3 A cavity lowers the rate by 24 to 30% and
 moves k_H/k_D by at most 11.3%. The bounds are 10% and 5% for the protein,
 1/3 and 15% for water. Every case must move the rate by more than 1%, and
 the water claim fails for cavities below 2.85 A.
+
+Criterion 15 checks that tunneling well below the barrier occurs only
+below T0. It uses Bell's thermal average of the WKB transmission, from
+tests/oracles.py. On three 40 kJ/mol barriers the mean depth of the
+weight below the top is above 10 kT at 0.7*T0 and below 2.5 kT from
+1.5*T0 on.
+
+Criterion 17 checks the paper's thesis on the bundled fig3 (H:D) and
+fig4 (H:T) fits. Every datum lies above 1.1*T0, yet classify sets all
+three Kim-Kreevoy flags and outside_bell_low. The apparent Arrhenius
+parameters are taken at T_R fixed at the series' mean temperature, and
+the KIE at 298 K.
 """
 
 import math
@@ -35,8 +47,10 @@ import pytest
 
 from qtst import (
     BarrierSystem,
+    CubicBarrier,
     DebyeDielectricFriction,
     DrudeFriction,
+    EckartBarrier,
     Isotope,
     KIEDataset,
     LinearProteinFriction,
@@ -45,6 +59,7 @@ from qtst import (
     PeakedFriction,
     apparent_arrhenius,
     classical_kie,
+    classify,
     correction_closed,
     correction_crossover,
     correction_product,
@@ -58,9 +73,10 @@ from qtst import (
     transmission,
     wkb_action,
 )
+from qtst import units
 from qtst.kie import _bundled_json, load_dataset_csv
 
-from oracles import mu_scan
+from oracles import bell_integral, bell_mean_depth, mu_scan
 
 PASS = "[PASS]"
 
@@ -377,3 +393,75 @@ def test_criterion_14_environmental_friction_barely_changes_the_rate():
     assert min(rate_ratio(DebyeDielectricFriction(cavity_radius=2.8), w) for w in omegabs) < 2.0 / 3.0
     assert mu_scan(1000.0, DebyeDielectricFriction(cavity_radius=1.5)) / 1000.0 == pytest.approx(0.20, abs=0.01)
     report(14, "; ".join(lines) + "; the water claim fails below a 2.85 A cavity")
+
+
+def test_criterion_15_deep_tunneling_only_below_T0():
+    # The abstract: tunneling well below the barrier only occurs for
+    # temperatures less than T0. Bell's thermal average weighs each energy by
+    # w(E) = P(E) exp(beta (E_b - E)), with P = 1/(1 + exp(2 S(E))) from the
+    # WKB action below the top and its parabolic continuation above it
+    # (tests/oracles.py). On a parabolic barrier beta*int w dE is exactly
+    # xb/sin(xb), xb = pi*T0/T, which needs no convention; on a 200 kJ/mol
+    # barrier the cut at the well bottom costs about exp(-(beta0 - beta) E_b),
+    # 6e-16 at 1.5*T0 (beta0 = 1/(kB T0)).
+    high, T0 = ParabolicBarrier(200.0, 1000.0), crossover_temperature(1000.0)
+    for r in (1.5, 2.0, 3.0):
+        xb = math.pi / r
+        assert bell_integral(high, 1000.0, r * T0) == pytest.approx(xb / math.sin(xb), rel=1e-12), r
+    # the Eckart barrier's omega_b from its curvature at the top, 2 V0/width^2
+    omegab_eckart = math.sqrt(2.0 * 40.0 / (0.45**2 * units.CURVATURE_KJ_PER_MOL))
+    assert omegab_eckart == pytest.approx(1051.37, abs=0.005)
+    # the w-weighted mean depth below the top, in kT, on 600 depths from
+    # 0.002 to 0.998 E_b, at 0.7, 0.9, 1.1, 1.5 and 2 T0
+    ratios = (0.7, 0.9, 1.1, 1.5, 2.0)
+    barriers = [
+        ("cubic", CubicBarrier(1000.0, 40.0), 1000.0, (24.0255, 11.7358, 5.2584, 2.0346, 1.1114)),
+        ("parabolic", ParabolicBarrier(40.0, 1000.0), 1000.0, (26.6503, 15.9653, 7.0918, 2.2734, 1.1750)),
+        ("Eckart", EckartBarrier(40.0, 0.45), omegab_eckart, (13.4500, 6.2348, 3.4695, 1.6760, 0.9871)),
+    ]
+    for name, pot, omegab, pinned in barriers:
+        T0 = crossover_temperature(omegab)
+        depths = [bell_mean_depth(pot, omegab, r * T0) for r in ratios]
+        assert depths == pytest.approx(pinned, abs=1e-3), name
+        assert depths == sorted(depths, reverse=True), name
+        # deep below the top only below T0: a few kT at and above 1.5 T0,
+        # more than 10 kT at and below 0.7 T0
+        assert all(d < 2.5 for r, d in zip(ratios, depths) if r >= 1.5), name
+        assert all(d > 10.0 for r, d in zip(ratios, depths) if r <= 0.7), name
+    report(15, "Bell's thermal average: beta*int w dE = xb/sin(xb) to 1e-12; the mean depth below the top "
+               "is above 10 kT at 0.7*T0 and below 2.5 kT from 1.5*T0 on three barriers")
+
+
+def test_criterion_17_bundled_fits_show_every_tunneling_signature_above_T0():
+    # The paper's thesis: the signatures taken as evidence of deep tunneling,
+    # a large KIE, a large E_heavy - E_light and a prefactor ratio below
+    # Bell's window, follow from the transition state alone. Each bundled
+    # series is fit. Near T0 the apparent Arrhenius parameters move strongly
+    # with the reference temperature, so T_R is fixed at the series' mean
+    # temperature; the KIE is taken at 298 K. Every datum lies above 1.1*T0.
+    # Pinned: omega0, omegab, T0, the lowest T over T0, T_R, A_l/A_h, dE and
+    # the KIE at 298 K.
+    series = {
+        "fig3_mcm.csv": ("H:D", (2967.7, 1099.8, 251.8, 1.124, 338.0, 0.233, 11.18, 23.5)),
+        "fig4_mao.csv": ("H:T", (2028.1, 1063.6, 243.5, 1.141, 298.0, 0.053, 15.29, 25.2)),
+    }
+    tolerances = (0.05, 0.05, 0.05, 5e-4, 1e-9, 5e-4, 5e-3, 0.05)
+    lines = []
+    for name, (pair, pinned) in series.items():
+        data = KIEDataset.from_csv_text(load_dataset_csv(name), pair=pair)
+        fit = fit_kie(data)
+        T_R = float(np.mean(data.T_K))
+        arr = apparent_arrhenius(fit.omega0, fit.omegab, T_R, data.light, data.heavy)
+        kie_298 = kie_qtst(fit.omega0, fit.omegab, 298.0, data.light, data.heavy).ratio
+        got = (fit.omega0, fit.omegab, fit.implied_T0, min(data.T_K) / fit.implied_T0, T_R,
+               arr.a_ratio, arr.delta_E_kJ_per_mol, kie_298)
+        for value, want, tol in zip(got, pinned, tolerances):
+            assert value == pytest.approx(want, abs=tol), (name, got)
+        assert min(data.T_K) > 1.1 * fit.implied_T0, name
+        rep = classify(kie_298, arr.a_ratio, arr.delta_E_kJ_per_mol, (data.light, data.heavy))
+        assert rep.kim_kreevoy_flags == (True, True, True), (name, rep)
+        assert rep.outside_bell_low and not rep.outside_bell_high, (name, rep)
+        lines.append(f"{name} ({pair}): KIE(298 K) {kie_298:.1f}, A_l/A_h {arr.a_ratio:.3f} and "
+                     f"dE {arr.delta_E_kJ_per_mol:.1f} kJ/mol at T_R = {T_R:.0f} K, lowest T "
+                     f"{min(data.T_K) / fit.implied_T0:.3f}*T0")
+    report(17, "every Kim-Kreevoy flag and outside_bell_low with every datum above 1.1*T0: " + "; ".join(lines))

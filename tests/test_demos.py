@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the library in ``src/``."""
+"""Every demo script runs to completion against the library in ``src/``,
+with warnings as errors, as the in-process tests run."""
 
 import os
 import subprocess
@@ -16,6 +17,6 @@ def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-W", "error", str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr

@@ -70,7 +70,9 @@ def test_port_at_a_small_maxiter_fails_or_converges_as_scipy_does(maxiter):
             _brentq(f, 0.0, 5.0, 1e-300, maxiter)
         assert str(ours.value) == str(exc)
     else:
-        assert _brentq(f, 0.0, 5.0, 1e-300, maxiter).hex() == expect
+        root, f_root = _brentq(f, 0.0, 5.0, 1e-300, maxiter)
+        assert root.hex() == expect
+        assert f_root.hex() == f(root).hex()
 
 
 def test_a_library_error_from_f_passes_through_unchanged():
@@ -89,4 +91,5 @@ def test_an_exact_zero_at_an_end_is_that_end(lo, hi, root):
     def f(x):
         return x
 
-    assert _brent(f, lo, hi).hex() == scipy_brentq(f, lo, hi).hex() == root.hex()
+    assert _brent(f, lo, hi)[0].hex() == scipy_brentq(f, lo, hi).hex() == root.hex()
+    assert _brent(f, lo, hi)[1].hex() == root.hex()

@@ -171,6 +171,32 @@ def test_polishes_run_through_the_module_level_solver_name(monkeypatch):
     assert len(calls) >= res.n_starts_converged > 0
 
 
+def test_a_later_polish_can_beat_the_best_lattice_cell(monkeypatch):
+    # an H:T series whose best lattice cell polishes to a local minimum; the
+    # third lattice minimum polishes to a lower one, and the fit returns it
+    from qtst import fit
+
+    polishes = []
+    solver = fit.least_squares
+
+    def recording(*args, **kwargs):
+        res = solver(*args, **kwargs)
+        polishes.append((float(np.linalg.norm(res.fun)), *res.x.tolist(), res.success))
+        return res
+
+    monkeypatch.setattr(fit, "least_squares", recording)
+    data = KIEDataset((334.42191, 338.997123, 362.473971), (91.2934, 85.3967, 48.2798),
+                      light=Isotope.H, heavy=Isotope.T)
+    res = fit_kie(data)
+    assert len(polishes) == 3 and all(p[3] for p in polishes)
+    first, _, third = polishes
+    for (norm, omega0, omegab, _), want in ((first, (3.8657, 3342.7, 1275.3)), (third, (3.2540, 1274.5, 1528.5))):
+        assert norm == pytest.approx(want[0], abs=1e-4)
+        assert (omega0, omegab) == pytest.approx(want[1:], abs=0.05)
+    assert (res.residual_norm, res.omega0, res.omegab) == third[:3]
+    assert res.n_starts_converged == 3
+
+
 def _unconverged_solver(*args, **kwargs):
     return types.SimpleNamespace(success=False, cost=0.0)
 

@@ -1,4 +1,5 @@
-"""Each record's ``to_json`` form, pinned exactly: keys, key order and types.
+"""Each friction model's ``to_json`` form, the ``--friction`` format that
+``friction_model_from_json`` reads, pinned exactly: keys, key order and types.
 
 ``json.dumps`` compares key order and tells a list from a tuple and an int
 from a float, which dict equality does not.
@@ -6,21 +7,14 @@ from a float, which dict equality does not.
 
 import json
 
-import numpy as np
 import pytest
 
 from qtst import (
-    ApparentArrhenius,
-    CorrectionResult,
     DebyeDielectricFriction,
     DrudeFriction,
-    EffectiveBarrier,
-    Isotope,
-    KIEPrediction,
     LinearProteinFriction,
     OhmicFriction,
     PeakedFriction,
-    RateResult,
 )
 
 CASES = {
@@ -60,42 +54,6 @@ CASES = {
     "linear_protein": (
         LinearProteinFriction(),
         {"kind": "linear_protein", "delta_gamma": 20.0, "slope": 0.38, "cutoff": 400.0},
-    ),
-    "rate": (
-        RateResult(T_K=300.0, rate_cm1=2.5e-3, rate_per_s=4.7e8, c_qm=4.25, mu_cm1=950.0,
-                   T0_K=217.5, regime="qtst", equilibrium_ok=True, equilibrium_margin=0.25, terms_used=25),
-        {"T_K": 300.0, "rate_cm1": 2.5e-3, "rate_per_s": 4.7e8, "c_qm": 4.25, "mu_cm1": 950.0,
-         "T0_K": 217.5, "regime": "qtst", "equilibrium_ok": True, "equilibrium_margin": 0.25,
-         "terms_used": 25},
-    ),
-    "rate_classical": (
-        RateResult(300.0, 2.5e-3, 4.7e8, 1.0, 950.0, 217.5, "classical"),
-        {"T_K": 300.0, "rate_cm1": 2.5e-3, "rate_per_s": 4.7e8, "c_qm": 1.0, "mu_cm1": 950.0,
-         "T0_K": 217.5, "regime": "classical", "equilibrium_ok": None, "equilibrium_margin": None,
-         "terms_used": None},
-    ),
-    "correction": (
-        CorrectionResult(c_qm=4.25, regime="high_T", terms_used=25, tail_estimate=1e-16),
-        {"c_qm": 4.25, "regime": "high_T", "terms_used": 25, "tail_estimate": 1e-16},
-    ),
-    "effective_barrier": (
-        EffectiveBarrier(mu_cm1=950.0, T0_K=217.5, residual=0.0),
-        {"mu_cm1": 950.0, "T0_K": 217.5, "residual": 0.0},
-    ),
-    "apparent_arrhenius": (
-        ApparentArrhenius(a_ratio=0.8, delta_E_kJ_per_mol=5.125, T_R=300.0, expansion_ok=False),
-        {"a_ratio": 0.8, "delta_E_kJ_per_mol": 5.125, "T_R": 300.0, "expansion_ok": False},
-    ),
-    "kie_prediction": (
-        KIEPrediction(ratio=7.5, T_K=300.0, light=Isotope.H, heavy=Isotope.T, T0_light_K=220.0, valid=True),
-        {"ratio": 7.5, "T_K": 300.0, "pair": "H:T", "T0_light_K": 220.0, "valid": True},
-    ),
-    "kie_prediction_array": (
-        KIEPrediction(
-            ratio=np.array([7.5, 6.25]), T_K=np.array([300.0, 320.0]), light=Isotope.H, heavy=Isotope.T,
-            T0_light_K=220.0, valid=np.array([True, True]),
-        ),
-        {"ratio": [7.5, 6.25], "T_K": [300.0, 320.0], "pair": "H:T", "T0_light_K": 220.0, "valid": [True, True]},
     ),
 }
 

@@ -7,6 +7,7 @@ import pytest
 
 from qtst import (
     BarrierSystem,
+    DebyeDielectricFriction,
     DrudeFriction,
     FrictionModel,
     Isotope,
@@ -22,7 +23,7 @@ from qtst import units
 from qtst.errors import DomainError, QtstError, SolverConvergenceError
 from qtst.kramers import _mu_mismatch, solve_effective_frequency
 
-from oracles import mu_mismatch_array, mu_scan_float64
+from oracles import brentq, mu_mismatch_array, mu_scan_float64
 
 SYSTEM = BarrierSystem(omega0_H=3000.0, omegab_H=1000.0, barrier_kJ_per_mol=40.0)
 
@@ -286,6 +287,39 @@ def test_a_mismatch_without_a_root_fails_the_residual_check():
         solve_effective_frequency(1000.0, Step())
 
 
+@dataclass(frozen=True)
+class Counted(FrictionModel):
+    # another model's kernel body, keeping every z it is called at
+    inner: FrictionModel
+    calls: list = field(default_factory=list, compare=False, repr=False)
+
+    def _kernel(self, z):
+        self.calls.append(z)
+        return self.inner._kernel(z)
+
+
+@pytest.mark.parametrize("inner", [OhmicFriction(100.0), DrudeFriction(500.0, 2000.0),
+                                   PeakedFriction(200.0, 150.0, 600.0), DebyeDielectricFriction(3.0),
+                                   LinearProteinFriction()],
+                         ids=["ohmic", "drude", "peaked", "debye", "linear_protein"])
+def test_mu_solve_calls_the_kernel_only_where_brentq_evaluates(inner):
+    # the residual is the mismatch Brent's method already holds at its root:
+    # the kernel is called at exactly the points scipy's brentq visits, and
+    # at no further point after the root
+    visited = []
+
+    def mismatch(mu):
+        visited.append(mu)
+        return _mu_mismatch(mu, 1000.0, inner._kernel)
+
+    root = brentq(mismatch, 1e-12 * 1000.0, 1000.0)
+    model = Counted(inner)
+    mu, residual = solve_effective_frequency(1000.0, model)
+    assert [z.hex() for z in model.calls] == [z.hex() for z in visited]
+    assert mu.hex() == root.hex()
+    assert residual.hex() == abs(_mu_mismatch(mu, 1000.0, inner._kernel)).hex()
+
+
 @pytest.mark.parametrize("iso", list(Isotope))
 def test_barrier_frequencies_are_isotope_scaled_once(iso):
     system = BarrierSystem(3000.0, 1000.0, 40.0, iso)
@@ -503,9 +537,3 @@ def test_classical_kie_bounds(gamma_over_wb):
 def test_classical_kie_requires_ordered_masses():
     with pytest.raises(DomainError):
         classical_kie(SYSTEM, None, Isotope.D, Isotope.H)
-
-
-def test_effective_barrier_json_shape():
-    eb = effective_barrier_frequency(SYSTEM, OhmicFriction(100.0))
-    obj = eb.to_json()
-    assert set(obj) == {"mu_cm1", "T0_K", "residual"}

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import json
 import math
 import os
@@ -43,13 +44,36 @@ def _names_without_a_caller(names, sources, text):
     return sorted(set(names) - read)
 
 
+def _public_members():
+    """The public methods and properties that each class of qtst.__all__
+    defines itself. A dataclass field is a value, not a function, and is not
+    one of them."""
+    for name in qtst.__all__:
+        cls = getattr(qtst, name)
+        if isinstance(cls, type):
+            for member, value in vars(cls).items():
+                if not member.startswith("_") and (
+                    inspect.isfunction(value) or isinstance(value, (property, classmethod, staticmethod))
+                ):
+                    yield member
+
+
 def test_every_public_name_has_a_caller_outside_the_tests():
-    # the library itself, a demo, the benchmark or the README: a name only
-    # the tests call is not part of the package's interface
+    # the library itself, a demo, the benchmark or the README: a name or a
+    # class's member only the tests call is not part of the package's
+    # interface. A member is known by its name alone, so a name that several
+    # classes define, such as to_json, counts as called where any one is.
     sources = [path.read_text() for path in SRC.glob("*.py")]
     docs = [*(ROOT / "demos").glob("*.py"), *(ROOT / "bench").glob("*.py"), ROOT / "README.md"]
     text = "\n".join(path.read_text() for path in docs)
     assert _names_without_a_caller(qtst.__all__, sources, text) == []
+    assert _names_without_a_caller(set(_public_members()), sources, text) == []
+
+
+def test_the_member_guard_lists_methods_and_properties_but_not_fields():
+    members = set(_public_members())
+    assert {"to_json", "kim_kreevoy_flags", "from_csv", "pair", "energy"} <= members
+    assert not members & {"omega0", "mu_cm1", "kind", "mass", "barrier_height", "H"}
 
 
 def test_the_caller_guard_sees_a_name_that_is_only_defined():

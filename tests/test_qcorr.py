@@ -32,6 +32,7 @@ from qtst.errors import BelowCrossoverError, DomainError
 from qtst.qcorr import _log_closed
 
 from oracles import (
+    cubic_c3,
     product_exact_then_asymptote,
     product_richardson,
     product_trigamma,
@@ -580,7 +581,7 @@ def test_kappa_for_cubic_barrier_scales_with_barrier_height():
     # the cubic barrier has c4 = 0 and c3 from its third derivative; the
     # resulting kappa reduces to sqrt(72 pi E_b/(hbar omega_b))
     pot = CubicBarrier(omega_0=1000.0, E_b=40.0)
-    c3 = pot.cubic_coefficient()
+    c3 = cubic_c3(pot)
     p = kappa_parameter(1.0, 1000.0, c3, 0.0, T0)
     assert p.kappa == pytest.approx(27.501562113832227, rel=1e-8)
     # order sqrt(E_b / hbar*omega_b), well above 1 for a high barrier
@@ -637,6 +638,20 @@ def test_weak_friction_margin():
     assert m < 1.0
 
 
+@pytest.mark.parametrize("model", [OhmicFriction(100.0), DrudeFriction(500.0, 2000.0), DrudeFriction(5e3, 3e4),
+                                   PeakedFriction(200.0, 150.0, 600.0), PeakedFriction(5e3, 50.0, 4e3),
+                                   DebyeDielectricFriction(3.0), LinearProteinFriction(),
+                                   LinearProteinFriction(50.0, 1.5, 3000.0)],
+                         ids=["ohmic", "drude", "drude_slow", "peaked", "peaked_high", "debye", "linear_protein",
+                              "linear_protein_steep"])
+@pytest.mark.parametrize("T", [10.0, 300.0, 1e4])
+def test_weak_friction_margin_is_the_largest_of_the_first_eight_ratios(model, T):
+    # g(z)/z falls with z for a passive bath, so the one ratio at nu is the
+    # largest over n nu, n = 1..8, bit for bit, from an array kernel call
+    x = np.arange(1.0, 9.0) * (T * qcorr._NU_CM1_PER_K)
+    assert weak_friction_margin(model, T).hex() == float(np.max(model.laplace_kernel(x) / x)).hex()
+
+
 @pytest.mark.parametrize("model", [None, DrudeFriction(100.0, 200.0)], ids=["none", "drude"])
 @pytest.mark.parametrize("T", [-5.0, 0.0, math.nan, math.inf])
 def test_weak_friction_margin_checks_temperature_first(model, T):
@@ -669,21 +684,3 @@ def test_tail_estimate_is_a_python_float():
     for model in (None, DrudeFriction(100.0, 300.0)):
         corr = correction_product(SYSTEM, model, 300.0)
         assert type(corr.tail_estimate) is float and type(corr.c_qm) is float
-
-
-# ---------------------------------------------------------- serialization
-
-
-def test_rate_and_correction_results_serialize():
-    import json
-
-    r = quantum_rate(SYSTEM, DrudeFriction(100.0, 300.0), 310.0)
-    payload = r.to_json()
-    assert payload["regime"] in ("qtst", "near_crossover")
-    assert {"T_K", "rate_per_s", "c_qm", "mu_cm1", "T0_K"} <= set(payload)
-    json.dumps(payload)
-
-    c = correction_product(SYSTEM, None, 300.0)
-    cj = c.to_json()
-    assert cj["regime"] == "high_T" and cj["terms_used"] > 0
-    json.dumps(cj)
