@@ -11,11 +11,11 @@ The package exports exactly the names in its modules' ``__all__`` lists.
 # Every scipy module is reached through errors._scipy, which imports it on
 # first use, so `import qtst`, the closed forms, every friction kernel,
 # every mu solve (Brent's method, errors._brent), the KIE fit (its own
-# Levenberg-Marquardt polish on an analytic Jacobian) and the model
-# barriers' WKB actions (closed forms) load no scipy. The
-# crossover-regularised correction loads scipy.special (erfcx) and a
-# tabulated WKB action scipy.integrate; a tabulated potential builds its
-# PCHIP coefficients in Python floats, equal to scipy's by float.hex.
+# Levenberg-Marquardt polish on an analytic Jacobian), the model
+# barriers' WKB actions (closed forms) and the crossover-regularised
+# correction (its own erfcx) load no scipy. Only a tabulated WKB action
+# loads scipy.integrate; a tabulated potential builds its PCHIP
+# coefficients in Python floats, equal to scipy's by float.hex.
 from . import errors, fit, kie, kramers, qcorr, spectral, units, wkb
 from .errors import *  # noqa: F403
 from .fit import *  # noqa: F403

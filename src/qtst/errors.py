@@ -161,6 +161,15 @@ def _require_param(name: str, value, positive: bool = False, signed: bool = Fals
     # either sign if signed); NaN fails every comparison, so it is rejected
     # with the infinities, and so is a value numpy cannot read as a float or a
     # regular float array. Returns the value in _float_or_array's form.
+    # A Python float that passes is returned by comparison alone: through
+    # _float_or_array and numpy the check cost more than the scalar Peaked
+    # kernel it guards. A float that fails takes the general path, which
+    # raises the one error text.
+    if type(value) is float and (
+        -math.inf < value < math.inf if signed
+        else (0.0 < value if positive else 0.0 <= value) and value < math.inf
+    ):
+        return value
     try:
         v = _float_or_array(value)
     except (TypeError, ValueError):

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import units
-from .errors import BelowCrossoverError, DomainError, _exp_of_log, _require_param, _scipy
+from .errors import _LOG_MAX, BelowCrossoverError, DomainError, _exp_of_log, _require_param
 from .kramers import BarrierSystem, RateResult, _classical_cm1, _crossover_temperature, solve_effective_frequency
 from .spectral import FrictionModel, _kernel_body
 from .units import Isotope
@@ -225,6 +225,37 @@ def _scaled_sine_ratio(s: float) -> float:
     return s / math.sin(s)
 
 
+_SQRT_PI = math.sqrt(math.pi)
+
+
+def _exp_square(y: float) -> float:
+    # exp(y^2) to a few ulps for |y| < 27: with Veltkamp's split y = yh + yl,
+    # yh has 26 bits, so yh^2 is exact and only the small y^2 - yh^2 =
+    # yl*(y + yh) is rounded
+    c = 134217729.0 * y
+    yh = c - (c - y)
+    return math.exp(yh * yh) * math.exp((y - yh) * (y + yh))
+
+
+def _erfcx(y: float) -> float:
+    # exp(y^2) erfc(y) in Python floats: the asymptotic series
+    # 1/(y sqrt(pi)) sum_n (-1)^n (2n-1)!!/(2y^2)^n above 26, where 11 terms
+    # reach rounding and erfc nears underflow; exp(y^2) erfc(y) on [0, 26];
+    # and 2 exp(y^2) - erfcx(-y) below 0, inf where 2 exp(y^2) overflows
+    if y > 26.0:
+        w = 0.5 / (y * y)
+        total = term = 1.0
+        for n in range(1, 12):
+            term *= -(2 * n - 1) * w
+            total += term
+        return total / (y * _SQRT_PI)
+    if y < 0.0:
+        if y * y > _LOG_MAX - _LN2:
+            return math.inf
+        return 2.0 * _exp_square(y) - _erfcx(-y)
+    return _exp_square(y) * math.erfc(y)
+
+
 def correction_crossover(system: BarrierSystem, T: float, kappa_at_T0: float) -> float:
     """Crossover-regularised correction factor for a weakly damped barrier.
 
@@ -238,7 +269,7 @@ def correction_crossover(system: BarrierSystem, T: float, kappa_at_T0: float) ->
     1 - 1/(2y^2) + O(y^-4), so the two agree within 5% only for
     y >= 2.94 (T >= 1.26*T0 at kappa = 10). erfcx avoids the overflow of
     exp(y^2)*erfc(y). Valid in the crossover neighbourhood and above,
-    T > 0.9*T0. A prefactor that overflows a double raises ``DomainError``.
+    T > 0.9*T0. A value that overflows a double raises ``DomainError``.
     """
     _require_param("kappa", kappa_at_T0, positive=True)
     _require_param("temperature", T, positive=True)
@@ -256,7 +287,12 @@ def correction_crossover(system: BarrierSystem, T: float, kappa_at_T0: float) ->
     q = (1.0 - 0.5 * eps) * (1.0 - eps) * kappa_at_T0 / math.pi * _scaled_sine_ratio(s)
     x0 = units.CM1_TO_K * omega0 / (2.0 * T)
     prefactor = _exp_of_log("(omega_b/omega_0) sinh(x0)", math.log(omegab / omega0) + _log_sinh(x0, math))
-    return prefactor * math.sqrt(math.pi) * q * float(_scipy("special").erfcx(y))
+    value = prefactor * _SQRT_PI * q * _erfcx(y)
+    if not value < math.inf:
+        raise DomainError(
+            f"c_crossover overflows a double at T = {T:g} K (y = {y:.6g}, kappa = {kappa_at_T0:g})"
+        )
+    return value
 
 
 def kappa_parameter(

@@ -31,7 +31,9 @@ parabolic continuation above; ``bell_integral`` and ``bell_mean_depth``
 are its integral and its mean depth below the top.
 ``brentq`` is scipy's Brent's method, which the library's own port
 (``errors._brentq``) must match bit for bit, and ``fg_sici`` is the
-linear-protein kernel's f and g from scipy's ``sici``.
+linear-protein kernel's f and g from scipy's ``sici``. ``erfcx`` is
+scipy's scaled complementary error function and ``erfcx_mpmath`` the same
+at 40 digits, which the library's own (``qcorr._erfcx``) must match.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ import numpy as np
 from scipy import integrate, optimize
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import least_squares
+from scipy.special import erfcx as _scipy_erfcx
 from scipy.special import polygamma, sici
 
 from qtst import (
@@ -226,6 +229,18 @@ def brentq(f, lo: float, hi: float, xtol: float = 1e-300, maxiter: int = 100) ->
     """scipy's brentq at the library's settings: rtol 4 eps, at most 100
     iterations and, by default, the xtol of every mu solve."""
     return optimize.brentq(f, lo, hi, xtol=xtol, maxiter=maxiter)
+
+
+def erfcx(y: float) -> float:
+    """scipy's exp(y^2) erfc(y); about 5.7e-14 relative off on [-26, 0)."""
+    return float(_scipy_erfcx(y))
+
+
+def erfcx_mpmath(y: float) -> float:
+    """exp(y^2) erfc(y) at 40 digits, rounded once to a double."""
+    with mp.workdps(40):
+        y = mp.mpf(y)
+        return float(mp.exp(y * y) * mp.erfc(y))
 
 
 def fg_sici(x):

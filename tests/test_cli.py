@@ -905,6 +905,20 @@ def test_correction_row_is_nan_where_the_closed_form_overflows(tmp_path):
     assert all(math.isfinite(float(r[2])) and math.isfinite(float(r[3])) for r in rows[1:])
 
 
+def test_correction_crossover_cell_is_nan_where_it_overflows(tmp_path):
+    # kappa = 1000: at 215 K (0.94*T0) y = -59.2 and c_crossover overflows a
+    # double; at 227.5 K (y = -6.48) and 240 K it is finite
+    out = tmp_path / "corr.csv"
+    assert run([
+        "correction", "--omega0", "3000", "--omegab", "1000", "--kappa", "1000",
+        "--tmin", "215", "--tmax", "240", "--points", "3", "--output", str(out),
+    ]) == 0
+    header, rows = read_csv(out)
+    assert header[3] == "c_crossover"
+    assert rows[0][3] == "nan"
+    assert all(math.isfinite(float(r[3])) for r in rows[1:])
+
+
 def test_correction_regime_is_empty_where_c_qm_overflows_above_T0(tmp_path):
     # T0 = 4.58 K: at 5 K the row is above it, but c_qm overflows a double;
     # only the 4 K row lies below the crossover

@@ -245,6 +245,7 @@ LINEAR_PROTEIN = json.dumps({"kind": "linear_protein"})
         ["kie-predict", "--omega0", "3000", "--omegab", "1000", "--pair", "H:D",
          "--tmin", "275", "--tmax", "325"],
         ["correction", "--omega0", "3000", "--omegab", "1000"],
+        ["correction", "--omega0", "3000", "--omegab", "1000", "--kappa", "10"],
         ["classify", "--kie", "81", "--a-ratio", "0.1", "--delta-e", "5"],
         ["rate", "--omega0", "3000", "--omegab", "1000", "--barrier", "40"],
         ["swain-schaad", "--kh", "81", "--kd", "3.85", "--kt", "1"],
@@ -256,14 +257,14 @@ LINEAR_PROTEIN = json.dumps({"kind": "linear_protein"})
         ["wkb", "--potential", "eckart", "--barrier", "40", "--width", "0.45"],
         ["wkb", "--potential", "cubic", "--barrier", "40", "--omega0", "1000"],
     ],
-    ids=["import", "kie-predict", "correction", "classify", "rate", "swain-schaad",
+    ids=["import", "kie-predict", "correction", "correction-kappa", "classify", "rate", "swain-schaad",
          "rate-drude", "rate-linear-protein", "crossover", "spectral-linear-protein",
          "wkb-parabolic", "wkb-eckart", "wkb-cubic"],
 )
 def test_closed_form_commands_load_no_heavy_scipy_module(argv):
     # the closed forms, every mu solve (Brent's method in Python), every
-    # kernel, the fit and the model barriers' WKB actions load none; erfcx
-    # and a tabulated WKB action do
+    # kernel, erfcx, the fit and the model barriers' WKB actions load none;
+    # a tabulated WKB action does
     assert not _scipy_modules_after_cli(argv) & set(HEAVY_SCIPY)
 
 

@@ -1,12 +1,13 @@
 """Property tests: closed-form kernels, solvers, turning points and the KIE
-fit against the slow oracles, and the library's Brent's method against
-scipy's.
+fit against the slow oracles, the library's Brent's method against
+scipy's, and the input check's float path against its general path.
 
 Parameters are drawn from the physical boxes the models are used in; each
 property runs on about 50 examples, a fit property on about 20.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from qtst import (
     kie_qtst,
     turning_points,
 )
+from qtst.errors import DomainError, _require_param
 from qtst.fit import _SCREEN_STEPS, _kie_model, _lattice_axis, _local_minima, _screen
 from qtst.kie import load_dataset_csv
 from qtst.kramers import _mu_mismatch, classical_kie, solve_effective_frequency
@@ -473,3 +475,79 @@ def test_turning_points_are_scipys_brentq_bit_for_bit(pot, frac):
     expect = [brentq(lambda x: pot.energy(x) - E, lo, hi, xtol=1e-12 * max(hi - lo, abs(lo), abs(hi)))
               for lo, hi in pot.brackets(E)]
     assert [x.hex() for x in turning_points(pot, E)] == [x.hex() for x in expect]
+
+
+# ------------------------------------- the input check: float path = general path
+
+# the three flag settings of _require_param and the test each states
+CHECK_FLAGS = [
+    pytest.param({}, "finite and >= 0", id="non-negative"),
+    pytest.param({"positive": True}, "finite and > 0", id="positive"),
+    pytest.param({"signed": True}, "finite", id="signed"),
+]
+edge_floats = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, -sys.float_info.min,
+    sys.float_info.max, -sys.float_info.max, math.inf, -math.inf, math.nan,
+])
+
+
+@pytest.mark.parametrize("flags, want", CHECK_FLAGS)
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(v=st.one_of(edge_floats, st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)))
+def test_float_check_gives_what_the_general_check_gives(flags, want, v):
+    # a Python float is checked by comparison alone; np.float64 is not
+    # exactly a float, so it takes the general path through numpy
+    try:
+        general = _require_param("x", np.float64(v), **flags)
+    except DomainError:
+        general = None
+    try:
+        got = _require_param("x", v, **flags)
+    except DomainError as exc:
+        assert general is None, (v, general)
+        assert str(exc) == f"x must be {want}, got {v!r}"
+    else:
+        assert type(got) is float and general is not None
+        assert got.hex() == general.hex()
+
+
+@pytest.mark.parametrize(
+    "value, flags, expect",
+    [
+        (3, {"positive": True}, 3.0),
+        (0, {}, 0.0),
+        (-2, {"signed": True}, -2.0),
+        (True, {"positive": True}, 1.0),
+        (np.float64(2.5), {"positive": True}, 2.5),
+        (np.float32(0.5), {}, 0.5),
+        (np.array(4.0), {"positive": True}, 4.0),
+        ([1.0, 2.0], {"positive": True}, [1.0, 2.0]),
+        (np.array([0.0, 3.0]), {}, [0.0, 3.0]),
+    ],
+    ids=["int", "zero-int", "negative-int", "bool", "float64", "float32", "0-d", "list", "array"],
+)
+def test_non_float_inputs_keep_the_general_path(value, flags, expect):
+    got = _require_param("x", value, **flags)
+    if isinstance(expect, list):
+        assert isinstance(got, np.ndarray) and got.dtype == float and got.tolist() == expect
+    else:
+        assert type(got) is float and got == expect
+
+
+@pytest.mark.parametrize(
+    "value, flags, message",
+    [
+        (-3, {}, "x must be finite and >= 0, got -3"),
+        (False, {"positive": True}, "x must be finite and > 0, got False"),
+        (np.float64(-1.0), {"positive": True}, "x must be finite and > 0, got np.float64(-1.0)"),
+        (np.array(math.nan), {"signed": True}, "x must be finite, got array(nan)"),
+        ([1.0, -2.0], {}, "x must be finite and >= 0, got [1.0, -2.0]"),
+        ("abc", {}, "x must be a number or a regular array of numbers, got 'abc'"),
+        ([1.0, [2.0]], {}, "x must be a number or a regular array of numbers, got [1.0, [2.0]]"),
+    ],
+    ids=["int", "bool", "float64", "0-d", "list", "string", "ragged"],
+)
+def test_non_float_inputs_keep_the_general_errors(value, flags, message):
+    with pytest.raises(DomainError) as info:
+        _require_param("x", value, **flags)
+    assert str(info.value) == message

@@ -29,10 +29,12 @@ from qtst import (
 )
 from qtst import kramers, qcorr, units
 from qtst.errors import BelowCrossoverError, DomainError
-from qtst.qcorr import _log_closed
+from qtst.qcorr import _erfcx, _log_closed
 
 from oracles import (
     cubic_c3,
+    erfcx,
+    erfcx_mpmath,
     product_exact_then_asymptote,
     product_richardson,
     product_trigamma,
@@ -547,6 +549,34 @@ def test_crossover_correction_asymptotic_series_oracle():
     series = 1.0 - 1.0 / (2 * y * y) + 3.0 / (4 * y**4)
     got = correction_crossover(SYSTEM, T, kappa) / correction_closed(3000.0, 1000.0, T)
     assert got == pytest.approx(series, rel=1e-7)
+
+
+def test_crossover_correction_overflow_is_a_domain_error():
+    # at 0.95*T0 and kappa = 1000, y = -48.75 and erfcx(y) ~ 2 exp(y^2)
+    # overflows a double; 1.0*T0 stays finite
+    with pytest.raises(DomainError, match="c_crossover overflows a double"):
+        correction_crossover(SYSTEM, 0.95 * T0, 1000.0)
+    assert math.isfinite(correction_crossover(SYSTEM, T0, 1000.0))
+
+
+# 9,000 points over [-26, 1e6], a third of them negative
+ERFCX_POINTS = np.concatenate([
+    np.linspace(-26.0, 0.0, 3000, endpoint=False),
+    np.linspace(0.0, 30.0, 3000),
+    np.geomspace(30.0, 1e6, 3000),
+]).tolist()
+
+
+def test_erfcx_is_within_1e15_of_mpmath():
+    worst = max(abs(_erfcx(y) / erfcx_mpmath(y) - 1.0) for y in ERFCX_POINTS)
+    assert worst <= 1e-15, worst
+
+
+@pytest.mark.parametrize("y", [-math.inf, -27.0, -26.63, 0.0, -0.0, 26.0, 1e200, math.inf, math.nan])
+def test_erfcx_edge_values_are_scipys(y):
+    # scipy gives inf once 2 exp(y^2) overflows, 1 at 0 and 0 at +inf
+    got, want = _erfcx(y), erfcx(y)
+    assert got == pytest.approx(want, rel=1e-15) or (math.isnan(got) and math.isnan(want))
 
 
 def test_crossover_correction_domain_and_kappa_validation():
