@@ -230,15 +230,14 @@ _BUNDLED_SERIES = {"fig3": "fig3_mcm", "fig4": "fig4_mao"}
 
 
 def cmd_fit(args):
-    light, heavy = (None, None)
     if args.pair:
-        light, heavy = Isotope.pair(args.pair)
+        Isotope.pair(args.pair)  # a --pair that cannot be read exits 3, as in kie-predict
     if args.input in _BUNDLED_SERIES:
         path = resources.files("qtst.data") / f"{_BUNDLED_SERIES[args.input]}.csv"
     else:
         path = Path(args.input)
     try:
-        data = fitmod.KIEDataset.from_csv(path, light=light, heavy=heavy)
+        data = fitmod.KIEDataset.from_csv(path, pair=args.pair or None)
         result = fitmod.fit_kie(data)
     except DomainError as exc:
         raise ConfigError(f"{args.input}: {exc}")

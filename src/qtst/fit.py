@@ -24,7 +24,7 @@ import numpy as np
 
 from . import units
 from .errors import DomainError, FitConvergenceError, _check_fields, _exp_of_log, _read_table, _require_param
-from .kie import _log_kie
+from .kie import _log_kie, _root_masses
 from .kramers import _crossover_temperature
 from .units import Isotope
 
@@ -83,10 +83,10 @@ class KIEDataset:
         return T[order], y[order], (None if s is None else s[order])
 
     @classmethod
-    def from_csv(cls, path, light=None, heavy=None) -> "KIEDataset":
+    def from_csv(cls, path, pair=None) -> "KIEDataset":
         """A series read by ``from_csv_text``, with the JSON object in the
         sidecar next to it (same name, .json), if any: its ``pair`` (e.g.
-        "H:T"), which ``light`` and ``heavy`` override, ``label`` and
+        "H:T"), unless the ``pair`` argument is given, ``label`` and
         ``source`` (the path where the sidecar gives none)."""
         path = Path(path)
         meta = {}
@@ -100,23 +100,17 @@ class KIEDataset:
                 raise DomainError(f"sidecar {sidecar.name} must hold a JSON object")
         return cls.from_csv_text(
             path.read_text(encoding="utf-8"),
-            light=light,
-            heavy=heavy,
+            pair=meta.get("pair") if pair is None else pair,
             label=meta.get("label", ""),
             source=meta.get("source", str(path)),
-            pair=meta.get("pair"),
         )
 
     @classmethod
-    def from_csv_text(
-        cls, text: str, light=None, heavy=None, label="", source="", pair=None
-    ) -> "KIEDataset":
-        """A series from a ``T_K,kie[,sigma]`` table of at least 3 points; a
-        sigma column empty in every row means unit weights, in some only an error."""
-        if pair is not None and light is None and heavy is None:
-            light, heavy = Isotope.pair(pair)
-        light = light or Isotope.H
-        heavy = heavy or Isotope.D
+    def from_csv_text(cls, text: str, pair=None, label="", source="") -> "KIEDataset":
+        """A series from a ``T_K,kie[,sigma]`` table of at least 3 points, for
+        the isotope ``pair`` (e.g. "H:T"; H:D when None); a sigma column empty
+        in every row means unit weights, in some only an error."""
+        light, heavy = (Isotope.H, Isotope.D) if pair is None else Isotope.pair(pair)
         header, (T, y, s) = _read_table(text, "KIE series", 3, 3, optional=1)
         if header is None or header[:2] != ["t_k", "kie"]:
             raise DomainError("expected CSV header 'T_K,kie[,sigma]'")
@@ -197,10 +191,11 @@ def _kie_model(T, omega0, omegab, light, heavy):
     with a smooth below-crossover penalty, and its derivatives: (model,
     d model/d omega0, d model/d omegab).
 
-    For trial omegab pushing T under the light isotope's crossover, the
-    temperature is clamped just above it and the value is inflated
-    quadratically in the violation, keeping the objective continuous so the
-    polish can retreat smoothly.
+    The model is the KIE of ``kie._log_kie``, so above the clamp it equals
+    ``kie_qtst`` bit for bit. For trial omegab pushing T under the light
+    isotope's crossover, the temperature is clamped just above it and the
+    value is inflated quadratically in the violation, keeping the objective
+    continuous so the polish can retreat smoothly.
 
     With x = c*omega/sqrt(m) and c = CM1_TO_K/(2*T) for each isotope, the
     1/omega terms cancel between the isotopes: d log KIE/d omega0 is
@@ -211,22 +206,16 @@ def _kie_model(T, omega0, omegab, light, heavy):
     """
     T0 = _crossover_temperature(units._isotope_scaled(omegab, light))
     _, T_clamped, u, penalty = _crossover_clamp(T, T0)
+    model = np.exp(_log_kie(omega0, omegab, T_clamped, light, heavy)) * penalty
     # the light and the heavy isotope in two rows
-    s = np.array([[light.mass_number**-0.5], [heavy.mass_number**-0.5]])
-    c = (0.5 * units.CM1_TO_K) * s / T_clamped
+    c = (0.5 * units.CM1_TO_K) / (_root_masses(light, heavy, 1) * T_clamped)
     x0 = c * omega0
-    # log[sinh(x0)/sin(xb)] + ln 2, the sine by the smaller of pi*T0/T and
-    # pi*(T - T0)/T, as qcorr._log_closed takes it
-    T0_iso = (units.CROSSOVER_K_PER_CM1 * omegab) * s
-    sin_xb = np.sin(math.pi * np.minimum(T0_iso, T_clamped - T0_iso) / T_clamped)
-    log_l, log_h = x0 + np.log(-np.expm1(-2.0 * x0) / sin_xb)
-    model = np.exp(0.5 * math.log(heavy.mass_number / light.mass_number) + (log_l - log_h)) * penalty
     xb = c * omegab
     a_l, a_h = x0 / np.tanh(x0)
     b_l, b_h = xb / np.tan(xb)
     a = a_l - a_h
-    b = np.where(T < T_clamped, a - (2.0 * _PENALTY_SCALE) * u * (T / T0) / penalty, b_l - b_h)
-    return model, model * a / omega0, -model * b / omegab
+    b = np.where(T < T_clamped, a - (2.0 * _PENALTY_SCALE / T0) * u * T / penalty, b_l - b_h)
+    return model, model * a / omega0, model * b / -omegab
 
 
 def _lattice_axis(bounds, step, starts):

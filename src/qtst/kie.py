@@ -9,10 +9,11 @@ the barrier frequency omega_b (both quoted for hydrogen):
 
 x = hbar*omega/(2 kB T). That is sqrt(m_h/m_l) times the ratio of the two
 isotopes' zero-friction corrections (omega_b/omega_0) sinh(x0)/sin(xb), each
-at its own frequencies omega/sqrt(m); the closed form lives in
-``qtst.qcorr``. Expanding around a reference temperature gives apparent
-Arrhenius parameters that can be compared directly with the values
-extracted from experimental Arrhenius plots.
+at its own frequencies omega/sqrt(m). ``_log_kie`` is the one home of this
+formula: ``kie_qtst``, the fit's lattice screen and its polish model all
+take log KIE from it. Expanding around a reference temperature gives
+apparent Arrhenius parameters that can be compared directly with the
+values extracted from experimental Arrhenius plots.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import numpy as np
 from . import units
 from .errors import BelowCrossoverError, DomainError, _require_param
 from .kramers import _crossover_temperature
-from .qcorr import _log_closed
 from .units import Isotope, _isotope_scaled
 
 __all__ = [
@@ -119,15 +119,33 @@ def _require_kie_args(omega0_H, omegab_H, T, light: Isotope, heavy: Isotope):
     return T_checked, T0_light
 
 
+@cache
+def _root_masses(light: Isotope, heavy: Isotope, ndim: int) -> np.ndarray:
+    # sqrt(m) of the light and the heavy isotope on a leading axis of two
+    # rows, in front of ndim axes of length 1; read-only, since it is shared
+    root_m = np.array((math.sqrt(light.mass_number), math.sqrt(heavy.mass_number))).reshape((2,) + (1,) * ndim)
+    root_m.flags.writeable = False
+    return root_m
+
+
 def _log_kie(omega0_H, omegab_H, T, light: Isotope, heavy: Isotope):
-    """log KIE = (1/2) log(m_h/m_l) + L(light) - L(heavy), with L the log of
-    the closed-form correction at the isotope's frequencies; T may be an
-    array, every entry above the light isotope's crossover."""
+    """log KIE at hydrogen frequencies omega0_H and omegab_H, which broadcast
+    with T, every T above the light isotope's crossover.
 
-    def log_closed(iso):
-        return _log_closed(_isotope_scaled(omega0_H, iso), _isotope_scaled(omegab_H, iso), T)
-
-    return 0.5 * math.log(heavy.mass_number / light.mass_number) + log_closed(light) - log_closed(heavy)
+    The light and the heavy isotope take a leading axis of two rows, each at
+    its frequencies omega/sqrt(m). The ratio omega_b/omega_0 is the same for
+    both and cancels, so each row is log[sinh(x0)/sin(xb)] + ln 2 =
+    x0 + log[(1 - exp(-2 x0))/sin(xb)]. Since sin(pi*T0/T) = sin(pi*(T -
+    T0)/T), the sine takes the smaller argument: T - T0 keeps precision next
+    to T0, and the direct argument is exact far above it.
+    """
+    # getattr, not np.ndim, which costs a microsecond on a Python float
+    ndim = max(getattr(omega0_H, "ndim", 0), getattr(omegab_H, "ndim", 0), getattr(T, "ndim", 0))
+    root_m = _root_masses(light, heavy, ndim)
+    T0 = _crossover_temperature(omegab_H / root_m)
+    x0 = (0.5 * units.CM1_TO_K) * (omega0_H / root_m) / T
+    log_l, log_h = x0 + np.log(-np.expm1(-2.0 * x0) / np.sin(math.pi * np.minimum(T0, T - T0) / T))
+    return 0.5 * math.log(heavy.mass_number / light.mass_number) + (log_l - log_h)
 
 
 def kie_qtst(
@@ -146,7 +164,7 @@ def kie_qtst(
     """
     T_checked, T0_light = _require_kie_args(omega0_H, omegab_H, T, light, heavy)
     if isinstance(T_checked, float):
-        ratio = math.exp(_log_kie(omega0_H, omegab_H, T, light, heavy))
+        ratio = float(np.exp(_log_kie(omega0_H, omegab_H, T, light, heavy)))
     else:
         T, above = T_checked.copy(), T_checked > T0_light
         ratio = np.full(T.shape, math.nan)

@@ -10,7 +10,9 @@ memory kernel. Every factor exceeds one, so quantum fluctuations always
 enhance the rate. At zero friction the product collapses to the closed
 sinh/sin form, which diverges at the crossover; the non-parabolic
 crossover correction regularises that divergence with a scaled
-complementary error function.
+complementary error function. ``correction_closed`` evaluates the closed
+form for one isotope in Python floats; the KIE, a ratio of two of them,
+takes the formula from ``qtst.kie`` for both isotopes at once.
 
 The product is summed in log space: the first N log-terms exactly, the
 rest by the midpoint Euler-Maclaurin formula with its integral by
@@ -169,36 +171,23 @@ def correction_product(
     return CorrectionResult(c_qm=c_qm, regime=regime, terms_used=terms_used, tail_estimate=tail)
 
 
-def _log_sinh(x, xp):
-    # log(sinh x) = x - ln 2 + log(1 - exp(-2x)), xp = math or numpy: no overflow
-    return x - _LN2 + xp.log(-xp.expm1(-2.0 * x))
+def _log_sinh(x):
+    # log(sinh x) = x - ln 2 + log(1 - exp(-2x)): no overflow
+    return x - _LN2 + math.log(-math.expm1(-2.0 * x))
 
 
 def _log_closed(omega0, omegab, T):
     """log[(omega_b/omega_0) sinh(x0)/sin(xb)] with x = hbar*omega/(2 kB T),
-    for T above T0 = crossover_temperature(omegab).
+    for T above T0 = crossover_temperature(omegab), from checked floats.
 
-    Each argument may be a scalar or an array, and arrays broadcast. The
-    one home of the closed form; ``correction_closed``, the KIE and the
-    fit's screen all use it. Since sin(pi*T0/T) = sin(pi*(T - T0)/T), the
-    sine takes the smaller argument: T - T0 keeps precision next to T0,
-    and the direct argument is exact far above it.
-    All-scalar input is evaluated with ``math``, which is several times
-    faster than numpy on one number.
+    Since sin(pi*T0/T) = sin(pi*(T - T0)/T), the sine takes the smaller
+    argument: T - T0 keeps precision next to T0, and the direct argument is
+    exact far above it.
     """
-    # scalar frequencies come checked from the public callers; arrays (the
-    # fit's lattice) are checked here, once for all their entries
-    if isinstance(omega0, np.ndarray) or isinstance(omegab, np.ndarray):
-        omega0 = _require_param("omega0", omega0)
-        omegab = _require_param("omegab", omegab)
-    if isinstance(T, np.ndarray) or isinstance(omega0, np.ndarray) or isinstance(omegab, np.ndarray):
-        xp, minimum = np, np.minimum
-    else:
-        xp, minimum = math, min
     T0 = _crossover_temperature(omegab)
     x0 = units.CM1_TO_K * omega0 / (2.0 * T)
-    sin_xb = xp.sin(math.pi * minimum(T0, T - T0) / T)
-    return xp.log(omegab / omega0) + _log_sinh(x0, xp) - xp.log(sin_xb)
+    sin_xb = math.sin(math.pi * min(T0, T - T0) / T)
+    return math.log(omegab / omega0) + _log_sinh(x0) - math.log(sin_xb)
 
 
 def correction_closed(omega0: float, omegab: float, T: float) -> float:
@@ -286,7 +275,7 @@ def correction_crossover(system: BarrierSystem, T: float, kappa_at_T0: float) ->
     s = math.pi * eps / (1.0 - eps)
     q = (1.0 - 0.5 * eps) * (1.0 - eps) * kappa_at_T0 / math.pi * _scaled_sine_ratio(s)
     x0 = units.CM1_TO_K * omega0 / (2.0 * T)
-    prefactor = _exp_of_log("(omega_b/omega_0) sinh(x0)", math.log(omegab / omega0) + _log_sinh(x0, math))
+    prefactor = _exp_of_log("(omega_b/omega_0) sinh(x0)", math.log(omegab / omega0) + _log_sinh(x0))
     value = prefactor * _SQRT_PI * q * _erfcx(y)
     if not value < math.inf:
         raise DomainError(

@@ -387,14 +387,10 @@ class TabulatedPotential(Potential1D):
         return (knots[left], knots[left + 1]), (knots[right - 1], knots[right])
 
     @classmethod
-    def from_csv(cls, path_or_text, mass: float = 1.0) -> "TabulatedPotential":
-        """The knots of a table (x_angstrom, U_kJ_per_mol) of at least 4 rows,
-        given as a path or as text with a newline."""
-        if isinstance(path_or_text, str) and "\n" in path_or_text:
-            text = path_or_text
-        else:
-            text = Path(path_or_text).read_text(encoding="utf-8")
-        _, (xs, us) = _read_table(text, "potential table", 2, 4)
+    def from_csv(cls, path, mass: float = 1.0) -> "TabulatedPotential":
+        """The knots of the table (x_angstrom, U_kJ_per_mol) of at least 4 rows
+        in the file at ``path``."""
+        _, (xs, us) = _read_table(Path(path).read_text(encoding="utf-8"), "potential table", 2, 4)
         return cls(xs, us, mass=mass)
 
 

@@ -12,8 +12,11 @@ multi-root scan, with every kernel call at an ``np.float64`` point, and
 only the model's ``friction_spectrum`` (or a scalar ``laplace_kernel``)
 and stay independent of the closed forms.
 The Drude and Peaked effective frequencies also have polynomial oracles,
-built from the model parameters alone. ``kie_model`` is the fit's model
-through ``_log_kie``, one isotope at a time, with no Jacobian;
+built from the model parameters alone. ``log_closed`` is the log of the
+zero-friction closed form for one isotope, on scalars or broadcasting
+arrays, and ``log_kie`` the log KIE as the difference of two of its calls,
+as the library once computed both. ``kie_model`` is the fit's model
+through ``log_kie``, one isotope at a time, with no Jacobian;
 ``fit_multistart`` is the KIE fit on it as scipy's least-squares polish
 from every configured start, finished by Gauss-Newton steps, with no
 screen; ``screen_broadcast`` is the fit's screen as one broadcast
@@ -68,7 +71,6 @@ from qtst import (
 from qtst import units
 from qtst.errors import BelowCrossoverError, DomainError, FitConvergenceError, SolverConvergenceError
 from qtst.fit import _CROSSOVER_MARGIN, _PENALTY_SCALE, FitConfig, FitResult, KIEDataset
-from qtst.kie import _log_kie
 from qtst.kramers import _brent, _mu_mismatch, crossover_temperature
 from qtst.qcorr import _NU_CM1_PER_K
 from qtst.spectral import _require_param
@@ -341,8 +343,30 @@ def peaked_mu_quartic(omegab: float, model) -> float:
     return min(max(real), 1.0) * omegab
 
 
+def log_closed(omega0, omegab, T):
+    """log[(omega_b/omega_0) sinh(x0)/sin(xb)] with x = hbar*omega/(2 kB T),
+    for T above T0 = crossover_temperature(omegab); the arguments broadcast.
+    The sine takes the smaller of pi*T0/T and pi*(T - T0)/T, which are equal
+    in exact arithmetic."""
+    T0 = crossover_temperature(omegab)
+    x0 = units.CM1_TO_K * omega0 / (2.0 * T)
+    log_sinh = x0 - math.log(2.0) + np.log(-np.expm1(-2.0 * x0))
+    return np.log(omegab / omega0) + log_sinh - np.log(np.sin(math.pi * np.minimum(T0, T - T0) / T))
+
+
+def log_kie(omega0_H, omegab_H, T, light, heavy):
+    """log KIE = (1/2) log(m_h/m_l) + L(light) - L(heavy), L the ``log_closed``
+    of each isotope at its frequencies omega/sqrt(m)."""
+
+    def log_closed_at(iso):
+        root_m = math.sqrt(iso.mass_number)
+        return log_closed(omega0_H / root_m, omegab_H / root_m, T)
+
+    return 0.5 * math.log(heavy.mass_number / light.mass_number) + log_closed_at(light) - log_closed_at(heavy)
+
+
 def kie_model(T, omega0, omegab, light, heavy):
-    """The fit's model as the library once wrote it: ``_log_kie`` at the
+    """The fit's model as the library once wrote it: ``log_kie`` at the
     temperature clamped to 1.02 times the light isotope's crossover, times
     the penalty 1 + 10*u^2, u the clamp's shift in units of that crossover.
     omega0 and omegab may be arrays that broadcast with T in front of its
@@ -350,7 +374,7 @@ def kie_model(T, omega0, omegab, light, heavy):
     T0 = crossover_temperature(units._isotope_scaled(omegab, light))
     T_clamped = np.maximum(T, (1.0 + _CROSSOVER_MARGIN) * T0)
     u = (T_clamped - T) / T0
-    return np.exp(_log_kie(omega0, omegab, T_clamped, light, heavy)) * (1.0 + _PENALTY_SCALE * u * u)
+    return np.exp(log_kie(omega0, omegab, T_clamped, light, heavy)) * (1.0 + _PENALTY_SCALE * u * u)
 
 
 def screen_broadcast(T, y, w, omega0, omegab, light, heavy):

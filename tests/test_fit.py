@@ -65,6 +65,20 @@ def test_kie_model_is_kie_qtst_above_the_clamp_and_penalised_below():
         assert value == pytest.approx(expected, rel=1e-13)
 
 
+@pytest.mark.parametrize("light, heavy", [(Isotope.H, Isotope.D), (Isotope.H, Isotope.T), (Isotope.D, Isotope.T)])
+def test_kie_model_equals_kie_qtst_bit_for_bit_above_the_clamp(light, heavy):
+    # the polish minimises the KIE that kie_qtst reports and `qtst fit
+    # --curve` writes: one formula, so equal by ==, not to a tolerance
+    from qtst.fit import _kie_model
+
+    rng = np.random.default_rng(34)
+    for omega0, omegab in zip(rng.uniform(500.0, 5000.0, 40), rng.uniform(100.0, 3000.0, 40)):
+        t0 = crossover_temperature(omegab / math.sqrt(light.mass_number))
+        T = t0 * rng.uniform(1.02, 3.0, 25)
+        model = _kie_model(T, float(omega0), float(omegab), light, heavy)[0]
+        assert model.tolist() == kie_qtst(float(omega0), float(omegab), T, light, heavy).ratio.tolist()
+
+
 def test_fit_implied_crossover_and_validity():
     res = fit_kie(synth_dataset())
     assert res.implied_T0 == pytest.approx(0.22898845206107345 * res.omegab, rel=1e-12)

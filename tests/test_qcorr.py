@@ -29,7 +29,7 @@ from qtst import (
 )
 from qtst import kramers, qcorr, units
 from qtst.errors import BelowCrossoverError, DomainError
-from qtst.qcorr import _erfcx, _log_closed
+from qtst.qcorr import _erfcx
 
 from oracles import (
     cubic_c3,
@@ -92,33 +92,6 @@ def test_closed_form_rejects_non_finite_input(args):
 
 
 # ---------------------------------------------------------- product form
-
-
-def _closed_form_grid():
-    # omega0 x omegab x T, with T above each omegab's crossover, as the
-    # broadcast shapes (k, 1, 1), (m, 1) and (m, n)
-    rng = np.random.default_rng(5)
-    omega0 = rng.uniform(500.0, 5000.0, 13)
-    omegab = rng.uniform(100.0, 3000.0, 11)
-    T = crossover_temperature(omegab)[:, None] * rng.uniform(1.0001, 3.0, (11, 7))
-    return omega0[:, None, None], omegab[:, None], T
-
-
-def test_closed_form_on_arrays_equals_a_scalar_loop():
-    omega0, omegab, T = _closed_form_grid()
-    scalar = [
-        [[_log_closed(float(a), float(b[0]), float(t)) for t in row] for b, row in zip(omegab, T)]
-        for a in omega0.ravel()
-    ]
-    np.testing.assert_allclose(_log_closed(omega0, omegab, T), scalar, rtol=1e-15, atol=0.0)
-
-
-@pytest.mark.parametrize("bad", [-1.0, math.nan])
-def test_closed_form_rejects_a_bad_omegab_entry(bad):
-    omega0, omegab, T = _closed_form_grid()
-    omegab[4, 0] = bad
-    with pytest.raises(DomainError):
-        _log_closed(omega0, omegab, T)
 
 
 def test_product_matches_closed_form_without_friction():

@@ -296,9 +296,11 @@ def test_tabulated_from_csv(tmp_path):
     assert wkb_action(tab, 20.0) == pytest.approx(wkb_action(PARABOLA, 20.0), rel=1e-4)
 
 
-def test_tabulated_rejects_too_few_points():
+def test_tabulated_rejects_too_few_points(tmp_path):
+    path = tmp_path / "short.csv"
+    path.write_text("x,U\n0,1\n1,2\n")
     with pytest.raises(DomainError):
-        TabulatedPotential.from_csv("x,U\n0,1\n1,2\n")
+        TabulatedPotential.from_csv(path)
 
 
 @pytest.mark.parametrize(
@@ -317,15 +319,18 @@ def test_tabulated_constructor_rejects_a_table_without_a_top(x, U, message):
 
 
 @pytest.mark.parametrize("bad_row", ["0.5,2O", "0.5", "x,U"])
-def test_tabulated_rejects_unparsable_data_row(bad_row):
+def test_tabulated_rejects_unparsable_data_row(bad_row, tmp_path):
     # only the first row may be a header; "2O" (letter O) must not silently
     # drop its knot
     rows = ["x_angstrom,U_kJ_per_mol", "-1,0", "0,10", bad_row, "1,0", "2,-5"]
+    path = tmp_path / "barrier.csv"
+    path.write_text("\n".join(rows) + "\n")
     with pytest.raises(DomainError, match="row 4"):
-        TabulatedPotential.from_csv("\n".join(rows) + "\n")
+        TabulatedPotential.from_csv(path)
     # the same table without the bad row loads
     del rows[3]
-    assert TabulatedPotential.from_csv("\n".join(rows) + "\n").barrier_height == pytest.approx(10.0)
+    path.write_text("\n".join(rows) + "\n")
+    assert TabulatedPotential.from_csv(path).barrier_height == pytest.approx(10.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
@@ -472,11 +477,10 @@ def test_tabulated_coefficients_follow_scipy_where_secants_overflow():
 
 def _benchmark_table(mass):
     # the benchmark's tabulated barrier: Eckart, 40 kJ/mol, width 0.45 A, 41
-    # points written to CSV at 6 and 9 decimals
-    rows = "".join(
-        f"{x:.6f},{40.0 / math.cosh(x / 0.45) ** 2:.9f}\n" for x in np.linspace(-1.5, 1.5, 41)
-    )
-    return TabulatedPotential.from_csv("x_angstrom,U_kJ_per_mol\n" + rows, mass=mass)
+    # points as its CSV file holds them, at 6 and 9 decimals
+    xs = np.linspace(-1.5, 1.5, 41).tolist()
+    us = [float(f"{40.0 / math.cosh(x / 0.45) ** 2:.9f}") for x in xs]
+    return TabulatedPotential([float(f"{x:.6f}") for x in xs], us, mass=mass)
 
 
 @pytest.mark.parametrize("mass", [1.0, 2.0, 3.0])
