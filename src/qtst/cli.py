@@ -230,8 +230,6 @@ _BUNDLED_SERIES = {"fig3": "fig3_mcm", "fig4": "fig4_mao"}
 
 
 def cmd_fit(args):
-    if args.pair:
-        Isotope.pair(args.pair)  # a --pair that cannot be read exits 3, as in kie-predict
     if args.input in _BUNDLED_SERIES:
         path = resources.files("qtst.data") / f"{_BUNDLED_SERIES[args.input]}.csv"
     else:

@@ -17,13 +17,16 @@ takes the formula from ``qtst.kie`` for both isotopes at once.
 The product is summed in log space: the first N log-terms exactly, the
 rest by the midpoint Euler-Maclaurin formula with its integral by
 Gauss-Legendre quadrature, all in one array call of the model's kernel
-(see ``correction_product``). ``quantum_rate`` solves the effective
-frequency mu once and shares it between the product, the classical rate
-and the equilibrium check.
+(see ``correction_product``). The points of each N are built once per
+process and shared read-only, and the frictionless product takes no
+kernel term. ``quantum_rate`` solves the effective frequency mu once and
+shares it between the product, the classical rate and the equilibrium
+check.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -103,6 +106,16 @@ def _exact_terms(c: float, term_tol: float) -> int:
     return max(_MIN_TERMS, math.ceil(bound ** (1.0 / 7.0) - 0.5))
 
 
+@functools.cache
+def _nodes(N: int) -> np.ndarray:
+    # The product's points over nu for N exact terms: n = 1..N+2, then the
+    # tail's Gauss-Legendre n = (N + 1/2)/t; built once per N and shared
+    # read-only, since N takes few values
+    n = np.concatenate((np.arange(1.0, N + 3.0), (N + 0.5) * _GL_INV_T))
+    n.flags.writeable = False
+    return n
+
+
 def _product(
     system: BarrierSystem, model: Optional[FrictionModel], T: float, T0: float, term_tol: float
 ) -> tuple[float, int, float]:
@@ -115,10 +128,12 @@ def _product(
     a = omega0 * omega0 + omegab * omegab
     N = _exact_terms(a / (nu * nu), term_tol)
     M = N + 0.5
-    n = np.concatenate((np.arange(1.0, N + 3.0), M * _GL_INV_T))
+    n = _nodes(N)
     x = n * nu
-    g = 0.0 if model is None else _kernel_body(model)(x)
-    denom = x * x + x * g - omegab * omegab
+    if model is None:
+        denom = x * x - omegab * omegab
+    else:
+        denom = x * x + x * _kernel_body(model)(x) - omegab * omegab
     if denom.min() <= 0.0:
         bad = float(n[np.argmax(denom <= 0.0)])
         raise DomainError(
@@ -150,17 +165,18 @@ def correction_product(
     with the integral by 24-node Gauss-Legendre quadrature after the change
     of variable n = (N+1/2)/t, and f', f''' from 4-point stencils on
     f(N-1..N+2). The N + 26 points take one array call of the model's own
-    kernel. N is the smallest count, and at least 16, for which four times
-    the leading error of the tail (the first omitted Euler-Maclaurin term
-    and the stencils' error) is at most ``term_tol``, so ``term_tol``
-    bounds the error of log c_qm; below 1e-15, which double precision
-    cannot resolve, it is taken as 1e-15. The bound assumes the kernel
-    has taken its large-z form by about (N+1/2) times the first thermal
-    frequency; a bath with strong friction out to thousands of times that
-    frequency can exceed it. ``terms_used`` counts the kernel points
-    evaluated and ``tail_estimate`` is the tail's contribution to log c_qm.
-    A log c_qm above 709.78, where c_qm overflows a double, raises
-    ``DomainError``.
+    kernel, and none without friction; they are built once per N in a
+    process and shared read-only. N is the smallest count, and at least
+    16, for which four times the leading error of the tail (the first
+    omitted Euler-Maclaurin term and the stencils' error) is at most
+    ``term_tol``, so ``term_tol`` bounds the error of log c_qm; below
+    1e-15, which double precision cannot resolve, it is taken as 1e-15.
+    The bound assumes the kernel has taken its large-z form by about
+    (N+1/2) times the first thermal frequency; a bath with strong friction
+    out to thousands of times that frequency can exceed it. ``terms_used``
+    counts the N + 26 points and ``tail_estimate`` is the tail's
+    contribution to log c_qm. A log c_qm above 709.78, where c_qm
+    overflows a double, raises ``DomainError``.
     """
     _require_param("temperature", T, positive=True)
     _require_param("term_tol", term_tol, positive=True)

@@ -5,10 +5,12 @@ memory kernel by quadrature of its spectrum, the spectrum integral by
 quadrature, the Matsubara product with an exact kernel for the first terms
 and the K_e/(M z) asymptote beyond, the Matsubara product summed term by
 term to 10^5 terms and more (with a trigamma tail, or Richardson
-extrapolation of its partial sums), and the effective frequency by a dense
-scan with root bracketing. ``mu_scan_float64`` is the library's former
-multi-root scan, with every kernel call at an ``np.float64`` point, and
-``mu_mismatch_array`` its mismatch on the whole grid at once. They use
+extrapolation of its partial sums), the few-term product with its node
+array built afresh on every call (``product_nodes_each_call``), and the
+effective frequency by a dense scan with root bracketing.
+``mu_scan_float64`` is the library's former multi-root scan, with every
+kernel call at an ``np.float64`` point, and ``mu_mismatch_array`` its
+mismatch on the whole grid at once. They use
 only the model's ``friction_spectrum`` (or a scalar ``laplace_kernel``)
 and stay independent of the closed forms.
 The Drude and Peaked effective frequencies also have polynomial oracles,
@@ -69,11 +71,11 @@ from qtst import (
     wkb_action,
 )
 from qtst import units
-from qtst.errors import BelowCrossoverError, DomainError, FitConvergenceError, SolverConvergenceError
+from qtst.errors import BelowCrossoverError, DomainError, FitConvergenceError, SolverConvergenceError, _exp_of_log
 from qtst.fit import _CROSSOVER_MARGIN, _PENALTY_SCALE, FitConfig, FitResult, KIEDataset
 from qtst.kramers import _brent, _mu_mismatch, crossover_temperature
-from qtst.qcorr import _NU_CM1_PER_K
-from qtst.spectral import _require_param
+from qtst.qcorr import _GL_INV_T, _GL_WEIGHTS, _NU_CM1_PER_K, _exact_terms
+from qtst.spectral import _kernel_body, _require_param
 
 _QUAD_OPTS = dict(epsabs=0.0, epsrel=1e-11, limit=400)
 # fit_multistart's least_squares: relative central-difference step and cap
@@ -225,6 +227,35 @@ def product_richardson(system, model, T, N=2**18):
     s2 = math.fsum([s1, math.fsum(logs[N : 2 * N])])
     s4 = math.fsum([s2, math.fsum(logs[2 * N :])])
     return (8.0 * s4 - 6.0 * s2 + s1) / 3.0
+
+
+def product_nodes_each_call(system, model, T, T0, term_tol):
+    """``qcorr._product`` as it was before its nodes were cached: the node
+    array is built afresh on every call, and a frictionless call adds the
+    zero kernel term x*0.0 to its denominators."""
+    if T <= T0:
+        raise BelowCrossoverError(T, T0)
+    omega0, omegab = system.omega0, system.omegab
+    nu = T * _NU_CM1_PER_K
+    a = omega0 * omega0 + omegab * omegab
+    N = _exact_terms(a / (nu * nu), term_tol)
+    M = N + 0.5
+    n = np.concatenate((np.arange(1.0, N + 3.0), M * _GL_INV_T))
+    x = n * nu
+    g = 0.0 if model is None else _kernel_body(model)(x)
+    denom = x * x + x * g - omegab * omegab
+    if denom.min() <= 0.0:
+        bad = float(n[np.argmax(denom <= 0.0)])
+        raise DomainError(
+            f"non-positive product denominator at term n={bad:g}: "
+            "temperature is effectively at or below the crossover"
+        )
+    logs = np.log1p(a / denom)
+    fm1, f0, f1, f2 = logs[N - 2 : N + 2].tolist()
+    d1 = (fm1 - 27.0 * f0 + 27.0 * f1 - f2) / 24.0
+    d3 = f2 - 3.0 * f1 + 3.0 * f0 - fm1
+    tail = M * float(_GL_WEIGHTS @ logs[N + 2 :]) + d1 / 24.0 - 7.0 * d3 / 5760.0
+    return _exp_of_log("c_qm", float(logs[:N].sum()) + tail), n.size, tail
 
 
 def brentq(f, lo: float, hi: float, xtol: float = 1e-300, maxiter: int = 100) -> float:

@@ -470,11 +470,12 @@ def test_fit_equal_pair_is_config_error(capsys):
     assert err == "error: fig3: an equal pair (H:H) has a KIE of 1 at every T and identifies no parameter\n"
 
 
-def test_fit_pair_that_cannot_be_read_is_domain_error(capsys):
-    # as in kie-predict, an unreadable --pair exits 3 before any file is read
+def test_fit_pair_that_cannot_be_read_is_config_error(capsys):
+    # as a sidecar's unreadable pair and --pair D:H or H:H do, an unreadable
+    # --pair exits 2, naming the series
     rc, out, err = _in_process_run(["fit", "--input", "fig3", "--pair", "H:Q"], capsys)
-    assert (rc, out) == (3, "")
-    assert err == "error: unknown isotope label 'Q'; expected H, D or T\n"
+    assert (rc, out) == (2, "")
+    assert err == "error: fig3: unknown isotope label 'Q'; expected H, D or T\n"
 
 
 def test_arrhenius_prefactor_that_overflows_is_domain_error(tmp_path, capsys):

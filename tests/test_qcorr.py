@@ -36,6 +36,7 @@ from oracles import (
     erfcx,
     erfcx_mpmath,
     product_exact_then_asymptote,
+    product_nodes_each_call,
     product_richardson,
     product_trigamma,
     quadrature_kernel,
@@ -238,6 +239,70 @@ def test_product_log_error_within_term_tol(model, t_over_t0):
         got = correction_product(SYSTEM, model, T, term_tol=term_tol)
         assert abs(math.log(got.c_qm) - ref) <= term_tol
         assert got.terms_used <= 300
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 4: N is sized from the kernel's large-z form, which a "
+    "Drude bath with omega_d = 1e6 cm^-1 has not taken at the first tail node",
+)
+def test_product_keeps_term_tol_for_slow_drude_friction():
+    model, term_tol = DrudeFriction(3000.0, 1e6), 1e-9
+    T = 1.3 * effective_barrier_frequency(SYSTEM, model).T0_K
+    got = correction_product(SYSTEM, model, T, term_tol=term_tol)
+    assert abs(math.log(got.c_qm) - product_richardson(SYSTEM, model, T)) <= term_tol
+
+
+def test_nodes_are_built_once_per_term_count_and_read_only():
+    nodes = qcorr._nodes(40)
+    assert qcorr._nodes(40) is nodes
+    with pytest.raises(ValueError):
+        nodes[0] = 2.0
+
+
+def test_a_second_product_at_the_same_term_count_adds_no_cache_miss():
+    # N depends on the system, T and term_tol only, so the bath shares it
+    correction_product(SYSTEM, None, 300.0)
+    before = qcorr._nodes.cache_info()
+    correction_product(SYSTEM, DrudeFriction(300.0, 500.0), 300.0)
+    after = qcorr._nodes.cache_info()
+    assert (after.misses, after.hits) == (before.misses, before.hits + 1)
+
+
+NODE_ORACLE_MODELS = {
+    "none": None,
+    "ohmic300": OhmicFriction(300.0),
+    "ohmic3000": OhmicFriction(3000.0),
+    "drude2000": DrudeFriction(500.0, 2000.0),
+    "drude1e6": DrudeFriction(3000.0, 1e6),
+    "peaked": PeakedFriction(200.0, 150.0, 600.0),
+    "debye": DebyeDielectricFriction(cavity_radius=3.0),
+    "protein": LinearProteinFriction(),
+}
+
+
+@pytest.mark.parametrize("model", NODE_ORACLE_MODELS.values(), ids=NODE_ORACLE_MODELS.keys())
+def test_cached_nodes_match_nodes_built_each_call_bit_for_bit(model, monkeypatch):
+    def hexed(value):
+        return value.hex() if isinstance(value, float) else value
+
+    def outputs():
+        out = []
+        for iso in (Isotope.H, Isotope.D, Isotope.T):
+            system = replace(SYSTEM, isotope=iso)
+            T0m = effective_barrier_frequency(system, model).T0_K
+            for t_over_t0 in (1.01, 1.3, 2.0, 4.0):
+                for term_tol in (1e-6, 1e-9, 1e-12, 1e-15):
+                    T = t_over_t0 * T0m
+                    p = correction_product(system, model, T, term_tol)
+                    r = quantum_rate(system, model, T, term_tol)
+                    values = (p.c_qm, p.terms_used, p.tail_estimate, r.rate_per_s, r.equilibrium_margin)
+                    out.append(tuple(map(hexed, values)))
+        return out
+
+    cached = outputs()
+    monkeypatch.setattr(qcorr, "_product", product_nodes_each_call)
+    assert outputs() == cached
 
 
 @pytest.mark.parametrize("term_tol", [0.0, -1.0, math.nan, math.inf])
