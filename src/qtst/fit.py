@@ -5,11 +5,11 @@ frequency, both hydrogen-referenced) is fit in two stages. A screen
 evaluates the weighted cost on a lattice spanning the box constraints,
 from log KIE's separate omega0 and omegab terms; the library's own
 bounded Levenberg-Marquardt polish, on the model's analytic Jacobian, then
-starts from each of the best few separate local minima of the lattice. No
-scipy is loaded. A smooth quadratic penalty covers trial parameters that
-push data points below the crossover temperature. Results are
-bit-reproducible: points are sorted canonically, and the lattice and the
-order of the polishes are fixed.
+starts from each of the best few separate local minima of the lattice.
+Both take log KIE from ``kie._log_kie``, and no scipy is loaded. A smooth
+quadratic penalty covers trial parameters that push data points below the
+crossover temperature. Results are bit-reproducible: points are sorted canonically,
+and the lattice and the order of the polishes are fixed.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import units
 from .errors import DomainError, FitConvergenceError, _check_fields, _exp_of_log, _read_table, _require_param
-from .kie import _log_kie, _root_masses
+from .kie import _is_valid, _log_kie
 from .kramers import _crossover_temperature
 from .units import Isotope
 
@@ -152,7 +152,7 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Fitted (omega0, omegab) with diagnostics."""
+    """Fitted (omega0, omegab) with diagnostics (see ``fit_kie``)."""
 
     omega0: float
     omegab: float
@@ -207,12 +207,14 @@ def _kie_model(T, omega0, omegab, light, heavy):
     T0 = _crossover_temperature(units._isotope_scaled(omegab, light))
     _, T_clamped, u, penalty = _crossover_clamp(T, T0)
     model = np.exp(_log_kie(omega0, omegab, T_clamped, light, heavy)) * penalty
-    # the light and the heavy isotope in two rows
-    c = (0.5 * units.CM1_TO_K) / (_root_masses(light, heavy, 1) * T_clamped)
-    x0 = c * omega0
-    xb = c * omegab
-    a_l, a_h = x0 / np.tanh(x0)
-    b_l, b_h = xb / np.tan(xb)
+
+    def coth_cot(iso):
+        # x0 coth(x0) and xb cot(xb) of one isotope, at x = c*omega/sqrt(m)
+        c = (0.5 * units.CM1_TO_K) / (math.sqrt(iso.mass_number) * T_clamped)
+        x0, xb = c * omega0, c * omegab
+        return x0 / np.tanh(x0), xb / np.tan(xb)
+
+    (a_l, b_l), (a_h, b_h) = coth_cot(light), coth_cot(heavy)
     a = a_l - a_h
     b = np.where(T < T_clamped, a - (2.0 * _PENALTY_SCALE / T0) * u * T / penalty, b_l - b_h)
     return model, model * a / omega0, model * b / -omegab
@@ -393,10 +395,10 @@ def fit_kie(data: KIEDataset, config: Optional[FitConfig] = None) -> FitResult:
     fit's cost is at most the lattice's minimum whenever the polish from
     the best cell converges. The covariance comes from the Gauss-Newton
     normal matrix of the exact Jacobian at the optimum, scaled by the
-    residual variance. ``valid`` requires the coldest datum to sit 5% above
-    the implied hydrogen-scaled crossover temperature. An equal pair, whose
-    model is 1 at every T and identifies no parameter, raises
-    ``DomainError``.
+    residual variance. ``implied_T0`` is hydrogen's crossover temperature,
+    and ``valid`` is ``kie_qtst``'s: the coldest datum at least 5% above the
+    light isotope's. An equal pair, whose model is 1 at every T and
+    identifies no parameter, raises ``DomainError``.
     """
     if len(data) < 3:
         raise DomainError("need at least 3 points for a 2-parameter fit")
@@ -444,14 +446,13 @@ def fit_kie(data: KIEDataset, config: Optional[FitConfig] = None) -> FitResult:
     cov = np.linalg.pinv(jtj) * s2
     cov = 0.5 * (cov + cov.T)
     omega0, omegab = map(float, best.x)
-    implied_T0 = _crossover_temperature(omegab)
     return FitResult(
         omega0=omega0,
         omegab=omegab,
         residual_norm=float(np.linalg.norm(best.fun)),
         covariance=tuple(tuple(float(v) for v in row) for row in cov),
-        implied_T0=implied_T0,
-        valid=bool(np.min(T) > 1.05 * implied_T0),
+        implied_T0=_crossover_temperature(omegab),
+        valid=bool(_is_valid(np.min(T), _crossover_temperature(units._isotope_scaled(omegab, data.light)))),
         n_starts_converged=n_converged,
     )
 

@@ -9,9 +9,10 @@ the barrier frequency omega_b (both quoted for hydrogen):
 
 x = hbar*omega/(2 kB T). That is sqrt(m_h/m_l) times the ratio of the two
 isotopes' zero-friction corrections (omega_b/omega_0) sinh(x0)/sin(xb), each
-at its own frequencies omega/sqrt(m). ``_log_kie`` is the one home of this
-formula: ``kie_qtst``, the fit's lattice screen and its polish model all
-take log KIE from it. Expanding around a reference temperature gives
+at its own frequencies omega/sqrt(m). ``_log_factor`` is the one home of
+that correction, once per isotope: ``qcorr.correction_closed`` takes it,
+and ``kie_qtst``, the fit's screen and its model take log KIE from two of
+its calls in ``_log_kie``. Expanding around a reference temperature gives
 apparent Arrhenius parameters that can be compared directly with the
 values extracted from experimental Arrhenius plots.
 """
@@ -108,43 +109,48 @@ class ClassificationReport:
 
 
 def _require_kie_args(omega0_H, omegab_H, T, light: Isotope, heavy: Isotope):
-    """Check KIE arguments; return T as checked and the light isotope's (binding) crossover."""
-    _require_param("omega0", omega0_H, positive=True)
-    _require_param("omegab", omegab_H, positive=True)
+    """Check KIE arguments; return omega0, omegab and T as checked, and the light isotope's (binding) crossover."""
+    for name, omega in (("omega0", omega0_H), ("omegab", omegab_H)):
+        if not isinstance(_require_param(name, omega, positive=True), float):
+            raise DomainError(f"{name} must be a single frequency, got {omega!r}")
+    omega0_H, omegab_H = float(omega0_H), float(omegab_H)
     T_checked = _require_param("temperature", T, positive=True)
     units._require_isotope_order(light, heavy)
     T0_light = _crossover_temperature(_isotope_scaled(omegab_H, light))
     if isinstance(T_checked, float) and T <= T0_light:
         raise BelowCrossoverError(T, T0_light, label=light.name)
-    return T_checked, T0_light
+    return omega0_H, omegab_H, T_checked, T0_light
 
 
-@cache
-def _root_masses(light: Isotope, heavy: Isotope, ndim: int) -> np.ndarray:
-    # sqrt(m) of the light and the heavy isotope on a leading axis of two
-    # rows, in front of ndim axes of length 1; read-only, since it is shared
-    root_m = np.array((math.sqrt(light.mass_number), math.sqrt(heavy.mass_number))).reshape((2,) + (1,) * ndim)
-    root_m.flags.writeable = False
-    return root_m
+def _is_valid(T, T0_light):
+    # a prediction is trusted from 5% above the light isotope's crossover
+    return T >= 1.05 * T0_light
+
+
+def _log_factor(omega0, omegab, T):
+    """log[2 sinh(x0)/sin(xb)] = x0 + log[(1 - exp(-2 x0))/sin(xb)], x =
+    hbar*omega/(2 kB T), at one isotope's frequencies omega0 and omegab, which
+    broadcast with T, every T above T0 = crossover_temperature(omegab).
+
+    Since sin(pi*T0/T) = sin(pi*(T - T0)/T), the sine takes the smaller
+    argument: T - T0 keeps precision next to T0, and the direct argument is
+    exact far above it.
+    """
+    T0 = _crossover_temperature(omegab)
+    x0 = (0.5 * units.CM1_TO_K) * omega0 / T
+    return x0 + np.log(-np.expm1(-2.0 * x0) / np.sin(math.pi * np.minimum(T0, T - T0) / T))
 
 
 def _log_kie(omega0_H, omegab_H, T, light: Isotope, heavy: Isotope):
     """log KIE at hydrogen frequencies omega0_H and omegab_H, which broadcast
     with T, every T above the light isotope's crossover.
 
-    The light and the heavy isotope take a leading axis of two rows, each at
-    its frequencies omega/sqrt(m). The ratio omega_b/omega_0 is the same for
-    both and cancels, so each row is log[sinh(x0)/sin(xb)] + ln 2 =
-    x0 + log[(1 - exp(-2 x0))/sin(xb)]. Since sin(pi*T0/T) = sin(pi*(T -
-    T0)/T), the sine takes the smaller argument: T - T0 keeps precision next
-    to T0, and the direct argument is exact far above it.
+    Each isotope takes ``_log_factor`` at its frequencies omega/sqrt(m); the
+    ratio omega_b/omega_0 is the same for both and cancels, as does ln 2.
     """
-    # getattr, not np.ndim, which costs a microsecond on a Python float
-    ndim = max(getattr(omega0_H, "ndim", 0), getattr(omegab_H, "ndim", 0), getattr(T, "ndim", 0))
-    root_m = _root_masses(light, heavy, ndim)
-    T0 = _crossover_temperature(omegab_H / root_m)
-    x0 = (0.5 * units.CM1_TO_K) * (omega0_H / root_m) / T
-    log_l, log_h = x0 + np.log(-np.expm1(-2.0 * x0) / np.sin(math.pi * np.minimum(T0, T - T0) / T))
+    root_l, root_h = math.sqrt(light.mass_number), math.sqrt(heavy.mass_number)
+    log_l = _log_factor(omega0_H / root_l, omegab_H / root_l, T)
+    log_h = _log_factor(omega0_H / root_h, omegab_H / root_h, T)
     return 0.5 * math.log(heavy.mass_number / light.mass_number) + (log_l - log_h)
 
 
@@ -162,9 +168,9 @@ def kie_qtst(
     raises ``BelowCrossoverError``. T may be an array of any shape, whose rows
     at or below the crossover get ratio NaN and valid False instead.
     """
-    T_checked, T0_light = _require_kie_args(omega0_H, omegab_H, T, light, heavy)
+    omega0_H, omegab_H, T_checked, T0_light = _require_kie_args(omega0_H, omegab_H, T, light, heavy)
     if isinstance(T_checked, float):
-        ratio = float(np.exp(_log_kie(omega0_H, omegab_H, T, light, heavy)))
+        ratio = float(np.exp(_log_kie(omega0_H, omegab_H, T_checked, light, heavy)))
     else:
         T, above = T_checked.copy(), T_checked > T0_light
         ratio = np.full(T.shape, math.nan)
@@ -175,7 +181,7 @@ def kie_qtst(
         light=light,
         heavy=heavy,
         T0_light_K=T0_light,
-        valid=T >= 1.05 * T0_light,
+        valid=_is_valid(T, T0_light),
     )
 
 
@@ -193,7 +199,8 @@ def apparent_arrhenius(
     hbar*omega_0 well above 2 kB T_R; ``expansion_ok`` is False when the
     heavy isotope violates hbar*omega_0/sqrt(m) >= 4 kB T_R.
     """
-    if not isinstance(_require_kie_args(omega0_H, omegab_H, T_R, light, heavy)[0], float):
+    omega0_H, omegab_H, T_checked, _ = _require_kie_args(omega0_H, omegab_H, T_R, light, heavy)
+    if not isinstance(T_checked, float):
         raise DomainError(f"T_R must be a single temperature, got {T_R!r}")
     expansion_ok = (
         units.CM1_TO_K * omega0_H / math.sqrt(heavy.mass_number) >= 4.0 * T_R

@@ -10,9 +10,8 @@ memory kernel. Every factor exceeds one, so quantum fluctuations always
 enhance the rate. At zero friction the product collapses to the closed
 sinh/sin form, which diverges at the crossover; the non-parabolic
 crossover correction regularises that divergence with a scaled
-complementary error function. ``correction_closed`` evaluates the closed
-form for one isotope in Python floats; the KIE, a ratio of two of them,
-takes the formula from ``qtst.kie`` for both isotopes at once.
+complementary error function. ``correction_closed`` takes the closed form
+from ``qtst.kie``, whose KIE is a ratio of two of them, one per isotope.
 
 The product is summed in log space: the first N log-terms exactly, the
 rest by the midpoint Euler-Maclaurin formula with its integral by
@@ -35,6 +34,7 @@ import numpy as np
 
 from . import units
 from .errors import _LOG_MAX, BelowCrossoverError, DomainError, _exp_of_log, _require_param
+from .kie import _log_factor
 from .kramers import BarrierSystem, RateResult, _classical_cm1, _crossover_temperature, solve_effective_frequency
 from .spectral import FrictionModel, _kernel_body
 from .units import Isotope
@@ -192,20 +192,6 @@ def _log_sinh(x):
     return x - _LN2 + math.log(-math.expm1(-2.0 * x))
 
 
-def _log_closed(omega0, omegab, T):
-    """log[(omega_b/omega_0) sinh(x0)/sin(xb)] with x = hbar*omega/(2 kB T),
-    for T above T0 = crossover_temperature(omegab), from checked floats.
-
-    Since sin(pi*T0/T) = sin(pi*(T - T0)/T), the sine takes the smaller
-    argument: T - T0 keeps precision next to T0, and the direct argument is
-    exact far above it.
-    """
-    T0 = _crossover_temperature(omegab)
-    x0 = units.CM1_TO_K * omega0 / (2.0 * T)
-    sin_xb = math.sin(math.pi * min(T0, T - T0) / T)
-    return math.log(omegab / omega0) + _log_sinh(x0) - math.log(sin_xb)
-
-
 def correction_closed(omega0: float, omegab: float, T: float) -> float:
     """Zero-friction closed form (omega_b/omega_0) sinh(x0)/sin(xb).
 
@@ -220,7 +206,7 @@ def correction_closed(omega0: float, omegab: float, T: float) -> float:
     T0 = _crossover_temperature(omegab)
     if T <= T0 * (1.0 + 1e-9):
         raise BelowCrossoverError(T, T0)
-    return _exp_of_log("c_closed", _log_closed(omega0, omegab, T))
+    return _exp_of_log("c_closed", math.log(omegab / (2.0 * omega0)) + _log_factor(omega0, omegab, T))
 
 
 def _scaled_sine_ratio(s: float) -> float:

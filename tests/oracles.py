@@ -19,7 +19,11 @@ zero-friction closed form for one isotope, on scalars or broadcasting
 arrays, and ``log_kie`` the log KIE as the difference of two of its calls,
 as the library once computed both. ``kie_model`` is the fit's model
 through ``log_kie``, one isotope at a time, with no Jacobian;
-``fit_multistart`` is the KIE fit on it as scipy's least-squares polish
+``log_kie_two_rows`` and
+``kie_model_two_rows`` are the library's former log KIE and fit model
+with Jacobian, which stacked the light and the heavy isotope on a leading
+axis of two rows; the library's one closed form per isotope must match
+them bit for bit. ``fit_multistart`` is the KIE fit on it as scipy's least-squares polish
 from every configured start, finished by Gauss-Newton steps, with no
 screen; ``screen_broadcast`` is the fit's screen as one broadcast
 ``kie_model`` call over the whole omega0 x omegab x T lattice.
@@ -406,6 +410,38 @@ def kie_model(T, omega0, omegab, light, heavy):
     T_clamped = np.maximum(T, (1.0 + _CROSSOVER_MARGIN) * T0)
     u = (T_clamped - T) / T0
     return np.exp(log_kie(omega0, omegab, T_clamped, light, heavy)) * (1.0 + _PENALTY_SCALE * u * u)
+
+
+def log_kie_two_rows(omega0_H, omegab_H, T, light, heavy):
+    """log KIE as the library once took it: sqrt(m) of the light and the
+    heavy isotope in a leading axis of two rows, in front of as many axes of
+    length 1 as the arguments have, and both isotopes in one array call."""
+    ndim = max(np.ndim(omega0_H), np.ndim(omegab_H), np.ndim(T))
+    root_m = np.array((math.sqrt(light.mass_number), math.sqrt(heavy.mass_number))).reshape((2,) + (1,) * ndim)
+    T0 = units.CROSSOVER_K_PER_CM1 * (omegab_H / root_m)
+    x0 = (0.5 * units.CM1_TO_K) * (omega0_H / root_m) / T
+    log_l, log_h = x0 + np.log(-np.expm1(-2.0 * x0) / np.sin(math.pi * np.minimum(T0, T - T0) / T))
+    return 0.5 * math.log(heavy.mass_number / light.mass_number) + (log_l - log_h)
+
+
+def kie_model_two_rows(T, omega0, omegab, light, heavy):
+    """The fit's model and its derivatives (model, d/d omega0, d/d omegab)
+    as the library once took them, through ``log_kie_two_rows`` and with
+    the Jacobian's x0 coth(x0) and xb cot(xb) in the same two rows."""
+    T0 = units.CROSSOVER_K_PER_CM1 * units._isotope_scaled(omegab, light)
+    T_clamped = np.maximum(T, (1.0 + _CROSSOVER_MARGIN) * T0)
+    u = (T_clamped - T) / T0
+    penalty = 1.0 + _PENALTY_SCALE * u * u
+    model = np.exp(log_kie_two_rows(omega0, omegab, T_clamped, light, heavy)) * penalty
+    root_m = np.array(((math.sqrt(light.mass_number),), (math.sqrt(heavy.mass_number),)))
+    c = (0.5 * units.CM1_TO_K) / (root_m * T_clamped)
+    x0 = c * omega0
+    xb = c * omegab
+    a_l, a_h = x0 / np.tanh(x0)
+    b_l, b_h = xb / np.tan(xb)
+    a = a_l - a_h
+    b = np.where(T < T_clamped, a - (2.0 * _PENALTY_SCALE / T0) * u * T / penalty, b_l - b_h)
+    return model, model * a / omega0, model * b / -omegab
 
 
 def screen_broadcast(T, y, w, omega0, omegab, light, heavy):

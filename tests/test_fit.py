@@ -17,6 +17,8 @@ from qtst import (
 )
 from qtst.errors import DomainError, FitConvergenceError
 
+from oracles import kie_model_two_rows
+
 
 def synth_dataset(omega0=3000.0, omegab=1000.0, n=10, lo=275.0, hi=320.0,
                   noise=0.0, seed=1234, pair=(Isotope.H, Isotope.D), sigma=None):
@@ -84,6 +86,41 @@ def test_fit_implied_crossover_and_validity():
     assert res.implied_T0 == pytest.approx(0.22898845206107345 * res.omegab, rel=1e-12)
     cold = synth_dataset(lo=239.0, hi=320.0)  # 239 K is within 5% of T0(H)
     assert not fit_kie(cold).valid
+
+
+@pytest.mark.parametrize(
+    "pair, lo, valid",
+    [((Isotope.H, Isotope.D), 250.0, True), ((Isotope.H, Isotope.T), 250.0, True),
+     ((Isotope.D, Isotope.T), 185.0, True), ((Isotope.D, Isotope.T), 168.0, False)],
+    ids=["HD", "HT", "DT", "DT-fringe"],
+)
+def test_fit_validity_is_kie_qtst_rule_at_the_light_crossover(pair, lo, valid):
+    # a series the model itself generates is valid from 1.05*T0 of its light
+    # isotope: a D:T series from 185 K lies below 1.05*T0 of H (240 K), but
+    # not of D (170 K), while 168 K lies inside D's fringe; the implied T0
+    # stays hydrogen's
+    res = fit_kie(synth_dataset(lo=lo, hi=lo + 60.0, n=8, pair=pair))
+    assert res.omega0 == pytest.approx(3000.0, rel=1e-6)
+    assert res.omegab == pytest.approx(1000.0, rel=1e-6)
+    assert res.implied_T0 == crossover_temperature(res.omegab)
+    assert res.valid is valid
+    assert kie_qtst(res.omega0, res.omegab, lo, *pair).valid is valid
+
+
+@pytest.mark.parametrize("light, heavy", [(Isotope.H, Isotope.D), (Isotope.H, Isotope.T), (Isotope.D, Isotope.T)])
+def test_kie_model_equals_the_two_row_oracle_bit_for_bit(light, heavy):
+    # per isotope, the model and its Jacobian take the former two-row
+    # operations element by element, in clamped rows too
+    from qtst.fit import _kie_model
+
+    rng = np.random.default_rng(36)
+    for omega0, omegab in zip(rng.uniform(500.0, 5000.0, 40).tolist(), rng.uniform(100.0, 3000.0, 40).tolist()):
+        t0 = crossover_temperature(omegab / math.sqrt(light.mass_number))
+        T = np.sort(t0 * rng.uniform(0.8, 3.0, 25))
+        got = _kie_model(T, omega0, omegab, light, heavy)
+        want = kie_model_two_rows(T, omega0, omegab, light, heavy)
+        for g, w in zip(got, want):
+            assert [v.hex() for v in g.tolist()] == [v.hex() for v in w.tolist()]
 
 
 def test_objective_not_worse_than_any_start():

@@ -21,7 +21,7 @@ from qtst.errors import BelowCrossoverError, DomainError
 from qtst.kie import _bundled_json, _log_kie
 from qtst.units import _isotope_scaled
 
-from oracles import log_closed, log_kie
+from oracles import log_closed, log_kie, log_kie_two_rows
 
 KB_KJ = 1.380649e-23 * 6.02214076e23 / 1000.0
 
@@ -181,6 +181,54 @@ def test_log_kie_on_arrays_equals_a_scalar_loop(light, heavy):
         for m in (light.mass_number, heavy.mass_number)
     )
     assert np.all(np.abs(array - reference) <= 8.0 * np.finfo(float).eps * scale)
+
+
+def _hex(x):
+    return np.shape(x), [v.hex() for v in np.ravel(x).tolist()]
+
+
+@pytest.mark.parametrize("light, heavy", PAIRS)
+def test_log_kie_equals_the_two_row_oracle_bit_for_bit(light, heavy):
+    # one closed form per isotope takes the former two-row operations
+    # element by element: on scalars, on temperature arrays, and on the
+    # fit screen's broadcast shapes
+    rng = np.random.default_rng(36)
+    omega0 = rng.uniform(500.0, 5000.0, 9)
+    omegab = np.sort(rng.uniform(100.0, 3000.0, 8))
+    T0 = crossover_temperature(_isotope_scaled(omegab, light))
+    T = np.sort(T0[-1] * rng.uniform(1.0001, 3.0, 6))
+    T_rows = T0[:, None] * rng.uniform(1.0001, 3.0, (8, 6))
+    cases = [(float(a), float(b), float(t)) for a, b, t in zip(omega0, omegab, T_rows[:, 0])]
+    cases += [
+        (float(omega0[0]), float(omegab[-1]), T),
+        (omega0[:, None], float(omegab[0]), T_rows[0]),
+        (float(omega0[0]), omegab[:, None], T_rows),
+        (omega0[:, None], omegab, 1.02 * T0),
+        (omega0[:, None, None], omegab[:, None], T_rows),
+    ]
+    for args in cases:
+        assert _hex(_log_kie(*args, light, heavy)) == _hex(log_kie_two_rows(*args, light, heavy))
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [(lambda: kie_qtst([3000.0, 3100.0], 1000.0, 300.0), "omega0"),
+     (lambda: kie_qtst(np.array([3000.0, 3100.0]), 1000.0, 300.0), "omega0"),
+     (lambda: kie_qtst(3000.0, [1000.0], np.array([300.0, 310.0])), "omegab"),
+     (lambda: apparent_arrhenius([3000.0, 3100.0], 1000.0, 300.0), "omega0"),
+     (lambda: apparent_arrhenius(3000.0, np.array([1000.0, 900.0]), 300.0), "omegab")],
+    ids=["kie-list", "kie-array", "kie-omegab", "arrhenius-list", "arrhenius-array"],
+)
+def test_kie_takes_one_omega0_and_one_omegab(call, name):
+    with pytest.raises(DomainError, match=f"{name} must be a single frequency"):
+        call()
+
+
+def test_kie_reads_any_real_scalar_frequency_as_its_float():
+    expected = kie_qtst(3000.0, 1000.0, 300.0).ratio
+    for omega0, omegab in ((3000, 1000), (np.float64(3000.0), np.float32(1000.0)), (np.array(3000.0), 1000)):
+        assert kie_qtst(omega0, omegab, 300.0).ratio == expected
+    assert apparent_arrhenius(3000, np.array(1000.0), 300.0) == apparent_arrhenius(3000.0, 1000.0, 300.0)
 
 
 # ------------------------------------------------ kie_qtst on a T array
