@@ -156,7 +156,7 @@ def _float_or_array(x):
     return float(arr) if arr.ndim == 0 else arr
 
 
-def _require_param(name: str, value, positive: bool = False, signed: bool = False):
+def _require_array(name: str, value, positive: bool = False, signed: bool = False):
     # value, or every element of it, finite and >= 0 (> 0 if positive, of
     # either sign if signed); NaN fails every comparison, so it is rejected
     # with the infinities, and so is a value numpy cannot read as a float or a
@@ -184,6 +184,21 @@ def _require_param(name: str, value, positive: bool = False, signed: bool = Fals
     return v
 
 
+def _require_param(name: str, value, positive: bool = False, signed: bool = False) -> float:
+    # one number, checked as _require_array checks it, as a Python float: a
+    # list or an array where one number is meant raises DomainError too. A
+    # Python float that passes is returned by the same comparison alone
+    if type(value) is float and (
+        -math.inf < value < math.inf if signed
+        else (0.0 < value if positive else 0.0 <= value) and value < math.inf
+    ):
+        return value
+    v = _require_array(name, value, positive, signed)
+    if isinstance(v, np.ndarray):
+        raise DomainError(f"{name} must be a single number, got {value!r}")
+    return v
+
+
 # the largest log that exp() keeps finite
 _LOG_MAX = math.log(np.finfo(float).max)
 
@@ -196,11 +211,13 @@ def _exp_of_log(name: str, log_value: float) -> float:
     return math.exp(log_value)
 
 
-def _check_fields(obj, *names, positive=False, signed=False):
-    # check each named field of a frozen dataclass once and store it back as
-    # a Python float (a sequence as a tuple of floats)
+def _check_fields(obj, *names, positive=False, signed=False, array=False):
+    # check each named field of a frozen dataclass once, by _require_param
+    # (_require_array if array), and store it back as a Python float (a
+    # sequence as a tuple of floats)
+    check = _require_array if array else _require_param
     for name in names:
-        v = _require_param(name, getattr(obj, name), positive=positive, signed=signed)
+        v = check(name, getattr(obj, name), positive, signed)
         object.__setattr__(obj, name, tuple(v.tolist()) if isinstance(v, np.ndarray) else v)
 
 

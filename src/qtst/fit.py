@@ -2,7 +2,7 @@
 
 The two-parameter KIE model (reactant-well frequency and barrier
 frequency, both hydrogen-referenced) is fit in two stages. A screen
-evaluates the weighted cost on a lattice spanning the box constraints,
+evaluates the weighted cost on a lattice spanning the fixed box ``_BOX``,
 from log KIE's separate omega0 and omegab terms; the library's own
 bounded Levenberg-Marquardt polish, on the model's analytic Jacobian, then
 starts from each of the best few separate local minima of the lattice.
@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import units
-from .errors import DomainError, FitConvergenceError, _check_fields, _exp_of_log, _read_table, _require_param
+from .errors import DomainError, FitConvergenceError, _check_fields, _exp_of_log, _read_table, _require_array, _require_param
 from .kie import _is_valid, _log_kie
 from .kramers import _crossover_temperature
 from .units import Isotope
@@ -39,6 +39,8 @@ __all__ = [
 
 _CROSSOVER_MARGIN = 0.02  # fractional clamp margin above T0 during the search
 _PENALTY_SCALE = 10.0
+# the box the fit searches, (lo, hi) in omega0 and in omegab (cm^-1)
+_BOX = ((500.0, 5000.0), (100.0, 3000.0))
 _SCREEN_STEPS = (50.0, 25.0)  # lattice steps in omega0 and omegab (cm^-1)
 _MAX_POLISHES = 3
 _MAX_NFEV = 400
@@ -60,14 +62,14 @@ class KIEDataset:
 
     def __post_init__(self):
         units._require_isotope_order(self.light, self.heavy)
-        _check_fields(self, "T_K", "kie", positive=True)
+        _check_fields(self, "T_K", "kie", positive=True, array=True)
         T = np.asarray(self.T_K)
         if T.ndim != 1 or T.shape != np.shape(self.kie):
             raise DomainError("T_K and kie must be 1-d sequences of equal length")
         if np.unique(T).size != T.size:
             raise DomainError("temperatures must be distinct")
         if self.sigma is not None:
-            _check_fields(self, "sigma", positive=True)
+            _check_fields(self, "sigma", positive=True, array=True)
             if np.shape(self.sigma) != T.shape:
                 raise DomainError("sigma must match the data length")
 
@@ -124,30 +126,24 @@ class KIEDataset:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Box constraints and screened starts for fit_kie.
+    """Screened starts for fit_kie.
 
-    The screen's lattice spans the bounds at fixed steps of 50 cm^-1 in
-    omega0 and 25 cm^-1 in omegab; every omega0 and omegab start, clamped
-    to the bounds, is added to the lattice's axes, so the screen always
-    covers the starts' grid. The defaults lie on the default lattice.
-    Each bound pair must be finite and positive with lo < hi, and the
-    starts a sequence of finite numbers, or ``DomainError`` is raised.
+    The screen's lattice spans the fit's box, omega0 from 500 to 5000 and
+    omegab from 100 to 3000 cm^-1, at fixed steps of 50 and 25 cm^-1; every
+    omega0 and omegab start, clamped to the box, is added to the lattice's
+    axes, so the screen always covers the starts' grid. The defaults lie on
+    the lattice. The starts must be sequences of finite numbers, or
+    ``DomainError`` is raised.
     """
 
     omega0_starts: tuple = tuple(range(1500, 4001, 500))
     omegab_starts: tuple = tuple(range(300, 2501, 200))
-    omega0_bounds: tuple = (500.0, 5000.0)
-    omegab_bounds: tuple = (100.0, 3000.0)
 
     def __post_init__(self):
-        _check_fields(self, "omega0_starts", "omegab_starts", signed=True)
-        _check_fields(self, "omega0_bounds", "omegab_bounds", positive=True)
-        for axis in ("omega0", "omegab"):
-            starts, bounds = getattr(self, f"{axis}_starts"), getattr(self, f"{axis}_bounds")
-            if np.ndim(starts) != 1:
-                raise DomainError(f"{axis}_starts must be a sequence of numbers, got {starts!r}")
-            if np.shape(bounds) != (2,) or not bounds[0] < bounds[1]:
-                raise DomainError(f"{axis}_bounds must be a pair (lo, hi) with lo < hi, got {bounds!r}")
+        _check_fields(self, "omega0_starts", "omegab_starts", signed=True, array=True)
+        for name in ("omega0_starts", "omegab_starts"):
+            if np.ndim(getattr(self, name)) != 1:
+                raise DomainError(f"{name} must be a sequence of numbers, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -386,7 +382,7 @@ def fit_kie(data: KIEDataset, config: Optional[FitConfig] = None) -> FitResult:
     """Weighted least-squares fit of the two-parameter KIE model.
 
     Weights are 1/sigma^2 when uncertainties are present, unit otherwise.
-    A screen evaluates the cost on a lattice over the box constraints
+    A screen evaluates the cost on a lattice over the box ``_BOX``
     (see ``FitConfig``). From the best cell of each of the best three
     separate local minima of the lattice, a bounded Levenberg-Marquardt
     polish (``least_squares``, on the model's analytic Jacobian) runs to
@@ -411,7 +407,7 @@ def fit_kie(data: KIEDataset, config: Optional[FitConfig] = None) -> FitResult:
 
     # Quick feasibility check: the smallest admissible omegab must leave
     # at least one point above the crossover.
-    T0_floor = _crossover_temperature(units._isotope_scaled(config.omegab_bounds[0], data.light))
+    T0_floor = _crossover_temperature(units._isotope_scaled(_BOX[1][0], data.light))
     if np.max(T) <= _crossover_clamp(T, T0_floor)[0]:
         raise FitConvergenceError(
             "all data points lie below the crossover temperature for every "
@@ -422,16 +418,15 @@ def fit_kie(data: KIEDataset, config: Optional[FitConfig] = None) -> FitResult:
         model, d_omega0, d_omegab = _kie_model(T, *params, data.light, data.heavy)
         return w * (model - y), (w * np.array((d_omega0, d_omegab))).T
 
-    omega0_axis = _lattice_axis(config.omega0_bounds, _SCREEN_STEPS[0], config.omega0_starts)
-    omegab_axis = _lattice_axis(config.omegab_bounds, _SCREEN_STEPS[1], config.omegab_starts)
+    omega0_axis, omegab_axis = (_lattice_axis(bounds, step, starts) for bounds, step, starts in
+                                zip(_BOX, _SCREEN_STEPS, (config.omega0_starts, config.omegab_starts)))
     cost = _screen(T, y, w, omega0_axis, omegab_axis, data.light, data.heavy)
-    lo = (config.omega0_bounds[0], config.omegab_bounds[0])
-    hi = (config.omega0_bounds[1], config.omegab_bounds[1])
+    box = tuple(zip(*_BOX))  # (lo, hi), each over (omega0, omegab)
     best = None
     n_converged = 0
     for k in _local_minima(cost)[:_MAX_POLISHES]:
         i, j = divmod(int(k), omegab_axis.size)
-        res = least_squares(residuals, x0=(omega0_axis[i], omegab_axis[j]), bounds=(lo, hi))
+        res = least_squares(residuals, x0=(omega0_axis[i], omegab_axis[j]), bounds=box)
         if not res.success:
             continue
         n_converged += 1
@@ -486,8 +481,8 @@ def fit_arrhenius(T: Sequence[float], k: Sequence[float]) -> ArrheniusFit:
     k = np.asarray(k, dtype=float)
     if T.ndim != 1 or T.shape != k.shape or T.size < 2:
         raise DomainError("need at least two (T, k) points")
-    _require_param("temperatures", T, positive=True)
-    _require_param("rates", k, positive=True)
+    _require_array("temperatures", T, positive=True)
+    _require_array("rates", k, positive=True)
     if np.unique(T).size < 2:
         raise DomainError("degenerate design: all temperatures equal")
     x = 1.0 / T

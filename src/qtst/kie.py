@@ -29,7 +29,7 @@ from importlib import resources
 import numpy as np
 
 from . import units
-from .errors import BelowCrossoverError, DomainError, _require_param
+from .errors import BelowCrossoverError, DomainError, _require_array, _require_param
 from .kramers import _crossover_temperature
 from .units import Isotope, _isotope_scaled
 
@@ -110,11 +110,9 @@ class ClassificationReport:
 
 def _require_kie_args(omega0_H, omegab_H, T, light: Isotope, heavy: Isotope):
     """Check KIE arguments; return omega0, omegab and T as checked, and the light isotope's (binding) crossover."""
-    for name, omega in (("omega0", omega0_H), ("omegab", omegab_H)):
-        if not isinstance(_require_param(name, omega, positive=True), float):
-            raise DomainError(f"{name} must be a single frequency, got {omega!r}")
-    omega0_H, omegab_H = float(omega0_H), float(omegab_H)
-    T_checked = _require_param("temperature", T, positive=True)
+    omega0_H = _require_param("omega0", omega0_H, positive=True)
+    omegab_H = _require_param("omegab", omegab_H, positive=True)
+    T_checked = _require_array("temperature", T, positive=True)
     units._require_isotope_order(light, heavy)
     T0_light = _crossover_temperature(_isotope_scaled(omegab_H, light))
     if isinstance(T_checked, float) and T <= T0_light:
@@ -199,9 +197,8 @@ def apparent_arrhenius(
     hbar*omega_0 well above 2 kB T_R; ``expansion_ok`` is False when the
     heavy isotope violates hbar*omega_0/sqrt(m) >= 4 kB T_R.
     """
-    omega0_H, omegab_H, T_checked, _ = _require_kie_args(omega0_H, omegab_H, T_R, light, heavy)
-    if not isinstance(T_checked, float):
-        raise DomainError(f"T_R must be a single temperature, got {T_R!r}")
+    _require_param("T_R", T_R, positive=True)
+    omega0_H, omegab_H, _, _ = _require_kie_args(omega0_H, omegab_H, T_R, light, heavy)
     expansion_ok = (
         units.CM1_TO_K * omega0_H / math.sqrt(heavy.mass_number) >= 4.0 * T_R
     )

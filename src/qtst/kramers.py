@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import units
-from .errors import SolverConvergenceError, _brent, _check_fields, _require_param
+from .errors import SolverConvergenceError, _brent, _check_fields, _require_array, _require_param
 from .spectral import FrictionModel, _kernel_body
 from .units import Isotope
 
@@ -148,7 +148,7 @@ def crossover_temperature(mu):
     """T0 = hbar*mu/(2*pi*kB) = 0.228988 K per cm^-1 of mu, for a scalar or
     an array mu; a negative, infinite or NaN mu, or any such entry, raises
     ``DomainError``."""
-    return _crossover_temperature(_require_param("mu", mu))
+    return _crossover_temperature(_require_array("mu", mu))
 
 
 def _crossover_temperature(mu):

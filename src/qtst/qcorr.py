@@ -300,8 +300,7 @@ def kappa_parameter(
     cm^-2/angstrom, c4 in cm^-2/angstrom^2, mass in hydrogen mass numbers.
     For a smooth high barrier kappa is of order sqrt(E_b/(hbar omega_b)).
     """
-    m = mass.mass_number if isinstance(mass, Isotope) else float(mass)
-    _require_param("mass", m, positive=True)
+    m = _require_param("mass", mass.mass_number if isinstance(mass, Isotope) else mass, positive=True)
     _require_param("omega_b", omegab, positive=True)
     _require_param("c3", c3, signed=True)
     _require_param("c4", c4, signed=True)

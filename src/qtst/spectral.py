@@ -13,6 +13,9 @@ gamma_hat(z) = gamma(i z) to imaginary frequency, and
 int_0^inf Re gamma(w) dw = (pi/2) lim_{z->inf} z gamma_hat(z). Where a
 model is defined by its spectrum (the dielectric cavity), the continuation
 of that spectrum's response function gives the kernel exactly.
+
+A model's fields are what a caller varies: the dielectric cavity's solvent
+is water, whose measured response is a set of module constants.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import units
-from .errors import DivergentIntegralError, DomainError, _check_fields, _require_param
+from .errors import DivergentIntegralError, DomainError, _check_fields, _require_array, _require_param
 
 __all__ = [
     "FrictionModel",
@@ -54,26 +57,26 @@ class FrictionModel:
     same shape otherwise, and are the one place that checks their input:
     ``DomainError`` unless every z is finite and > 0, every omega finite
     and >= 0. Subclasses implement ``_kernel`` and ``_spectrum`` on the
-    checked value (a Python float or a float array); constructors reject
-    NaN, infinite and out-of-range parameters with ``DomainError`` and store
-    each as a Python float. The effective-frequency solve
-    (``kramers.solve_effective_frequency``, one Python float at a time) and
-    the Matsubara product (one float array) call ``_kernel`` on checked
+    checked value (a Python float or a float array); constructors reject a
+    list or an array, NaN, infinite and out-of-range parameters with
+    ``DomainError`` and store each as a Python float. The effective-frequency
+    solve (``kramers.solve_effective_frequency``, one Python float at a time)
+    and the Matsubara product (one float array) call ``_kernel`` on checked
     values, or, where a subclass overrides ``laplace_kernel``, that code.
     ``to_json`` comes from the fields: the ``kind``, then each dataclass
-    field in order, a tuple written as a list.
+    field in order.
     """
 
     kind = "base"
 
     def friction_spectrum(self, omega):
         """Re gamma(omega) in cm^-1 for omega >= 0 (cm^-1)."""
-        return self._spectrum(_require_param("omega", omega))
+        return self._spectrum(_require_array("omega", omega))
 
     def laplace_kernel(self, z):
         """gamma_hat(z) = (2 z/pi) int_0^inf Re gamma(w)/(w^2 + z^2) dw, in
         cm^-1, for z > 0 (cm^-1)."""
-        return self._kernel(_require_param("Laplace variable z", z, positive=True))
+        return self._kernel(_require_array("Laplace variable z", z, positive=True))
 
     def _spectrum(self, omega):
         raise NotImplementedError
@@ -86,8 +89,7 @@ class FrictionModel:
         raise NotImplementedError
 
     def to_json(self) -> dict:
-        values = ((f.name, getattr(self, f.name)) for f in fields(self))
-        return {"kind": self.kind, **{k: list(v) if isinstance(v, tuple) else v for k, v in values}}
+        return {"kind": self.kind, **{f.name: getattr(self, f.name) for f in fields(self)}}
 
 
 def _kernel_body(model: FrictionModel):
@@ -187,29 +189,42 @@ class PeakedFriction(FrictionModel):
 
 
 
-# Water dielectric relaxation at 298 K: three Debye terms plus one damped
-# resonance. delta_eps, tau (ps) and the resonance frequency (cm^-1).
-WATER_DELTA_EPS = (71.5, 2.8, 1.6, 0.92)
-WATER_TAU_PS = (8.3, 1.0, 0.1, 0.025)
-WATER_OMEGA4_CM1 = 175.0
+# Water's dielectric response at 298 K: eps_inf (1.54 makes the static limit
+# ~78.4, liquid water's; the relaxation terms do not pin it down), then three
+# Debye terms and one damped resonance: delta_eps, tau (ps) and the
+# resonance frequency (cm^-1)
+_WATER_EPS_INF = 1.54
+_WATER_DELTA_EPS = (71.5, 2.8, 1.6, 0.92)
+_WATER_TAU_PS = (8.3, 1.0, 0.1, 0.025)
+_WATER_OMEGA4_CM1 = 175.0
+# (delta_eps, a, b, cap) of each term delta_eps/(1 - i a w - b w^2): a in cm
+# (tau times _OMEGA_TAU), b in cm^2 (0 for a Debye term) and the cap twice
+# the w where (a w)^2 or (1 - b w^2)^2 overflows
+_WATER_TERMS = tuple((de, a, b, 2.0 * min(_SQRT_MAX / a, math.sqrt(_SQRT_MAX / b) if b else math.inf))
+                     for de, a, b in zip(_WATER_DELTA_EPS, [_OMEGA_TAU * tau for tau in _WATER_TAU_PS],
+                                         (0.0, 0.0, 0.0, _WATER_OMEGA4_CM1**-2)))
+_WATER_CAP_MIN = min(t[3] for t in _WATER_TERMS)
+# eps(0) and eps(i inf), every term relaxing
+_WATER_DELTA_SUM = sum(_WATER_DELTA_EPS)
+_WATER_EPS_0 = _WATER_EPS_INF + _WATER_DELTA_SUM
+_WATER_EPS_HI = _WATER_EPS_0 - _WATER_DELTA_SUM
 
 
 @dataclass(frozen=True)
 class DebyeDielectricFriction(FrictionModel):
     """Dielectric-continuum friction on a charge in a spherical cavity.
 
-    The solvent is described by a complex dielectric function built from
-    three Debye relaxation terms plus one damped resonant term; the
-    friction spectrum follows from the reaction field of a cavity of
-    radius ``cavity_radius`` (angstrom) carved in it:
+    The solvent is water, whose complex dielectric function eps(w) is
+    eps_inf plus three Debye relaxation terms and one damped resonant term,
+    its measured response at 298 K (module constants); the friction
+    spectrum follows from the reaction field of a cavity of radius
+    ``cavity_radius`` (angstrom) carved in it:
 
     Re gamma(w) = pref/w * Im R(eps(w)),  R(e) = (e - eps_c)/(2 e + eps_c),
 
     with pref = e^2/(2 pi eps0 a^3 M). ``eps_c`` is the static dielectric
-    constant of the cavity interior (the local protein environment).
-    ``eps_inf`` defaults to 1.54 so the static limit is ~78.4, the value
-    for liquid water; the tabulated relaxation coefficients do not pin it
-    down.
+    constant of the cavity interior (the local protein environment), and
+    ``mass`` M the transferred particle's, in hydrogen mass numbers.
 
     Closed forms. Each relaxation term is delta_eps/(1 - i a w - b w^2),
     with a = tau and b = 1/omega_4^2 for the resonance (b = 0 for the Debye
@@ -225,29 +240,17 @@ class DebyeDielectricFriction(FrictionModel):
     Im R(e) = 3 eps_c Im e/|2 e + eps_c|^2, so no expression cancels and the
     w -> 0 and z -> 0 limits need no special case. The spectrum is computed
     in real arithmetic, so a scalar call equals the array element bit for
-    bit; the spectrum integral is computed once, on construction.
+    bit. Water's terms, eps(0) and eps(i inf) are derived at import, an
+    instance's prefactor, static scale and spectrum integral on construction.
     """
 
     cavity_radius: float
     eps_c: float = 2.0
     mass: float = 1.0
-    eps_inf: float = 1.54
-    delta_eps: tuple = WATER_DELTA_EPS
-    tau_ps: tuple = WATER_TAU_PS
-    omega_4: float = WATER_OMEGA4_CM1
     kind = "debye_dielectric"
 
     def __post_init__(self):
-        _check_fields(self, "cavity_radius", "mass", "eps_c", "eps_inf", positive=True)
-        _check_fields(self, "omega_4")
-        if len(self.delta_eps) != 4 or len(self.tau_ps) != 4:
-            raise DomainError("expected 4 relaxation strengths and 4 times")
-        _check_fields(self, "delta_eps", "tau_ps")
-        # (delta_eps, a, b) of each term delta_eps/(1 - i a w - b w^2), with
-        # a in cm (tau times _OMEGA_TAU) and b in cm^2
-        b4 = self.omega_4**-2 if self.omega_4 > 0 else 0.0
-        a = [_OMEGA_TAU * tau for tau in self.tau_ps]
-        terms = tuple(zip(self.delta_eps, a, (0.0, 0.0, 0.0, b4)))
+        _check_fields(self, "cavity_radius", "mass", "eps_c", positive=True)
         # e^2/(2 pi eps0 a^3 M), expressed so division by omega[cm^-1]
         # yields Re gamma in cm^-1
         a_m, m_kg = self.cavity_radius * 1e-10, self.mass * units.PROTON_MASS_KG
@@ -256,21 +259,10 @@ class DebyeDielectricFriction(FrictionModel):
         )
         prefactor = pref_si / units.CM1_TO_RAD_PER_S**2
         # pref * 3 eps_c / (2 eps(0) + eps_c)
-        eps0 = self.eps_inf + sum(self.delta_eps)
-        static_scale = prefactor * 3.0 * self.eps_c / (2.0 * eps0 + self.eps_c)
-        # int Re gamma dw; a term with a = b = 0 never relaxes, so eps(i inf)
-        # keeps it
-        relaxing = sum(de for de, a, b in terms if a > 0.0 or b > 0.0)
-        eps_hi = self.eps_inf + sum(self.delta_eps) - relaxing
-        integral = math.pi / 2.0 * static_scale * relaxing / (2.0 * eps_hi + self.eps_c)
-        # each term with its cap: twice the w where (a w)^2 or (1 - b w^2)^2
-        # overflows
-        capped = tuple((de, a, b, 2.0 * min(_SQRT_MAX / a if a else math.inf,
-                                            math.sqrt(_SQRT_MAX / b) if b else math.inf))
-                       for de, a, b in terms)
+        static_scale = prefactor * 3.0 * self.eps_c / (2.0 * _WATER_EPS_0 + self.eps_c)
+        integral = math.pi / 2.0 * static_scale * _WATER_DELTA_SUM / (2.0 * _WATER_EPS_HI + self.eps_c)
         # derived once; not fields, so ==, hash and repr see the parameters only
-        for name, value in (("_terms", terms), ("_capped_terms", capped), ("_cap_min", min(t[3] for t in capped)),
-                            ("_prefactor", prefactor), ("_static_scale", static_scale),
+        for name, value in (("_prefactor", prefactor), ("_static_scale", static_scale),
                             ("_spectrum_integral", integral)):
             object.__setattr__(self, name, value)
 
@@ -281,10 +273,10 @@ class DebyeDielectricFriction(FrictionModel):
         The sign convention makes Im eps >= 0 for omega >= 0, as required
         for a dissipative medium.
         """
-        w = _require_param("omega", omega)
+        w = _require_array("omega", omega)
         # past about 1e154 cm^-1 b w^2 overflows to inf and the term to its limit 0, silently as for a float
         with np.errstate(over="ignore"):
-            return self.eps_inf + sum(de / (1.0 - b * w * w - 1j * a * w) for de, a, b in self._terms)
+            return _WATER_EPS_INF + sum(de / (1.0 - b * w * w - 1j * a * w) for de, a, b, _ in _WATER_TERMS)
 
     def _spectrum(self, w, clip=None):
         # in real arithmetic: de/(dr - i di) = de (dr + i di)/(dr^2 + di^2).
@@ -292,12 +284,12 @@ class DebyeDielectricFriction(FrictionModel):
         # q = 0 is its limit. So a term is taken at clip(w, cap): past its cap
         # dr and di stay finite while q = 0, and the term adds an exact 0, not
         # 0 * inf = nan. A float below every cap needs no clip
-        if clip is None and (isinstance(w, np.ndarray) or w >= self._cap_min):
+        if clip is None and (isinstance(w, np.ndarray) or w >= _WATER_CAP_MIN):
             with np.errstate(over="ignore"):
                 return self._spectrum(w, np.minimum if isinstance(w, np.ndarray) else min)
-        eps_re, eps_im = self.eps_inf, 0.0
+        eps_re, eps_im = _WATER_EPS_INF, 0.0
         loss = 0.0  # Im eps(w) / w
-        for de, a, b, cap in self._capped_terms:
+        for de, a, b, cap in _WATER_TERMS:
             wt = w if clip is None else clip(w, cap)
             dr, di = 1.0 - b * wt * wt, a * wt
             q = de / (dr * dr + di * di)
@@ -308,9 +300,9 @@ class DebyeDielectricFriction(FrictionModel):
         return self._prefactor * 3.0 * self.eps_c * loss / (den_re * den_re + den_im * den_im)
 
     def _kernel(self, z):
-        eps = self.eps_inf  # eps(i z)
+        eps = _WATER_EPS_INF  # eps(i z)
         drop = 0.0  # (eps(0) - eps(i z)) / z
-        for de, a, b in self._terms:
+        for de, a, b, _ in _WATER_TERMS:
             # term = de/(1 + z s), and de - term = z * term * s
             s = a + b * z if b else a
             term = de / (1.0 + z * s)
@@ -474,7 +466,7 @@ def friction_model_from_json(obj: dict) -> FrictionModel:
         raise DomainError(f"unknown friction model kind {kind!r}") from None
     try:
         return cls(**{k: v for k, v in obj.items() if k != "kind"})
-    except TypeError as exc:  # a field unknown, missing or of the wrong shape
+    except TypeError as exc:  # a field unknown or missing
         raise DomainError(f"bad fields for friction model kind {kind!r}: {exc}") from None
 
 
@@ -484,7 +476,7 @@ def effective_curvature(model: FrictionModel, mass: float = 1.0) -> float:
     Returned in mass-number * cm^-2 units (so Drude gives M*gamma*omega_d).
     Raises ``DivergentIntegralError`` where the integral does not exist.
     """
-    m = _require_param("mass", mass, positive=True)
+    m = _require_array("mass", mass, positive=True)
     return 2.0 / math.pi * m * model.spectrum_integral()
 
 
@@ -496,7 +488,7 @@ def kernel_upper_bound(model: FrictionModel, z):
     The particle mass cancels. Propagates the divergent-integral error.
     Takes a scalar (returns a float) or an array of z.
     """
-    zz = _require_param("Laplace variable z", z, positive=True)
+    zz = _require_array("Laplace variable z", z, positive=True)
     return 2.0 / math.pi * model.spectrum_integral() / zz
 
 

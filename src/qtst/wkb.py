@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from . import units
-from .errors import DomainError, _brent, _check_fields, _read_table, _require_param, _scipy
+from .errors import DomainError, _brent, _check_fields, _read_table, _require_array, _require_param, _scipy
 
 __all__ = [
     "Potential1D",
@@ -295,15 +295,15 @@ class TabulatedPotential(Potential1D):
         U = np.asarray(U, dtype=float)
         if x.ndim != 1 or x.size < 4 or x.shape != U.shape:
             raise DomainError("need matching 1-d arrays with at least 4 points")
-        _require_param("x", x, signed=True)
-        _require_param("U", U, signed=True)
+        _require_array("x", x, signed=True)
+        _require_array("U", U, signed=True)
         # neighbours compared, not subtracted: a difference can overflow
         if np.any(x[1:] <= x[:-1]):
             order = np.argsort(x)
             x, U = x[order], U[order]
             if np.any(x[1:] <= x[:-1]):
                 raise DomainError("grid positions must be distinct")
-        _require_param("mass", mass, positive=True)
+        mass = _require_param("mass", mass, positive=True)
         knots, values = x.tolist(), U.tolist()
         if not math.isfinite(knots[-1] - knots[0]):
             raise DomainError("grid positions must span less than the largest double")
@@ -324,7 +324,7 @@ class TabulatedPotential(Potential1D):
             raise DomainError("tabulated potential's PCHIP coefficients overflow: values too large for their spacing")
         # set once, past the __setattr__ that refuses every later assignment
         vars(self).update(
-            mass=float(mass),
+            mass=mass,
             _knots=knots,
             _coefs=coefs,
             _U=values,
@@ -464,8 +464,6 @@ def wkb_action(pot: Potential1D, E: float) -> float:
     x1, x2 = turning_points(pot, E)
     mid = 0.5 * (x1 + x2)
     half = 0.5 * (x2 - x1)
-    if half == 0.0:
-        return 0.0
 
     # absolute floor sized to the integral keeps the quadrature from
     # chasing roundoff near the top where the integral itself vanishes

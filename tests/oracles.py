@@ -85,6 +85,12 @@ _QUAD_OPTS = dict(epsabs=0.0, epsrel=1e-11, limit=400)
 # fit_multistart's least_squares: relative central-difference step and cap
 _FIT_DIFF_STEP = 1e-4
 _FIT_MAX_NFEV = 400
+# water's relaxation times (ps) and resonance frequency (cm^-1), where the
+# dielectric cavity's spectrum changes shape
+_WATER_TAU_PS = (8.3, 1.0, 0.1, 0.025)
+_WATER_OMEGA4_CM1 = 175.0
+# the fit's box, (lo, hi) of omega0 and of omegab (cm^-1)
+_FIT_LO, _FIT_HI = (500.0, 100.0), (5000.0, 3000.0)
 # the infinite tails carry ~1e-4 of the integral; absolute floor avoids
 # chasing roundoff there
 _TAIL_QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-9, limit=200)
@@ -98,7 +104,7 @@ def feature_frequencies(model) -> list[float]:
         return [model.omega_r, model.omega_r + model.width]
     if isinstance(model, DebyeDielectricFriction):
         omega_tau = units.CM1_TO_RAD_PER_S * 1e-12
-        return sorted([1.0 / (omega_tau * tau) for tau in model.tau_ps] + [model.omega_4])
+        return sorted([1.0 / (omega_tau * tau) for tau in _WATER_TAU_PS] + [_WATER_OMEGA4_CM1])
     if isinstance(model, LinearProteinFriction) and model.cutoff is not None:
         return [model.cutoff]
     return []
@@ -504,7 +510,7 @@ def fit_multistart(data: KIEDataset, config: Optional[FitConfig] = None) -> FitR
 
     # Quick feasibility check: the smallest admissible omegab must leave
     # at least one point above the crossover.
-    T0_floor = crossover_temperature(units._isotope_scaled(config.omegab_bounds[0], data.light))
+    T0_floor = crossover_temperature(units._isotope_scaled(_FIT_LO[1], data.light))
     if np.max(T) <= (1.0 + _CROSSOVER_MARGIN) * T0_floor:
         raise FitConvergenceError(
             "all data points lie below the crossover temperature for every "
@@ -515,8 +521,7 @@ def fit_multistart(data: KIEDataset, config: Optional[FitConfig] = None) -> FitR
         om0, omb = params
         return w * (kie_model(T, om0, omb, data.light, data.heavy) - y)
 
-    lo = (config.omega0_bounds[0], config.omegab_bounds[0])
-    hi = (config.omega0_bounds[1], config.omegab_bounds[1])
+    lo, hi = _FIT_LO, _FIT_HI
     best = None
     n_converged = 0
     for om0_start in config.omega0_starts:

@@ -751,8 +751,12 @@ def test_rate_that_overflows_a_double_is_a_domain_error(tmp_path, capsys):
         ('{"kind": "drude", "gamma": 1, "bogus": 2}', "kind 'drude'"),
         ('{"kind": "drude"}', "kind 'drude'"),
         ('{"kind": ["drude"]}', "kind ['drude']"),
+        ('{"kind": "drude", "gamma": [100, 200], "omega_d": 300}', "gamma must be a single number"),
+        ('{"kind": "debye_dielectric", "cavity_radius": 3, "tau_ps": [8.3, 1.0, 0.1, 0.025]}', "'tau_ps'"),
+        ('{"kind": "debye_dielectric", "cavity_radius": 3, "eps_inf": 1.54}', "'eps_inf'"),
     ],
-    ids=["text", "ragged", "unknown-key", "missing-fields", "unhashable-kind"],
+    ids=["text", "ragged", "unknown-key", "missing-fields", "unhashable-kind", "list-for-a-number",
+         "debye-removed-tau", "debye-removed-eps-inf"],
 )
 def test_friction_parameter_numpy_cannot_read_is_domain_error(friction, message, tmp_path, capsys):
     out = tmp_path / "rate.csv"

@@ -1,12 +1,36 @@
 """errors._brent, the one bracketed root finder, on its error paths: each
 failure of scipy's brentq (kept in tests/oracles.py as the oracle) must come
 out with scipy's text, wrapped in a SolverConvergenceError with the bracket,
-and an error of the library's own must pass through untouched."""
+and an error of the library's own must pass through untouched. And the one
+input check's single-number rule, at every entry point that takes one
+number: a list or an array there is a DomainError."""
 
 import math
 
+import numpy as np
 import pytest
 
+from qtst import (
+    BarrierSystem,
+    DrudeFriction,
+    Isotope,
+    ParabolicBarrier,
+    TabulatedPotential,
+    chromophore_estimate,
+    classical_rate,
+    classify,
+    correction_closed,
+    correction_crossover,
+    correction_product,
+    kappa_parameter,
+    quantum_rate,
+    solve_effective_frequency,
+    swain_schaad,
+    transmission,
+    turning_points,
+    weak_friction_margin,
+    wkb_action,
+)
 from qtst.errors import DomainError, SolverConvergenceError, _brent, _brentq
 
 from oracles import brentq as scipy_brentq
@@ -93,3 +117,39 @@ def test_an_exact_zero_at_an_end_is_that_end(lo, hi, root):
 
     assert _brent(f, lo, hi)[0].hex() == scipy_brentq(f, lo, hi).hex() == root.hex()
     assert _brent(f, lo, hi)[1].hex() == root.hex()
+
+
+_SYSTEM = BarrierSystem(3000.0, 1000.0, 40.0)
+_BARRIER = ParabolicBarrier(40.0, 1000.0)
+_TWO = [300.0, 310.0]
+
+# each entry point with a list or an array where one number is meant; at
+# each, the array once reached math or a dataclass field and raised a bare
+# TypeError, was stored, or came back as array flags
+SINGLE_NUMBER_CALLS = {
+    "correction_closed-T": lambda: correction_closed(3000.0, 1000.0, _TWO),
+    "correction_crossover-T": lambda: correction_crossover(_SYSTEM, np.array(_TWO), 10.0),
+    "correction_product-T": lambda: correction_product(_SYSTEM, None, _TWO),
+    "quantum_rate-T": lambda: quantum_rate(_SYSTEM, None, np.array(_TWO)),
+    "classical_rate-T": lambda: classical_rate(_SYSTEM, None, _TWO),
+    "solve_effective_frequency-omegab": lambda: solve_effective_frequency([1000.0, 1100.0], None),
+    "weak_friction_margin-T": lambda: weak_friction_margin(DrudeFriction(100.0, 300.0), _TWO),
+    "kappa_parameter-mass": lambda: kappa_parameter([1.0, 2.0], 1000.0, 0.0, 1000.0, 230.0),
+    "swain_schaad-kH": lambda: swain_schaad([81.0, 82.0], 3.85, 1.0),
+    "chromophore_estimate-E_R": lambda: chromophore_estimate(np.array([1000.0, 2000.0]), 5.0),
+    "wkb_action-E": lambda: wkb_action(_BARRIER, [10.0, 20.0]),
+    "turning_points-E": lambda: turning_points(_BARRIER, np.array([10.0])),
+    "transmission-E": lambda: transmission(_BARRIER, [10.0]),
+    "TabulatedPotential-mass": lambda: TabulatedPotential([-1.0, -0.5, 0.0, 0.5, 1.0], [0.0, 5.0, 8.0, 5.0, 0.0],
+                                                          mass=[1.0, 2.0]),
+    "BarrierSystem-omega0": lambda: BarrierSystem([3000.0, 3100.0], 1000.0, 40.0),
+    "DrudeFriction-gamma": lambda: DrudeFriction(np.array([100.0, 200.0]), 300.0),
+    "ParabolicBarrier-E_b": lambda: ParabolicBarrier(np.array([40.0, 50.0]), 1000.0),
+    "classify-kie": lambda: classify(np.array([10.0, 20.0]), 0.5, 5.0, (Isotope.H, Isotope.D)),
+}
+
+
+@pytest.mark.parametrize("call", SINGLE_NUMBER_CALLS.values(), ids=SINGLE_NUMBER_CALLS.keys())
+def test_a_list_or_an_array_where_one_number_is_meant_is_a_domain_error(call):
+    with pytest.raises(DomainError, match="must be a single number, got "):
+        call()

@@ -27,29 +27,7 @@ CASES = {
     ),
     "debye": (
         DebyeDielectricFriction(cavity_radius=3.0),
-        {
-            "kind": "debye_dielectric",
-            "cavity_radius": 3.0,
-            "eps_c": 2.0,
-            "mass": 1.0,
-            "eps_inf": 1.54,
-            "delta_eps": [71.5, 2.8, 1.6, 0.92],
-            "tau_ps": [8.3, 1.0, 0.1, 0.025],
-            "omega_4": 175.0,
-        },
-    ),
-    "debye_int_lists": (
-        DebyeDielectricFriction(4, delta_eps=(70, 3, 2, 1), tau_ps=(8, 1, 0.1, 0)),
-        {
-            "kind": "debye_dielectric",
-            "cavity_radius": 4.0,
-            "eps_c": 2.0,
-            "mass": 1.0,
-            "eps_inf": 1.54,
-            "delta_eps": [70.0, 3.0, 2.0, 1.0],
-            "tau_ps": [8.0, 1.0, 0.1, 0.0],
-            "omega_4": 175.0,
-        },
+        {"kind": "debye_dielectric", "cavity_radius": 3.0, "eps_c": 2.0, "mass": 1.0},
     ),
     "linear_protein": (
         LinearProteinFriction(),

@@ -37,7 +37,7 @@ from qtst import (
     kie_qtst,
     turning_points,
 )
-from qtst.errors import DomainError, _require_param
+from qtst.errors import DomainError, _require_array, _require_param
 from qtst.fit import _SCREEN_STEPS, _kie_model, _lattice_axis, _local_minima, _screen
 from qtst.kie import load_dataset_csv
 from qtst.kramers import _mu_mismatch, classical_kie, solve_effective_frequency
@@ -273,25 +273,25 @@ def test_fit_invariant_to_a_common_sigma_scale(data, scale):
 @FIT_PROPERTY
 @given(data=series)
 def test_fit_cost_at_most_the_lattice_minimum(data):
-    # the default lattice, 50 and 25 cm^-1 over the default box
-    config = FitConfig()
-    omega0 = np.linspace(*config.omega0_bounds, 91)
-    omegab = np.linspace(*config.omegab_bounds, 117)
+    # the default lattice, 50 and 25 cm^-1 over the fit's box
+    omega0 = np.linspace(500.0, 5000.0, 91)
+    omegab = np.linspace(100.0, 3000.0, 117)
     T, y, sigma = data.sorted_arrays()
     w = 1.0 if sigma is None else 1.0 / sigma
     lattice_min = float(np.min(screen_broadcast(T, y, w, omega0, omegab, data.light, data.heavy)))
-    res = fit_kie(data, config)
+    res = fit_kie(data)
     assert 0.5 * res.residual_norm**2 <= lattice_min * (1.0 + 1e-12)
 
 
 _SCREEN_PAIRS = [(Isotope.H, Isotope.D), (Isotope.H, Isotope.T), (Isotope.D, Isotope.T)]
-# the default config, the benchmark's 6-start one and one with off-lattice
-# starts and bounds, whose axes are unevenly spaced
+# (starts, box) per axis, omega0 then omegab: the default starts and the
+# benchmark's 6 on the fit's box, and off-lattice starts on an off-lattice
+# box, whose axes are unevenly spaced
+_FIT_BOX = ((500.0, 5000.0), (100.0, 3000.0))
 _SCREEN_CONFIGS = [
-    FitConfig(),
-    FitConfig(omega0_starts=(2000.0, 3000.0), omegab_starts=(700.0, 1100.0, 1500.0)),
-    FitConfig(omega0_starts=(2010.5, 3333.3), omegab_starts=(712.3,),
-              omega0_bounds=(700.0, 4321.0), omegab_bounds=(150.0, 2600.0)),
+    ((FitConfig().omega0_starts, FitConfig().omegab_starts), _FIT_BOX),
+    (((2000.0, 3000.0), (700.0, 1100.0, 1500.0)), _FIT_BOX),
+    (((2010.5, 3333.3), (712.3,)), ((700.0, 4321.0), (150.0, 2600.0))),
 ]
 
 
@@ -305,7 +305,7 @@ def screen_cases(draw):
     differ by about 1e-14 relative, and a cell's cost by that times
     model/residual, at most 6.3e-13 in these draws (at the best cell)."""
     light, heavy = draw(st.sampled_from(_SCREEN_PAIRS))
-    config = draw(st.sampled_from(_SCREEN_CONFIGS))
+    starts, box = draw(st.sampled_from(_SCREEN_CONFIGS))
     omega0 = draw(st.floats(1500.0, 4000.0))
     omegab = draw(st.floats(300.0, 1500.0))
     T_min = draw(st.floats(1.03, 2.5)) * crossover_temperature(units._isotope_scaled(omegab, light))
@@ -314,8 +314,7 @@ def screen_cases(draw):
     y = np.array([kie_qtst(omega0, omegab, float(t), light, heavy).ratio for t in T])
     y *= np.exp(0.03 * rng.standard_normal(T.size))
     w = 1.0 / (draw(st.floats(0.02, 0.1)) * y) if draw(st.booleans()) else np.ones_like(T)
-    axes = (_lattice_axis(config.omega0_bounds, _SCREEN_STEPS[0], config.omega0_starts),
-            _lattice_axis(config.omegab_bounds, _SCREEN_STEPS[1], config.omegab_starts))
+    axes = tuple(_lattice_axis(*args) for args in zip(box, _SCREEN_STEPS, starts))
     return (T, y, w, *axes, light, heavy)
 
 
@@ -511,23 +510,37 @@ def test_float_check_gives_what_the_general_check_gives(flags, want, v):
         assert got.hex() == general.hex()
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(v=st.one_of(edge_floats, st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)))
+def test_array_check_of_a_float_is_the_number_check(v):
+    # _require_array's float path is _require_param's, for every flag setting
+    for flags in ({}, {"positive": True}, {"signed": True}):
+        outcomes = []
+        for check in (_require_param, _require_array):
+            try:
+                outcomes.append(check("x", v, **flags).hex())
+            except DomainError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], (v, flags)
+
+
 @pytest.mark.parametrize(
-    "value, flags, expect",
+    "check, value, flags, expect",
     [
-        (3, {"positive": True}, 3.0),
-        (0, {}, 0.0),
-        (-2, {"signed": True}, -2.0),
-        (True, {"positive": True}, 1.0),
-        (np.float64(2.5), {"positive": True}, 2.5),
-        (np.float32(0.5), {}, 0.5),
-        (np.array(4.0), {"positive": True}, 4.0),
-        ([1.0, 2.0], {"positive": True}, [1.0, 2.0]),
-        (np.array([0.0, 3.0]), {}, [0.0, 3.0]),
+        (_require_param, 3, {"positive": True}, 3.0),
+        (_require_param, 0, {}, 0.0),
+        (_require_param, -2, {"signed": True}, -2.0),
+        (_require_param, True, {"positive": True}, 1.0),
+        (_require_param, np.float64(2.5), {"positive": True}, 2.5),
+        (_require_param, np.float32(0.5), {}, 0.5),
+        (_require_param, np.array(4.0), {"positive": True}, 4.0),
+        (_require_array, [1.0, 2.0], {"positive": True}, [1.0, 2.0]),
+        (_require_array, np.array([0.0, 3.0]), {}, [0.0, 3.0]),
     ],
     ids=["int", "zero-int", "negative-int", "bool", "float64", "float32", "0-d", "list", "array"],
 )
-def test_non_float_inputs_keep_the_general_path(value, flags, expect):
-    got = _require_param("x", value, **flags)
+def test_non_float_inputs_keep_the_general_path(check, value, flags, expect):
+    got = check("x", value, **flags)
     if isinstance(expect, list):
         assert isinstance(got, np.ndarray) and got.dtype == float and got.tolist() == expect
     else:
@@ -535,19 +548,21 @@ def test_non_float_inputs_keep_the_general_path(value, flags, expect):
 
 
 @pytest.mark.parametrize(
-    "value, flags, message",
+    "check, value, flags, message",
     [
-        (-3, {}, "x must be finite and >= 0, got -3"),
-        (False, {"positive": True}, "x must be finite and > 0, got False"),
-        (np.float64(-1.0), {"positive": True}, "x must be finite and > 0, got np.float64(-1.0)"),
-        (np.array(math.nan), {"signed": True}, "x must be finite, got array(nan)"),
-        ([1.0, -2.0], {}, "x must be finite and >= 0, got [1.0, -2.0]"),
-        ("abc", {}, "x must be a number or a regular array of numbers, got 'abc'"),
-        ([1.0, [2.0]], {}, "x must be a number or a regular array of numbers, got [1.0, [2.0]]"),
+        (_require_param, -3, {}, "x must be finite and >= 0, got -3"),
+        (_require_param, False, {"positive": True}, "x must be finite and > 0, got False"),
+        (_require_param, np.float64(-1.0), {"positive": True}, "x must be finite and > 0, got np.float64(-1.0)"),
+        (_require_param, np.array(math.nan), {"signed": True}, "x must be finite, got array(nan)"),
+        (_require_array, [1.0, -2.0], {}, "x must be finite and >= 0, got [1.0, -2.0]"),
+        (_require_param, "abc", {}, "x must be a number or a regular array of numbers, got 'abc'"),
+        (_require_array, [1.0, [2.0]], {}, "x must be a number or a regular array of numbers, got [1.0, [2.0]]"),
+        (_require_param, [1.0, 2.0], {}, "x must be a single number, got [1.0, 2.0]"),
+        (_require_param, np.array([4.0]), {"positive": True}, "x must be a single number, got array([4.])"),
     ],
-    ids=["int", "bool", "float64", "0-d", "list", "string", "ragged"],
+    ids=["int", "bool", "float64", "0-d", "list", "string", "ragged", "list-for-a-number", "array-for-a-number"],
 )
-def test_non_float_inputs_keep_the_general_errors(value, flags, message):
+def test_non_float_inputs_keep_the_general_errors(check, value, flags, message):
     with pytest.raises(DomainError) as info:
-        _require_param("x", value, **flags)
+        check("x", value, **flags)
     assert str(info.value) == message

@@ -106,15 +106,11 @@ def test_kernel_rejects_nonfinite_z(z):
         lambda: DebyeDielectricFriction(cavity_radius=math.nan),
         lambda: DebyeDielectricFriction(cavity_radius=math.inf),
         lambda: DebyeDielectricFriction(cavity_radius=3.0, mass=math.nan),
-        lambda: DebyeDielectricFriction(cavity_radius=3.0, omega_4=math.nan),
-        lambda: DebyeDielectricFriction(cavity_radius=3.0, delta_eps=(71.5, math.nan, 1.6, 0.92)),
-        lambda: DebyeDielectricFriction(cavity_radius=3.0, tau_ps=(8.3, 1.0, math.inf, 0.025)),
     ],
     ids=[
         "ohmic-nan", "ohmic-inf", "drude-nan", "drude-inf", "peaked-nan", "peaked-inf",
         "peaked-neg-inf", "linear-nan", "linear-inf", "linear-cutoff-nan", "debye-radius-nan",
-        "debye-radius-inf", "debye-mass-nan", "debye-omega4-nan", "debye-delta-nan",
-        "debye-tau-inf",
+        "debye-radius-inf", "debye-mass-nan",
     ],
 )
 def test_constructor_rejects_nonfinite_parameter(make):
@@ -127,26 +123,14 @@ def test_constructor_rejects_nonfinite_parameter(make):
     [
         {"eps_c": 0.0},
         {"eps_c": -2.0},
-        {"eps_inf": 0.0},
-        {"eps_inf": -1.0},
-        {"delta_eps": (71.5, -2.8, 1.6, 0.92)},
-        {"tau_ps": (8.3, 1.0, -0.1, 0.025)},
     ],
-    ids=["eps_c-zero", "eps_c-negative", "eps_inf-zero", "eps_inf-negative",
-         "delta_eps-negative", "tau_ps-negative"],
+    ids=["eps_c-zero", "eps_c-negative"],
 )
 def test_dielectric_rejects_unphysical_constants(kwargs):
     # eps_c = -2 once gave a negative spectrum, breaking the kernel bound
     with pytest.raises(DomainError):
         DebyeDielectricFriction(cavity_radius=3.0, **kwargs)
 
-
-@pytest.mark.parametrize("kwargs", [{"delta_eps": (71.5, 2.8, 1.6)}, {"tau_ps": (8.3, 1.0, 0.1)}],
-                         ids=["three-strengths", "three-times"])
-def test_dielectric_needs_four_relaxation_terms(kwargs):
-    with pytest.raises(DomainError) as info:
-        DebyeDielectricFriction(cavity_radius=3.0, **kwargs)
-    assert str(info.value) == "expected 4 relaxation strengths and 4 times"
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
 def test_kernel_returns_a_float_for_every_scalar_form(kernel):
@@ -185,8 +169,7 @@ def test_spectrum_scalar_call_equals_array_element(model):
 
 @pytest.mark.parametrize("model, first", [
     (DebyeDielectricFriction(3.0), 2.4e156),
-    (DebyeDielectricFriction(1.0, omega_4=1e-3, tau_ps=(1e-12, 1.0, 0.1, 0.025)), 1e200),
-], ids=["water", "slow-resonance-fast-term"])
+], ids=["water"])
 def test_debye_spectrum_is_zero_far_above_every_relaxation(model, first):
     # each term's denominator overflows to inf, its limit, and no term adds
     # 0 * inf: 0.0 for a float and for an array, with no warning
@@ -198,25 +181,13 @@ def test_debye_spectrum_is_zero_far_above_every_relaxation(model, first):
     assert tail[1] / tail[0] == pytest.approx(1e-100, rel=1e-12)
 
 
-def test_debye_spectrum_integral_keeps_a_term_that_never_relaxes():
-    # tau = 0 with omega_4 = 0 makes the resonance a constant 0.92, the same
-    # bath as eps_inf raised by 0.92
-    frozen = DebyeDielectricFriction(3.0, tau_ps=(8.3, 1.0, 0.1, 0.0), omega_4=0.0)
-    shifted = DebyeDielectricFriction(3.0, eps_inf=1.54 + 0.92, delta_eps=(71.5, 2.8, 1.6, 0.0))
-    assert type(frozen.spectrum_integral()) is float
-    assert frozen.spectrum_integral() == pytest.approx(shifted.spectrum_integral(), rel=1e-14)
-    assert frozen.spectrum_integral() < DebyeDielectricFriction(3.0).spectrum_integral()
-
-
-# each built-in model built from numpy scalars (and a numpy array for the
-# Debye relaxation strengths), beside its twin built from Python floats
+# each built-in model built from numpy scalars, beside its twin built from
+# Python floats
 NUMPY_PARAM_MODELS = [
     (OhmicFriction(np.float64(50.0)), OhmicFriction(50.0)),
     (DrudeFriction(np.float64(30.0), np.int64(600)), DrudeFriction(30.0, 600.0)),
     (PeakedFriction(np.float64(200.0), np.array(150.0), np.int64(600)), PeakedFriction(200.0, 150.0, 600.0)),
-    (DebyeDielectricFriction(np.float64(3.0), eps_c=np.int64(2), mass=np.float64(2.0),
-                             delta_eps=np.array([71.5, 2.8, 1.6, 0.92]),
-                             tau_ps=tuple(np.float64(t) for t in (8.3, 1.0, 0.1, 0.025))),
+    (DebyeDielectricFriction(np.float64(3.0), eps_c=np.int64(2), mass=np.float64(2.0)),
      DebyeDielectricFriction(3.0, eps_c=2.0, mass=2.0)),
     (LinearProteinFriction(np.float64(20.0), np.float64(0.38), np.int64(400)), LinearProteinFriction()),
 ]
@@ -226,11 +197,7 @@ NUMPY_PARAM_MODELS = [
                          ids=[type(m).__name__ for m, _ in NUMPY_PARAM_MODELS])
 def test_numpy_scalar_parameters_are_stored_and_returned_as_floats(model, twin):
     for f in fields(model):
-        value = getattr(model, f.name)
-        if isinstance(value, tuple):
-            assert [type(v) for v in value] == [float] * 4, f.name
-        else:
-            assert type(value) is float, f.name
+        assert type(getattr(model, f.name)) is float, f.name
     assert model == twin and hash(model) == hash(twin) and model.to_json() == twin.to_json()
     for x in (7.0, 600.0, 17_999.0, 18_001.0):
         for method in ("laplace_kernel", "friction_spectrum"):
@@ -440,21 +407,25 @@ def test_kernel_never_exceeds_bound(model):
 def test_dielectric_static_and_high_frequency_limits():
     m = DebyeDielectricFriction(cavity_radius=3.0)
     eps0 = m.epsilon(0.0)
-    assert eps0.real == pytest.approx(m.eps_inf + 76.82, rel=1e-12)
+    assert eps0.real == pytest.approx(1.54 + 76.82, rel=1e-12)
     assert eps0.imag == 0.0
     eps_hi = m.epsilon(1e7)
-    assert eps_hi.real == pytest.approx(m.eps_inf, abs=1e-3)
+    assert eps_hi.real == pytest.approx(1.54, abs=1e-3)
 
 
-def test_debye_term_half_height_at_inverse_tau():
-    # single relaxation term: Re(eps - eps_inf) = delta_eps/2 at omega = 1/tau
-    m = DebyeDielectricFriction(
-        cavity_radius=3.0, delta_eps=(71.5, 0.0, 0.0, 0.0), tau_ps=(8.3, 1.0, 0.1, 0.025)
-    )
-    omega_cm1 = 1.0 / (units.CM1_TO_RAD_PER_S * 1e-12 * 8.3)
-    eps = m.epsilon(omega_cm1)
-    assert eps.real - m.eps_inf == pytest.approx(71.5 / 2.0, rel=1e-12)
-    assert eps.imag == pytest.approx(71.5 / 2.0, rel=1e-12)
+def test_water_epsilon_is_the_four_term_formula():
+    # eps(w) = eps_inf + sum_k delta_eps_k/(1 - i w tau_k) over three Debye
+    # terms, plus delta_eps_4/(1 - i w tau_4 - (w/omega_4)^2), at w in rad/ps
+    m = DebyeDielectricFriction(cavity_radius=3.0)
+    w_cm1 = np.concatenate((np.geomspace(1e-3, 1e5, 41), [0.0, 175.0]))
+    om_tau = units.CM1_TO_RAD_PER_S * 1e-12
+    for w in w_cm1.tolist():
+        x = om_tau * w
+        want = (1.54 + 71.5 / (1.0 - 1j * x * 8.3) + 2.8 / (1.0 - 1j * x * 1.0) + 1.6 / (1.0 - 1j * x * 0.1)
+                + 0.92 / (1.0 - 1j * x * 0.025 - (w / 175.0) ** 2))
+        got = m.epsilon(w)
+        assert got.real == pytest.approx(want.real, rel=1e-14, abs=0.0), w
+        assert got.imag == pytest.approx(want.imag, rel=1e-14, abs=1e-300), w
 
 
 def test_dielectric_loss_positive_and_of_expected_size():
@@ -463,13 +434,6 @@ def test_dielectric_loss_positive_and_of_expected_size():
         assert m.epsilon(float(w)).imag >= 0.0
     # the measured loss near 100 cm^-1 is about 2
     assert m.epsilon(100.0).imag == pytest.approx(1.91, abs=0.4)
-
-
-def test_cavity_friction_lossless_solvent_gives_zero():
-    m = DebyeDielectricFriction(
-        cavity_radius=3.0, delta_eps=(0.0, 0.0, 0.0, 0.0), eps_inf=78.4
-    )
-    assert m.friction_spectrum(100.0) == 0.0
 
 
 def test_cavity_friction_radius_scaling():
@@ -517,7 +481,7 @@ def test_dielectric_epsilon_array_is_silent_where_b_w2_overflows():
         scalars = [m.epsilon(x) for x in w]
         array = m.epsilon(np.array(w))
     np.testing.assert_allclose(array, scalars, rtol=1e-15, atol=0.0)
-    assert all(e.real == m.eps_inf for e in scalars[1:])
+    assert all(e.real == 1.54 for e in scalars[1:])
 
 
 def test_dielectric_spectrum_zero_frequency_limit():
